@@ -93,5 +93,10 @@ class CorpusNotElementClosed(FeynGraphError):
     pass
 
 
+class NotACorolla(FeynGraphError):
+    """A corolla was required: one vertex with every edge at it (no inner
+    edge, no stick component)."""
+
+
 class FormatError(FeynGraphError):
     """Malformed input file or description."""

@@ -7,6 +7,11 @@ involution without fixed points).  Ports are the edges outside the image of
 s; they form the boundary.  Everything downstream (gluing, substitution,
 free monads) is built on this one class.
 
+A graph is an immutable value: its id-sets are frozensets and its maps are
+read-only.  So what is derived from it alone (the sorted id orders, the
+canonical labelings for given tokens) is computed once and kept on the
+graph.
+
 Ids are opaque hashables internally (strings in files; tuples appear as
 tags after disjoint unions and quotients).  Canonical labeling maps them to
 dense integers deterministically.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -23,6 +29,7 @@ from .errors import (
     DanglingId,
     FixedPointInTau,
     NonInjectiveS,
+    NotCommuting,
     TauNotInvolutive,
     UnknownEdge,
     UnknownVertex,
@@ -42,11 +49,27 @@ def sort_ids(ids: Iterable[Id]) -> list:
     return sorted(ids, key=idkey)
 
 
+def _copy(m: Mapping) -> dict:
+    """A dict copy of m; a read-only view is copied at dict speed."""
+    return m.copy() if type(m) is MappingProxyType else dict(m)
+
+
+def read_only(m: Mapping) -> MappingProxyType:
+    """A read-only view of a private copy of m.
+
+    The maps of a graph and of a T-element, and the labelings kept in a
+    graph's memo, are handed out this way: callers read them at dict speed
+    and cannot change a value that others share.  m.copy() gives a
+    mutable dict."""
+    return MappingProxyType(_copy(m))
+
+
 class FeynmanGraph:
     """Immutable Feynman graph.  Construction validates all invariants."""
 
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
-                 "_s_inv", "_halves_at", "_ports")
+                 "_s_inv", "_halves_at", "_ports",
+                 "_sorted_edges", "_sorted_vertices", "_labelings")
 
     def __init__(self, edges: Iterable[Id], tau: Mapping[Id, Id],
                  half_edges: Iterable[Id] = (), s: Optional[Mapping[Id, Id]] = None,
@@ -54,16 +77,21 @@ class FeynmanGraph:
         self.edges = frozenset(edges)
         self.half_edges = frozenset(half_edges)
         self.vertices = frozenset(vertices)
-        self.s = dict(s or {})
-        self.t = dict(t or {})
-        self.tau = dict(tau)
+        # plain dicts while validating, read-only views once valid
+        self.s = s = _copy(s or {})
+        self.t = t = _copy(t or {})
+        self.tau = tau = _copy(tau)
         self._validate()
-        self._s_inv = {e: h for h, e in self.s.items()}
+        self._s_inv = {e: h for h, e in s.items()}
         halves_at: dict = {v: [] for v in self.vertices}
         for h in sort_ids(self.half_edges):
-            halves_at[self.t[h]].append(h)
+            halves_at[t[h]].append(h)
         self._halves_at = halves_at
         self._ports = frozenset(self.edges - set(self._s_inv))
+        self.s, self.t, self.tau = (MappingProxyType(s), MappingProxyType(t),
+                                    MappingProxyType(tau))
+        self._sorted_edges = self._sorted_vertices = None
+        self._labelings: Optional[dict] = None   # token key -> labelings
 
     def _validate(self) -> None:
         if set(self.tau) != self.edges:
@@ -95,6 +123,20 @@ class FeynmanGraph:
         """E0 = edges outside the image of s."""
         return self._ports
 
+    @property
+    def sorted_edges(self) -> tuple:
+        """The edges in idkey order, sorted once."""
+        if self._sorted_edges is None:
+            self._sorted_edges = tuple(sort_ids(self.edges))
+        return self._sorted_edges
+
+    @property
+    def sorted_vertices(self) -> tuple:
+        """The vertices in idkey order, sorted once."""
+        if self._sorted_vertices is None:
+            self._sorted_vertices = tuple(sort_ids(self.vertices))
+        return self._sorted_vertices
+
     def inner_edges(self) -> frozenset:
         """Maximal tau-closed subset of the image of s."""
         im = self.edges - self._ports
@@ -104,7 +146,7 @@ class FeynmanGraph:
         """tau-orbits as sorted (e, tau e) pairs, deterministic order."""
         out = []
         seen = set()
-        for e in sort_ids(self.edges):
+        for e in self.sorted_edges:
             if e not in seen:
                 f = self.tau[e]
                 seen.update((e, f))
@@ -112,6 +154,7 @@ class FeynmanGraph:
         return out
 
     def halves_at(self, v: Id) -> list:
+        """The half-edges at v, in idkey order."""
         if v not in self.vertices:
             raise UnknownVertex(repr(v))
         return list(self._halves_at[v])
@@ -121,7 +164,9 @@ class FeynmanGraph:
         return [self.s[h] for h in self.halves_at(v)]
 
     def valency(self, v: Id) -> int:
-        return len(self.halves_at(v))
+        if v not in self.vertices:
+            raise UnknownVertex(repr(v))
+        return len(self._halves_at[v])
 
     def vertex_of_edge(self, e: Id) -> Optional[Id]:
         """The vertex an edge is attached to, or None for a port."""
@@ -285,29 +330,26 @@ def wheel(m: int) -> FeynmanGraph:
     return FeynmanGraph(edges, tau, halves, s, t, verts)
 
 
+def tagged_union(parts: Iterable[tuple]) -> FeynmanGraph:
+    """The disjoint union of (tag, graph) pairs with distinct tags; every
+    id x of a graph becomes (tag, x)."""
+    edges, tau, halves, s, t, verts = [], {}, [], {}, {}, []
+    for tag, g in parts:
+        edges += [(tag, e) for e in g.edges]
+        tau.update({(tag, e): (tag, f) for e, f in g.tau.items()})
+        halves += [(tag, h) for h in g.half_edges]
+        s.update({(tag, h): (tag, e) for h, e in g.s.items()})
+        t.update({(tag, h): (tag, v) for h, v in g.t.items()})
+        verts += [(tag, v) for v in g.vertices]
+    return FeynmanGraph(edges, tau, halves, s, t, verts)
+
+
 def disjoint_union(g: FeynmanGraph, h: FeynmanGraph) -> FeynmanGraph:
-    a, b = g.tagged("L"), h.tagged("R")
-    return FeynmanGraph(a.edges | b.edges, {**a.tau, **b.tau},
-                        a.half_edges | b.half_edges, {**a.s, **b.s},
-                        {**a.t, **b.t}, a.vertices | b.vertices)
+    return tagged_union([("L", g), ("R", h)])
 
 
 def disjoint_union_all(graphs: Sequence[FeynmanGraph]) -> FeynmanGraph:
-    tagged = [g.tagged(i) for i, g in enumerate(graphs)]
-    edges: set = set()
-    tau: dict = {}
-    halves: set = set()
-    s: dict = {}
-    t: dict = {}
-    verts: set = set()
-    for g in tagged:
-        edges |= g.edges
-        tau.update(g.tau)
-        halves |= g.half_edges
-        s.update(g.s)
-        t.update(g.t)
-        verts |= g.vertices
-    return FeynmanGraph(edges, tau, halves, s, t, verts)
+    return tagged_union(enumerate(graphs))
 
 
 def make_named(kind: str, **params) -> FeynmanGraph:
@@ -352,13 +394,14 @@ class CanonicalForm:
     vertex_index: Mapping[Id, int]
 
 
-def _token_str(tok) -> str:
-    return repr(tok)
-
-
 def _refine(edges, verts, tau, vert_of, edges_at, col):
-    """Iterated colour refinement; returns a stable colouring by ints."""
+    """Iterated colour refinement; returns a stable colouring by ints.
+
+    Each round's colour of x begins with x's previous colour, so each
+    round refines the last, and the partition is stable as soon as the
+    number of colour classes stops growing."""
     items = edges + verts
+    n_classes = len(set(col.values()))
     while True:
         new = {}
         for e in edges:
@@ -366,20 +409,13 @@ def _refine(edges, verts, tau, vert_of, edges_at, col):
             new[e] = (col[e], col[tau[e]], None if w is None else col[w])
         for v in verts:
             new[v] = (col[v], tuple(sorted(col[e] for e in edges_at[v])))
-        ranks = {t: i for i, t in enumerate(sorted(set(new.values()), key=repr))}
+        classes = sorted(set(new.values()), key=repr)
+        ranks = {t: i for i, t in enumerate(classes)}
         nxt = {x: ranks[new[x]] for x in items}
-        if _same_partition(items, col, nxt):
+        if len(classes) == n_classes:
             return nxt
+        n_classes = len(classes)
         col = nxt
-
-
-def _same_partition(items, a, b) -> bool:
-    cls_a: dict = {}
-    cls_b: dict = {}
-    for x in items:
-        cls_a.setdefault(a[x], set()).add(x)
-        cls_b.setdefault(b[x], set()).add(x)
-    return set(map(frozenset, cls_a.values())) == set(map(frozenset, cls_b.values()))
 
 
 def canonical_labelings(g: FeynmanGraph,
@@ -387,22 +423,31 @@ def canonical_labelings(g: FeynmanGraph,
                         vertex_tokens: Optional[Mapping[Id, Any]] = None):
     """Individualisation-refinement canonical labeling.
 
-    Returns (certificate, labelings) where each labeling is a pair of dicts
-    (edge -> int, vertex -> int) achieving the minimal certificate.  The set
-    of labelings is the canonical map composed with every automorphism that
-    preserves the given tokens.
+    Returns (certificate, labelings) where labelings is a tuple of pairs
+    of read-only dicts (edge -> int, vertex -> int) achieving the minimal
+    certificate.  The set of labelings is the canonical map composed with
+    every automorphism that preserves the given tokens.  The result is
+    kept on g, keyed by the token strings, and computed once for each.
     """
-    edges = sort_ids(g.edges)
-    verts = sort_ids(g.vertices)
+    edges = g.sorted_edges
+    verts = g.sorted_vertices
+    ports = g.ports
+    e_tok = {e: repr(("e", e in ports,
+                      None if edge_tokens is None else edge_tokens.get(e)))
+             for e in edges}
+    v_tok = {v: repr(("v", g.valency(v),
+                      None if vertex_tokens is None else vertex_tokens.get(v)))
+             for v in verts}
+    memo_key = (tuple(e_tok.values()), tuple(v_tok.values()))
+    if g._labelings is None:
+        g._labelings = {}
+    else:
+        found = g._labelings.get(memo_key)
+        if found is not None:
+            return found
     tau = g.tau
     vert_of = {e: g.vertex_of_edge(e) for e in edges if g.half_of_edge(e) is not None}
     edges_at = {v: g.edges_at(v) for v in verts}
-    e_tok = {e: _token_str(("e", e in g.ports,
-                            None if edge_tokens is None else edge_tokens.get(e)))
-             for e in edges}
-    v_tok = {v: _token_str(("v", g.valency(v),
-                            None if vertex_tokens is None else vertex_tokens.get(v)))
-             for v in verts}
     base = {}
     tok_rank = {t: i for i, t in enumerate(sorted(set(e_tok.values()) | set(v_tok.values())))}
     for e in edges:
@@ -450,7 +495,10 @@ def canonical_labelings(g: FeynmanGraph,
             search(_refine(edges, verts, tau, vert_of, edges_at, col2))
 
     search(_refine(edges, verts, tau, vert_of, edges_at, base))
-    return best[0], best[1]
+    result = (best[0], tuple((MappingProxyType(eidx), MappingProxyType(vidx))
+                             for eidx, vidx in best[1]))
+    g._labelings[memo_key] = result
+    return result
 
 
 def canonical_form(g: FeynmanGraph,
@@ -506,8 +554,12 @@ def is_isomorphic(g: FeynmanGraph, h: FeynmanGraph,
     edge_map = {e: inv_eh[eg[e]] for e in g.edges}
     vertex_map = {v: inv_vh[vg[v]] for v in g.vertices}
     half_map = {hh: h.half_of_edge(edge_map[g.s[hh]]) for hh in g.half_edges}
-    # sanity: this must be a structure-preserving bijection
-    assert all(edge_map[g.tau[e]] == h.tau[edge_map[e]] for e in g.edges)
-    assert all(h.s[half_map[hh]] == edge_map[g.s[hh]] for hh in g.half_edges)
-    assert all(h.t[half_map[hh]] == vertex_map[g.t[hh]] for hh in g.half_edges)
+    # equal certificates must give a structure-preserving bijection
+    if not (all(edge_map[g.tau[e]] == h.tau[edge_map[e]] for e in g.edges)
+            and all(h.s[half_map[hh]] == edge_map[g.s[hh]]
+                    for hh in g.half_edges)
+            and all(h.t[half_map[hh]] == vertex_map[g.t[hh]]
+                    for hh in g.half_edges)):
+        raise NotCommuting("equal certificates gave a map that is not an "
+                           "isomorphism")
     return (edge_map, half_map, vertex_map)

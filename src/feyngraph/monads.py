@@ -9,13 +9,14 @@ carries a circuit-algebra structure; see FreeCircuitAlgebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from .errors import ColourMismatch, FormatError, NotDeletable, OutOfBounds
 from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
-                     isolated_vertex, sort_ids, stick)
+                     isolated_vertex, read_only, sort_ids, stick,
+                     tagged_union)
 from .species import CircuitAlgebraOps, SpeciesOps, evaluate_species, half_order
 from .substitution import GraphOfGraphs, enumerate_x_graphs, substitute
 
@@ -58,8 +59,8 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
     isolated = {v for v in w if g.valency(v) == 0}
     bivalent = w - isolated
     # isolated deleted vertices carry no edges; just drop them
-    g1 = FeynmanGraph(g.edges, dict(g.tau), g.half_edges, dict(g.s),
-                      dict(g.t), [v for v in g.vertices if v not in isolated])
+    g1 = FeynmanGraph(g.edges, g.tau, g.half_edges, g.s, g.t,
+                      [v for v in g.vertices if v not in isolated])
     if bivalent:
         pieces = {}
         for v in g1.vertices:
@@ -91,14 +92,13 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
         hmap = {h: h for h in g1.half_edges}
     fresh = {}
     for v in sort_ids(isolated):
-        piece = stick().tagged(("z", v))
-        target = FeynmanGraph(
-            set(target.edges) | set(piece.edges),
-            {**{e: target.tau[e] for e in target.edges}, **piece.tau},
-            target.half_edges, dict(target.s), dict(target.t),
-            target.vertices)
-        e1 = (("z", v), "1")
-        fresh[v] = (e1, piece.tau[e1])
+        e1, e2 = (("z", v), "1"), (("z", v), "2")
+        tau = target.tau.copy()
+        tau[e1], tau[e2] = e2, e1
+        target = FeynmanGraph(target.edges | {e1, e2}, tau,
+                              target.half_edges, target.s, target.t,
+                              target.vertices)
+        fresh[v] = (e1, e2)
     return VertexDeletion(g, w, target, edge_corr, hmap, vmap, fresh)
 
 
@@ -321,14 +321,22 @@ def _normalized_pointed(g, h, w, d, e, absorb: bool = True) -> PointedMorphism:
 
 # -- decorated connected graphs (T elements) ----------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TElem:
     """A connected admissible graph with ports in position order, an edge
-    colouring and a vertex decoration (element plus explicit half order)."""
+    colouring and a vertex decoration (element plus explicit half order).
+
+    Immutable: colours and vdec are read-only, so a key computed once
+    stays valid; telem_key keeps it on the element."""
     graph: FeynmanGraph
     ports: tuple                # position -> port edge
-    colours: dict               # edge -> colour
-    vdec: dict                  # vertex -> (element, half order tuple)
+    colours: Mapping            # edge -> colour
+    vdec: Mapping               # vertex -> (element, half order tuple)
+    _key: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "colours", read_only(self.colours))
+        object.__setattr__(self, "vdec", read_only(self.vdec))
 
     def __repr__(self):
         return (f"TElem(|V|={len(self.graph.vertices)}, "
@@ -341,7 +349,10 @@ def _kstr(S: SpeciesOps, elem) -> str:
 
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     """Canonical key of a decorated graph: minimum over all colour- and
-    port-preserving canonical labelings of the transported decoration."""
+    port-preserving canonical labelings of the transported decoration.
+    Kept on t, for the species S it was computed with."""
+    if t._key is not None and t._key[0] is S:
+        return t._key[1]
     port_pos = {e: i for i, e in enumerate(t.ports)}
     tokens = {e: (repr(t.colours[e]), port_pos.get(e, -1))
               for e in t.graph.edges}
@@ -357,6 +368,7 @@ def telem_key(S: SpeciesOps, t: TElem) -> tuple:
         cand = (repr(cert), tuple(sorted(vser)))
         if best is None or cand < best:
             best = cand
+    object.__setattr__(t, "_key", (S, best))
     return best
 
 
@@ -379,7 +391,7 @@ class TSpecies(SpeciesOps):
             inv = {lab: e for e, lab in xg.labeling.items()}
             ports = tuple(inv[i] for i in range(n))
             for dec in evaluate_species(self.inner, xg.graph):
-                t = TElem(xg.graph, ports, dict(dec.edge_colours),
+                t = TElem(xg.graph, ports, dec.edge_colours,
                           {v: (dec.vertex_elems[v], dec.half_orders[v])
                            for v in xg.graph.vertices})
                 k = self.key(t)
@@ -650,24 +662,16 @@ def law_LT(S: SpeciesOps, t: TElem):
             tag = ("f", fi)
             if block:
                 labels = [("fp", p) for p in block]
-                graphs.append(corolla(labels).tagged(tag))
+                graphs.append((tag, corolla(labels)))
                 for p in block:
                     boundary[(tag, ("fp", p))] = order[p]
                 fdec[("p", v, (tag, "*"))] = (
                     elem, tuple((tag, ("h", ("fp", p))) for p in block))
             else:
-                graphs.append(isolated_vertex().tagged(tag))
+                graphs.append((tag, isolated_vertex()))
                 fdec[("p", v, (tag, "*"))] = (elem, ())
         # the empty product deletes the (isolated) vertex outright
-        piece = graphs[0] if graphs else FeynmanGraph((), {}, (), {}, {}, ())
-        for extra in graphs[1:]:
-            piece = FeynmanGraph(
-                set(piece.edges) | set(extra.edges),
-                {**dict(piece.tau), **dict(extra.tau)},
-                set(piece.half_edges) | set(extra.half_edges),
-                {**dict(piece.s), **dict(extra.s)},
-                {**dict(piece.t), **dict(extra.t)},
-                set(piece.vertices) | set(extra.vertices))
+        piece = tagged_union(graphs)
         pieces[v] = (piece, boundary)
     sub = substitute(GraphOfGraphs(t.graph, pieces))
     colours = {}
@@ -1178,22 +1182,15 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
         pi, pj = t.ports[li], t.ports[lj]
         glued, edge_of = glue_ports(t.graph, [(pi, pj)])
         colours = {edge_of[e]: c for e, c in t.colours.items()}
-        vdec = {v: (x, o) for v, (x, o) in t.vdec.items()}
         ports = tuple(edge_of[t.ports[k]] for k in range(len(blk))
                       if k not in (li, lj))
         nb = tuple(p for p in blk if p not in (i, j))
-        return (nb, ("b", TElem(glued, ports, colours, vdec)))
+        return (nb, ("b", TElem(glued, ports, colours, t.vdec)))
 
     def _glue_across(self, bi, ti: TElem, i, bj, tj: TElem, j):
         if len(ti.graph.vertices) + len(tj.graph.vertices) > self.max_vertices:
             return None
-        ga, gb = ti.graph.tagged("A"), tj.graph.tagged("B")
-        g = FeynmanGraph(set(ga.edges) | set(gb.edges),
-                         {**dict(ga.tau), **dict(gb.tau)},
-                         set(ga.half_edges) | set(gb.half_edges),
-                         {**dict(ga.s), **dict(gb.s)},
-                         {**dict(ga.t), **dict(gb.t)},
-                         set(ga.vertices) | set(gb.vertices))
+        g = tagged_union([("A", ti.graph), ("B", tj.graph)])
         li, lj = bi.index(i), bj.index(j)
         pi, pj = ("A", ti.ports[li]), ("B", tj.ports[lj])
         glued, edge_of = glue_ports(g, [(pi, pj)])

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
-                     Mismatch, OutOfBounds)
+                     Mismatch, NotACorolla, OutOfBounds)
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      isolated_vertex, sort_ids, stick)
@@ -556,10 +556,13 @@ def _find_corpus_name(corpus, g):
 
 
 def _is_elementary(g: FeynmanGraph) -> bool:
-    """Sticks and corollas: graphs that are their own single element."""
-    internal = [e for e in g.edges
-                if e in set(g.s.values()) and g.tau[e] in set(g.s.values())]
-    return not internal and len(g.vertices) <= 1
+    """Sticks and corollas (and the empty graph): graphs that are their
+    own single element.  A corolla has no stick component; a graph with
+    no vertex is elementary when it is at most one stick."""
+    if g.inner_edges() or len(g.vertices) > 1:
+        return False
+    sticks = g.stick_components()
+    return not sticks if g.vertices else len(sticks) <= 1
 
 
 def nerve(A: CircuitAlgebraOps, corpus: dict,
@@ -650,6 +653,8 @@ def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
     """The refinement Kleisli morphism replacing the single vertex of a
     corolla by a boundary-matched graph; its target is the piece itself
     with its original ids, so it can be declared on a corpus."""
+    if not cor.vertices or not _is_elementary(cor):
+        raise NotACorolla(f"cannot refine {cor!r}: it is not a corolla")
     v = next(iter(cor.vertices))
     sub = substitute(GraphOfGraphs(cor, {v: (piece, boundary)}))
     em = {}
@@ -771,12 +776,17 @@ def check_segal(P: FinitePresheaf) -> dict:
 
 
 def _segal_limit(P: FinitePresheaf, g, vch, ech) -> set:
-    """Compatible families over the elements of g."""
+    """Compatible families over the elements of g.
+
+    An edge at a vertex takes its value from the vertex's corolla element
+    through the declared edge_images.  A stick component (e, tau e) is an
+    element of its own: any value u of the stick at e, and flip(u) at
+    tau e, where flip restricts along the stick's orientation reversal."""
     vreprs = sorted(vch)
     ereprs = sorted(ech)
-    # corolla-edge restriction tables: for each vertex, relate its corolla
-    # element to the sticks of the incident edges via the declared
-    # edge_images metadata
+    sticks = [(repr(e), repr(f)) for e, f in g.stick_components()]
+    flip = _stick_flip(P) if sticks else {}
+    stick_choices = list(itertools.product(flip, repeat=len(sticks)))
     out = set()
     vdomains = [P.sets[vch[vr]["to_graph"]] for vr in vreprs]
     for vchoice in itertools.product(*vdomains):
@@ -801,13 +811,28 @@ def _segal_limit(P: FinitePresheaf, g, vch, ech) -> set:
                 break
         if not ok:
             continue
-        if set(echoice) != set(ereprs):
-            # an edge not incident to any vertex cannot be constrained;
-            # such graphs (extra stick components) are not in scope
-            continue
-        out.add((tuple(zip(vreprs, vchoice)),
-                 tuple((er, echoice[er]) for er in ereprs)))
+        for schoice in stick_choices:
+            family = dict(echoice)
+            for (er, fr), u in zip(sticks, schoice):
+                family[er], family[fr] = u, flip[u]
+            if set(family) != set(ereprs):
+                # the declared edge images leave an edge unconstrained
+                continue
+            out.add((tuple(zip(vreprs, vchoice)),
+                     tuple((er, family[er]) for er in ereprs)))
     return out
+
+
+def _stick_flip(P: FinitePresheaf) -> dict:
+    """The restriction of P(stick) along the stick's orientation reversal:
+    the declared element map of the corpus stick at its edge "2"."""
+    sname = _find_corpus_name(P.corpus, stick())
+    rec = None if sname is None else _edge_ch_of(P, sname, repr("2"))
+    if rec is None:
+        raise CorpusNotElementClosed(
+            "a graph with a stick component needs the stick and its "
+            "element maps in the corpus")
+    return rec["map"]
 
 
 def _edge_ch_of(P: FinitePresheaf, gname, edge_repr):

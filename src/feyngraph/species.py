@@ -13,7 +13,7 @@ ids) so that all index bookkeeping lives in one place.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -197,7 +197,8 @@ class Decoration:
 
 
 def half_order(g: FeynmanGraph, v) -> tuple:
-    return tuple(sorted(g.halves_at(v), key=idkey))
+    """The half-edges at v in idkey order (the order g keeps them in)."""
+    return tuple(g.halves_at(v))
 
 
 def evaluate_species(S: SpeciesOps, g: FeynmanGraph,
@@ -212,7 +213,7 @@ def evaluate_species(S: SpeciesOps, g: FeynmanGraph,
         if g.valency(v) > S.n_max:
             raise ValencyOutOfRange(f"valency of {v!r} exceeds the species bound")
     omega = S.palette.omega
-    orbit_reps = [min(o, key=idkey) for o in g.orbits()]
+    orbit_reps = [e for e, _ in g.orbits()]   # e precedes tau e in idkey order
     orders = {v: half_order(g, v) for v in g.vertices}
     results = []
 
@@ -258,9 +259,14 @@ def evaluate_species(S: SpeciesOps, g: FeynmanGraph,
 
 @dataclass(frozen=True)
 class Labeled:
-    """An element together with distinct names for its positions."""
+    """An element together with distinct names for its positions.
+
+    CircuitAlgebraOps.colour_at keeps the element's {label: colour} map
+    here, for the species it was computed with."""
     elem: Any
     labels: tuple
+    _colours: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -329,7 +335,12 @@ class CircuitAlgebraOps:
         return Labeled(a.elem, tuple(mapping.get(l, l) for l in a.labels))
 
     def colour_at(self, a: Labeled, x):
-        return self.species.colour_of(a.elem)[a.labels.index(x)]
+        memo = a._colours
+        if memo is None or memo[0] is not self.species:
+            memo = (self.species,
+                    dict(zip(a.labels, self.species.colour_of(a.elem))))
+            object.__setattr__(a, "_colours", memo)
+        return memo[1][x]
 
 
 class FiniteCircuitAlgebra(CircuitAlgebraOps):

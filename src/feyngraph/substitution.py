@@ -198,7 +198,10 @@ def compose_gogs(outer: GraphOfGraphs, sub: Substitution,
             # piece half-edges embed as ("p", v, h) in the colimit
             back = {}
             for p_port, h_col in pb.items():
-                assert h_col[0] == "p" and h_col[1] == v
+                if h_col[:2] != ("p", v):
+                    raise InvalidGraphOfGraphs(
+                        f"inner boundary half {h_col!r} is not in the piece "
+                        f"at {v!r}")
                 back[p_port] = h_col[2]
             inner_pieces[w] = (pg, back)
         restricted = GraphOfGraphs(piece, inner_pieces)

@@ -1,0 +1,188 @@
+"""Labelings, T-keys and colour maps are computed once and kept on the
+graph, element or labeled element they belong to.  These tests check that
+what the memos return equals what is computed from scratch, that the
+canonical forms still agree with the brute-force oracles, and that nothing
+a memo hands out can be changed."""
+
+import dataclasses
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from feyngraph.graphs import (FeynmanGraph, canonical_form,
+                              canonical_labelings, corolla, disjoint_union,
+                              is_isomorphic, line, stick, wheel)
+from feyngraph.monads import TElem, TSpecies, telem_key
+from feyngraph.species import Labeled, SpeciesOps
+from feyngraph.substitution import enumerate_x_graphs
+
+from helpers_nerve import theta
+from helpers_species import TWO, tuple_algebra
+from oracles import brute_isomorphic
+
+TWO_ALG = tuple_algebra(TWO, 3)
+TWO_TS = TSpecies(TWO_ALG.species, max_vertices=2, max_valency=3)
+ELEMS = [t for n in range(4) for t in TWO_TS.elements(n)]
+
+GRAPHS = [stick(), corolla([]), corolla([0]), corolla([0, 1]),
+          corolla([0, 1, 2]), wheel(1), wheel(2), wheel(3), line(1),
+          line(2), theta(), disjoint_union(corolla([0]), stick()),
+          disjoint_union(stick(), stick()),
+          disjoint_union(corolla([0, 1]), wheel(1))] + \
+    [x.graph for x in enumerate_x_graphs([0, 1], 2, 3)
+     if len(x.graph.edges) <= 6]
+LABELED = [x for x in enumerate_x_graphs(["a", "b"], 2, 2)]
+
+
+def fresh(t: TElem) -> TElem:
+    """The same element rebuilt on a new graph object: every memo empty."""
+    g = t.graph
+    return TElem(FeynmanGraph(g.edges, dict(g.tau), g.half_edges, dict(g.s),
+                              dict(g.t), g.vertices),
+                 t.ports, dict(t.colours), dict(t.vdec))
+
+
+@st.composite
+def relabeled(draw, g):
+    """g with its edges, half-edges and vertices renamed at random."""
+    edges = sorted(g.edges, key=repr)
+    verts = sorted(g.vertices, key=repr)
+    em = dict(zip(edges, draw(st.permutations(range(len(edges))))))
+    vm = dict(zip(verts, draw(st.permutations(range(100, 100 + len(verts))))))
+    hm = {h: ("h", em[g.s[h]]) for h in g.half_edges}
+    return g.relabel(em, hm, vm), em
+
+
+# -- keys ----------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoised_key_equals_key_from_scratch(data):
+    t = data.draw(st.sampled_from(ELEMS))
+    perms = data.draw(st.lists(st.permutations(range(len(t.ports))),
+                               min_size=1, max_size=4))
+    for sigma in perms:
+        # act shares t's graph, so its labelings memo is warm
+        u = TWO_TS.act(t, tuple(sigma))
+        key = TWO_TS.key(u)
+        assert TWO_TS.key(u) == key
+        assert TWO_TS.key(fresh(u)) == key
+
+
+class _Tagged(SpeciesOps):
+    """The inner species of TWO_TS with keys wrapped in a tag."""
+
+    def __init__(self, inner):
+        self.inner, self.palette, self.n_max = inner, inner.palette, inner.n_max
+
+    def act(self, elem, sigma):
+        return self.inner.act(elem, sigma)
+
+    def key(self, elem):
+        return ("tagged", elem)
+
+
+def test_key_memo_is_per_species():
+    S, tagged = TWO_TS.inner, _Tagged(TWO_TS.inner)
+    t = next(t for t in ELEMS if t.graph.vertices)
+    plain = telem_key(S, t)
+    other = telem_key(tagged, t)
+    assert other != plain
+    assert telem_key(S, t) == plain == telem_key(S, fresh(t))
+    assert telem_key(tagged, t) == other == telem_key(tagged, fresh(t))
+
+
+# -- labelings -----------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_labelings_agree_with_brute_force(data):
+    g = data.draw(st.sampled_from(GRAPHS))
+    same_size = [x for x in GRAPHS if len(x.edges) == len(g.edges)]
+    h, _ = data.draw(relabeled(data.draw(st.sampled_from(same_size))))
+    want = brute_isomorphic(g, h)
+    for _ in range(2):  # the second round reads the memos
+        assert (is_isomorphic(g, h) is not None) == want
+        assert (canonical_form(g).certificate
+                == canonical_form(h).certificate) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_labeled_isomorphism_agrees_with_brute_force(data):
+    x = data.draw(st.sampled_from(LABELED))
+    y = data.draw(st.sampled_from(LABELED))
+    h, em = data.draw(relabeled(y.graph))
+    lh = {em[e]: lab for e, lab in y.labeling.items()}
+    want = brute_isomorphic(x.graph, h, dict(x.labeling), lh)
+    for _ in range(2):
+        assert (is_isomorphic(x.graph, h, dict(x.labeling), lh)
+                is not None) == want
+        assert (canonical_form(x.graph, dict(x.labeling)).certificate
+                == canonical_form(h, lh).certificate) == want
+
+
+def test_certificates_are_pinned():
+    # certificates are stored (presheaf JSON, CLI output), so refinement
+    # may stop early only where the certificates stay byte-identical
+    xs = enumerate_x_graphs([0, 1, 2], 3, 3)
+    text = "\n".join(canonical_form(x.graph).certificate for x in xs)
+    assert len(xs) == 20
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f776496840bca8d645ad0bbdc8730591e37a351878e24fa2baccb2123857214a")
+
+
+# -- colour maps ---------------------------------------------------------------------
+
+def test_colour_at_matches_colour_profile():
+    S = TWO_ALG.species
+    for n in range(4):
+        for e in S.elements(n):
+            a = Labeled(e, tuple(("p", i) for i in range(n)))
+            for i, x in enumerate(a.labels):
+                assert TWO_ALG.colour_at(a, x) == S.colour_of(e)[i]
+            # the memo takes no part in equality, hashing or repr
+            b = Labeled(e, a.labels)
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+# -- immutability --------------------------------------------------------------------
+
+def test_graph_maps_are_read_only():
+    g = wheel(2)
+    e, h, v = min(g.edges), min(g.half_edges), min(g.vertices)
+    with pytest.raises(TypeError):
+        g.tau[e] = e
+    with pytest.raises(TypeError):
+        g.s[h] = e
+    with pytest.raises(TypeError):
+        g.t[h] = v
+
+
+def test_telem_is_frozen():
+    t = next(t for t in ELEMS if t.graph.vertices)
+    e, v = next(iter(t.colours)), next(iter(t.vdec))
+    with pytest.raises(TypeError):
+        t.colours[e] = "+"
+    with pytest.raises(TypeError):
+        t.vdec[v] = t.vdec[v]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.colours = {}
+
+
+def test_labelings_handed_out_are_read_only():
+    g = wheel(2)
+    e, v = min(g.edges), min(g.vertices)
+    cf = canonical_form(g)
+    with pytest.raises(TypeError):
+        cf.edge_index[e] = 0
+    with pytest.raises(TypeError):
+        cf.vertex_index[v] = 0
+    _, labs = canonical_labelings(g)
+    with pytest.raises(TypeError):
+        labs[0][0][e] = 0
+    copy = cf.edge_index.copy()
+    copy[e] = -1
+    assert canonical_form(g).edge_index[e] != -1

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from feyngraph.errors import (CorpusNotElementClosed, Mismatch,
-                              ValencyOutOfRange)
+                              NotACorolla, ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
-from feyngraph.graphs import corolla, line, sort_ids, stick, wheel
+from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
+                              wheel)
 from feyngraph.monads import half_order, hom_pointed
 from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
                              decoration_key,
@@ -277,6 +278,49 @@ def test_segal_elementary_graphs_trivially_pass():
     rep = check_segal(P)
     assert rep["ok"]
     assert all(e.get("elementary") for e in rep["per_graph"].values())
+
+
+def _with_stick_components():
+    return {**corpus14(),
+            "corolla1+stick": disjoint_union(corolla([0]), stick()),
+            "stick+stick": disjoint_union(stick(), stick())}
+
+
+def test_nerve_rejects_refining_a_corolla_with_a_stick_component():
+    # corolla([0]) + stick has one vertex and no inner edge, but it is not
+    # a corolla: refining its vertex leaves the stick outside every piece
+    corpus = {**corpus14(),
+              "corolla1+stick": disjoint_union(corolla([0]), stick())}
+    with pytest.raises(NotACorolla):
+        nerve(tuple_algebra(MONO, 6), corpus)
+
+
+def test_segal_compares_stick_components_with_their_limit():
+    P = nerve(tuple_algebra(TWO, 6), _with_stick_components(),
+              refinements={})
+    rep = check_segal(P)
+    assert rep["ok"], rep
+    # two colourings of a stick, four of corolla([0]) + stick
+    for name, size in (("corolla1+stick", 4), ("stick+stick", 4)):
+        entry = rep["per_graph"][name]
+        assert "elementary" not in entry
+        assert entry["size"] == entry["limit"] == size
+    assert rep["per_graph"]["stick"]["elementary"]
+
+
+def test_segal_limit_uses_the_stick_flip():
+    # with the stick's orientation reversal replaced by the identity, the
+    # limit pairs each colour with itself and the check must fail
+    P = nerve(tuple_algebra(TWO, 6), _with_stick_components(),
+              refinements={})
+    flip, = [r for r in P.morphisms.values()
+             if r["kind"] == "ch" and r["from_graph"] == "stick"
+             and r.get("edge") == repr("2")]
+    flip["map"] = {k: k for k in flip["map"]}
+    rep = check_segal(P)
+    assert not rep["ok"]
+    assert not rep["per_graph"]["stick+stick"]["ok"]
+    assert not rep["per_graph"]["corolla1+stick"]["ok"]
 
 
 def test_segal_corpus_extension_stability():
