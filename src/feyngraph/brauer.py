@@ -15,6 +15,7 @@ from typing import Any, Mapping, Sequence
 
 from .errors import ArityMismatch, FormatError, InvalidGraphOfGraphs
 from .graphs import FeynmanGraph, disjoint_union_all, wheel
+from .substitution import _matchings
 
 
 def _check_matching(m: int, n: int, matching: Mapping) -> Mapping:
@@ -171,7 +172,7 @@ def enumerate_brauer(m: int, n: int, max_loops: int = 0) -> list:
     if len(points) % 2:
         return []
     out = []
-    for pairing in _perfect_matchings(points):
+    for pairing in _matchings(points):
         matching = {}
         for a, b in pairing:
             matching[a] = b
@@ -179,16 +180,6 @@ def enumerate_brauer(m: int, n: int, max_loops: int = 0) -> list:
         for k in range(max_loops + 1):
             out.append(BrauerDiagram(m, n, matching, k))
     return out
-
-
-def _perfect_matchings(points):
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for i, p in enumerate(rest):
-        for tail in _perfect_matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, p)] + tail
 
 
 # -- wiring diagrams ------------------------------------------------------------

@@ -171,8 +171,7 @@ def cmd_enumerate(args):
     labels = [f"x{i}" for i in range(1, args.labels + 1)]
     xs = enumerate_x_graphs(labels, args.max_vertices, args.max_valency,
                             connected_only=not args.disconnected,
-                            admissible_only=not args.inadmissible,
-                            max_search=_max_search())
+                            admissible_only=not args.inadmissible)
     for x in sorted(xs, key=lambda x: x.canonical_key()):
         print(f"class {x.canonical_key()}")
     print(f"count {len(xs)}")
@@ -306,10 +305,6 @@ def cmd_segal(args):
 
 
 # -- parser -----------------------------------------------------------------------
-
-
-def _max_search():
-    return int(os.environ.get("FEYNGRAPH_MAX_SEARCH", 10**7))
 
 
 def build_parser() -> argparse.ArgumentParser:

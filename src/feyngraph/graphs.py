@@ -39,9 +39,15 @@ Id = Any  # hashable opaque id
 
 
 def idkey(x: Id) -> tuple:
-    """Deterministic sort key for heterogeneous ids."""
+    """Deterministic sort key for heterogeneous ids.
+
+    A frozenset (the edge ids of a colimit) is keyed by the sorted keys
+    of its members: its repr follows hash order, which changes from one
+    process to the next."""
     if isinstance(x, tuple):
         return (1, tuple(idkey(y) for y in x))
+    if isinstance(x, frozenset):
+        return (0, "frozenset", tuple(sorted(idkey(y) for y in x)))
     return (0, type(x).__name__, repr(x))
 
 

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import ColourMismatch, FormatError, NotDeletable, OutOfBounds
+from .errors import (ColourMismatch, FormatError, NotCommuting, NotDeletable,
+                     NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      isolated_vertex, read_only, sort_ids, stick,
@@ -235,7 +236,7 @@ def _restrict_along(d2: VertexDeletion, e: EtaleMorphism) -> Optional[EtaleMorph
     vm = {d2.vertex_map[v]: e.vertex_map[v] for v in d2.vertex_map}
     try:
         return EtaleMorphism(d2.target, e.target, em, hm, vm)
-    except Exception:
+    except (NotCommuting, NotLocallyBijective):
         return None
 
 

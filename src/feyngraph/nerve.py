@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
-                     Mismatch, NotACorolla, OutOfBounds)
+                     Mismatch, NotACorolla, NotDeletable, OutOfBounds)
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      isolated_vertex, sort_ids, stick)
@@ -700,7 +700,7 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
         for w0 in itertools.combinations(dels, r):
             try:
                 d = delete_vertices(g, list(w0))
-            except Exception:
+            except NotDeletable:
                 continue
             for e in hom_etale(d.target, h):
                 pm = pointed_from_parts(g, h, w0, e)

@@ -15,14 +15,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from .errors import BoundsTooLarge, InvalidGraphOfGraphs
+from .errors import (BoundsTooLarge, InvalidGraphOfGraphs, NotCommuting,
+                     NotLocallyBijective)
 from .etale import _UF, EtaleMorphism
-from .graphs import (
-    FeynmanGraph,
-    canonical_form,
-    canonical_labelings,
-    sort_ids,
-)
+from .graphs import FeynmanGraph, canonical_form
 
 DEFAULT_MAX_SEARCH = 10 ** 7
 
@@ -158,25 +154,16 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
                 {pe: edge_of[("p", v, pe)] for pe in piece.edges},
                 {h: ("p", v, h) for h in piece.half_edges},
                 {w: ("p", v, w) for w in piece.vertices})
-        except Exception:
+        except (NotCommuting, NotLocallyBijective):
             universal[v] = None  # degenerate collapse: no plain etale map
     return Substitution(colimit, edge_class, piece_edge, universal)
 
 
 def substitute_xgraph(base_x: XGraph, gog: GraphOfGraphs) -> tuple:
     """Substitute and carry the port labeling across (ports are base ports)."""
-    sub = compose_check(gog)
+    sub = substitute(gog)
     labeling = {sub.edge_class[e]: lab for e, lab in base_x.labeling.items()}
     return XGraph(sub.colimit, labeling), sub
-
-
-def compose_check(gog: GraphOfGraphs) -> Substitution:
-    sub = substitute(gog)
-    return sub
-
-
-def check_nondegenerate(gog: GraphOfGraphs) -> bool:
-    return gog.is_nondegenerate()
 
 
 def compose_gogs(outer: GraphOfGraphs, sub: Substitution,
@@ -227,17 +214,66 @@ def _matchings(points: list):
             yield [(first, p)] + m
 
 
+def _stub_orbit_matchings(points: list, ports_apart: bool):
+    """The perfect matchings that _matchings yields, one for each orbit of
+    the stub permutations at each vertex, in _matchings order.
+
+    A point pairs only with the lowest unmatched stub of each vertex (the
+    stubs of a vertex are consecutive and ascending in points), and, with
+    ports_apart, never with another port.  The least member of an orbit
+    in _matchings order has this form: had it paired a point with a stub
+    while a lower stub of that vertex was free, swapping the two stubs
+    would give a member that _matchings yields earlier."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    seen_vertices = set()
+    for i, p in enumerate(rest):
+        if p[0] == "s":
+            if p[1] in seen_vertices:
+                continue
+            seen_vertices.add(p[1])
+        elif ports_apart and first[0] == "x":
+            continue
+        for m in _stub_orbit_matchings(rest[:i] + rest[i + 1:], ports_apart):
+            yield [(first, p)] + m
+
+
+def _matching_connected(matching, n_vertices: int) -> bool:
+    """Whether the graph that _graph_from_matching builds from the
+    matching is connected (and not empty)."""
+    uf = _UF()
+    for vi in range(n_vertices):
+        uf.add(("v", vi))
+    for a, b in matching:
+        uf.add(a)
+        uf.add(b)
+        uf.union(a, b)
+        for p in (a, b):
+            if p[0] == "s":
+                uf.union(p, ("v", p[1]))
+    return len({uf.find(x) for x in uf.parent}) == 1
+
+
 def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
                        connected_only: bool = True, admissible_only: bool = True,
                        max_search: Optional[int] = None) -> list:
     """One canonical XGraph per labeled isomorphism class within bounds.
 
     Generates by vertex-valency multisets, then perfect matchings on the
-    port set plus vertex stubs, deduplicating via canonical form.
+    port set plus vertex stubs, one matching per orbit of the stub
+    permutations at each vertex (a point pairs only with the lowest
+    unmatched stub of each vertex).  Admissibility (no port-port pair) and
+    connectivity are decided on the matching, so only kept matchings
+    become graphs; vertices of equal valency are still interchangeable,
+    so classes are deduplicated by canonical form.  The search budget
+    (max_search, else FEYNGRAPH_MAX_SEARCH) is charged once for each
+    generated matching.
     """
     labels = list(labels)
     cap = max_search if max_search is not None else max_search_cap()
-    budget = [cap]
+    budget = cap
     found = {}
     for nv in range(max_vertices + 1):
         for valencies in itertools.combinations_with_replacement(
@@ -248,17 +284,14 @@ def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
             points = [("x", x) for x in labels]
             for vi, d in enumerate(valencies):
                 points += [("s", vi, j) for j in range(d)]
-            for matching in _matchings(points):
-                budget[0] -= 1
-                if budget[0] < 0:
+            for matching in _stub_orbit_matchings(points, admissible_only):
+                budget -= 1
+                if budget < 0:
                     raise BoundsTooLarge(
                         f"enumeration exceeded FEYNGRAPH_MAX_SEARCH={cap}")
-                g, labeling = _graph_from_matching(labels, valencies, matching)
-                x = XGraph(g, labeling)
-                if admissible_only and not x.is_admissible():
+                if connected_only and not _matching_connected(matching, nv):
                     continue
-                if connected_only and len(g.connected_components()) != 1:
-                    continue
+                x = XGraph(*_graph_from_matching(labels, valencies, matching))
                 key = x.canonical_key()
                 if key not in found:
                     found[key] = x

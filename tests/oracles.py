@@ -7,6 +7,7 @@ isomorphism is decided by exhaustive search over edge bijections.
 from __future__ import annotations
 
 import itertools
+import math
 
 from feyngraph.graphs import FeynmanGraph
 
@@ -102,4 +103,88 @@ def corolla_like_class_count(n: int, max_valency: int) -> int:
     for d in range(max_valency + 1):
         if d >= n and (d - n) % 2 == 0:
             count += 1
+    return count
+
+
+
+def _perfect_matchings(points):
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for i, p in enumerate(rest):
+        for m in _perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield ((first, p),) + m
+
+
+def _connected(matching, n_vertices) -> bool:
+    """One component among the points and the vertices ("v", i), where a
+    pair joins its points and a stub ("s", i, j) joins vertex ("v", i)."""
+    parent = {("v", i): ("v", i) for i in range(n_vertices)}
+    for pair in matching:
+        parent.update((p, p) for p in pair)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in matching:
+        parent[find(a)] = find(b)
+        for p in (a, b):
+            if p[0] == "s":
+                parent[find(p)] = find(("v", p[1]))
+    return len({find(x) for x in parent}) == 1
+
+
+def admissible_connected_matchings(n_labels: int, max_vertices: int,
+                                   max_valency: int) -> int:
+    """Number of perfect matchings on n_labels ports ("x", i) and the stubs
+    ("s", v, j) of sorted vertex valencies within bounds that give a
+    connected graph with no port-port pair (stick component): every member
+    of every class that enumerate_x_graphs keeps, counted one by one."""
+    total = 0
+    for nv in range(max_vertices + 1):
+        for vals in itertools.combinations_with_replacement(
+                range(max_valency + 1), nv):
+            points = [("x", i) for i in range(n_labels)]
+            points += [("s", v, j) for v, d in enumerate(vals)
+                       for j in range(d)]
+            if len(points) % 2:
+                continue
+            for m in _perfect_matchings(points):
+                if (not any(a[0] == b[0] == "x" for a, b in m)
+                        and _connected(m, nv)):
+                    total += 1
+    return total
+
+
+def stub_group_order(valencies) -> int:
+    """Order of the group that permutes the stubs at each vertex and the
+    vertices of equal valency."""
+    order = 1
+    for d in valencies:
+        order *= math.factorial(d)
+    for d in set(valencies):
+        order *= math.factorial(list(valencies).count(d))
+    return order
+
+
+def port_fixing_automorphisms(g: FeynmanGraph) -> int:
+    """Automorphisms of g that fix every port, counted over every
+    valency-preserving vertex bijection and every bijection of the
+    half-edges at each vertex onto those at its image."""
+    verts = sorted(g.vertices, key=repr)
+    count = 0
+    for image in itertools.permutations(verts):
+        if any(g.valency(v) != g.valency(w) for v, w in zip(verts, image)):
+            continue
+        for halves in itertools.product(
+                *(itertools.permutations(g.halves_at(w)) for w in image)):
+            em = {e: e for e in g.ports}
+            for v, hs in zip(verts, halves):
+                for h, h2 in zip(g.halves_at(v), hs):
+                    em[g.s[h]] = g.s[h2]
+            if all(em[g.tau[e]] == g.tau[em[e]] for e in g.edges):
+                count += 1
     return count

@@ -6,6 +6,10 @@ and parse/serialize round trips on JSON fixtures.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +19,7 @@ from feyngraph.brauer import BrauerDiagram, identity_wiring
 from feyngraph.substitution import GraphOfGraphs
 from feyngraph import is_isomorphic, make_named, parse_graph_arg
 
-from helpers_species import MONO, algebra_to_json, tuple_algebra
+from helpers_species import MONO, TWO, algebra_to_json, tuple_algebra
 
 
 def run(capsys, *argv):
@@ -246,6 +250,27 @@ def test_determinism(algebra_file, capsys):
                      "--max-vertices", "2", "--max-valency", "3")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_nerve_out_is_byte_identical_across_hash_seeds(tmp_path):
+    # colimit edge ids are frozensets, whose repr follows hash order; the
+    # written presheaf must not depend on PYTHONHASHSEED
+    algebra = tmp_path / "two4.json"
+    algebra.write_text(json.dumps(algebra_to_json(tuple_algebra(TWO, 4))))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for seed in range(4):
+        out = tmp_path / f"P{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "feyngraph.cli", "nerve", str(algebra),
+             "--corpus", "stick", "corolla:1", "corolla:2", "wheel:1",
+             "wheel:2", "line:1", "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        written.append(out.read_bytes())
+    assert all(w == written[0] for w in written)
 
 
 def test_max_search_env_cap(monkeypatch, capsys):

@@ -1,4 +1,9 @@
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feyngraph.errors import BoundsTooLarge, InvalidGraphOfGraphs
 from feyngraph.graphs import (
@@ -7,10 +12,13 @@ from feyngraph.graphs import (
 )
 from feyngraph.etale import glue_ports
 from feyngraph.substitution import (
-    GraphOfGraphs, XGraph, compose_gogs, enumerate_x_graphs, substitute,
+    GraphOfGraphs, XGraph, _graph_from_matching, _matchings, compose_gogs,
+    enumerate_x_graphs, substitute,
 )
 
-from oracles import brute_count_classes, brute_isomorphic
+from oracles import (admissible_connected_matchings, brute_count_classes,
+                     brute_isomorphic, port_fixing_automorphisms,
+                     stub_group_order)
 
 
 def single_vertex_gog(base, piece, boundary):
@@ -177,3 +185,79 @@ def test_enumerate_matches_brute_class_count():
 def test_enumerate_respects_cap():
     with pytest.raises(BoundsTooLarge):
         enumerate_x_graphs(["a", "b"], max_vertices=4, max_valency=4, max_search=10)
+
+
+# -- one matching per stub orbit -------------------------------------------------
+
+FLAGS = list(itertools.product([True, False], repeat=2))
+
+
+def _shape(x):
+    """Everything that identifies a returned XGraph, ids included."""
+    g = x.graph
+    return (x.canonical_key(), g.edges, dict(g.tau), dict(g.s), dict(g.t),
+            dict(x.labeling))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_shapes(n_labels, max_vertices, max_valency, connected_only,
+                      admissible_only):
+    """enumerate_x_graphs the slow way: every perfect matching, the
+    graph-level filters, and the first member of each class."""
+    labels = ["a", "b", "c", "d"][:n_labels]
+    found = {}
+    for nv in range(max_vertices + 1):
+        for valencies in itertools.combinations_with_replacement(
+                range(max_valency + 1), nv):
+            if (n_labels + sum(valencies)) % 2:
+                continue
+            points = [("x", x) for x in labels]
+            for vi, d in enumerate(valencies):
+                points += [("s", vi, j) for j in range(d)]
+            for m in _matchings(points):
+                x = XGraph(*_graph_from_matching(labels, valencies, m))
+                if admissible_only and not x.is_admissible():
+                    continue
+                if connected_only and len(x.graph.connected_components()) != 1:
+                    continue
+                found.setdefault(x.canonical_key(), x)
+    return tuple(_shape(found[k]) for k in sorted(found))
+
+
+def _assert_matches_reference(n_labels, max_vertices, max_valency,
+                              connected_only, admissible_only):
+    labels = ["a", "b", "c", "d"][:n_labels]
+    xs = enumerate_x_graphs(labels, max_vertices, max_valency,
+                            connected_only=connected_only,
+                            admissible_only=admissible_only)
+    assert tuple(map(_shape, xs)) == _reference_shapes(
+        n_labels, max_vertices, max_valency, connected_only, admissible_only)
+
+
+@pytest.mark.parametrize("connected_only,admissible_only", FLAGS)
+@pytest.mark.parametrize("bounds", [(0, 3, 2), (1, 2, 3), (2, 2, 3),
+                                    (3, 2, 2), (4, 2, 2)])
+def test_enumerate_matches_all_matchings_reference(bounds, connected_only,
+                                                   admissible_only):
+    _assert_matches_reference(*bounds, connected_only, admissible_only)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(FLAGS))
+def test_enumerate_matches_reference_property(n_labels, max_vertices,
+                                              max_valency, flags):
+    _assert_matches_reference(n_labels, max_vertices, max_valency, *flags)
+
+
+def test_enumerate_orbit_sum_at_3_3_3():
+    # each class is one orbit of the stub and vertex permutations on the
+    # raw matchings, of size |G| / |Aut|; the orbits must cover them all
+    xs = enumerate_x_graphs(["a", "b", "c"], max_vertices=3, max_valency=3)
+    total = 0
+    for x in xs:
+        order = stub_group_order([x.graph.valency(v) for v in x.graph.vertices])
+        size, rest = divmod(order, port_fixing_automorphisms(x.graph))
+        assert rest == 0
+        total += size
+    assert total == admissible_connected_matchings(3, 3, 3) == 5730
