@@ -12,6 +12,7 @@ maximally.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
@@ -19,17 +20,19 @@ from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      isolated_vertex, sort_ids, stick)
-from .monads import (PointedMorphism, deletable_vertices, delete_vertices,
-                     half_order, hom_etale, pointed_from_parts)
+from .monads import (PointedMorphism, _normalized_pointed, deletable_vertices,
+                     delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
-from .substitution import GraphOfGraphs, Substitution, substitute
+from .substitution import (GraphOfGraphs, Substitution, max_search_cap,
+                           substitute)
 
 __all__ = [
     "KleisliMorphism", "FinitePresheaf",
     "graphs_equal", "make_kleisli", "kleisli_identity", "kleisli_from_etale",
     "kleisli_from_pointed", "kleisli_refinement", "kleisli_compose",
     "kleisli_deletion_homs", "refinement_of_corolla",
-    "kleisli_equal", "nerve", "check_segal", "presheaf_maps",
+    "kleisli_equal", "corpus_morphisms", "nerves", "nerve", "check_segal",
+    "presheaf_maps",
     "algebra_morphisms", "fullness_probe", "mutated_presheaves",
     "restrict_kleisli", "algebra_evaluate", "decoration_key",
 ]
@@ -109,13 +112,13 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
     the fresh sticks of deleted isolated vertices."""
     fresh_em = dict(fresh_em or {})
     pieces = dict(pieces)
+    sub = substitute(GraphOfGraphs(source, pieces))
     while True:
-        gog = GraphOfGraphs(source, pieces)
-        sub = substitute(gog)
         colim = sub.colimit
         d = delete_vertices(colim, w)
         etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
-        tail = pointed_from_parts(colim, target, w, etale)
+        tail = _normalized_pointed(colim, target, frozenset(w), d, etale,
+                                   absorb=False)
         push = {cv for cv in tail.deleted if colim.valency(cv) == 2}
         if not push:
             break
@@ -132,8 +135,7 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
             shrink[v] = dd
         # transport the tail data onto the new colimit through the
         # composite correspondences of the normalized tail
-        gog2 = GraphOfGraphs(source, pieces)
-        sub2 = substitute(gog2)
+        sub2 = substitute(GraphOfGraphs(source, pieces))
 
         def old_edges_for(cnew):
             out = []
@@ -173,6 +175,7 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
                         hp = inv_h[hp]
                     hm2[hn] = tail.half_image(("p", v, hp))
         w, em, hm, vm, fresh_em = w2, em, hm2, vm2, fresh2
+        sub = sub2
     # canonicalize pieces and rebuild with transported tail data; when a
     # piece admits several minimal labelings, minimize the resulting key
     vs = sort_ids(source.vertices)
@@ -182,8 +185,6 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
         certs[v], labsets[v] = _piece_labelings(piece, boundary)
     combos = list(itertools.islice(
         itertools.product(*(labsets[v] for v in vs)), 128))
-    gog_old = GraphOfGraphs(source, pieces)
-    sub_old = substitute(gog_old)
     best = None
     for combo in combos:
         labs = dict(zip(vs, combo))
@@ -198,9 +199,9 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
         def resolve_edge(cnew):
             for m in cnew:
                 if m[0] == "b":
-                    return em[sub_old.edge_class[m[1]]]
+                    return em[sub.edge_class[m[1]]]
                 _, v, pe = m
-                return em[sub_old.piece_edge[(v, inv_e[v][pe])]]
+                return em[sub.piece_edge[(v, inv_e[v][pe])]]
             raise Mismatch("empty colimit edge class")
 
         em2 = {c: resolve_edge(c) for c in sub2.colimit.edges}
@@ -218,7 +219,8 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
         d = delete_vertices(sub2.colimit, w2)
         etale = _build_tail_etale(sub2.colimit, target, d,
                                   em2, hm2, vm2, fresh2)
-        tail = pointed_from_parts(sub2.colimit, target, w2, etale)
+        tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
+                                   etale, absorb=False)
         key = (tuple((repr(v), certs[v]) for v in vs), tail.key())
         cand = KleisliMorphism(source, target, gog, tail, sub2, key)
         if best is None or key < best.key():
@@ -565,32 +567,16 @@ def _is_elementary(g: FeynmanGraph) -> bool:
     return not sticks if g.vertices else len(sticks) <= 1
 
 
-def nerve(A: CircuitAlgebraOps, corpus: dict,
-          deletion_pairs=None, refinements=None) -> FinitePresheaf:
-    """The nerve of a finite circuit algebra on a named corpus: object
-    sets are the decorations of each graph; restrictions are generated by
-    the element morphisms ch_x, all isomorphisms, pointed deletions
-    between corpus graphs, and any declared refinements."""
-    S = A.species
-    decs = {}     # name -> {key: Decoration}
-    for name, g in corpus.items():
-        decs[name] = {decoration_key(d): d for d in evaluate_species(S, g)}
-    sets = {name: sorted(decs[name]) for name in corpus}
-    morphisms = {}
+def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
+    """The declared morphisms of the graphical category on a named corpus,
+    built one at a time: the element morphisms ch_x, all isomorphisms,
+    pointed deletions between corpus graphs, and the given refinements
+    (by default one per corolla, corpus graph and port bijection).
 
-    def declare(mname, kind, kl, from_name, to_name, **meta):
-        table = {}
-        for key, d in decs[from_name].items():
-            d2 = restrict_kleisli(A, kl, d)
-            k2 = decoration_key(d2)
-            if k2 not in decs[to_name]:
-                raise FormatError(f"restriction left the carrier at {mname}")
-            table[key] = k2
-        rec = {"kind": kind, "from_graph": from_name, "to_graph": to_name,
-               "map": table}
-        rec.update(meta)
-        morphisms[mname] = rec
-
+    Yields (name, kind, kl, from_name, to_name, meta): `from_name` names
+    the codomain of the Kleisli morphism kl, because restriction goes
+    backwards, and meta holds the record's extra fields.  Nothing here
+    depends on an algebra."""
     for name in sorted(corpus):
         g = corpus[name]
         # vertex elements
@@ -609,43 +595,84 @@ def nerve(A: CircuitAlgebraOps, corpus: dict,
             phi = EtaleMorphism(c, g, em,
                                 {("h", i): halves[i] for i in range(k)},
                                 {"*": v})
-            declare(f"ch:{name}:v:{v!r}", "ch", kleisli_from_etale(phi),
-                    name, cname, vertex=repr(v),
-                    edge_images={repr(ce): repr(em[ce]) for ce in c.edges})
+            yield (f"ch:{name}:v:{v!r}", "ch", kleisli_from_etale(phi),
+                   name, cname,
+                   {"vertex": repr(v),
+                    "edge_images": {repr(ce): repr(em[ce]) for ce in c.edges}})
         # edge elements
         for e in sort_ids(g.edges):
             sname = _find_corpus_name(corpus, stick())
             if sname is None:
                 raise CorpusNotElementClosed("corpus must contain the stick")
             phi = EtaleMorphism(stick(), g, {"1": e, "2": g.tau[e]}, {}, {})
-            declare(f"ch:{name}:e:{e!r}", "ch",
-                    kleisli_from_etale(phi), name, sname, edge=repr(e))
+            yield (f"ch:{name}:e:{e!r}", "ch", kleisli_from_etale(phi),
+                   name, sname, {"edge": repr(e)})
         # isomorphisms (etale self-maps of a graph to itself are isos here)
         for idx, psi in enumerate(hom_etale(g, g)):
-            declare(f"iso:{name}:{idx}", "iso", kleisli_from_etale(psi),
-                    name, name)
+            yield (f"iso:{name}:{idx}", "iso", kleisli_from_etale(psi),
+                   name, name, {})
     # deletions between corpus graphs
     for gname, hname in (deletion_pairs or _auto_deletions(corpus)):
         g, h = corpus[gname], corpus[hname]
         for idx, kl in enumerate(kleisli_deletion_homs(g, h)):
-            declare(f"del:{gname}:{hname}:{idx}", "deletion",
-                    kl, hname, gname)
-    auto = refinements is None
-    if auto:
-        refinements = _auto_refinements(corpus)
-    for rname, kl in refinements.items():
+            yield (f"del:{gname}:{hname}:{idx}", "deletion", kl,
+                   hname, gname, {})
+    pairs = (_auto_refinements(corpus) if refinements is None
+             else refinements.items())
+    for rname, kl in pairs:
         fn = _find_corpus_name(corpus, kl.target)
         tn = _find_corpus_name(corpus, kl.source)
         if fn is None or tn is None:
             raise FormatError("refinement endpoints must be in the corpus")
-        try:
-            declare(f"ref:{rname}", "refinement", kl, fn, tn)
-        except OutOfBounds:
-            if not auto:
-                raise
-            # intermediate arity exceeds the algebra's tables; the
-            # automatically generated refinement is simply omitted
-    return FinitePresheaf(dict(corpus), sets, morphisms)
+        yield f"ref:{rname}", "refinement", kl, fn, tn, {}
+
+
+def nerves(algebras, corpus: dict, deletion_pairs=None,
+           refinements=None) -> list:
+    """The nerves of finite circuit algebras on one named corpus, in one
+    pass: each morphism of corpus_morphisms is built once, restricted for
+    every algebra, then dropped.  Object sets are the decorations of each
+    graph.  An automatically generated refinement whose intermediate
+    arity exceeds an algebra's tables is omitted from that algebra's
+    nerve only."""
+    decs = [{name: {decoration_key(d): d
+                    for d in evaluate_species(A.species, g)}
+             for name, g in corpus.items()}
+            for A in algebras]
+    morphisms = [{} for _ in algebras]
+    for mname, kind, kl, from_name, to_name, meta in corpus_morphisms(
+            corpus, deletion_pairs, refinements):
+        for A, dec, out in zip(algebras, decs, morphisms):
+            table = {}
+            try:
+                for key, d in dec[from_name].items():
+                    k2 = decoration_key(restrict_kleisli(A, kl, d))
+                    if k2 not in dec[to_name]:
+                        raise FormatError(
+                            f"restriction left the carrier at {mname}")
+                    table[key] = k2
+            except OutOfBounds:
+                if kind != "refinement" or refinements is not None:
+                    raise
+                continue
+            rec = {"kind": kind, "from_graph": from_name,
+                   "to_graph": to_name, "map": table}
+            # each presheaf gets its own copy of the meta dicts
+            rec.update({f: dict(x) if isinstance(x, dict) else x
+                        for f, x in meta.items()})
+            out[mname] = rec
+    return [FinitePresheaf(dict(corpus),
+                           {name: sorted(dec[name]) for name in corpus}, out)
+            for dec, out in zip(decs, morphisms)]
+
+
+def nerve(A: CircuitAlgebraOps, corpus: dict,
+          deletion_pairs=None, refinements=None) -> FinitePresheaf:
+    """The nerve of a finite circuit algebra on a named corpus: object
+    sets are the decorations of each graph; restrictions are generated by
+    the element morphisms ch_x, all isomorphisms, pointed deletions
+    between corpus graphs, and any declared refinements."""
+    return nerves((A,), corpus, deletion_pairs, refinements)[0]
 
 
 def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
@@ -667,10 +694,10 @@ def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
                         em, hm, vm)
 
 
-def _auto_refinements(corpus) -> dict:
+def _auto_refinements(corpus):
     """For every corolla in the corpus, refinements by every corpus graph
-    with a matching number of ports (one per port/slot bijection)."""
-    out = {}
+    with a matching number of ports (one per port/slot bijection), as
+    (name, Kleisli morphism) pairs built one at a time."""
     for cname in sorted(corpus):
         cor = corpus[cname]
         if len(cor.vertices) != 1 or cor.inner_edges():
@@ -684,9 +711,8 @@ def _auto_refinements(corpus) -> dict:
             ports = sort_ids(h.ports)
             for idx, perm in enumerate(itertools.permutations(halves)):
                 boundary = dict(zip(ports, perm))
-                out[f"{cname}<-{hname}:{idx}"] = \
-                    refinement_of_corolla(cor, h, boundary)
-    return out
+                yield (f"{cname}<-{hname}:{idx}",
+                       refinement_of_corolla(cor, h, boundary))
 
 
 def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
@@ -703,7 +729,8 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
             except NotDeletable:
                 continue
             for e in hom_etale(d.target, h):
-                pm = pointed_from_parts(g, h, w0, e)
+                pm = _normalized_pointed(g, h, frozenset(w0), d, e,
+                                         absorb=False)
                 kl = kleisli_from_pointed(pm)
                 if kl.key() not in seen:
                     seen.add(kl.key())
@@ -901,72 +928,90 @@ def mutated_presheaves(P: FinitePresheaf, count: int = 10) -> list:
 
 # -- fullness probe ------------------------------------------------------------------
 
-def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf,
-                  max_search: int = 10 ** 6) -> list:
+def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
     """All natural transformations P -> Q over the shared corpus: one
     function per corpus object commuting with every declared morphism
-    present in both presheaves."""
+    present in both presheaves.
+
+    The components on the elementary objects are chosen one object at a
+    time, in name order, and a partial choice is dropped as soon as a
+    square between two chosen objects fails; the other components follow
+    from the ch-families, and every result passes the check of all the
+    squares.  The elementary choices, the product of |Q(n)|^|P(n)|, are
+    charged to FEYNGRAPH_MAX_SEARCH before the search starts."""
     names = sorted(P.corpus)
     if sorted(Q.corpus) != names:
         raise Mismatch("presheaves must share a corpus")
     shared = [mn for mn in P.morphisms if mn in Q.morphisms]
     base = [n for n in names if _is_elementary(P.corpus[n])]
     rest = [n for n in names if n not in base]
+    cap = max_search_cap()
+    if math.prod(max(len(Q.sets[n]) ** len(P.sets[n]), 1)
+                 for n in base) > cap:
+        raise OutOfBounds("natural-transformation search exceeds "
+                          f"FEYNGRAPH_MAX_SEARCH={cap}")
+
+    def square(mn, comp):
+        rp, rq = P.morphisms[mn], Q.morphisms[mn]
+        fn, tn = rp["from_graph"], rp["to_graph"]
+        return all(rq["map"][comp[fn][x]] == comp[tn][rp["map"][x]]
+                   for x in P.sets[fn])
+
+    # the squares between elementary objects, at the later of their levels
+    level = {n: i for i, n in enumerate(base)}
+    squares = [[] for _ in base]
+    for mn in shared:
+        ends = (P.morphisms[mn]["from_graph"], P.morphisms[mn]["to_graph"])
+        if all(n in level for n in ends):
+            squares[max(level[n] for n in ends)].append(mn)
+    # the ch-families of the other objects: P's per element, Q's indexed
     chs = {n: sorted(mn for mn in shared
                      if P.morphisms[mn]["kind"] == "ch"
                      and P.morphisms[mn]["from_graph"] == n)
            for n in rest}
-
-    def family(presheaf, n, x):
-        return tuple(presheaf.morphisms[mn]["map"][x] for mn in chs[n])
-
-    def full_check(comp):
-        for mn in shared:
-            rp, rq = P.morphisms[mn], Q.morphisms[mn]
-            fn, tn = rp["from_graph"], rp["to_graph"]
-            for x in P.sets[fn]:
-                if rq["map"][comp[fn][x]] != comp[tn][rp["map"][x]]:
-                    return False
-        return True
-
-    spaces = []
-    total = 1
-    for n in base:
-        fns = list(itertools.product(Q.sets[n], repeat=len(P.sets[n])))
-        total *= max(len(fns), 1)
-        if total > max_search:
-            raise OutOfBounds("natural-transformation search too large")
-        spaces.append(fns)
+    ch_targets = {n: [P.morphisms[mn]["to_graph"] for mn in chs[n]]
+                  for n in rest}
+    pfam = {n: [tuple(P.morphisms[mn]["map"][x] for mn in chs[n])
+                for x in P.sets[n]]
+            for n in rest}
+    qfam = {}
+    for n in rest:
+        qfam[n] = {}
+        for y in Q.sets[n]:
+            fam = tuple(Q.morphisms[mn]["map"][y] for mn in chs[n])
+            qfam[n].setdefault(fam, []).append(y)
     out = []
-    for combo in itertools.product(*spaces):
-        comp = {n: dict(zip(P.sets[n], vals))
-                for n, vals in zip(base, combo)}
-        # extend to non-elementary objects through the ch-families: the
-        # component image of x must have the translated family
+
+    def extend_rest(comp):
+        # the component image of x must have the translated family
         options = []
-        ok = True
         for n in rest:
-            qfam = {y: family(Q, n, y) for y in Q.sets[n]}
             per_x = []
-            for x in P.sets[n]:
-                want = tuple(comp[P.morphisms[mn]["to_graph"]][v]
-                             for mn, v in zip(chs[n], family(P, n, x)))
-                cands = [y for y in Q.sets[n] if qfam[y] == want]
+            for fam in pfam[n]:
+                want = tuple(comp[t][v] for t, v in zip(ch_targets[n], fam))
+                cands = qfam[n].get(want)
                 if not cands:
-                    ok = False
-                    break
+                    return
                 per_x.append(cands)
-            if not ok:
-                break
             options.append((n, per_x))
-        if not ok:
-            continue
         for choice in itertools.product(
                 *(itertools.product(*per_x) for _, per_x in options)):
             for (n, _), vals in zip(options, choice):
                 comp[n] = dict(zip(P.sets[n], vals))
-            if full_check(comp):
+            if all(square(mn, comp) for mn in shared):
                 out.append({n: dict(comp[n]) for n in names})
+
+    def extend_base(i, comp):
+        if i == len(base):
+            extend_rest(comp)
+            return
+        n = base[i]
+        for vals in itertools.product(Q.sets[n], repeat=len(P.sets[n])):
+            comp[n] = dict(zip(P.sets[n], vals))
+            if all(square(mn, comp) for mn in squares[i]):
+                extend_base(i + 1, comp)
+
+    extend_base(0, {})
     return out
 
 
@@ -1040,8 +1085,7 @@ def fullness_probe(A: CircuitAlgebraOps, B: CircuitAlgebraOps,
                    corpus: dict, max_arity: int) -> dict:
     """Compare natural transformations nerve(A) -> nerve(B) with algebra
     morphisms A -> B found by exhaustive search."""
-    PA = nerve(A, corpus)
-    PB = nerve(B, corpus)
+    PA, PB = nerves((A, B), corpus)
     nats = presheaf_maps(PA, PB)
     homs = algebra_morphisms(A, B, max_arity)
     return {"ok": len(nats) == len(homs),

@@ -15,10 +15,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from .errors import (BoundsTooLarge, InvalidGraphOfGraphs, NotCommuting,
-                     NotLocallyBijective)
-from .etale import _UF, EtaleMorphism
-from .graphs import FeynmanGraph, canonical_form
+from .errors import BoundsTooLarge, InvalidGraphOfGraphs
+from .etale import _UF
+from .graphs import FeynmanGraph, canonical_labelings
 
 DEFAULT_MAX_SEARCH = 10 ** 7
 
@@ -47,7 +46,8 @@ class XGraph:
         return not self.graph.stick_components()
 
     def canonical_key(self) -> str:
-        return canonical_form(self.graph, port_labels=dict(self.labeling)).certificate
+        return repr(canonical_labelings(self.graph,
+                                        edge_tokens=dict(self.labeling))[0])
 
 
 class GraphOfGraphs:
@@ -96,7 +96,6 @@ class Substitution:
     colimit: FeynmanGraph
     edge_class: Mapping[Any, Any]     # base edge -> colimit edge
     piece_edge: Mapping[tuple, Any]   # (vertex, piece edge) -> colimit edge
-    universal_maps: Mapping[Any, Any]  # base vertex -> EtaleMorphism piece -> colimit
 
 
 def substitute(gog: GraphOfGraphs) -> Substitution:
@@ -146,17 +145,7 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
     edge_class = {e: edge_of[("b", e)] for e in base.edges}
     piece_edge = {(v, pe): edge_of[("p", v, pe)]
                   for v, (piece, _) in gog.pieces.items() for pe in piece.edges}
-    universal = {}
-    for v, (piece, _) in gog.pieces.items():
-        try:
-            universal[v] = EtaleMorphism(
-                piece, colimit,
-                {pe: edge_of[("p", v, pe)] for pe in piece.edges},
-                {h: ("p", v, h) for h in piece.half_edges},
-                {w: ("p", v, w) for w in piece.vertices})
-        except (NotCommuting, NotLocallyBijective):
-            universal[v] = None  # degenerate collapse: no plain etale map
-    return Substitution(colimit, edge_class, piece_edge, universal)
+    return Substitution(colimit, edge_class, piece_edge)
 
 
 def substitute_xgraph(base_x: XGraph, gog: GraphOfGraphs) -> tuple:

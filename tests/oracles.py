@@ -188,3 +188,59 @@ def port_fixing_automorphisms(g: FeynmanGraph) -> int:
             if all(em[g.tau[e]] == g.tau[em[e]] for e in g.edges):
                 count += 1
     return count
+
+
+def brute_presheaf_maps(P, Q) -> list:
+    """All natural transformations P -> Q between finite presheaves on one
+    corpus, the slow way: every choice of components on the elementary
+    objects (sticks and corollas), each extended to the other objects
+    through their ch-families, then checked on every shared morphism."""
+    def elementary(g):
+        if g.inner_edges() or len(g.vertices) > 1:
+            return False
+        sticks = g.stick_components()
+        return not sticks if g.vertices else len(sticks) <= 1
+
+    names = sorted(P.corpus)
+    shared = [mn for mn in P.morphisms if mn in Q.morphisms]
+    base = [n for n in names if elementary(P.corpus[n])]
+    rest = [n for n in names if n not in base]
+    chs = {n: sorted(mn for mn in shared
+                     if P.morphisms[mn]["kind"] == "ch"
+                     and P.morphisms[mn]["from_graph"] == n)
+           for n in rest}
+
+    def family(presheaf, n, x):
+        return tuple(presheaf.morphisms[mn]["map"][x] for mn in chs[n])
+
+    def natural(comp):
+        for mn in shared:
+            rp, rq = P.morphisms[mn], Q.morphisms[mn]
+            fn, tn = rp["from_graph"], rp["to_graph"]
+            for x in P.sets[fn]:
+                if rq["map"][comp[fn][x]] != comp[tn][rp["map"][x]]:
+                    return False
+        return True
+
+    spaces = [list(itertools.product(Q.sets[n], repeat=len(P.sets[n])))
+              for n in base]
+    out = []
+    for combo in itertools.product(*spaces):
+        comp = {n: dict(zip(P.sets[n], vals))
+                for n, vals in zip(base, combo)}
+        options = []
+        for n in rest:
+            per_x = []
+            for x in P.sets[n]:
+                want = tuple(comp[P.morphisms[mn]["to_graph"]][v]
+                             for mn, v in zip(chs[n], family(P, n, x)))
+                per_x.append([y for y in Q.sets[n]
+                              if family(Q, n, y) == want])
+            options.append((n, per_x))
+        for choice in itertools.product(
+                *(itertools.product(*per_x) for _, per_x in options)):
+            for (n, _), vals in zip(options, choice):
+                comp[n] = dict(zip(P.sets[n], vals))
+            if natural(comp):
+                out.append({n: dict(comp[n]) for n in names})
+    return out

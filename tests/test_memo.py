@@ -132,6 +132,9 @@ def test_certificates_are_pinned():
     assert len(xs) == 20
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f776496840bca8d645ad0bbdc8730591e37a351878e24fa2baccb2123857214a")
+    # an X-graph's key is the certificate of its port-labelled form
+    assert all(x.canonical_key() == canonical_form(
+        x.graph, port_labels=dict(x.labeling)).certificate for x in xs)
 
 
 # -- colour maps ---------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Kleisli morphisms, nerve computation, and the Segal checker."""
 
+import functools
+import importlib
 import json
+import tracemalloc
 
 import pytest
 
 from feyngraph.errors import (CorpusNotElementClosed, Mismatch,
-                              NotACorolla, ValencyOutOfRange)
+                              NotACorolla, OutOfBounds, ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
 from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
                               wheel)
@@ -17,13 +20,17 @@ from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
                              kleisli_equal, kleisli_from_etale,
                              kleisli_from_pointed, kleisli_identity,
                              kleisli_refinement, make_kleisli,
-                             mutated_presheaves, nerve, presheaf_maps,
-                             refinement_of_corolla, restrict_kleisli)
+                             mutated_presheaves, nerve, nerves,
+                             presheaf_maps, refinement_of_corolla,
+                             restrict_kleisli)
 from feyngraph.species import evaluate_species
 from feyngraph.substitution import GraphOfGraphs, substitute
 
 from helpers_nerve import corpus14, dumbbell, parity_algebra, theta
 from helpers_species import MONO, TWO, tuple_algebra
+from oracles import brute_presheaf_maps
+
+nerve_module = importlib.import_module("feyngraph.nerve")
 
 
 # -- Kleisli morphisms ---------------------------------------------------------------
@@ -383,6 +390,92 @@ def test_presheaf_maps_identity_exists():
     maps = presheaf_maps(P, P)
     ident = {n: {k: k for k in P.sets[n]} for n in P.corpus}
     assert ident in maps
+
+
+def _corpus5():
+    return {"stick": stick(), "corolla1": corolla([0]),
+            "corolla2": corolla([0, 1]), "wheel1": wheel(1), "line2": line(2)}
+
+
+ALGEBRAS = {"mono": lambda: tuple_algebra(MONO, 6),
+            "parity4": lambda: parity_algebra(4),
+            "parity6": lambda: parity_algebra(6),
+            "two": lambda: tuple_algebra(TWO, 6)}
+CORPORA = {"corpus14": corpus14, "corpus5": _corpus5}
+
+
+@functools.lru_cache(maxsize=None)
+def _nerve_of(algebra, corpus):
+    return nerve(ALGEBRAS[algebra](), CORPORA[corpus]())
+
+
+@pytest.mark.parametrize("corpus,a,b", [
+    ("corpus14", "mono", "parity6"), ("corpus14", "parity4", "parity6"),
+    ("corpus14", "parity6", "parity4"), ("corpus14", "parity6", "mono"),
+    ("corpus14", "mono", "mono"),
+    ("corpus5", "mono", "parity4"), ("corpus5", "parity4", "parity4"),
+    ("corpus5", "parity6", "parity4"), ("corpus5", "parity4", "mono")])
+def test_presheaf_maps_matches_brute_force_oracle(corpus, a, b):
+    P, Q = _nerve_of(a, corpus), _nerve_of(b, corpus)
+    maps = presheaf_maps(P, Q)
+    assert maps
+    assert maps == brute_presheaf_maps(P, Q)
+
+
+def test_presheaf_maps_charges_the_search_budget(monkeypatch):
+    P = _nerve_of("parity6", "corpus14")
+    # six elementary objects, 4 maps on each but the stick: 1,024 choices
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1024")
+    assert len(presheaf_maps(P, P)) == 4
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "10")
+    with pytest.raises(OutOfBounds):
+        presheaf_maps(P, P)
+
+
+def test_presheaf_maps_refuses_before_building_the_search(monkeypatch):
+    P = _nerve_of("two", "corpus14")
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfBounds):
+            presheaf_maps(P, P)   # 8^8 maps on corolla3 alone
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+def test_shared_pass_equals_one_nerve_per_algebra():
+    A, B = parity_algebra(4), parity_algebra(6)
+    PA, PB = nerves((A, B), corpus14())
+    for P, alone in ((PA, nerve(A, corpus14())), (PB, nerve(B, corpus14()))):
+        assert json.dumps(P.to_json(), sort_keys=True) == \
+            json.dumps(alone.to_json(), sort_keys=True)
+        assert list(P.morphisms) == list(alone.morphisms)
+    # an automatic refinement beyond arity 4 is omitted only for A
+    assert [sum(r["kind"] == "refinement" for r in P.morphisms.values())
+            for P in (PA, PB)] == [32, 35]
+    with_images = [mn for mn, r in PA.morphisms.items() if "edge_images" in r]
+    assert with_images
+    assert all(PA.morphisms[mn]["edge_images"]
+               is not PB.morphisms[mn]["edge_images"] for mn in with_images)
+
+
+def test_fullness_probe_builds_each_kleisli_morphism_once(monkeypatch):
+    calls = []
+    build = nerve_module.make_kleisli
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(nerve_module, "make_kleisli", counting)
+    nerve(tuple_algebra(MONO, 6), corpus14())
+    one_nerve = len(calls)
+    calls.clear()
+    fullness_probe(tuple_algebra(MONO, 6), parity_algebra(6), corpus14(), 4)
+    assert one_nerve > 0
+    assert len(calls) == one_nerve
 
 
 # -- serialization -------------------------------------------------------------------
