@@ -10,7 +10,7 @@ their graphs have one vertex per inner boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import ArityMismatch, FormatError, InvalidGraphOfGraphs

@@ -69,10 +69,6 @@ class InputProblem(Exception):
         self.schema = schema
 
 
-def _graph_arg(text):
-    return parse_graph_arg(text)
-
-
 def _species_arg(text):
     if text == "terminal":
         return terminal_species()
@@ -119,7 +115,7 @@ def _report_result(report: dict) -> int:
 
 
 def cmd_validate(args):
-    g = _graph_arg(args.graph)
+    g = parse_graph_arg(args.graph)
     print(f"graph edges={len(g.edges)} vertices={len(g.vertices)} "
           f"ports={len(g.ports)} inner_orbits="
           f"{sum(1 for o in g.orbits() if all(e not in g.ports for e in o))}")
@@ -127,14 +123,14 @@ def cmd_validate(args):
 
 
 def cmd_iso(args):
-    g, h = _graph_arg(args.g), _graph_arg(args.h)
+    g, h = parse_graph_arg(args.g), parse_graph_arg(args.h)
     ok = is_isomorphic(g, h)
     print(f"isomorphic {'true' if ok else 'false'}")
     return _result(ok, 1)
 
 
 def cmd_glue(args):
-    g = _graph_arg(args.graph)
+    g = parse_graph_arg(args.graph)
     def resolve(tok):
         # match a port by its str/repr first, so "0" finds an int or str port
         hits = [p for p in g.ports if tok in (str(p), repr(p))]
@@ -203,7 +199,7 @@ def cmd_brauer(args):
 
 def cmd_eval(args):
     S = _species_arg(args.species)
-    g = _graph_arg(args.graph)
+    g = parse_graph_arg(args.graph)
     decs = evaluate_species(S, g)
     for k in sorted(repr(d.key()) for d in decs):
         print(f"decoration {k}")
@@ -253,8 +249,8 @@ def cmd_yb_sweep(args):
 
 
 def cmd_pointed_hom(args):
-    g, h = _graph_arg(args.g), _graph_arg(args.h)
-    homs = hom_pointed(g, h, bounds=args.bounds)
+    g, h = parse_graph_arg(args.g), parse_graph_arg(args.h)
+    homs = hom_pointed(g, h)
     lines = sorted(f"morphism deleted={sorted(map(repr, pm.deleted))}"
                    for pm in homs)
     for line_ in lines:
@@ -270,12 +266,12 @@ def cmd_nerve(args):
         if os.path.isdir(item):
             for fn in sorted(os.listdir(item)):
                 if fn.endswith(".json"):
-                    corpus[fn[:-5]] = _graph_arg(os.path.join(item, fn))
+                    corpus[fn[:-5]] = parse_graph_arg(os.path.join(item, fn))
         else:
             name = os.path.basename(item)
             if name.endswith(".json"):
                 name = name[:-5]
-            corpus[name] = _graph_arg(item)
+            corpus[name] = parse_graph_arg(item)
     if not corpus:
         raise InputProblem("--corpus produced no graphs")
     P = nerve(A, corpus)
@@ -395,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pointed morphisms between two graphs")
     q.add_argument("g")
     q.add_argument("h")
-    q.add_argument("--bounds", type=int, default=0)
     q.set_defaults(func=cmd_pointed_hom, schema="graph")
 
     q = sub.add_parser("nerve", help="nerve presheaf of a finite algebra")

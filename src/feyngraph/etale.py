@@ -8,8 +8,8 @@ the colimit that identifies chosen boundary ports pairwise; a glue pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from .errors import (
     NotAPort,
@@ -33,10 +33,6 @@ class EtaleMorphism:
     def __post_init__(self):
         check_etale(self.edge_map, self.half_map, self.vertex_map,
                     self.source, self.target)
-
-    def is_injective(self) -> bool:
-        return (len(set(self.edge_map.values())) == len(self.source.edges)
-                and len(set(self.vertex_map.values())) == len(self.source.vertices))
 
     def key(self) -> tuple:
         return (tuple(sorted(((repr(k), repr(v)) for k, v in self.edge_map.items()))),

@@ -19,10 +19,9 @@ dense integers deterministically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadParameter,
@@ -183,10 +182,6 @@ class FeynmanGraph:
 
     def half_of_edge(self, e: Id) -> Optional[Id]:
         return self._s_inv.get(e)
-
-    def is_stick_component_edge(self, e: Id) -> bool:
-        """True iff the orbit {e, tau e} is a stick component (both ports)."""
-        return e in self._ports and self.tau[e] in self._ports
 
     def stick_components(self) -> list:
         return [(e, f) for (e, f) in self.orbits()

@@ -18,7 +18,8 @@ from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      isolated_vertex, read_only, sort_ids, stick,
                      tagged_union)
-from .species import CircuitAlgebraOps, SpeciesOps, evaluate_species, half_order
+from .species import (CircuitAlgebraOps, SpeciesOps, _Violations,
+                      evaluate_species, half_order)
 from .substitution import GraphOfGraphs, enumerate_x_graphs, substitute
 
 __all__ = [
@@ -240,27 +241,7 @@ def _restrict_along(d2: VertexDeletion, e: EtaleMorphism) -> Optional[EtaleMorph
         return None
 
 
-def pointed_from_parts(g: FeynmanGraph, h: FeynmanGraph, w,
-                       etale_tail: EtaleMorphism,
-                       absorb: bool = False) -> PointedMorphism:
-    """Build a PointedMorphism from an explicit (deleted set, etale tail)
-    pair; the tail must start at delete_vertices(g, w).target.  With
-    absorb=False the deleted set is kept exactly as given (the convention
-    for Kleisli tails, where an etale map and a deletion composite are
-    distinct morphisms); absorb=True applies the similarity normal form
-    used for pointed hom-set counting."""
-    d = delete_vertices(g, w)
-    return _normalized_pointed(g, h, frozenset(w), d, etale_tail,
-                               absorb=absorb)
-
-
-def identity_etale(g: FeynmanGraph) -> EtaleMorphism:
-    return EtaleMorphism(g, g, {e: e for e in g.edges},
-                         {x: x for x in g.half_edges},
-                         {v: v for v in g.vertices})
-
-
-def hom_pointed(g: FeynmanGraph, h: FeynmanGraph, bounds: int = 0) -> list:
+def hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
     """All pointed morphisms g -> h in (similarity, etale) normal form.
 
     A pair (deleted set, etale tail) is normalized by absorbing any further
@@ -716,22 +697,13 @@ def law_LD(S: SpeciesOps, d):
 
 # -- monad law and distributive law checkers ----------------------------------------
 
-def _report(violations, checked):
-    return {"ok": not violations,
-            "violations": sorted(set(violations)),
-            "checked": checked}
-
-
 def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                      max_vertices: int = 2, max_valency: int = 3) -> dict:
     """Unit triangles and associativity for the bounded T (substitution),
     D and L monads over S."""
-    violations, checked = [], 0
+    violations, checked = _Violations(), 0
     TS = TSpecies(S, max_vertices, max_valency)
     TT_inner = TSpecies(TS, max_vertices, max_valency)
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(map(repr, wit)))
 
     for n in range(max_arity + 1):
         for t in TS.elements(n):
@@ -739,7 +711,7 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
             # left unit: decorate the corolla on t with t
             lt = mu_T(TS, eta_T(TS, t))
             if TS.key(lt) != TS.key(t):
-                note("T-left-unit", TS.key(t))
+                violations.note("T-left-unit", TS.key(t))
             # right unit: decorate each vertex of t with its corolla
             rt_vdec = {}
             for v in t.graph.vertices:
@@ -748,7 +720,7 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                 rt_vdec[v] = (cor, order)
             rt = mu_T(TS, TElem(t.graph, t.ports, t.colours, rt_vdec))
             if TS.key(rt) != TS.key(t):
-                note("T-right-unit", TS.key(t))
+                violations.note("T-right-unit", TS.key(t))
         for tt in TT_inner.elements(n):
             # associativity needs a third layer; exercise it through the
             # two evaluation orders of T(T(T S)) built from tt by unit
@@ -757,44 +729,46 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
             checked += 1
             flat = mu_T(TS, tt)
             if len(flat.ports) != n:
-                note("T-mu-arity", n)
+                violations.note("T-mu-arity", n)
         for d in DSpecies(DSpecies(S)).elements(n):
             checked += 1
             lhs = mu_D(d)
             if DSpecies(S).arity(lhs) != n:
-                note("D-mu-arity", n)
+                violations.note("D-mu-arity", n)
         for le in LSpecies(LSpecies(S, 2), 2).elements(n):
             checked += 1
             flat = mu_L(LSpecies(S, 4), le)
             if sum(len(b) for b, _ in flat) != n:
-                note("L-mu-arity", n)
+                violations.note("L-mu-arity", n)
     # D and L unit laws
     DS = DSpecies(S)
     for n in range(max_arity + 1):
         for d in DS.elements(n):
             checked += 2
             if mu_D(eta_D(d)) != d:
-                note("D-left-unit", DS.key(d))
+                violations.note("D-left-unit", DS.key(d))
             lifted = ("b", eta_D(d[1])) if d[0] == "b" else d
             if mu_D(lifted) != d:
-                note("D-right-unit", DS.key(d))
+                violations.note("D-right-unit", DS.key(d))
         for x in S.elements(n):
             checked += 1
             if mu_L(LSpecies(S, 4), ((tuple(range(n)), eta_L(S, x)),)) \
                     != LSpecies(S, 4).norm(eta_L(S, x)):
-                note("L-left-unit", repr(S.key(x)))
-    return _report(violations, checked)
+                violations.note("L-left-unit", repr(S.key(x)))
+    return violations.report(checked)
 
 
-def _t_assoc_check(S, max_arity, max_vertices, max_valency, note, counter):
+def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
+                          max_vertices: int = 2, max_valency: int = 2) -> dict:
     """Substitution associativity: for elements of T(T(T S)) built within
     bounds, flattening inner-first equals outer-first."""
+    violations, checked = _Violations(), 0
     TS = TSpecies(S, max_vertices, max_valency)
     TTS = TSpecies(TS, max_vertices, max_valency)
     T3 = TSpecies(TTS, max_vertices, max_valency)
     for n in range(max_arity + 1):
         for t3 in T3.elements(n):
-            counter[0] += 1
+            checked += 1
             # outer-first: flatten the two outer layers, then the inner
             outer = mu_T(TTS, t3)              # element of T(T S)
             lhs = mu_T(TS, outer)
@@ -804,18 +778,8 @@ def _t_assoc_check(S, max_arity, max_vertices, max_valency, note, counter):
                 vdec[v] = (mu_T(TS, tt), order)
             rhs = mu_T(TS, TElem(t3.graph, t3.ports, t3.colours, vdec))
             if TS.key(lhs) != TS.key(rhs):
-                note("T-assoc", TS.key(lhs), TS.key(rhs))
-
-
-def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
-                          max_vertices: int = 2, max_valency: int = 2) -> dict:
-    violations, counter = [], [0]
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(map(repr, wit)))
-
-    _t_assoc_check(S, max_arity, max_vertices, max_valency, note, counter)
-    return _report(violations, counter[0])
+                violations.note("T-assoc", TS.key(lhs), TS.key(rhs))
+    return violations.report(checked)
 
 
 def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
@@ -834,14 +798,11 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
 
 
 def _beck_dt(S, max_arity, max_vertices, max_valency):
-    violations, checked = [], 0
+    violations, checked = _Violations(), 0
     TS = TSpecies(S, max_vertices, max_valency)
     DS = DSpecies(S)
     DTS = DSpecies(TS)
     TDS = TSpecies(DS, max_vertices, max_valency)
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(map(repr, wit)))
 
     for n in range(max_arity + 1):
         # unit of D: lambda . T eta_D = eta_D
@@ -850,14 +811,14 @@ def _beck_dt(S, max_arity, max_vertices, max_valency):
             lifted = TElem(t.graph, t.ports, t.colours,
                            {v: (eta_D(x), o) for v, (x, o) in t.vdec.items()})
             if DTS.key(law_DT(S, lifted)) != DTS.key(("b", t)):
-                note("dt-unit-D", TS.key(t))
+                violations.note("dt-unit-D", TS.key(t))
         # unit of T: lambda . eta_T = D eta_T
         for d in DS.elements(n):
             checked += 1
             lhs = law_DT(S, eta_T(DS, d))
             rhs = ("b", eta_T(S, d[1])) if d[0] == "b" else d
             if DTS.key(lhs) != DTS.key(rhs):
-                note("dt-unit-T", DS.key(d))
+                violations.note("dt-unit-T", DS.key(d))
         # multiplication of T: lambda . mu_T = D mu_T . lambda . T lambda
         TTDS = TSpecies(TSpecies(DS, max_vertices, max_valency),
                         max_vertices, max_valency)
@@ -870,7 +831,7 @@ def _beck_dt(S, max_arity, max_vertices, max_valency):
             mid = law_DT(TS, step)
             rhs = ("b", mu_T(TS, mid[1])) if mid[0] == "b" else mid
             if DTS.key(lhs) != DTS.key(rhs):
-                note("dt-mu-T", n, DTS.key(lhs), DTS.key(rhs))
+                violations.note("dt-mu-T", n, DTS.key(lhs), DTS.key(rhs))
         # multiplication of D: lambda . T mu_D = mu_D . D lambda . lambda
         TDDS = TSpecies(DSpecies(DS), max_vertices, max_valency)
         for t in TDDS.elements(n):
@@ -883,19 +844,16 @@ def _beck_dt(S, max_arity, max_vertices, max_valency):
                 mid = ("b", law_DT(S, mid[1]))
             rhs = mu_D(mid)
             if DTS.key(lhs) != DTS.key(rhs):
-                note("dt-mu-D", n, DTS.key(lhs), DTS.key(rhs))
-    return _report(violations, checked)
+                violations.note("dt-mu-D", n, DTS.key(lhs), DTS.key(rhs))
+    return violations.report(checked)
 
 
 def _beck_lt(S, max_arity, max_vertices, max_valency, max_factors):
-    violations, checked = [], 0
+    violations, checked = _Violations(), 0
     TS = TSpecies(S, max_vertices, max_valency)
     LS = LSpecies(S, max_factors)
     LTS = LSpecies(TS, max_factors + max_vertices)
     TLS = TSpecies(LS, max_vertices, max_valency)
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(map(repr, wit)))
 
     for n in range(max_arity + 1):
         for t in TS.elements(n):
@@ -905,13 +863,13 @@ def _beck_lt(S, max_arity, max_vertices, max_valency, max_factors):
                             for v, (x, o) in t.vdec.items()})
             if LTS.key(law_LT(S, lifted)) != LTS.key(LTS.norm([
                     (tuple(range(n)), t)])):
-                note("lt-unit-L", TS.key(t))
+                violations.note("lt-unit-L", TS.key(t))
         for le in LS.elements(n):
             checked += 1
             lhs = law_LT(S, eta_T(LS, le))
             rhs = LTS.norm([(b, eta_T(S, x)) for b, x in le])
             if LTS.key(lhs) != LTS.key(rhs):
-                note("lt-unit-T", LS.key(le))
+                violations.note("lt-unit-T", LS.key(le))
         TTLS = TSpecies(TSpecies(LS, max_vertices, max_valency),
                         max_vertices, max_valency)
         for tt in TTLS.elements(n):
@@ -923,7 +881,7 @@ def _beck_lt(S, max_arity, max_vertices, max_valency, max_factors):
             mid = law_LT(TS, step)          # element of L(T(T S))
             rhs = LTS.norm([(b, mu_T(TS, x)) for b, x in mid])
             if LTS.key(lhs) != LTS.key(rhs):
-                note("lt-mu-T", n, LTS.key(lhs), LTS.key(rhs))
+                violations.note("lt-mu-T", n, LTS.key(lhs), LTS.key(rhs))
         TLLS = TSpecies(LSpecies(LS, max_factors), max_vertices, max_valency)
         for t in TLLS.elements(n):
             checked += 1
@@ -934,18 +892,15 @@ def _beck_lt(S, max_arity, max_vertices, max_valency, max_factors):
             stepped = tuple((b, law_LT(S, x)) for b, x in mid)
             rhs = mu_L(LTS, stepped)
             if LTS.key(lhs) != LTS.key(rhs):
-                note("lt-mu-L", n, LTS.key(lhs), LTS.key(rhs))
-    return _report(violations, checked)
+                violations.note("lt-mu-L", n, LTS.key(lhs), LTS.key(rhs))
+    return violations.report(checked)
 
 
 def _beck_ld(S, max_arity, max_factors):
-    violations, checked = [], 0
+    violations, checked = _Violations(), 0
     DS = DSpecies(S)
     LS = LSpecies(S, max_factors)
     LDS = LSpecies(DS, max_factors)
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(map(repr, wit)))
 
     for n in range(max_arity + 1):
         for d in DS.elements(n):
@@ -954,13 +909,13 @@ def _beck_ld(S, max_arity, max_factors):
             lhs = law_LD(S, lifted)
             rhs = LDS.norm(eta_L(DS, d))
             if LDS.key(lhs) != LDS.key(LDS.norm(rhs)):
-                note("ld-unit-L", DS.key(d))
+                violations.note("ld-unit-L", DS.key(d))
         for le in LS.elements(n):
             checked += 1
             lhs = law_LD(S, eta_D(le))
             rhs = LDS.norm([(b, eta_D(x)) for b, x in le])
             if LDS.key(LDS.norm(lhs)) != LDS.key(rhs):
-                note("ld-unit-D", LS.key(le))
+                violations.note("ld-unit-D", LS.key(le))
         for dd in DSpecies(DSpecies(LS)).elements(n):
             checked += 1
             lhs = LDS.norm(law_LD(S, mu_D(dd)))
@@ -969,15 +924,15 @@ def _beck_ld(S, max_arity, max_factors):
             mid = law_LD(DS, step)             # element of L(D(D S))
             rhs = LDS.norm(tuple((b, mu_D(x)) for b, x in mid))
             if LDS.key(lhs) != LDS.key(rhs):
-                note("ld-mu-D", n, LDS.key(lhs), LDS.key(rhs))
+                violations.note("ld-mu-D", n, LDS.key(lhs), LDS.key(rhs))
         for dl in DSpecies(LSpecies(LS, max_factors)).elements(n):
             checked += 1
             lhs = LDS.norm(law_LD(S, ("b", mu_L(LS, dl[1]))
                                   if dl[0] == "b" else dl))
             rhs = _ld_mu_l_rhs(S, LS, LDS, dl, max_factors)
             if LDS.key(lhs) != LDS.key(rhs):
-                note("ld-mu-L", n, LDS.key(lhs), LDS.key(rhs))
-    return _report(violations, checked)
+                violations.note("ld-mu-L", n, LDS.key(lhs), LDS.key(rhs))
+    return violations.report(checked)
 
 
 def _ld_mu_l_rhs(S, LS, LDS, dl, max_factors):
@@ -1026,7 +981,7 @@ def check_yang_baxter(S: SpeciesOps, instance: TElem) -> tuple:
 def yang_baxter_sweep(S: SpeciesOps, max_arity: int = 2,
                       max_vertices: int = 2, max_valency: int = 3,
                       max_factors: int = 2) -> dict:
-    violations, checked = [], 0
+    violations, checked = _Violations(), 0
     domain = TSpecies(DSpecies(LSpecies(S, max_factors)),
                       max_vertices, max_valency)
     for n in range(max_arity + 1):
@@ -1035,7 +990,7 @@ def yang_baxter_sweep(S: SpeciesOps, max_arity: int = 2,
             ok, transcript = check_yang_baxter(S, inst)
             if not ok:
                 violations.append(("yang-baxter", n, repr(transcript)))
-    return _report(violations, checked)
+    return violations.report(checked)
 
 
 # -- free elements -------------------------------------------------------------------

@@ -34,7 +34,7 @@ __all__ = [
     "kleisli_equal", "corpus_morphisms", "nerves", "nerve", "check_segal",
     "presheaf_maps",
     "algebra_morphisms", "fullness_probe", "mutated_presheaves",
-    "restrict_kleisli", "algebra_evaluate", "decoration_key",
+    "restrict_kleisli", "algebra_evaluate",
 ]
 
 
@@ -103,16 +103,60 @@ def _build_tail_etale(colim, target, d, em, hm, vm, fresh_em):
     return EtaleMorphism(d.target, target, em_e, hm_e, vm_e)
 
 
-def make_kleisli(source, target, pieces, w, em, hm, vm,
+def _inverse(maps) -> tuple:
+    """The inverse of each id map (on a many-to-one map, any preimage)."""
+    return tuple({b: a for a, b in m.items()} for m in maps)
+
+
+def _transport(old_sub, new_sub, per_piece_maps, deleted, edge_image,
+               vertex_image, half_image, fresh_images) -> tuple:
+    """Carry tail data from old_sub's colimit onto new_sub's.  The pieces
+    of new_sub come from those of old_sub through per_piece_maps[v], a
+    triple (edges, vertices, halves) of maps from new piece ids back to
+    old ones; a piece without an entry is unchanged.  The image functions
+    and `deleted` describe the tail on the old colimit.  Returns
+    (w, em, hm, vm, fresh_em) on the new colimit."""
+    def back(v, i, x):
+        maps = per_piece_maps.get(v)
+        return x if maps is None else maps[i][x]
+
+    em = {}
+    for c in new_sub.colimit.edges:
+        # every member of a class names the same old colimit edge
+        m = next(iter(c))
+        old = (old_sub.edge_class[m[1]] if m[0] == "b"
+               else old_sub.piece_edge[(m[1], back(m[1], 0, m[2]))])
+        em[c] = edge_image(old)
+    w, hm, vm, fresh_em = set(), {}, {}, {}
+    for cv in new_sub.colimit.vertices:
+        _, v, u = cv
+        old_cv = ("p", v, back(v, 1, u))
+        if old_cv in deleted:
+            w.add(cv)
+            fresh_em[cv] = fresh_images(old_cv)
+        else:
+            vm[cv] = vertex_image(old_cv)
+            for h in new_sub.colimit.halves_at(cv):
+                hm[h] = half_image(("p", v, back(v, 2, h[2])))
+    return w, em, hm, vm, fresh_em
+
+
+def make_kleisli(sub: Substitution, target, w, em, hm, vm,
                  fresh_em=None) -> KleisliMorphism:
-    """Normalize raw Kleisli data.  The tail data (w, em, hm, vm,
-    fresh_em) refers to the colimit of substitute(pieces): w is a set of
+    """Normalize raw Kleisli data.  sub is the substitution of the
+    refinement, a graph of graphs over the source (sub.gog), as the
+    caller has already evaluated it; it is not evaluated again.  The tail
+    data (w, em, hm, vm, fresh_em) refers to sub.colimit: w is a set of
     colimit vertices to delete, em maps every colimit edge to a target
     edge, hm/vm map the undeleted part, fresh_em gives target images for
-    the fresh sticks of deleted isolated vertices."""
+    the fresh sticks of deleted isolated vertices.
+
+    When the pieces admit several minimal labelings, the least key over
+    all their combinations is kept; more combinations than
+    FEYNGRAPH_MAX_SEARCH raise OutOfBounds."""
+    source = sub.gog.base
+    pieces = dict(sub.gog.pieces)
     fresh_em = dict(fresh_em or {})
-    pieces = dict(pieces)
-    sub = substitute(GraphOfGraphs(source, pieces))
     while True:
         colim = sub.colimit
         d = delete_vertices(colim, w)
@@ -132,49 +176,14 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
             dd = delete_vertices(piece, ws)
             nb = {dd.edge_correspondence[p]: h for p, h in boundary.items()}
             pieces[v] = (dd.target, nb)
-            shrink[v] = dd
+            shrink[v] = _inverse((dd.edge_correspondence, dd.vertex_map,
+                                  dd.half_map))
         # transport the tail data onto the new colimit through the
         # composite correspondences of the normalized tail
         sub2 = substitute(GraphOfGraphs(source, pieces))
-
-        def old_edges_for(cnew):
-            out = []
-            for m in cnew:
-                if m[0] == "b":
-                    out.append(sub.edge_class[m[1]])
-                else:
-                    _, v, pe = m
-                    if v in shrink:
-                        dd = shrink[v]
-                        out += [sub.piece_edge[(v, p0)]
-                                for p0, c0 in dd.edge_correspondence.items()
-                                if c0 == pe]
-                    else:
-                        out.append(sub.piece_edge[(v, pe)])
-            return out
-
-        em = {c: tail.edge_image(old_edges_for(c)[0])
-              for c in sub2.colimit.edges}
-        w2, vm2, hm2, fresh2 = set(), {}, {}, {}
-        inv_shrink_v = {v: {nv: ov for ov, nv in shrink[v].vertex_map.items()}
-                        for v in shrink}
-        for cv in sub2.colimit.vertices:
-            _, v, wn = cv
-            ov = inv_shrink_v[v][wn] if v in shrink else wn
-            old_cv = ("p", v, ov)
-            if old_cv in tail.deleted:
-                w2.add(cv)
-                fresh2[cv] = tail.fresh_images(old_cv)
-            else:
-                vm2[cv] = tail.vertex_image(old_cv)
-                for hn in sub2.colimit.halves_at(cv):
-                    hp = hn[2]
-                    if v in shrink:
-                        inv_h = {nh: oh for oh, nh
-                                 in shrink[v].half_map.items()}
-                        hp = inv_h[hp]
-                    hm2[hn] = tail.half_image(("p", v, hp))
-        w, em, hm, vm, fresh_em = w2, em, hm2, vm2, fresh2
+        w, em, hm, vm, fresh_em = _transport(
+            sub, sub2, shrink, tail.deleted, tail.edge_image,
+            tail.vertex_image, tail.half_image, tail.fresh_images)
         sub = sub2
     # canonicalize pieces and rebuild with transported tail data; when a
     # piece admits several minimal labelings, minimize the resulting key
@@ -183,80 +192,61 @@ def make_kleisli(source, target, pieces, w, em, hm, vm,
     for v in vs:
         piece, boundary = pieces[v]
         certs[v], labsets[v] = _piece_labelings(piece, boundary)
-    combos = list(itertools.islice(
-        itertools.product(*(labsets[v] for v in vs)), 128))
+    cap = max_search_cap()
+    if math.prod(len(labsets[v]) for v in vs) > cap:
+        raise OutOfBounds("piece labeling combinations exceed "
+                          f"FEYNGRAPH_MAX_SEARCH={cap}")
     best = None
-    for combo in combos:
+    for combo in itertools.product(*(labsets[v] for v in vs)):
         labs = dict(zip(vs, combo))
         canon = {v: _apply_labeling(pieces[v][0], pieces[v][1], labs[v])
                  for v in vs}
-        gog = GraphOfGraphs(source, canon)
-        sub2 = substitute(gog)
-        inv_e = {v: {ne: oe for oe, ne in labs[v][0].items()} for v in vs}
-        inv_v = {v: {nv: ov for ov, nv in labs[v][1].items()} for v in vs}
-        inv_h = {v: {nh: oh for oh, nh in labs[v][2].items()} for v in vs}
-
-        def resolve_edge(cnew):
-            for m in cnew:
-                if m[0] == "b":
-                    return em[sub.edge_class[m[1]]]
-                _, v, pe = m
-                return em[sub.piece_edge[(v, inv_e[v][pe])]]
-            raise Mismatch("empty colimit edge class")
-
-        em2 = {c: resolve_edge(c) for c in sub2.colimit.edges}
-        w2, vm2, hm2, fresh2 = set(), {}, {}, {}
-        for cv in sub2.colimit.vertices:
-            _, v, wn = cv
-            old_cv = ("p", v, inv_v[v][wn])
-            if old_cv in w:
-                w2.add(cv)
-                fresh2[cv] = fresh_em[old_cv]
-            else:
-                vm2[cv] = vm[old_cv]
-                for hn in sub2.colimit.halves_at(cv):
-                    hm2[hn] = hm[("p", v, inv_h[v][hn[2]])]
+        sub2 = substitute(GraphOfGraphs(source, canon))
+        w2, em2, hm2, vm2, fresh2 = _transport(
+            sub, sub2, {v: _inverse(labs[v]) for v in vs}, w,
+            em.__getitem__, vm.__getitem__, hm.__getitem__,
+            fresh_em.__getitem__)
         d = delete_vertices(sub2.colimit, w2)
         etale = _build_tail_etale(sub2.colimit, target, d,
                                   em2, hm2, vm2, fresh2)
         tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
                                    etale, absorb=False)
         key = (tuple((repr(v), certs[v]) for v in vs), tail.key())
-        cand = KleisliMorphism(source, target, gog, tail, sub2, key)
+        cand = KleisliMorphism(source, target, sub2.gog, tail, sub2, key)
         if best is None or key < best.key():
             best = cand
     return best
 
 
 def _identity_data(g: FeynmanGraph):
-    """Identity refinement pieces plus identity tail data on its colimit."""
-    gog = GraphOfGraphs.identity(g)
-    sub = substitute(gog)
+    """The substitution of the identity refinement of g, plus identity
+    tail data on its colimit."""
+    sub = substitute(GraphOfGraphs.identity(g))
     em = {sub.edge_class[e]: e for e in g.edges}
     vm, hm = {}, {}
     for v in g.vertices:
         vm[("p", v, "*")] = v
         for h in g.halves_at(v):
             hm[("p", v, ("h", ("p", repr(h))))] = h
-    return gog.pieces, sub, em, hm, vm
+    return sub, em, hm, vm
 
 
 def kleisli_identity(g: FeynmanGraph) -> KleisliMorphism:
-    pieces, _, em, hm, vm = _identity_data(g)
-    return make_kleisli(g, g, pieces, set(), em, hm, vm)
+    sub, em, hm, vm = _identity_data(g)
+    return make_kleisli(sub, g, set(), em, hm, vm)
 
 
 def kleisli_from_etale(e: EtaleMorphism) -> KleisliMorphism:
-    pieces, _, em, hm, vm = _identity_data(e.source)
+    sub, em, hm, vm = _identity_data(e.source)
     em2 = {c: e.edge_map[x] for c, x in em.items()}
     hm2 = {c: e.half_map[x] for c, x in hm.items()}
     vm2 = {c: e.vertex_map[x] for c, x in vm.items()}
-    return make_kleisli(e.source, e.target, pieces, set(), em2, hm2, vm2)
+    return make_kleisli(sub, e.target, set(), em2, hm2, vm2)
 
 
 def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
     g = pm.source
-    pieces, _, em, hm, vm = _identity_data(g)
+    sub, em, hm, vm = _identity_data(g)
     w, em2, hm2, vm2, fresh = set(), {}, {}, {}, {}
     for c, x in em.items():
         em2[c] = pm.edge_image(x)
@@ -271,7 +261,7 @@ def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
     for ch, x in hm.items():
         if x in pm._hcorr:
             hm2[ch] = pm.half_image(x)
-    return make_kleisli(g, pm.target, pieces, w, em2, hm2, vm2, fresh)
+    return make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
 
 
 def kleisli_refinement(gog: GraphOfGraphs) -> KleisliMorphism:
@@ -280,9 +270,7 @@ def kleisli_refinement(gog: GraphOfGraphs) -> KleisliMorphism:
     em = {c: c for c in colim.edges}
     hm = {h: h for h in colim.half_edges}
     vm = {v: v for v in colim.vertices}
-    return make_kleisli(gog.base, colim,
-                        {v: gog.pieces[v] for v in gog.base.vertices},
-                        set(), em, hm, vm)
+    return make_kleisli(sub, colim, set(), em, hm, vm)
 
 
 def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism:
@@ -330,8 +318,7 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
         eh = t1.edge_image(c1_edge)
         return t2.edge_image(k2._sub.edge_class[eh])
 
-    gog = GraphOfGraphs(g, pieces)
-    sub = substitute(gog)
+    sub = substitute(GraphOfGraphs(g, pieces))
     em, hm, vm, w, fresh = {}, {}, {}, set(), {}
     for c in sub.colimit.edges:
         img = None
@@ -375,7 +362,7 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
             for hn in sub.colimit.halves_at(cv):
                 qh = hn[2][2]
                 hm[hn] = t2.half_image(("p", w_h, qh))
-    return make_kleisli(g, k, pieces, w, em, hm, vm, fresh)
+    return make_kleisli(sub, k, w, em, hm, vm, fresh)
 
 
 def trace_h_edge(k2: KleisliMorphism, eh):
@@ -390,10 +377,6 @@ def kleisli_equal(a: KleisliMorphism, b: KleisliMorphism) -> bool:
 
 
 # -- decorations and their transport -------------------------------------------------
-
-def decoration_key(dec: Decoration) -> tuple:
-    return dec.key()
-
 
 def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
                      boundary: dict, colours: dict, elems: dict):
@@ -635,7 +618,7 @@ def nerves(algebras, corpus: dict, deletion_pairs=None,
     graph.  An automatically generated refinement whose intermediate
     arity exceeds an algebra's tables is omitted from that algebra's
     nerve only."""
-    decs = [{name: {decoration_key(d): d
+    decs = [{name: {d.key(): d
                     for d in evaluate_species(A.species, g)}
              for name, g in corpus.items()}
             for A in algebras]
@@ -646,7 +629,7 @@ def nerves(algebras, corpus: dict, deletion_pairs=None,
             table = {}
             try:
                 for key, d in dec[from_name].items():
-                    k2 = decoration_key(restrict_kleisli(A, kl, d))
+                    k2 = restrict_kleisli(A, kl, d).key()
                     if k2 not in dec[to_name]:
                         raise FormatError(
                             f"restriction left the carrier at {mname}")
@@ -690,8 +673,7 @@ def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
         em[c] = member[2]
     hm = {h: h[2] for h in sub.colimit.half_edges}
     vm = {w: w[2] for w in sub.colimit.vertices}
-    return make_kleisli(cor, piece, {v: (piece, boundary)}, set(),
-                        em, hm, vm)
+    return make_kleisli(sub, piece, set(), em, hm, vm)
 
 
 def _auto_refinements(corpus):

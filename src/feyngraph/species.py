@@ -394,6 +394,17 @@ class FiniteCircuitAlgebra(CircuitAlgebraOps):
 
 # -- axiom checkers ---------------------------------------------------------------
 
+class _Violations(list):
+    """The violations an exhaustive check found, and its report."""
+
+    def note(self, kind, *witnesses):
+        self.append((kind,) + tuple(map(repr, witnesses)))
+
+    def report(self, checked: int) -> dict:
+        return {"ok": not self, "violations": sorted(set(self)),
+                "checked": checked}
+
+
 def _all_labeled(A: CircuitAlgebraOps, max_arity: Optional[int] = None):
     S = A.species
     top = S.n_max if max_arity is None else min(max_arity, S.n_max)
@@ -402,10 +413,6 @@ def _all_labeled(A: CircuitAlgebraOps, max_arity: Optional[int] = None):
         for e in S.elements(n):
             out.append(A.lab(e, tuple(("p", i) for i in range(n))))
     return out
-
-
-def _fresh(labels, k):
-    return tuple(("q", i) for i in range(k))
 
 
 def _relabel_disjoint(a: Labeled, tag) -> Labeled:
@@ -431,12 +438,8 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
     """
     S = A.species
     elems = _all_labeled(A, max_arity)
-    violations = []
+    violations = _Violations()
     checked = 0
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(repr(w) for w in wit))
-
     pool = [_relabel_disjoint(a, "a") for a in elems]
     pool_b = [_relabel_disjoint(a, "b") for a in elems]
     pool_c = [_relabel_disjoint(a, "c") for a in elems]
@@ -450,7 +453,7 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
             if ba is not None:
                 checked += 1
                 if not A.lab_eq(ab, ba):
-                    note("commutativity", a.elem, b.elem)
+                    violations.note("commutativity", a.elem, b.elem)
             for c in pool_c:
                 abc1 = A.lab_box(ab, c)
                 bc = A.lab_box(b, c)
@@ -459,7 +462,7 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
                     continue
                 checked += 1
                 if not A.lab_eq(abc1, abc2):
-                    note("C1", a.elem, b.elem, c.elem)
+                    violations.note("C1", a.elem, b.elem, c.elem)
     # external unit
     if not A.nonunital:
         u = A.lab(A.unit0(), ())
@@ -468,8 +471,51 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
             au = A.lab_box(a, u)
             ua = A.lab_box(u, a)
             if au is None or ua is None or not (A.lab_eq(au, a) and A.lab_eq(ua, a)):
-                note("unit", a.elem)
-    # C2: disjoint contractions commute
+                violations.note("unit", a.elem)
+    checked += _check_contractions_commute(A, pool, "C2", violations)
+    # C3: zeta(a box b) = zeta(a) box b for a contraction inside a
+    for a in pool:
+        for b in pool_b:
+            ab = A.lab_box(a, b)
+            if ab is None:
+                continue
+            for (x, y) in _contractible_pairs(A, a):
+                lhs = A.lab_zeta(ab, x, y)
+                za = A.lab_zeta(a, x, y)
+                rhs = None if za is None else A.lab_box(za, b)
+                if lhs is None or rhs is None:
+                    continue
+                checked += 1
+                if not A.lab_eq(lhs, rhs):
+                    violations.note("C3", a.elem, b.elem, (x, y))
+    # eps law: contracting a stick onto a position is a renaming
+    om = S.palette.omega
+    for a in pool:
+        col = S.colour_of(a.elem)
+        for i, x in enumerate(a.labels):
+            e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
+            ae = A.lab_box(a, e)
+            if ae is None:
+                continue
+            got = A.lab_zeta(ae, x, ("e", 0))
+            if got is None:
+                continue
+            want = A.lab_rename(a, {x: ("e", 1)})
+            checked += 1
+            if not A.lab_eq(got, want):
+                violations.note("eps", a.elem, x)
+    # eps compatibility with omega: eps(omega c) = swap . eps(c)
+    for c in sort_ids(S.palette.colours):
+        checked += 1
+        if S.key(S.act(A.eps(c), (1, 0))) != S.key(A.eps(om[c])):
+            violations.note("eps-omega", c)
+    return violations.report(checked)
+
+
+def _check_contractions_commute(A, pool, kind, violations) -> int:
+    """C2 and M2: two disjoint contractions of an element commute.
+    Returns the number of instances checked."""
+    checked = 0
     for a in pool:
         prs = list(_contractible_pairs(A, a))
         for (x1, y1) in prs:
@@ -488,45 +534,8 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
                     continue
                 checked += 1
                 if not A.lab_eq(second, other2):
-                    note("C2", a.elem, (x1, y1), (x2, y2))
-    # C3: zeta(a box b) = zeta(a) box b for a contraction inside a
-    for a in pool:
-        for b in pool_b:
-            ab = A.lab_box(a, b)
-            if ab is None:
-                continue
-            for (x, y) in _contractible_pairs(A, a):
-                lhs = A.lab_zeta(ab, x, y)
-                za = A.lab_zeta(a, x, y)
-                rhs = None if za is None else A.lab_box(za, b)
-                if lhs is None or rhs is None:
-                    continue
-                checked += 1
-                if not A.lab_eq(lhs, rhs):
-                    note("C3", a.elem, b.elem, (x, y))
-    # eps law: contracting a stick onto a position is a renaming
-    om = S.palette.omega
-    for a in pool:
-        col = S.colour_of(a.elem)
-        for i, x in enumerate(a.labels):
-            e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            ae = A.lab_box(a, e)
-            if ae is None:
-                continue
-            got = A.lab_zeta(ae, x, ("e", 0))
-            if got is None:
-                continue
-            want = A.lab_rename(a, {x: ("e", 1)})
-            checked += 1
-            if not A.lab_eq(got, want):
-                note("eps", a.elem, x)
-    # eps compatibility with omega: eps(omega c) = swap . eps(c)
-    for c in sort_ids(S.palette.colours):
-        checked += 1
-        if S.key(S.act(A.eps(c), (1, 0))) != S.key(A.eps(om[c])):
-            note("eps-omega", c)
-    violations.sort()
-    return {"ok": not violations, "violations": violations, "checked": checked}
+                    violations.note(kind, a.elem, (x1, y1), (x2, y2))
+    return checked
 
 
 def _still_contractible(A, a: Labeled, x, y) -> bool:
@@ -558,11 +567,8 @@ def check_modular_axioms(A: CircuitAlgebraOps,
     pool = [_relabel_disjoint(a, "a") for a in elems]
     pool_b = [_relabel_disjoint(a, "b") for a in elems]
     pool_c = [_relabel_disjoint(a, "c") for a in elems]
-    violations = []
+    violations = _Violations()
     checked = 0
-
-    def note(kind, *wit):
-        violations.append((kind,) + tuple(repr(w) for w in wit))
 
     def matched(a, b):
         for x in a.labels:
@@ -587,31 +593,16 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                                 bc = diamond(b, c, u, v)
                                 rhs = None if bc is None else diamond(a, bc, x, y)
                             except ColourMismatch:
-                                note("M1", a.elem, b.elem, c.elem, (x, y, u, v))
+                                violations.note("M1", a.elem, b.elem,
+                                                c.elem, (x, y, u, v))
                                 continue
                             if lhs is None or rhs is None:
                                 continue
                             checked += 1
                             if not A.lab_eq(lhs, rhs):
-                                note("M1", a.elem, b.elem, c.elem, (x, y, u, v))
-    # M2: same statement as C2
-    for a in pool:
-        prs = list(_contractible_pairs(A, a))
-        for (x1, y1) in prs:
-            for (x2, y2) in prs:
-                if {x1, y1} & {x2, y2}:
-                    continue
-                f = A.lab_zeta(a, x1, y1)
-                s = None if f is None or not _still_contractible(A, f, x2, y2) \
-                    else A.lab_zeta(f, x2, y2)
-                o = A.lab_zeta(a, x2, y2)
-                o2 = None if o is None or not _still_contractible(A, o, x1, y1) \
-                    else A.lab_zeta(o, x1, y1)
-                if s is None or o2 is None:
-                    continue
-                checked += 1
-                if not A.lab_eq(s, o2):
-                    note("M2", a.elem, (x1, y1), (x2, y2))
+                                violations.note("M1", a.elem, b.elem,
+                                                c.elem, (x, y, u, v))
+    checked += _check_contractions_commute(A, pool, "M2", violations)
     # M3: zeta_{u,v}(a <>_{x,y} b) = zeta_{u,v}(a) <>_{x,y} b, u,v in a
     for a in pool:
         for b in pool_b:
@@ -626,13 +617,13 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                         rhs = None if za is None or x not in za.labels \
                             else diamond(za, b, x, y)
                     except ColourMismatch:
-                        note("M3", a.elem, b.elem, (x, y, u, v))
+                        violations.note("M3", a.elem, b.elem, (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
                     checked += 1
                     if not A.lab_eq(lhs, rhs):
-                        note("M3", a.elem, b.elem, (x, y, u, v))
+                        violations.note("M3", a.elem, b.elem, (x, y, u, v))
     # M4: two parallel edges between a and b can be contracted in either order
     for a in pool:
         for b in pool_b:
@@ -647,13 +638,13 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                         ab2 = diamond(a, b, u, v)
                         rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
                     except ColourMismatch:
-                        note("M4", a.elem, b.elem, (x, y, u, v))
+                        violations.note("M4", a.elem, b.elem, (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
                     checked += 1
                     if not A.lab_eq(lhs, rhs):
-                        note("M4", a.elem, b.elem, (x, y, u, v))
+                        violations.note("M4", a.elem, b.elem, (x, y, u, v))
     # unit law for diamond
     for a in pool:
         col = S.colour_of(a.elem)
@@ -665,9 +656,8 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                 continue
             checked += 1
             if not A.lab_eq(got, want):
-                note("Munit", a.elem, x)
-    violations.sort()
-    return {"ok": not violations, "violations": violations, "checked": checked}
+                violations.note("Munit", a.elem, x)
+    return violations.report(checked)
 
 
 # -- JSON -------------------------------------------------------------------------

@@ -93,6 +93,7 @@ class GraphOfGraphs:
 
 @dataclass
 class Substitution:
+    gog: GraphOfGraphs                # the graph of graphs evaluated
     colimit: FeynmanGraph
     edge_class: Mapping[Any, Any]     # base edge -> colimit edge
     piece_edge: Mapping[tuple, Any]   # (vertex, piece edge) -> colimit edge
@@ -145,14 +146,7 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
     edge_class = {e: edge_of[("b", e)] for e in base.edges}
     piece_edge = {(v, pe): edge_of[("p", v, pe)]
                   for v, (piece, _) in gog.pieces.items() for pe in piece.edges}
-    return Substitution(colimit, edge_class, piece_edge)
-
-
-def substitute_xgraph(base_x: XGraph, gog: GraphOfGraphs) -> tuple:
-    """Substitute and carry the port labeling across (ports are base ports)."""
-    sub = substitute(gog)
-    labeling = {sub.edge_class[e]: lab for e, lab in base_x.labeling.items()}
-    return XGraph(sub.colimit, labeling), sub
+    return Substitution(gog, colimit, edge_class, piece_edge)
 
 
 def compose_gogs(outer: GraphOfGraphs, sub: Substitution,

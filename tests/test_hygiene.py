@@ -30,3 +30,13 @@ def test_no_catch_all_handlers_in_library():
                for t in types):
             found.append(where)
     assert not found, f"handlers that catch everything: {found}"
+
+
+def test_no_silent_truncation_in_library():
+    """An exhaustive checker must refuse a search it cannot finish, not
+    cut it short: itertools.islice has no place in the library."""
+    found = [where for where, node in _nodes(ast.Attribute)
+             if node.attr == "islice"]
+    found += [where for where, node in _nodes(ast.ImportFrom)
+              if any(a.name == "islice" for a in node.names)]
+    assert not found, f"silent truncation: {found}"

@@ -1,6 +1,7 @@
 """Kleisli morphisms, nerve computation, and the Segal checker."""
 
 import functools
+import hashlib
 import importlib
 import json
 import tracemalloc
@@ -14,7 +15,6 @@ from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
                               wheel)
 from feyngraph.monads import half_order, hom_pointed
 from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
-                             decoration_key,
                              fullness_probe, graphs_equal, kleisli_compose,
                              kleisli_deletion_homs,
                              kleisli_equal, kleisli_from_etale,
@@ -31,6 +31,7 @@ from helpers_species import MONO, TWO, tuple_algebra
 from oracles import brute_presheaf_maps
 
 nerve_module = importlib.import_module("feyngraph.nerve")
+monads_module = importlib.import_module("feyngraph.monads")
 
 
 # -- Kleisli morphisms ---------------------------------------------------------------
@@ -85,10 +86,10 @@ def _kappa_presentations():
     pointed = [kleisli_from_pointed(pm) for pm in hom_pointed(w1, st)]
     v = next(iter(w1.vertices))
     h1, h2 = half_order(w1, v)
-    pieces = {v: (stick(), {"1": h1, "2": h2})}
-    colim = substitute(GraphOfGraphs(w1, pieces)).colimit
+    sub = substitute(GraphOfGraphs(w1, {v: (stick(), {"1": h1, "2": h2})}))
+    colim = sub.colimit
     ce = sort_ids(colim.edges)
-    refined = [make_kleisli(w1, st, pieces, set(), amap, {}, {})
+    refined = [make_kleisli(sub, st, set(), amap, {}, {})
                for amap in ({ce[0]: "1", ce[1]: "2"},
                             {ce[0]: "2", ce[1]: "1"})
                if all(amap[colim.tau[c]] == st.tau[amap[c]] for c in ce)]
@@ -163,6 +164,34 @@ def test_non_isomorphic_colimits_unequal():
     assert a.key() != b.key()
 
 
+def test_kleisli_identity_substitutes_twice(monkeypatch):
+    """Once for the identity refinement, once for its canonical pieces:
+    make_kleisli takes the substitution its caller holds."""
+    calls = []
+
+    def counting(gog):
+        calls.append(gog)
+        return substitute(gog)
+
+    for module in (nerve_module, monads_module):
+        monkeypatch.setattr(module, "substitute", counting)
+    for name, g in corpus14().items():
+        calls.clear()
+        kleisli_identity(g)
+        assert len(calls) == 2, name
+
+
+def test_kleisli_labelings_are_charged_to_the_search_budget(monkeypatch):
+    corpus = corpus14()
+    # the wheel piece has two labelings that fix its (empty) boundary
+    cor, w1 = corpus["corolla0"], corpus["wheel1"]
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "2")
+    refinement_of_corolla(cor, w1, {})
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1")
+    with pytest.raises(OutOfBounds):
+        refinement_of_corolla(cor, w1, {})
+
+
 # -- nerve and restrictions ----------------------------------------------------------
 
 def test_nerve_of_terminal_algebra_is_singletons():
@@ -178,7 +207,7 @@ def test_ch_e_reads_off_edge_colour():
               "wheel1": wheel(1)}
     P = nerve(A, corpus)
     # identify each stick element by its colour at edge "1"
-    by_key = {decoration_key(d): dict(d.edge_colours)["1"]
+    by_key = {d.key(): dict(d.edge_colours)["1"]
               for d in evaluate_species(A.species, stick())}
     w1 = wheel(1)
     e = sort_ids(w1.edges)[0]
@@ -186,7 +215,7 @@ def test_ch_e_reads_off_edge_colour():
                if r["kind"] == "ch" and r["from_graph"] == "wheel1"
                and r.get("edge") == repr(e))
     for d in evaluate_species(A.species, w1):
-        assert by_key[rec["map"][decoration_key(d)]] == \
+        assert by_key[rec["map"][d.key()]] == \
             dict(d.edge_colours)[e]
 
 
@@ -230,14 +259,13 @@ def test_deletion_restriction_inserts_the_unit():
               if sum(len(p.vertices) for p, _ in
                      kl.refinement.pieces.values()) == 1]
     assert single
-    parity = {decoration_key(d): sum(x[1][2] for x in
-                                     d.vertex_elems.items()) % 2
+    parity = {d.key(): sum(x[1][2] for x in d.vertex_elems.items()) % 2
               for d in evaluate_species(A.species, w2)}
     for kl in single:
         for d in evaluate_species(A.species, w1):
             d2 = restrict_kleisli(A, kl, d)
             # the even unit at the deleted vertex keeps the total parity
-            assert parity[decoration_key(d2)] == \
+            assert parity[d2.key()] == \
                 sum(x[1][2] for x in d.vertex_elems.items()) % 2
     # deleting every vertex factors through the stick: all images are even
     full = [kl for kl in homs if kl not in single and
@@ -245,7 +273,7 @@ def test_deletion_restriction_inserts_the_unit():
     for kl in full:
         for d in evaluate_species(A.species, w1):
             d2 = restrict_kleisli(A, kl, d)
-            assert parity[decoration_key(d2)] == 0
+            assert parity[d2.key()] == 0
 
 
 def test_nerve_valency_out_of_range():
@@ -258,6 +286,25 @@ def test_nerve_requires_element_closure():
     A = tuple_algebra(MONO, 4)
     with pytest.raises(CorpusNotElementClosed):
         nerve(A, {"wheel1": wheel(1), "stick": stick()})   # no 2-corolla
+
+
+NERVE_DIGESTS = [
+    ("mono-6", lambda: tuple_algebra(MONO, 6),
+     "aa0b5439ed339d6b7a26115ed18ad2262cd40fff8b8fe4b0a48dc15c55cb814d"),
+    ("two-colour-4", lambda: tuple_algebra(TWO, 4),
+     "f78b5b2f5e8f179449d1cc7914741bb085d7cbbfea2d2a35f8eb1ef12d48bffb"),
+    ("parity-4", lambda: parity_algebra(4),
+     "025a510767a609621da1847edad90ac1eff2f9d6aad68cdd42dd41cb44d45706"),
+    ("parity-6", lambda: parity_algebra(6),
+     "3f7b43a09d07b8baebb325bb2e38c90b90c45ca248213fd8b93a8420502cd603"),
+]
+
+
+@pytest.mark.parametrize("name,mk,digest", NERVE_DIGESTS,
+                         ids=[a[0] for a in NERVE_DIGESTS])
+def test_nerve_json_is_pinned(name, mk, digest):
+    text = json.dumps(nerve(mk(), corpus14()).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- Segal condition -----------------------------------------------------------------
