@@ -3,8 +3,14 @@ the three distributive laws between them, and the Yang-Baxter checker.
 
 T builds connected decorated graphs (substitution is its multiplication),
 D adjoins formal units/contracted units at arities 2 and 0, and L builds
-free graded commutative monoids (disjoint unions).  The composite L.D.T
-carries a circuit-algebra structure; see FreeCircuitAlgebra.
+free graded commutative monoids (disjoint unions).  Each is described
+once: a species constructor, a unit eta_*, a multiplication mu_* and a
+functor map _fmap_*.  check_beck states Beck's four axioms once, for any
+law lambda: A B => B A, and checks lambda_DT, lambda_LT and lambda_LD
+with it.  An L element's key ignores the order of its factors, so L
+values are normed only where they are built, not to be compared.  The
+composite L.D.T carries a circuit-algebra structure; see
+FreeCircuitAlgebra.
 """
 from __future__ import annotations
 
@@ -500,7 +506,10 @@ class LSpecies(SpeciesOps):
         return self.norm(out)
 
     def key(self, le):
-        return ("L",) + tuple((b, _kstr(self.inner, x)) for b, x in le)
+        """The sorted (block, factor key) pairs: the key of le equals that
+        of norm(le), whatever the order of its factors."""
+        return ("L",) + tuple(sorted((tuple(b), _kstr(self.inner, x))
+                                     for b, x in le))
 
 
 def _set_partitions(items):
@@ -587,12 +596,38 @@ def mu_L(LS: LSpecies, big):
     return LS.norm(factors)
 
 
-# -- distributive laws ---------------------------------------------------------------
+# -- functor maps --------------------------------------------------------------------
 
-def _unwrap_b(t: TElem) -> TElem:
+def _fmap_T(f, t: TElem) -> TElem:
+    """T f: apply f to the element at every vertex."""
     return TElem(t.graph, t.ports, t.colours,
-                 {v: (x[1], o) for v, (x, o) in t.vdec.items()})
+                 {v: (f(x), o) for v, (x, o) in t.vdec.items()})
 
+
+def _fmap_D(f, d):
+    """D f: apply f to a plain element; formal units pass through."""
+    return ("b", f(d[1])) if d[0] == "b" else d
+
+
+def _fmap_L(f, le):
+    """L f: apply f to every factor.  The result is compared by key,
+    which ignores factor order, so it is not normed."""
+    return tuple((b, f(x)) for b, x in le)
+
+
+def _monads(max_vertices: int, max_valency: int, max_factors: int) -> dict:
+    """T, D and L within bounds, each as (species constructor, unit
+    eta(X, x), multiplication mu(A X, x): A A X -> A X, functor map).
+    Built on each call, so that the units and multiplications are looked
+    up when they are used."""
+    return {"T": (lambda X: TSpecies(X, max_vertices, max_valency),
+                  eta_T, mu_T, _fmap_T),
+            "D": (DSpecies, lambda X, x: eta_D(x), lambda AX, x: mu_D(x),
+                  _fmap_D),
+            "L": (lambda X: LSpecies(X, max_factors), eta_L, mu_L, _fmap_L)}
+
+
+# -- distributive laws ---------------------------------------------------------------
 
 def law_DT(S: SpeciesOps, t: TElem):
     """lambda_DT: T(D S) -> D(T S).  Delete the unit-marked vertices; a
@@ -601,7 +636,7 @@ def law_DT(S: SpeciesOps, t: TElem):
               if t.vdec[v][0][0] in ("eps", "o")]
     om = S.palette.omega
     if not marked:
-        return ("b", _unwrap_b(t))
+        return ("b", _fmap_T(lambda x: x[1], t))
     if len(marked) == len(t.graph.vertices):
         if len(t.ports) == 2:
             return ("eps", t.colours[t.ports[0]])
@@ -713,12 +748,7 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
             if TS.key(lt) != TS.key(t):
                 violations.note("T-left-unit", TS.key(t))
             # right unit: decorate each vertex of t with its corolla
-            rt_vdec = {}
-            for v in t.graph.vertices:
-                elem, order = t.vdec[v]
-                cor = eta_T(S, elem)
-                rt_vdec[v] = (cor, order)
-            rt = mu_T(TS, TElem(t.graph, t.ports, t.colours, rt_vdec))
+            rt = mu_T(TS, _fmap_T(lambda x: eta_T(S, x), t))
             if TS.key(rt) != TS.key(t):
                 violations.note("T-right-unit", TS.key(t))
         for tt in TT_inner.elements(n):
@@ -742,18 +772,17 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                 violations.note("L-mu-arity", n)
     # D and L unit laws
     DS = DSpecies(S)
+    LS = LSpecies(S, 4)
     for n in range(max_arity + 1):
         for d in DS.elements(n):
             checked += 2
             if mu_D(eta_D(d)) != d:
                 violations.note("D-left-unit", DS.key(d))
-            lifted = ("b", eta_D(d[1])) if d[0] == "b" else d
-            if mu_D(lifted) != d:
+            if mu_D(_fmap_D(eta_D, d)) != d:
                 violations.note("D-right-unit", DS.key(d))
         for x in S.elements(n):
             checked += 1
-            if mu_L(LSpecies(S, 4), ((tuple(range(n)), eta_L(S, x)),)) \
-                    != LSpecies(S, 4).norm(eta_L(S, x)):
+            if mu_L(LS, eta_L(LS, eta_L(S, x))) != eta_L(S, x):
                 violations.note("L-left-unit", repr(S.key(x)))
     return violations.report(checked)
 
@@ -770,13 +799,9 @@ def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
         for t3 in T3.elements(n):
             checked += 1
             # outer-first: flatten the two outer layers, then the inner
-            outer = mu_T(TTS, t3)              # element of T(T S)
-            lhs = mu_T(TS, outer)
+            lhs = mu_T(TS, mu_T(TTS, t3))
             # inner-first: flatten each decoration, then the outer layer
-            vdec = {}
-            for v, (tt, order) in t3.vdec.items():
-                vdec[v] = (mu_T(TS, tt), order)
-            rhs = mu_T(TS, TElem(t3.graph, t3.ports, t3.colours, vdec))
+            rhs = mu_T(TS, _fmap_T(lambda tt: mu_T(TS, tt), t3))
             if TS.key(lhs) != TS.key(rhs):
                 violations.note("T-assoc", TS.key(lhs), TS.key(rhs))
     return violations.report(checked)
@@ -785,161 +810,51 @@ def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
 def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
                max_vertices: int = 2, max_valency: int = 3,
                max_factors: int = 2) -> dict:
-    """The four distributive-law axioms (two units, two multiplications)
-    for lambda_DT, lambda_LT or lambda_LD over S, on exhaustive bounded
-    instances."""
-    if which == "dt":
-        return _beck_dt(S, max_arity, max_vertices, max_valency)
-    if which == "lt":
-        return _beck_lt(S, max_arity, max_vertices, max_valency, max_factors)
-    if which == "ld":
-        return _beck_ld(S, max_arity, max_factors)
-    raise FormatError(f"unknown law {which!r}")
+    """Beck's four axioms for a distributive law lambda: A B => B A, on
+    exhaustive bounded instances over S: lambda_DT (A = T, B = D),
+    lambda_LT (T, L) or lambda_LD (D, L).  A violation is named
+    <which>-unit-<B>, <which>-unit-<A>, <which>-mu-<A> or <which>-mu-<B>.
 
-
-def _beck_dt(S, max_arity, max_vertices, max_valency):
+      unit of B:  lambda . A eta_B = eta_B A
+      unit of A:  lambda . eta_A B = B eta_A
+      mu of A:    lambda . mu_A B = B mu_A . lambda A . A lambda
+      mu of B:    lambda . A mu_B = mu_B A . B lambda . lambda B
+    """
+    laws = {"dt": ("T", "D", law_DT), "lt": ("T", "L", law_LT),
+            "ld": ("D", "L", law_LD)}
+    if which not in laws:
+        raise FormatError(f"unknown law {which!r}")
+    a, b, law = laws[which]
+    monads = _monads(max_vertices, max_valency, max_factors)
+    (A, eta_A, mu_A, map_A), (B, eta_B, mu_B, map_B) = monads[a], monads[b]
+    AS, BS = A(S), B(S)
+    ABS, BAS = A(BS), B(AS)
     violations, checked = _Violations(), 0
-    TS = TSpecies(S, max_vertices, max_valency)
-    DS = DSpecies(S)
-    DTS = DSpecies(TS)
-    TDS = TSpecies(DS, max_vertices, max_valency)
-
     for n in range(max_arity + 1):
-        # unit of D: lambda . T eta_D = eta_D
-        for t in TS.elements(n):
+        for x in AS.elements(n):
             checked += 1
-            lifted = TElem(t.graph, t.ports, t.colours,
-                           {v: (eta_D(x), o) for v, (x, o) in t.vdec.items()})
-            if DTS.key(law_DT(S, lifted)) != DTS.key(("b", t)):
-                violations.note("dt-unit-D", TS.key(t))
-        # unit of T: lambda . eta_T = D eta_T
-        for d in DS.elements(n):
+            lhs = law(S, map_A(lambda y: eta_B(S, y), x))
+            if BAS.key(lhs) != BAS.key(eta_B(AS, x)):
+                violations.note(f"{which}-unit-{b}", AS.key(x))
+        for x in BS.elements(n):
             checked += 1
-            lhs = law_DT(S, eta_T(DS, d))
-            rhs = ("b", eta_T(S, d[1])) if d[0] == "b" else d
-            if DTS.key(lhs) != DTS.key(rhs):
-                violations.note("dt-unit-T", DS.key(d))
-        # multiplication of T: lambda . mu_T = D mu_T . lambda . T lambda
-        TTDS = TSpecies(TSpecies(DS, max_vertices, max_valency),
-                        max_vertices, max_valency)
-        for tt in TTDS.elements(n):
+            lhs = law(S, eta_A(BS, x))
+            if BAS.key(lhs) != BAS.key(map_B(lambda y: eta_A(S, y), x)):
+                violations.note(f"{which}-unit-{a}", BS.key(x))
+        for x in A(ABS).elements(n):
             checked += 1
-            lhs = law_DT(S, mu_T(TDS, tt))
-            step = TElem(tt.graph, tt.ports, tt.colours,
-                         {v: (law_DT(S, x), o)
-                          for v, (x, o) in tt.vdec.items()})
-            mid = law_DT(TS, step)
-            rhs = ("b", mu_T(TS, mid[1])) if mid[0] == "b" else mid
-            if DTS.key(lhs) != DTS.key(rhs):
-                violations.note("dt-mu-T", n, DTS.key(lhs), DTS.key(rhs))
-        # multiplication of D: lambda . T mu_D = mu_D . D lambda . lambda
-        TDDS = TSpecies(DSpecies(DS), max_vertices, max_valency)
-        for t in TDDS.elements(n):
+            lhs = BAS.key(law(S, mu_A(ABS, x)))
+            mid = law(AS, map_A(lambda y: law(S, y), x))
+            rhs = BAS.key(map_B(lambda y: mu_A(AS, y), mid))
+            if lhs != rhs:
+                violations.note(f"{which}-mu-{a}", n, lhs, rhs)
+        for x in A(B(BS)).elements(n):
             checked += 1
-            lhs = law_DT(S, TElem(t.graph, t.ports, t.colours,
-                                  {v: (mu_D(x), o)
-                                   for v, (x, o) in t.vdec.items()}))
-            mid = law_DT(DS, t)
-            if mid[0] == "b":
-                mid = ("b", law_DT(S, mid[1]))
-            rhs = mu_D(mid)
-            if DTS.key(lhs) != DTS.key(rhs):
-                violations.note("dt-mu-D", n, DTS.key(lhs), DTS.key(rhs))
+            lhs = BAS.key(law(S, map_A(lambda y: mu_B(BS, y), x)))
+            rhs = BAS.key(mu_B(BAS, map_B(lambda y: law(S, y), law(BS, x))))
+            if lhs != rhs:
+                violations.note(f"{which}-mu-{b}", n, lhs, rhs)
     return violations.report(checked)
-
-
-def _beck_lt(S, max_arity, max_vertices, max_valency, max_factors):
-    violations, checked = _Violations(), 0
-    TS = TSpecies(S, max_vertices, max_valency)
-    LS = LSpecies(S, max_factors)
-    LTS = LSpecies(TS, max_factors + max_vertices)
-    TLS = TSpecies(LS, max_vertices, max_valency)
-
-    for n in range(max_arity + 1):
-        for t in TS.elements(n):
-            checked += 1
-            lifted = TElem(t.graph, t.ports, t.colours,
-                           {v: (eta_L(S, x), o)
-                            for v, (x, o) in t.vdec.items()})
-            if LTS.key(law_LT(S, lifted)) != LTS.key(LTS.norm([
-                    (tuple(range(n)), t)])):
-                violations.note("lt-unit-L", TS.key(t))
-        for le in LS.elements(n):
-            checked += 1
-            lhs = law_LT(S, eta_T(LS, le))
-            rhs = LTS.norm([(b, eta_T(S, x)) for b, x in le])
-            if LTS.key(lhs) != LTS.key(rhs):
-                violations.note("lt-unit-T", LS.key(le))
-        TTLS = TSpecies(TSpecies(LS, max_vertices, max_valency),
-                        max_vertices, max_valency)
-        for tt in TTLS.elements(n):
-            checked += 1
-            lhs = law_LT(S, mu_T(TLS, tt))
-            step = TElem(tt.graph, tt.ports, tt.colours,
-                         {v: (law_LT(S, x), o)
-                          for v, (x, o) in tt.vdec.items()})
-            mid = law_LT(TS, step)          # element of L(T(T S))
-            rhs = LTS.norm([(b, mu_T(TS, x)) for b, x in mid])
-            if LTS.key(lhs) != LTS.key(rhs):
-                violations.note("lt-mu-T", n, LTS.key(lhs), LTS.key(rhs))
-        TLLS = TSpecies(LSpecies(LS, max_factors), max_vertices, max_valency)
-        for t in TLLS.elements(n):
-            checked += 1
-            lhs = law_LT(S, TElem(t.graph, t.ports, t.colours,
-                                  {v: (mu_L(LS, x), o)
-                                   for v, (x, o) in t.vdec.items()}))
-            mid = law_LT(LS, t)             # element of L(T(L S))
-            stepped = tuple((b, law_LT(S, x)) for b, x in mid)
-            rhs = mu_L(LTS, stepped)
-            if LTS.key(lhs) != LTS.key(rhs):
-                violations.note("lt-mu-L", n, LTS.key(lhs), LTS.key(rhs))
-    return violations.report(checked)
-
-
-def _beck_ld(S, max_arity, max_factors):
-    violations, checked = _Violations(), 0
-    DS = DSpecies(S)
-    LS = LSpecies(S, max_factors)
-    LDS = LSpecies(DS, max_factors)
-
-    for n in range(max_arity + 1):
-        for d in DS.elements(n):
-            checked += 1
-            lifted = ("b", eta_L(S, d[1])) if d[0] == "b" else d
-            lhs = law_LD(S, lifted)
-            rhs = LDS.norm(eta_L(DS, d))
-            if LDS.key(lhs) != LDS.key(LDS.norm(rhs)):
-                violations.note("ld-unit-L", DS.key(d))
-        for le in LS.elements(n):
-            checked += 1
-            lhs = law_LD(S, eta_D(le))
-            rhs = LDS.norm([(b, eta_D(x)) for b, x in le])
-            if LDS.key(LDS.norm(lhs)) != LDS.key(rhs):
-                violations.note("ld-unit-D", LS.key(le))
-        for dd in DSpecies(DSpecies(LS)).elements(n):
-            checked += 1
-            lhs = LDS.norm(law_LD(S, mu_D(dd)))
-            # D lambda, then lambda at D S, then L mu_D
-            step = ("b", law_LD(S, dd[1])) if dd[0] == "b" else dd
-            mid = law_LD(DS, step)             # element of L(D(D S))
-            rhs = LDS.norm(tuple((b, mu_D(x)) for b, x in mid))
-            if LDS.key(lhs) != LDS.key(rhs):
-                violations.note("ld-mu-D", n, LDS.key(lhs), LDS.key(rhs))
-        for dl in DSpecies(LSpecies(LS, max_factors)).elements(n):
-            checked += 1
-            lhs = LDS.norm(law_LD(S, ("b", mu_L(LS, dl[1]))
-                                  if dl[0] == "b" else dl))
-            rhs = _ld_mu_l_rhs(S, LS, LDS, dl, max_factors)
-            if LDS.key(lhs) != LDS.key(rhs):
-                violations.note("ld-mu-L", n, LDS.key(lhs), LDS.key(rhs))
-    return violations.report(checked)
-
-
-def _ld_mu_l_rhs(S, LS, LDS, dl, max_factors):
-    """mu_L . L lambda . lambda applied to an element of D(L(L S))."""
-    mid = law_LD(LS, dl)                        # L(D(L S))
-    stepped = tuple((b, law_LD(S, x)) for b, x in mid)   # L(L(D S))
-    return mu_L(LDS, stepped)
 
 
 # -- Yang-Baxter ---------------------------------------------------------------------
@@ -955,18 +870,11 @@ def check_yang_baxter(S: SpeciesOps, instance: TElem) -> tuple:
     TS = TSpecies(S)
     LDTS = LSpecies(DSpecies(TS))
     # top: lambda_DT at inner L, then D lambda_LT, then lambda_LD at T
-    top1 = law_DT(LS, instance)                 # D(T(L S))
-    if top1[0] == "b":
-        top2 = ("b", law_LT(S, top1[1]))        # D(L(T S))
-    else:
-        top2 = top1
-    top3 = LDTS.norm(law_LD(TS, top2))          # L(D(T S))
+    top1 = law_DT(LS, instance)                             # D(T(L S))
+    top3 = law_LD(TS, _fmap_D(lambda t: law_LT(S, t), top1))  # L(D(T S))
     # bottom: T lambda_LD, then lambda_LT at inner D, then L lambda_DT
-    bot1 = TElem(instance.graph, instance.ports, instance.colours,
-                 {v: (law_LD(S, x), o)
-                  for v, (x, o) in instance.vdec.items()})  # T(L(D S))
-    bot2 = law_LT(DS, bot1)                     # L(T(D S))
-    bot3 = LDTS.norm(tuple((b, law_DT(S, x)) for b, x in bot2))
+    bot2 = law_LT(DS, _fmap_T(lambda x: law_LD(S, x), instance))  # L(T(D S))
+    bot3 = _fmap_L(lambda t: law_DT(S, t), bot2)            # L(D(T S))
     ok = LDTS.key(top3) == LDTS.key(bot3)
     transcript = {
         "top": [repr(DSpecies(TSpecies(LS)).key(top1)),
@@ -1005,18 +913,13 @@ class FreeElement:
 
 def free_species(level: str, S: SpeciesOps, max_vertices: int = 2,
                  max_valency: int = 3, max_factors: int = 3) -> SpeciesOps:
-    if level == "T":
-        return TSpecies(S, max_vertices, max_valency)
-    if level == "D":
-        return DSpecies(S)
-    if level == "L":
-        return LSpecies(S, max_factors)
-    if level == "Tx":
-        return LSpecies(TSpecies(S, max_vertices, max_valency), max_factors)
-    if level == "LDT":
-        return LSpecies(DSpecies(TSpecies(S, max_vertices, max_valency)),
-                        max_factors)
-    raise FormatError(f"unknown level {level!r}")
+    layers = {"T": "T", "D": "D", "L": "L", "Tx": "LT", "LDT": "LDT"}
+    if level not in layers:
+        raise FormatError(f"unknown level {level!r}")
+    monads = _monads(max_vertices, max_valency, max_factors)
+    for m in reversed(layers[level]):
+        S = monads[m][0](S)
+    return S
 
 
 def free_apply(level: str, S: SpeciesOps, arity: int,

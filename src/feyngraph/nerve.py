@@ -475,7 +475,7 @@ def restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
         elem, _ = algebra_evaluate(A, piece, boundary, pcol, pelems)
         velems[v] = elem
         vorders[v] = half_order(kl.source, v)
-    return Decoration(ecol, velems, vorders)
+    return Decoration(ecol, velems, vorders, S)
 
 
 # -- finite presheaves ---------------------------------------------------------------
@@ -1000,27 +1000,29 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
 def algebra_morphisms(A: CircuitAlgebraOps, B: CircuitAlgebraOps,
                       max_arity: int) -> list:
     """All palette-preserving maps A -> B commuting with the symmetric
-    action, box, zeta, eps and the external unit, by exhaustive search."""
+    action, box, zeta, eps and the external unit, by exhaustive search.
+    The candidate maps, the product over x of the colour-compatible
+    images of x, are charged to FEYNGRAPH_MAX_SEARCH before the search
+    starts."""
     SA, SB = A.species, B.species
     if SA.palette.colours != SB.palette.colours:
         raise Mismatch("palettes differ")
-    per_arity = []
+    keys, images = [], []
     for n in range(max_arity + 1):
-        ea = list(SA.elements(n))
-        eb = list(SB.elements(n))
-        keys = [SA.key(x) for x in ea]
-        maps = [dict(zip(keys, vals))
-                for vals in itertools.product(eb, repeat=len(ea))
-                if all(SB.colour_of(y) == SA.colour_of(x)
-                       for x, y in zip(ea, vals))]
-        per_arity.append(maps)
+        eb = SB.elements(n)
+        for x in SA.elements(n):
+            keys.append(SA.key(x))
+            images.append([y for y in eb
+                           if SB.colour_of(y) == SA.colour_of(x)])
+    cap = max_search_cap()
+    if math.prod(map(len, images)) > cap:
+        raise OutOfBounds("algebra-morphism search exceeds "
+                          f"FEYNGRAPH_MAX_SEARCH={cap}")
     out = []
-    for combo in itertools.product(*per_arity):
-        fwd = {}
-        for f in combo:
-            fwd.update(f)
+    for vals in itertools.product(*images):
+        fwd = dict(zip(keys, vals))
         if _is_algebra_morphism(A, B, lambda x: fwd[SA.key(x)], max_arity):
-            out.append(dict(fwd))
+            out.append(fwd)
     return out
 
 

@@ -183,10 +183,14 @@ class Decoration:
     edge_colours: Mapping[Any, Any]
     vertex_elems: Mapping[Any, Any]
     half_orders: Mapping[Any, tuple]
+    species: SpeciesOps = field(repr=False)  # of the vertex elements
 
     def key(self):
+        """Edge colours and vertex elements; an element is told apart by
+        its species key, computed only here."""
         ec = tuple(sorted(((repr(e), repr(c)) for e, c in self.edge_colours.items())))
-        ve = tuple(sorted(((repr(v), repr(x)) for v, x in self.vertex_elems.items())))
+        ve = tuple(sorted(((repr(v), repr(self.species.key(x)))
+                           for v, x in self.vertex_elems.items())))
         return (ec, ve)
 
     def __eq__(self, other):
@@ -251,7 +255,7 @@ def evaluate_species(S: SpeciesOps, g: FeynmanGraph,
             decorations.append(Decoration(
                 dict(colouring),
                 {v: x for (v, _), x in zip(choices, combo)},
-                dict(orders)))
+                dict(orders), S))
     return decorations
 
 

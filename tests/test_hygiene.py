@@ -2,9 +2,14 @@
 and no handler may swallow errors it does not name."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "feyngraph"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "feyngraph"
 
 
 def _nodes(kind):
@@ -40,3 +45,46 @@ def test_no_silent_truncation_in_library():
     found += [where for where, node in _nodes(ast.ImportFrom)
               if any(a.name == "islice" for a in node.names)]
     assert not found, f"silent truncation: {found}"
+
+
+def test_bench_hooks_resolve_and_fire():
+    """Every hook of the benchmark's recorder names a function of the
+    library, and the distributive-law hooks record calls.  The recorder
+    skips a hook that does not resolve, and misses calls made through a
+    reference captured before it was installed: either reads 0."""
+    script = textwrap.dedent("""
+        import importlib
+        import recorder
+        from feyngraph import monads
+        from feyngraph.species import TerminalSpecies
+
+        for name, mod, attr, kind, after in recorder.LAYERS:
+            module = importlib.import_module("feyngraph." + mod)
+            if isinstance(attr, tuple):
+                found = attr[1] in vars(getattr(module, attr[0], object))
+            else:
+                found = callable(getattr(module, attr, None))
+            if not found:
+                raise SystemExit(f"unresolved hook {name}: {mod}.{attr}")
+        rec = recorder.Recorder()
+        recorder.install(rec)
+        K = TerminalSpecies(n_max=3)
+
+        def fired(*fns):
+            for fn in fns:
+                if not rec.calls.get("monads." + fn):
+                    raise SystemExit(f"hook monads.{fn} recorded no call")
+
+        for law in ("dt", "lt", "ld"):
+            monads.check_beck(law, K, max_arity=1, max_vertices=1,
+                              max_valency=2)
+        fired("mu_T", "law_DT", "law_LT", "telem_key", "check_beck")
+        monads.yang_baxter_sweep(K, max_arity=1, max_vertices=1,
+                                 max_valency=2)
+        fired("yang_baxter_sweep")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

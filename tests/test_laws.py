@@ -1,0 +1,170 @@
+"""The Beck and Yang-Baxter checkers under deliberately broken laws.
+
+Each mutant replaces one distributive law in feyngraph.monads; the
+checkers look the laws up when they run, so they check the mutant.  A
+report that finds a violation is pinned by the sha256 of its sorted JSON,
+so its kinds, witnesses and `checked` count stay the same from run to
+run.  Also: the key of an L element does not depend on the order of its
+factors.
+"""
+
+import functools
+import hashlib
+import importlib
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from feyngraph.monads import (DSpecies, LSpecies, TSpecies, check_beck,
+                              yang_baxter_sweep)
+from feyngraph.species import TerminalSpecies
+
+from helpers_species import TWO, tuple_algebra
+
+monads = importlib.import_module("feyngraph.monads")
+LAW_DT, LAW_LT, LAW_LD = monads.law_DT, monads.law_LT, monads.law_LD
+
+SPECIES = {"K": TerminalSpecies(n_max=4),
+           "S2": tuple_algebra(TWO, 3).species}
+BOUNDS = {"dt": dict(max_arity=2, max_vertices=2, max_valency=2),
+          "lt": dict(max_arity=1, max_vertices=1, max_valency=2,
+                     max_factors=2),
+          "ld": dict(max_arity=2, max_factors=2)}
+YB_BOUNDS = dict(max_arity=1, max_vertices=1, max_valency=2, max_factors=2)
+
+
+# -- broken laws ---------------------------------------------------------------------
+
+def eps_recoloured(S, t):
+    """lambda_DT whose formal unit eps_c comes out as eps_(omega c)."""
+    d = LAW_DT(S, t)
+    return ("eps", S.palette.omega[d[1]]) if d[0] == "eps" else d
+
+
+def zero_factors_dropped_from_several(S, t):
+    """lambda_LT that drops the arity-0 factors of a multi-factor result."""
+    le = LAW_LT(S, t)
+    return tuple(f for f in le if f[0]) if len(le) > 1 else le
+
+
+def zero_factors_dropped(S, t):
+    """lambda_LT that drops every arity-0 factor."""
+    return tuple(f for f in LAW_LT(S, t) if f[0])
+
+
+def contracted_unit_dropped(S, d):
+    """lambda_LD that sends the contracted unit o to the empty product."""
+    return () if d[0] == "o" else LAW_LD(S, d)
+
+
+def zero_factors_of_plain_dropped(S, d):
+    """lambda_LD that drops the arity-0 factors of a plain L element."""
+    le = LAW_LD(S, d)
+    return tuple(f for f in le if f[0]) if d[0] == "b" else le
+
+
+MUTANTS = {f.__name__: (law, f) for law, f in [
+    ("law_DT", eps_recoloured),
+    ("law_LT", zero_factors_dropped_from_several),
+    ("law_LT", zero_factors_dropped),
+    ("law_LD", contracted_unit_dropped),
+    ("law_LD", zero_factors_of_plain_dropped)]}
+
+# (mutant, species): {check: (violation kinds, sha256 of the report)} for
+# every check that reports a violation; all other checks must pass.
+# Between them the mutants reach all three laws, both unit and
+# multiplication axioms, and the Yang-Baxter hexagon.
+PINNED = {
+    ("contracted_unit_dropped", "K"): {
+        "ld": (["ld-unit-L"],
+               "6a0d8c37fa00c95e7d47b3b616f23d0b9d0ca5ba62a113fc6c8d0893bdb28a77"),
+        "yb": (["yang-baxter"],
+               "05322123be8b9f47271bef61e4e4c59504a147e05e7b89ac8fbee3fe11a7806f"),
+    },
+    ("contracted_unit_dropped", "S2"): {
+        "ld": (["ld-unit-L"],
+               "2e3f9d12d70e87e77b102ddd9d5488db52fbbb99f51cd1ce3ad3bd6aa60c0d50"),
+        "yb": (["yang-baxter"],
+               "723d8c2d787a0a3d5319e65cc4c1dfd3cfe4a76be5e701c926509aebd69b4994"),
+    },
+    ("eps_recoloured", "S2"): {
+        "dt": (["dt-unit-T"],
+               "a8ec183d4f780fe7675dd42b87419fc624b029808a4fe789ef41bc6e9ad7b2d5"),
+    },
+    ("zero_factors_dropped", "K"): {
+        "lt": (["lt-unit-L", "lt-unit-T"],
+               "16c5704e6529895827442df9b548f372c7c47de1da5ccd50748891a4bc41160c"),
+        "yb": (["yang-baxter"],
+               "4ffe2c987a20a287697fc64bfad252e165de0918592bcc28751473d909b7f92f"),
+    },
+    ("zero_factors_dropped", "S2"): {
+        "lt": (["lt-unit-L", "lt-unit-T"],
+               "3aab2b35702b979169f9ebc8d74ecde05781d01f76aacba9c7147a1bbe6fb1bc"),
+        "yb": (["yang-baxter"],
+               "334e6c9e6dd132a867a5ffd1076cc1010b30f9f7f0823e542271ffbf0f72d107"),
+    },
+    ("zero_factors_dropped_from_several", "K"): {
+        "lt": (["lt-mu-L", "lt-mu-T", "lt-unit-T"],
+               "24100a5605aab305830409e8119e18c09e6f04443aa8793effb3d36c8ef6ed54"),
+    },
+    ("zero_factors_dropped_from_several", "S2"): {
+        "lt": (["lt-mu-L", "lt-mu-T", "lt-unit-T"],
+               "dc0839763f8fa45fdf7e746768edd0bfe11b123d377f5425437501e993ba476b"),
+    },
+    ("zero_factors_of_plain_dropped", "K"): {
+        "ld": (["ld-mu-D", "ld-unit-D", "ld-unit-L"],
+               "9e2a259ab0a0e8c533af65a92742ad11e50f892d12bcd5e9f058a2b1e233c1e0"),
+        "yb": (["yang-baxter"],
+               "0beb7f63e103ab746bb6af4be1acff6df7c08718a01fdb00c3f4cd297133a1e4"),
+    },
+    ("zero_factors_of_plain_dropped", "S2"): {
+        "ld": (["ld-mu-D", "ld-unit-D", "ld-unit-L"],
+               "08ff9fe683b3a799c591bf1557b4833ff5360f5e3f936a6138ae2c7df6d2fb10"),
+        "yb": (["yang-baxter"],
+               "af5172c4fbdc52b2786ce07f62f7993a3df509da60214bd82152ca211053357d"),
+    },
+}
+
+
+def _reports(S):
+    out = {law: check_beck(law, S, **bounds) for law, bounds in BOUNDS.items()}
+    out["yb"] = yang_baxter_sweep(S, **YB_BOUNDS)
+    return out
+
+
+def _digest(report):
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mutant,species", sorted(PINNED))
+def test_broken_law_is_reported(monkeypatch, mutant, species):
+    law, broken = MUTANTS[mutant]
+    monkeypatch.setattr(monads, law, broken)
+    got = {}
+    for check, r in _reports(SPECIES[species]).items():
+        if r["ok"]:
+            continue
+        got[check] = (sorted({v[0] for v in r["violations"]}), _digest(r))
+    assert got == PINNED[(mutant, species)]
+
+
+# -- L keys ignore factor order -----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _l_elements(which, n):
+    inner = (TSpecies(SPECIES["K"], 1, 2) if which == "LT"
+             else DSpecies(SPECIES["S2"]))
+    LS = LSpecies(inner, 3)
+    return LS, LS.elements(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(["LT", "LD"]), n=st.integers(0, 2),
+       data=st.data())
+def test_l_key_ignores_factor_order(which, n, data):
+    LS, elems = _l_elements(which, n)
+    le = data.draw(st.sampled_from(elems))
+    shuffled = tuple(data.draw(st.permutations(le)))
+    assert LS.key(shuffled) == LS.key(le)

@@ -14,7 +14,7 @@ from feyngraph.monads import (FreeCircuitAlgebra, TSpecies, DSpecies,
                               law_LT, law_LD, mu_T, similarity_terminal,
                               yang_baxter_sweep)
 from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
-                               check_modular_axioms)
+                               check_modular_axioms, evaluate_species)
 
 from helpers_species import TWO, tuple_algebra
 from oracles import brute_etale_homs, corolla_like_class_count
@@ -193,6 +193,19 @@ def test_free_two_colour_respects_colours():
     TS = TSpecies(S2, 1, 2)
     for f in els:
         assert len(TS.colour_of(f.representative)) == 2
+
+
+@pytest.mark.parametrize("S,ports,count", [
+    (TSpecies(K, 2, 3), [], 7),
+    (FreeCircuitAlgebra(K, 2, 2, 2).species, [], 21),
+    (FreeCircuitAlgebra(K, 2, 2, 2).species, [0], 12),
+    (FreeCircuitAlgebra(K, 2, 2, 2).species, [0, 1], 22),
+])
+def test_graph_valued_decorations_have_distinct_keys(S, ports, count):
+    # a vertex element is keyed by its species key, not by its repr
+    decs = evaluate_species(S, corolla(ports))
+    assert len(decs) == count
+    assert len({d.key() for d in decs}) == count
 
 
 # -- distributive laws ---------------------------------------------------------------

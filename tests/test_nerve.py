@@ -429,6 +429,18 @@ def test_fullness_probe_parity_endomorphisms():
         algebra_morphisms(B, B, 4))
 
 
+def test_algebra_morphisms_are_charged_to_the_search_budget(monkeypatch):
+    # parity(6) -> parity(6) up to arity 4 has 1,024 colour-compatible
+    # candidate maps
+    B = parity_algebra(6)
+    default = algebra_morphisms(B, B, 4)
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1000")
+    with pytest.raises(OutOfBounds):
+        algebra_morphisms(B, B, 4)
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1024")
+    assert algebra_morphisms(B, B, 4) == default
+
+
 def test_presheaf_maps_identity_exists():
     P = nerve(parity_algebra(4), {"stick": stick(), "corolla0": corolla([]),
                                   "corolla1": corolla([0]),
