@@ -12,9 +12,15 @@ read-only.  So what is derived from it alone (the sorted id orders, the
 canonical labelings for given tokens) is computed once and kept on the
 graph.
 
-Ids are opaque hashables internally (strings in files; tuples appear as
-tags after disjoint unions and quotients).  Canonical labeling maps them to
-dense integers deterministically.
+Ids are strs, ints, or tuples or frozensets of ids (strings in files;
+tuples appear as tags after disjoint unions and quotients, frozensets as
+the edge classes of a colimit).  Canonical labeling maps them to dense
+integers deterministically.
+
+Two memos last for the whole process and grow with what it sees: the sort
+key of each distinct id (idkey), and the canonical labelings of each
+distinct shape, a graph with its ids replaced by their sorted positions
+(canonical_labelings).
 """
 
 from __future__ import annotations
@@ -34,20 +40,39 @@ from .errors import (
     UnknownVertex,
 )
 
-Id = Any  # hashable opaque id
+Id = Any  # a str, an int, or a tuple or frozenset of ids
+
+_IDKEYS: dict = {}   # id -> (its repr, its idkey)
 
 
 def idkey(x: Id) -> tuple:
-    """Deterministic sort key for heterogeneous ids.
+    """Deterministic sort key for ids, computed once for each id.
 
-    A frozenset (the edge ids of a colimit) is keyed by the sorted keys
-    of its members: its repr follows hash order, which changes from one
-    process to the next."""
-    if isinstance(x, tuple):
-        return (1, tuple(idkey(y) for y in x))
-    if isinstance(x, frozenset):
-        return (0, "frozenset", tuple(sorted(idkey(y) for y in x)))
-    return (0, type(x).__name__, repr(x))
+    An atom is keyed by its type name and repr, a tuple by its members'
+    keys.  A frozenset (the edge ids of a colimit) is keyed by the sorted
+    keys of its members: its repr follows hash order, which changes from
+    one process to the next.  An atom that is not a str or an int raises
+    BadParameter.  A hit on the memo is trusted only when the reprs agree
+    too: 1, True and 1.0 are equal and hash alike."""
+    try:
+        hit = _IDKEYS.get(x)
+    except TypeError:
+        raise BadParameter(f"id {x!r} is not hashable") from None
+    r = repr(x)
+    if hit is not None and hit[0] == r:
+        return hit[1]
+    t = type(x)
+    if t is tuple:
+        key = (1, tuple([idkey(y) for y in x]))
+    elif t is frozenset:
+        key = (0, "frozenset", tuple(sorted([idkey(y) for y in x])))
+    elif t is str or t is int:
+        key = (0, t.__name__, r)
+    else:
+        raise BadParameter(f"id {r} is not a str, an int, or a tuple or "
+                           "frozenset of ids")
+    _IDKEYS[x] = (r, key)
+    return key
 
 
 def sort_ids(ids: Iterable[Id]) -> list:
@@ -382,6 +407,8 @@ def validate_graph(raw: Mapping) -> FeynmanGraph:
         raise DanglingId(f"missing field: {exc}") from exc
     s = {h: d["s"] for h, d in halves.items()}
     t = {h: d["t"] for h, d in halves.items()}
+    for x in [*edges, *vertices]:
+        idkey(x)   # BadParameter on an id no sort could key
     return FeynmanGraph(edges, tau, list(halves), s, t, vertices)
 
 
@@ -393,6 +420,9 @@ class CanonicalForm:
     certificate: str
     edge_index: Mapping[Id, int]
     vertex_index: Mapping[Id, int]
+
+
+_SHAPES: dict = {}   # shape -> (certificate, labelings by position)
 
 
 def _refine(edges, verts, tau, vert_of, edges_at, col):
@@ -419,42 +449,24 @@ def _refine(edges, verts, tau, vert_of, edges_at, col):
         col = nxt
 
 
-def canonical_labelings(g: FeynmanGraph,
-                        edge_tokens: Optional[Mapping[Id, Any]] = None,
-                        vertex_tokens: Optional[Mapping[Id, Any]] = None):
-    """Individualisation-refinement canonical labeling.
+def _label_shape(e_tok: tuple, v_tok: tuple, links: tuple) -> tuple:
+    """The search behind canonical_labelings, on a graph given by shape.
 
-    Returns (certificate, labelings) where labelings is a tuple of pairs
-    of read-only dicts (edge -> int, vertex -> int) achieving the minimal
-    certificate.  The set of labelings is the canonical map composed with
-    every automorphism that preserves the given tokens.  The result is
-    kept on g, keyed by the token strings, and computed once for each.
-    """
-    edges = g.sorted_edges
-    verts = g.sorted_vertices
-    ports = g.ports
-    e_tok = {e: repr(("e", e in ports,
-                      None if edge_tokens is None else edge_tokens.get(e)))
-             for e in edges}
-    v_tok = {v: repr(("v", g.valency(v),
-                      None if vertex_tokens is None else vertex_tokens.get(v)))
-             for v in verts}
-    memo_key = (tuple(e_tok.values()), tuple(v_tok.values()))
-    if g._labelings is None:
-        g._labelings = {}
-    else:
-        found = g._labelings.get(memo_key)
-        if found is not None:
-            return found
-    tau = g.tau
-    vert_of = {e: g.vertex_of_edge(e) for e in edges if g.half_of_edge(e) is not None}
-    edges_at = {v: g.edges_at(v) for v in verts}
-    base = {}
-    tok_rank = {t: i for i, t in enumerate(sorted(set(e_tok.values()) | set(v_tok.values())))}
-    for e in edges:
-        base[e] = tok_rank[e_tok[e]]
-    for v in verts:
-        base[v] = tok_rank[v_tok[v]]
+    Edge i has token e_tok[i] and links[i] = (position of tau(i),
+    position of its vertex or -1); vertex j has token v_tok[j] and is
+    item len(e_tok) + j of the colourings.  Returns the minimal
+    certificate and the labelings that achieve it, each a pair of tuples
+    (label of edge i, label of vertex j)."""
+    ne = len(e_tok)
+    edges = tuple(range(ne))
+    verts = tuple(range(ne, ne + len(v_tok)))
+    tau = {e: f for e, (f, _) in enumerate(links)}
+    vert_of = {e: ne + w for e, (_, w) in enumerate(links) if w >= 0}
+    edges_at: dict = {v: [] for v in verts}
+    for e, v in vert_of.items():
+        edges_at[v].append(e)
+    tok_rank = {t: i for i, t in enumerate(sorted(set(e_tok) | set(v_tok)))}
+    base = {x: tok_rank[t] for x, t in zip(edges + verts, e_tok + v_tok)}
 
     best: list = [None, []]  # [certificate, labelings]
 
@@ -467,15 +479,14 @@ def canonical_labelings(g: FeynmanGraph,
             tuple((e_tok[e], eidx[tau[e]],
                    -1 if e not in vert_of else vidx[vert_of[e]])
                   for e in order_e),
-            tuple(v_tok[v] for v in order_v),
+            tuple(v_tok[v - ne] for v in order_v),
         )
+        lab = (tuple(eidx[e] for e in edges), tuple(vidx[v] for v in verts))
         if best[0] is None or cert < best[0]:
             best[0] = cert
-            best[1] = [(eidx, vidx)]
-        elif cert == best[0]:
-            lab = (eidx, vidx)
-            if lab not in best[1]:
-                best[1].append(lab)
+            best[1] = [lab]
+        elif cert == best[0] and lab not in best[1]:
+            best[1].append(lab)
 
     def search(col):
         cells: dict = {}
@@ -496,8 +507,55 @@ def canonical_labelings(g: FeynmanGraph,
             search(_refine(edges, verts, tau, vert_of, edges_at, col2))
 
     search(_refine(edges, verts, tau, vert_of, edges_at, base))
-    result = (best[0], tuple((MappingProxyType(eidx), MappingProxyType(vidx))
-                             for eidx, vidx in best[1]))
+    return best[0], tuple(best[1])
+
+
+def canonical_labelings(g: FeynmanGraph,
+                        edge_tokens: Optional[Mapping[Id, Any]] = None,
+                        vertex_tokens: Optional[Mapping[Id, Any]] = None):
+    """Individualisation-refinement canonical labeling.
+
+    Returns (certificate, labelings) where labelings is a tuple of pairs
+    of read-only dicts (edge -> int, vertex -> int) achieving the minimal
+    certificate.  The set of labelings is the canonical map composed with
+    every automorphism that preserves the given tokens.
+
+    The search runs on the shape of g: its tokens and its tau and vertex
+    maps, with each id replaced by its position in sorted_edges or
+    sorted_vertices.  Graphs of one shape share the certificate and,
+    position for position, the labelings, so the search runs once for
+    each shape in the process.  The result is also kept on g, keyed by
+    the token strings.
+    """
+    edges = g.sorted_edges
+    verts = g.sorted_vertices
+    ports = g.ports
+    memo_key = (
+        tuple(repr(("e", e in ports,
+                    None if edge_tokens is None else edge_tokens.get(e)))
+              for e in edges),
+        tuple(repr(("v", g.valency(v),
+                    None if vertex_tokens is None else vertex_tokens.get(v)))
+              for v in verts))
+    if g._labelings is None:
+        g._labelings = {}
+    else:
+        found = g._labelings.get(memo_key)
+        if found is not None:
+            return found
+    epos = {e: i for i, e in enumerate(edges)}
+    vpos = {v: i for i, v in enumerate(verts)}
+    tau = g.tau
+    links = tuple((epos[tau[e]], -1 if (w := g.vertex_of_edge(e)) is None
+                   else vpos[w]) for e in edges)
+    shape = (*memo_key, links)
+    shared = _SHAPES.get(shape)
+    if shared is None:
+        shared = _SHAPES[shape] = _label_shape(*shape)
+    cert, labs = shared
+    result = (cert, tuple((MappingProxyType(dict(zip(edges, ei))),
+                           MappingProxyType(dict(zip(verts, vi))))
+                          for ei, vi in labs))
     g._labelings[memo_key] = result
     return result
 

@@ -29,6 +29,8 @@ def id_to_json(x):
 
 
 def id_from_json(d):
+    if isinstance(d, bool):
+        raise FormatError("boolean ids are not supported")
     if isinstance(d, (str, int)):
         return d
     if isinstance(d, dict) and "t" in d:

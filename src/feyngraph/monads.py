@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import (ColourMismatch, FormatError, NotCommuting, NotDeletable,
+from .errors import (ColourMismatch, FormatError, GraphInvariantError,
+                     InvalidGraphOfGraphs, NotCommuting, NotDeletable,
                      NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
@@ -830,30 +831,46 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
     AS, BS = A(S), B(S)
     ABS, BAS = A(BS), B(AS)
     violations, checked = _Violations(), 0
+
+    def unit_b(n, x):
+        lhs = law(S, map_A(lambda y: eta_B(S, y), x))
+        if BAS.key(lhs) != BAS.key(eta_B(AS, x)):
+            return (AS.key(x),)
+
+    def unit_a(n, x):
+        lhs = law(S, eta_A(BS, x))
+        if BAS.key(lhs) != BAS.key(map_B(lambda y: eta_A(S, y), x)):
+            return (BS.key(x),)
+
+    def mu_a(n, x):
+        lhs = BAS.key(law(S, mu_A(ABS, x)))
+        mid = law(AS, map_A(lambda y: law(S, y), x))
+        rhs = BAS.key(map_B(lambda y: mu_A(AS, y), mid))
+        if lhs != rhs:
+            return (n, lhs, rhs)
+
+    def mu_b(n, x):
+        lhs = BAS.key(law(S, map_A(lambda y: mu_B(BS, y), x)))
+        rhs = BAS.key(mu_B(BAS, map_B(lambda y: law(S, y), law(BS, x))))
+        if lhs != rhs:
+            return (n, lhs, rhs)
+
     for n in range(max_arity + 1):
-        for x in AS.elements(n):
-            checked += 1
-            lhs = law(S, map_A(lambda y: eta_B(S, y), x))
-            if BAS.key(lhs) != BAS.key(eta_B(AS, x)):
-                violations.note(f"{which}-unit-{b}", AS.key(x))
-        for x in BS.elements(n):
-            checked += 1
-            lhs = law(S, eta_A(BS, x))
-            if BAS.key(lhs) != BAS.key(map_B(lambda y: eta_A(S, y), x)):
-                violations.note(f"{which}-unit-{a}", BS.key(x))
-        for x in A(ABS).elements(n):
-            checked += 1
-            lhs = BAS.key(law(S, mu_A(ABS, x)))
-            mid = law(AS, map_A(lambda y: law(S, y), x))
-            rhs = BAS.key(map_B(lambda y: mu_A(AS, y), mid))
-            if lhs != rhs:
-                violations.note(f"{which}-mu-{a}", n, lhs, rhs)
-        for x in A(B(BS)).elements(n):
-            checked += 1
-            lhs = BAS.key(law(S, map_A(lambda y: mu_B(BS, y), x)))
-            rhs = BAS.key(mu_B(BAS, map_B(lambda y: law(S, y), law(BS, x))))
-            if lhs != rhs:
-                violations.note(f"{which}-mu-{b}", n, lhs, rhs)
+        for name, domain, axiom in ((f"{which}-unit-{b}", AS, unit_b),
+                                    (f"{which}-unit-{a}", BS, unit_a),
+                                    (f"{which}-mu-{a}", A(ABS), mu_a),
+                                    (f"{which}-mu-{b}", A(B(BS)), mu_b)):
+            for x in domain.elements(n):
+                checked += 1
+                # a law whose output is ill-formed violates the axiom; the
+                # sweep goes on so that every other violation is reported
+                try:
+                    witnesses = axiom(n, x)
+                except (ColourMismatch, FormatError, InvalidGraphOfGraphs,
+                        GraphInvariantError) as e:
+                    witnesses = (n, f"{type(e).__name__}: {e}")
+                if witnesses:
+                    violations.note(name, *witnesses)
     return violations.report(checked)
 
 

@@ -12,6 +12,15 @@ import math
 from feyngraph.graphs import FeynmanGraph
 
 
+def brute_idkey(x) -> tuple:
+    """The sort key of an id, recomputed from its members on every call."""
+    if isinstance(x, tuple):
+        return (1, tuple(brute_idkey(y) for y in x))
+    if isinstance(x, frozenset):
+        return (0, "frozenset", tuple(sorted(brute_idkey(y) for y in x)))
+    return (0, type(x).__name__, repr(x))
+
+
 def brute_isomorphic(g: FeynmanGraph, h: FeynmanGraph,
                      port_labels_g=None, port_labels_h=None) -> bool:
     """Exhaustive isomorphism test (edge bijections + induced vertex map)."""

@@ -4,20 +4,26 @@ Each mutant replaces one distributive law in feyngraph.monads; the
 checkers look the laws up when they run, so they check the mutant.  A
 report that finds a violation is pinned by the sha256 of its sorted JSON,
 so its kinds, witnesses and `checked` count stay the same from run to
-run.  Also: the key of an L element does not depend on the order of its
-factors.
+run.  A law whose output is ill-formed is reported, not raised.  Also:
+the reports do not depend on what the process has memoised, and the key
+of an L element does not depend on the order of its factors.
 """
 
 import functools
 import hashlib
 import importlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feyngraph.monads import (DSpecies, LSpecies, TSpecies, check_beck,
-                              yang_baxter_sweep)
+from feyngraph.monads import (DSpecies, LSpecies, TElem, TSpecies,
+                              check_beck, yang_baxter_sweep)
 from feyngraph.species import TerminalSpecies
 
 from helpers_species import TWO, tuple_algebra
@@ -148,6 +154,51 @@ def test_broken_law_is_reported(monkeypatch, mutant, species):
             continue
         got[check] = (sorted({v[0] for v in r["violations"]}), _digest(r))
     assert got == PINNED[(mutant, species)]
+
+
+def ports_swapped(S, t):
+    """lambda_DT that reverses the two ports of a partial deletion."""
+    d = LAW_DT(S, t)
+    marked = any(t.vdec[v][0][0] in ("eps", "o") for v in t.graph.vertices)
+    if d[0] == "b" and marked and len(d[1].ports) == 2:
+        u = d[1]
+        return ("b", TElem(u.graph, u.ports[::-1], u.colours, u.vdec))
+    return d
+
+
+def test_ill_formed_law_output_is_reported(monkeypatch):
+    # mu_T cannot substitute the swapped result, whose port colours no
+    # longer match; the sweep records that and checks every instance
+    S = SPECIES["S2"]
+    sound = check_beck("dt", S, **BOUNDS["dt"])
+    monkeypatch.setattr(monads, "law_DT", ports_swapped)
+    r = check_beck("dt", S, **BOUNDS["dt"])
+    assert not r["ok"] and r["checked"] == sound["checked"]
+    assert sorted({v[0] for v in r["violations"]}) == ["dt-mu-D", "dt-mu-T"]
+    message = repr("ColourMismatch: inconsistent colours in substitution")
+    assert [v[1] for v in r["violations"]
+            if v[2] == message] == ["0", "1", "2"]
+    assert all(v[0] == "dt-mu-T" for v in r["violations"] if v[2] == message)
+
+
+def test_reports_do_not_depend_on_what_the_process_memoised():
+    """Sort keys and labelings are memoised for the whole process: a
+    report must read the same on a second run and in a fresh process."""
+    script = textwrap.dedent("""
+        import json
+        import test_laws
+        print(json.dumps(test_laws._reports(test_laws.SPECIES["K"]),
+                         sort_keys=True))
+    """)
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    first, second = (json.dumps(_reports(SPECIES["K"]), sort_keys=True)
+                     for _ in range(2))
+    assert first == second == run.stdout.strip()
 
 
 # -- L keys ignore factor order -----------------------------------------------------

@@ -1,26 +1,34 @@
 """Labelings, T-keys and colour maps are computed once and kept on the
-graph, element or labeled element they belong to.  These tests check that
-what the memos return equals what is computed from scratch, that the
-canonical forms still agree with the brute-force oracles, and that nothing
-a memo hands out can be changed."""
+graph, element or labeled element they belong to; sort keys and labelings
+are also shared across the process, by id and by shape.  These tests
+check that what the memos return equals what is computed from scratch,
+that the canonical forms still agree with the brute-force oracles, and
+that nothing a memo hands out can be changed."""
 
 import dataclasses
 import hashlib
+import importlib
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feyngraph.errors import BadParameter, FormatError
 from feyngraph.graphs import (FeynmanGraph, canonical_form,
                               canonical_labelings, corolla, disjoint_union,
-                              is_isomorphic, line, stick, wheel)
+                              idkey, is_isomorphic, line, sort_ids, stick,
+                              validate_graph, wheel)
+from feyngraph.io import graph_from_json
 from feyngraph.monads import TElem, TSpecies, telem_key
 from feyngraph.species import Labeled, SpeciesOps
 from feyngraph.substitution import enumerate_x_graphs
 
 from helpers_nerve import theta
 from helpers_species import TWO, tuple_algebra
-from oracles import brute_isomorphic
+from oracles import brute_idkey, brute_isomorphic
+
+graphs = importlib.import_module("feyngraph.graphs")
 
 TWO_ALG = tuple_algebra(TWO, 3)
 TWO_TS = TSpecies(TWO_ALG.species, max_vertices=2, max_valency=3)
@@ -135,6 +143,97 @@ def test_certificates_are_pinned():
     # an X-graph's key is the certificate of its port-labelled form
     assert all(x.canonical_key() == canonical_form(
         x.graph, port_labels=dict(x.labeling)).certificate for x in xs)
+
+
+# -- process-wide memos -------------------------------------------------------------
+
+IDS = st.recursive(
+    st.text(max_size=3) | st.integers(-3, 300),
+    lambda ids: (st.lists(ids, max_size=3).map(tuple)
+                 | st.frozensets(ids, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(IDS, max_size=12), data=st.data())
+def test_memoised_idkey_equals_idkey_from_scratch(ids, data):
+    for x in data.draw(st.permutations(ids)):
+        assert idkey(x) == brute_idkey(x)
+    assert sort_ids(ids) == sorted(ids, key=brute_idkey)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, None, ("a", (True,))])
+def test_idkey_rejects_atoms_other_than_str_and_int(bad):
+    for equal in (1, ("a", (1,))):   # memoised ids equal to True and 1.0
+        idkey(equal)
+    with pytest.raises(BadParameter):
+        idkey(bad)
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges": [true, "b"], "tau": {"true": "b", "b": true}}',
+    '{"edges": ["a", "b"], "tau": {"a": "b", "b": "a"},'
+    ' "half_edges": {"h": {"s": "a", "t": true}}, "vertices": [true]}'])
+def test_validate_graph_rejects_boolean_ids(text):
+    with pytest.raises(BadParameter):
+        validate_graph(json.loads(text))
+
+
+def test_graph_from_json_rejects_boolean_ids():
+    data = json.loads(
+        '{"edges": ["a", "b"], "tau": [["a", "b"], ["b", "a"]],'
+        ' "half_edges": ["h"], "s": [["h", "a"]], "t": [["h", true]],'
+        ' "vertices": [true]}')
+    with pytest.raises(FormatError):
+        graph_from_json(data)
+
+
+def _from_scratch(g, tokens):
+    """canonical_labelings of a copy of g, after emptying the id and shape
+    memos, with the labelings as plain dicts."""
+    graphs._IDKEYS.clear()
+    graphs._SHAPES.clear()
+    copy = FeynmanGraph(g.edges, g.tau, g.half_edges, g.s, g.t, g.vertices)
+    return _plain(canonical_labelings(copy, tokens))
+
+
+def _plain(result):
+    cert, labs = result
+    return cert, [(dict(e), dict(v)) for e, v in labs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shared_labelings_equal_labelings_from_scratch(data):
+    # g and g.tagged(tag) have one shape and no id in common
+    if data.draw(st.booleans()):
+        g, tokens = data.draw(st.sampled_from(GRAPHS)), None
+    else:
+        x = data.draw(st.sampled_from(LABELED))
+        g, tokens = x.graph, dict(x.labeling)
+    tag = data.draw(st.sampled_from(["copy", 7, ("t", 0)]))
+    h = g.tagged(tag)
+    h_tokens = None if tokens is None else {
+        (tag, e): lab for e, lab in tokens.items()}
+    warm_g = _plain(canonical_labelings(g, tokens))
+    warm_h = _plain(canonical_labelings(h, h_tokens))
+    assert warm_h == (warm_g[0], [
+        ({(tag, e): i for e, i in el.items()},
+         {(tag, v): i for v, i in vl.items()}) for el, vl in warm_g[1]])
+    assert warm_g == _from_scratch(g, tokens)
+    assert warm_h == _from_scratch(h, h_tokens)
+
+
+def test_a_second_graph_of_one_shape_runs_no_refinement(monkeypatch):
+    calls = []
+    refine = graphs._refine
+    monkeypatch.setattr(graphs, "_refine",
+                        lambda *args: calls.append(1) or refine(*args))
+    monkeypatch.setattr(graphs, "_SHAPES", {})
+    canonical_labelings(theta())
+    first = len(calls)
+    canonical_labelings(theta().tagged("copy"))
+    assert first > 0 and len(calls) == first
 
 
 # -- colour maps ---------------------------------------------------------------------
