@@ -25,6 +25,7 @@ distinct shape, a graph with its ids replaced by their sorted positions
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Optional, Sequence
@@ -524,23 +525,26 @@ def canonical_labelings(g: FeynmanGraph,
     maps, with each id replaced by its position in sorted_edges or
     sorted_vertices.  Graphs of one shape share the certificate and,
     position for position, the labelings, so the search runs once for
-    each shape in the process.  The result is also kept on g, keyed by
-    the token strings.
+    each shape in the process.  The result is also kept on g.  Both memos
+    key the tokens in marshal form, which is cheap to build and tells
+    equal tokens of different types apart (1 and True, 0 and 0.0); tokens
+    marshal cannot write are keyed by their reprs.
     """
     edges = g.sorted_edges
     verts = g.sorted_vertices
-    ports = g.ports
-    memo_key = (
-        tuple(repr(("e", e in ports,
-                    None if edge_tokens is None else edge_tokens.get(e)))
-              for e in edges),
-        tuple(repr(("v", g.valency(v),
-                    None if vertex_tokens is None else vertex_tokens.get(v)))
-              for v in verts))
+    e_vals = tuple(map(edge_tokens.get, edges)) if edge_tokens else None
+    v_vals = tuple(map(vertex_tokens.get, verts)) if vertex_tokens else None
+    try:
+        # version 2 writes no back-references, so equal tokens of equal
+        # types give equal bytes
+        token_key = marshal.dumps((e_vals, v_vals), 2)
+    except ValueError:
+        token_key = (tuple(map(repr, e_vals or ())),
+                     tuple(map(repr, v_vals or ())))
     if g._labelings is None:
         g._labelings = {}
     else:
-        found = g._labelings.get(memo_key)
+        found = g._labelings.get(token_key)
         if found is not None:
             return found
     epos = {e: i for i, e in enumerate(edges)}
@@ -548,15 +552,21 @@ def canonical_labelings(g: FeynmanGraph,
     tau = g.tau
     links = tuple((epos[tau[e]], -1 if (w := g.vertex_of_edge(e)) is None
                    else vpos[w]) for e in edges)
-    shape = (*memo_key, links)
+    # the links fix which edges are ports and the valency of each vertex
+    shape = (token_key, len(verts), links)
     shared = _SHAPES.get(shape)
     if shared is None:
-        shared = _SHAPES[shape] = _label_shape(*shape)
+        ports = g.ports
+        e_tok = tuple(repr(("e", e in ports, t))
+                      for e, t in zip(edges, e_vals or (None,) * len(edges)))
+        v_tok = tuple(repr(("v", g.valency(v), t))
+                      for v, t in zip(verts, v_vals or (None,) * len(verts)))
+        shared = _SHAPES[shape] = _label_shape(e_tok, v_tok, links)
     cert, labs = shared
     result = (cert, tuple((MappingProxyType(dict(zip(edges, ei))),
                            MappingProxyType(dict(zip(verts, vi))))
                           for ei, vi in labs))
-    g._labelings[memo_key] = result
+    g._labelings[token_key] = result
     return result
 
 

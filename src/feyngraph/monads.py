@@ -981,9 +981,10 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
         return sum(len(b) for b, _ in a)
 
     def box(self, a, b):
+        if len(a) + len(b) > self.max_factors:
+            return None
         n = self._arity(a)
-        if n + self._arity(b) > self.species.n_max or \
-                len(a) + len(b) > self.max_factors:
+        if n + self._arity(b) > self.species.n_max:
             return None
         shifted = tuple((tuple(p + n for p in blk), x) for blk, x in b)
         return self.species.norm(a + shifted)

@@ -282,6 +282,10 @@ class CircuitAlgebraOps:
 
     box/zeta return None when the result would exceed the carrier bounds;
     zeta raises ColourMismatch off its colour-matched domain.
+
+    box, zeta and eps must be deterministic: an axiom check computes box
+    and zeta once for each argument tuple drawn from its pool of elements
+    and reuses the result wherever the axioms need it.
     """
 
     species: SpeciesOps
@@ -409,27 +413,62 @@ class _Violations(list):
                 "checked": checked}
 
 
-def _all_labeled(A: CircuitAlgebraOps, max_arity: Optional[int] = None):
+def _pools(A: CircuitAlgebraOps, max_arity: Optional[int]):
+    """Three copies of every element up to max_arity, with positions
+    labelled ("a", ("p", i)), ("b", ("p", i)) and ("c", ("p", i))."""
     S = A.species
     top = S.n_max if max_arity is None else min(max_arity, S.n_max)
-    out = []
-    for n in range(top + 1):
-        for e in S.elements(n):
-            out.append(A.lab(e, tuple(("p", i) for i in range(n))))
-    return out
+    elems = [(e, n) for n in range(top + 1) for e in S.elements(n)]
+    return [[Labeled(e, tuple((tag, ("p", i)) for i in range(n)))
+             for e, n in elems] for tag in ("a", "b", "c")]
 
 
-def _relabel_disjoint(a: Labeled, tag) -> Labeled:
-    return Labeled(a.elem, tuple((tag, l) for l in a.labels))
+_UNSET = object()
 
 
-def _contractible_pairs(A, a: Labeled):
+class _PoolOps:
+    """lab_box, lab_zeta and the derived multiplication on one check's pool
+    elements, each computed once for the check.
+
+    Pool elements live for the whole check, so they are keyed by identity;
+    only pool elements may be passed.  An operation that raises is not
+    stored, so it raises again at every instance that needs it."""
+
+    def __init__(self, A: CircuitAlgebraOps):
+        self.A = A
+        # id(a) -> results keyed by id(b) (box), (x, y) (zeta) or
+        # (id(b), x, y) (diamond); keys of different kinds never compare equal
+        self._memo = {}
+
+    def _once(self, a, key, fn, *args):
+        memo = self._memo.get(id(a))
+        if memo is None:
+            memo = self._memo[id(a)] = {}
+        r = memo.get(key, _UNSET)
+        if r is _UNSET:
+            r = memo[key] = fn(*args)
+        return r
+
+    def box(self, a: Labeled, b: Labeled) -> Optional[Labeled]:
+        return self._once(a, id(b), self.A.lab_box, a, b)
+
+    def zeta(self, a: Labeled, x, y) -> Optional[Labeled]:
+        return self._once(a, (x, y), self.A.lab_zeta, a, x, y)
+
+    def diamond(self, a: Labeled, b: Labeled, x, y) -> Optional[Labeled]:
+        """a <>_{x,y} b; the callers pass colour-matched x and y only."""
+        ab = self.box(a, b)
+        if ab is None:
+            return None
+        return self._once(a, (id(b), x, y), self.A.lab_zeta, ab, x, y)
+
+
+def _contractible_pairs(A, a: Labeled) -> list:
     om = A.species.palette.omega
     col = A.species.colour_of(a.elem)
-    for i in range(len(a.labels)):
-        for j in range(i + 1, len(a.labels)):
-            if col[i] == om[col[j]]:
-                yield a.labels[i], a.labels[j]
+    return [(a.labels[i], a.labels[j])
+            for i in range(len(a.labels)) for j in range(i + 1, len(a.labels))
+            if col[i] == om[col[j]]]
 
 
 def check_circuit_axioms(A: CircuitAlgebraOps,
@@ -441,16 +480,14 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
     Returns {"ok": bool, "violations": [...], "checked": int}.
     """
     S = A.species
-    elems = _all_labeled(A, max_arity)
+    pool, pool_b, pool_c = _pools(A, max_arity)
+    ops = _PoolOps(A)
     violations = _Violations()
     checked = 0
-    pool = [_relabel_disjoint(a, "a") for a in elems]
-    pool_b = [_relabel_disjoint(a, "b") for a in elems]
-    pool_c = [_relabel_disjoint(a, "c") for a in elems]
     # C1 associativity + commutativity
     for a in pool:
         for b in pool_b:
-            ab = A.lab_box(a, b)
+            ab = ops.box(a, b)
             if ab is None:
                 continue
             ba = A.lab_box(b, a)
@@ -460,7 +497,7 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
                     violations.note("commutativity", a.elem, b.elem)
             for c in pool_c:
                 abc1 = A.lab_box(ab, c)
-                bc = A.lab_box(b, c)
+                bc = ops.box(b, c)
                 abc2 = None if bc is None else A.lab_box(a, bc)
                 if abc1 is None or abc2 is None:
                     continue
@@ -476,16 +513,17 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
             ua = A.lab_box(u, a)
             if au is None or ua is None or not (A.lab_eq(au, a) and A.lab_eq(ua, a)):
                 violations.note("unit", a.elem)
-    checked += _check_contractions_commute(A, pool, "C2", violations)
+    checked += _check_contractions_commute(ops, pool, "C2", violations)
     # C3: zeta(a box b) = zeta(a) box b for a contraction inside a
     for a in pool:
+        prs = _contractible_pairs(A, a)
         for b in pool_b:
-            ab = A.lab_box(a, b)
+            ab = ops.box(a, b)
             if ab is None:
                 continue
-            for (x, y) in _contractible_pairs(A, a):
+            for (x, y) in prs:
                 lhs = A.lab_zeta(ab, x, y)
-                za = A.lab_zeta(a, x, y)
+                za = ops.zeta(a, x, y)
                 rhs = None if za is None else A.lab_box(za, b)
                 if lhs is None or rhs is None:
                     continue
@@ -516,22 +554,23 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
     return violations.report(checked)
 
 
-def _check_contractions_commute(A, pool, kind, violations) -> int:
+def _check_contractions_commute(ops: _PoolOps, pool, kind, violations) -> int:
     """C2 and M2: two disjoint contractions of an element commute.
     Returns the number of instances checked."""
+    A = ops.A
     checked = 0
     for a in pool:
-        prs = list(_contractible_pairs(A, a))
+        prs = _contractible_pairs(A, a)
         for (x1, y1) in prs:
             for (x2, y2) in prs:
                 if {x1, y1} & {x2, y2}:
                     continue
-                first = A.lab_zeta(a, x1, y1)
+                first = ops.zeta(a, x1, y1)
                 if first is None:
                     continue
                 second = A.lab_zeta(first, x2, y2) \
                     if _still_contractible(A, first, x2, y2) else None
-                other = A.lab_zeta(a, x2, y2)
+                other = ops.zeta(a, x2, y2)
                 other2 = None if other is None or not _still_contractible(
                     A, other, x1, y1) else A.lab_zeta(other, x1, y1)
                 if second is None or other2 is None:
@@ -567,57 +606,55 @@ def check_modular_axioms(A: CircuitAlgebraOps,
     S = A.species
     om = S.palette.omega
     diamond = derive_multiplication(A)
-    elems = _all_labeled(A, max_arity)
-    pool = [_relabel_disjoint(a, "a") for a in elems]
-    pool_b = [_relabel_disjoint(a, "b") for a in elems]
-    pool_c = [_relabel_disjoint(a, "c") for a in elems]
+    pool, pool_b, pool_c = _pools(A, max_arity)
+    ops = _PoolOps(A)
     violations = _Violations()
     checked = 0
 
     def matched(a, b):
-        for x in a.labels:
-            for y in b.labels:
-                if A.colour_at(a, x) == om[A.colour_at(b, y)]:
-                    yield x, y
+        return [(x, y) for x in a.labels for y in b.labels
+                if A.colour_at(a, x) == om[A.colour_at(b, y)]]
 
-    # M1: (a <>_{x,y} b) <>_{u,v} c = a <>_{x,y} (b <>_{u,v} c)
+    # M1: (a <>_{x,y} b) <>_{u,v} c = a <>_{x,y} (b <>_{u,v} c).  The
+    # matched (c, u, v) of each b do not depend on a, x or y, so they are
+    # listed once, ahead of the loops; a stays the outer loop, so that
+    # operations are first computed, and first raise, in a, b, c order.
+    tails = [[(c, u, v) for c in pool_c for u, v in matched(b, c)]
+             for b in pool_b]
     for a in pool:
-        for b in pool_b:
+        for b, tail in zip(pool_b, tails):
             for (x, y) in matched(a, b):
-                ab = diamond(a, b, x, y)
-                for c in pool_c:
-                    for u in b.labels:
-                        if u == y:
-                            continue
-                        for v in c.labels:
-                            if A.colour_at(b, u) != om[A.colour_at(c, v)]:
-                                continue
-                            try:
-                                lhs = None if ab is None else diamond(ab, c, u, v)
-                                bc = diamond(b, c, u, v)
-                                rhs = None if bc is None else diamond(a, bc, x, y)
-                            except ColourMismatch:
-                                violations.note("M1", a.elem, b.elem,
-                                                c.elem, (x, y, u, v))
-                                continue
-                            if lhs is None or rhs is None:
-                                continue
-                            checked += 1
-                            if not A.lab_eq(lhs, rhs):
-                                violations.note("M1", a.elem, b.elem,
-                                                c.elem, (x, y, u, v))
-    checked += _check_contractions_commute(A, pool, "M2", violations)
+                ab = ops.diamond(a, b, x, y)
+                for c, u, v in tail:
+                    if u == y:
+                        continue
+                    try:
+                        lhs = None if ab is None else diamond(ab, c, u, v)
+                        bc = ops.diamond(b, c, u, v)
+                        rhs = None if bc is None else diamond(a, bc, x, y)
+                    except ColourMismatch:
+                        violations.note("M1", a.elem, b.elem,
+                                        c.elem, (x, y, u, v))
+                        continue
+                    if lhs is None or rhs is None:
+                        continue
+                    checked += 1
+                    if not A.lab_eq(lhs, rhs):
+                        violations.note("M1", a.elem, b.elem,
+                                        c.elem, (x, y, u, v))
+    checked += _check_contractions_commute(ops, pool, "M2", violations)
     # M3: zeta_{u,v}(a <>_{x,y} b) = zeta_{u,v}(a) <>_{x,y} b, u,v in a
     for a in pool:
+        prs = _contractible_pairs(A, a)
         for b in pool_b:
             for (x, y) in matched(a, b):
-                ab = diamond(a, b, x, y)
-                for (u, v) in _contractible_pairs(A, a):
+                ab = ops.diamond(a, b, x, y)
+                for (u, v) in prs:
                     if {u, v} & {x}:
                         continue
                     try:
                         lhs = None if ab is None else A.lab_zeta(ab, u, v)
-                        za = A.lab_zeta(a, u, v)
+                        za = ops.zeta(a, u, v)
                         rhs = None if za is None or x not in za.labels \
                             else diamond(za, b, x, y)
                     except ColourMismatch:
@@ -631,15 +668,15 @@ def check_modular_axioms(A: CircuitAlgebraOps,
     # M4: two parallel edges between a and b can be contracted in either order
     for a in pool:
         for b in pool_b:
-            ms = list(matched(a, b))
+            ms = matched(a, b)
             for (x, y) in ms:
                 for (u, v) in ms:
                     if x == u or y == v:
                         continue
                     try:
-                        ab1 = diamond(a, b, x, y)
+                        ab1 = ops.diamond(a, b, x, y)
                         lhs = None if ab1 is None else A.lab_zeta(ab1, u, v)
-                        ab2 = diamond(a, b, u, v)
+                        ab2 = ops.diamond(a, b, u, v)
                         rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
                     except ColourMismatch:
                         violations.note("M4", a.elem, b.elem, (x, y, u, v))

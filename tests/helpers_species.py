@@ -8,7 +8,8 @@ known-good input for the checkers and for mutation fixtures.
 
 import itertools
 
-from feyngraph.species import FiniteCircuitAlgebra, Palette, TableSpecies
+from feyngraph.species import (CircuitAlgebraOps, FiniteCircuitAlgebra,
+                               Palette, TableSpecies)
 
 
 def _name(tup):
@@ -71,3 +72,80 @@ def algebra_to_json(A: FiniteCircuitAlgebra) -> dict:
         "external_unit": A._unit,
     }
     return data
+
+
+class Mutant(CircuitAlgebraOps):
+    """A circuit algebra with exactly one operation-table entry replaced."""
+
+    def __init__(self, A, op, key, val):
+        self.base_alg = A
+        self.species = A.species
+        self.nonunital = A.nonunital
+        self.op, self.val = op, val
+        # elements are compared through the species key: enumeration may
+        # rebuild structurally equal elements as distinct objects
+        if op == "box":
+            self.key_ = (A.species.key(key[0]), A.species.key(key[1]))
+        elif op == "zeta":
+            self.key_ = (A.species.key(key[0]), key[1], key[2])
+        else:
+            self.key_ = key
+
+    def box(self, a, b):
+        if self.op == "box" and \
+                (self.species.key(a), self.species.key(b)) == self.key_:
+            return self.val
+        return self.base_alg.box(a, b)
+
+    def zeta(self, a, i, j):
+        if self.op == "zeta" and \
+                (self.species.key(a), i, j) == self.key_:
+            return self.val
+        return self.base_alg.zeta(a, i, j)
+
+    def eps(self, c):
+        if self.op == "eps" and c == self.key_:
+            return self.val
+        return self.base_alg.eps(c)
+
+    def unit0(self):
+        return self.base_alg.unit0()
+
+
+def mutation_candidates(A, want):
+    """The first `want` single-entry mutations in a canonical order: box,
+    zeta and eps entries whose value is swapped for a different element of
+    the same arity."""
+    S = A.species
+    out = []
+
+    def alts(good, n):
+        return [e for e in S.elements(n)
+                if S.key(e) != S.key(good)]
+
+    for na, nb in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 2)]:
+        for a in S.elements(na):
+            for b in S.elements(nb):
+                good = A.box(a, b)
+                if good is None:
+                    continue
+                for bad in alts(good, na + nb)[:1]:
+                    out.append(("box", (a, b), bad))
+    om = S.palette.omega
+    for n in (2, 3):
+        for a in S.elements(n):
+            cols = S.colour_of(a)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if cols[i] != om[cols[j]]:
+                        continue
+                    good = A.zeta(a, i, j)
+                    if good is None:
+                        continue
+                    for bad in alts(good, n - 2)[:1]:
+                        out.append(("zeta", (a, i, j), bad))
+    for c in sorted(S.palette.colours, key=repr):
+        good = A.eps(c)
+        for bad in alts(good, 2)[:1]:
+            out.append(("eps", c, bad))
+    return out[:want]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from feyngraph.errors import ColourMismatch
 from feyngraph.graphs import FeynmanGraph
 
 
@@ -253,3 +254,242 @@ def brute_presheaf_maps(P, Q) -> list:
             if natural(comp):
                 out.append({n: dict(comp[n]) for n in names})
     return out
+
+
+# -- circuit and modular axioms -----------------------------------------------------
+#
+# The checkers as they were before they kept per-check tables: every box,
+# contraction and multiplication is computed afresh at every instance that
+# needs it.  Nothing here is shared with feyngraph.species; only the
+# algebra's own labelled operations (lab, lab_box, lab_zeta, lab_eq,
+# lab_rename, colour_at) are used.
+
+
+def _brute_report(violations, checked):
+    return {"ok": not violations, "violations": sorted(set(violations)),
+            "checked": checked}
+
+
+def _brute_note(violations, kind, *witnesses):
+    violations.append((kind,) + tuple(map(repr, witnesses)))
+
+
+def _brute_pools(A, max_arity):
+    S = A.species
+    top = S.n_max if max_arity is None else min(max_arity, S.n_max)
+    elems = [(e, tuple(("p", i) for i in range(n)))
+             for n in range(top + 1) for e in S.elements(n)]
+    return [[A.lab(e, tuple((tag, l) for l in labels)) for e, labels in elems]
+            for tag in ("a", "b", "c")]
+
+
+def _brute_pairs(A, a):
+    om = A.species.palette.omega
+    col = A.species.colour_of(a.elem)
+    return [(a.labels[i], a.labels[j])
+            for i in range(len(a.labels)) for j in range(i + 1, len(a.labels))
+            if col[i] == om[col[j]]]
+
+
+def _brute_contractions_commute(A, pool, kind, violations):
+    om = A.species.palette.omega
+
+    def still(a, x, y):
+        return A.colour_at(a, x) == om[A.colour_at(a, y)]
+
+    checked = 0
+    for a in pool:
+        prs = _brute_pairs(A, a)
+        for (x1, y1) in prs:
+            for (x2, y2) in prs:
+                if {x1, y1} & {x2, y2}:
+                    continue
+                first = A.lab_zeta(a, x1, y1)
+                if first is None:
+                    continue
+                second = A.lab_zeta(first, x2, y2) \
+                    if still(first, x2, y2) else None
+                other = A.lab_zeta(a, x2, y2)
+                other2 = None if other is None or not still(other, x1, y1) \
+                    else A.lab_zeta(other, x1, y1)
+                if second is None or other2 is None:
+                    continue
+                checked += 1
+                if not A.lab_eq(second, other2):
+                    _brute_note(violations, kind, a.elem, (x1, y1), (x2, y2))
+    return checked
+
+
+def brute_circuit_axioms(A, max_arity=None) -> dict:
+    """check_circuit_axioms, recomputing every operation where it is used."""
+    S = A.species
+    pool, pool_b, pool_c = _brute_pools(A, max_arity)
+    violations = []
+    checked = 0
+    for a in pool:
+        for b in pool_b:
+            ab = A.lab_box(a, b)
+            if ab is None:
+                continue
+            ba = A.lab_box(b, a)
+            if ba is not None:
+                checked += 1
+                if not A.lab_eq(ab, ba):
+                    _brute_note(violations, "commutativity", a.elem, b.elem)
+            for c in pool_c:
+                abc1 = A.lab_box(ab, c)
+                bc = A.lab_box(b, c)
+                abc2 = None if bc is None else A.lab_box(a, bc)
+                if abc1 is None or abc2 is None:
+                    continue
+                checked += 1
+                if not A.lab_eq(abc1, abc2):
+                    _brute_note(violations, "C1", a.elem, b.elem, c.elem)
+    if not A.nonunital:
+        u = A.lab(A.unit0(), ())
+        for a in pool:
+            checked += 1
+            au = A.lab_box(a, u)
+            ua = A.lab_box(u, a)
+            if au is None or ua is None or \
+                    not (A.lab_eq(au, a) and A.lab_eq(ua, a)):
+                _brute_note(violations, "unit", a.elem)
+    checked += _brute_contractions_commute(A, pool, "C2", violations)
+    for a in pool:
+        for b in pool_b:
+            ab = A.lab_box(a, b)
+            if ab is None:
+                continue
+            for (x, y) in _brute_pairs(A, a):
+                lhs = A.lab_zeta(ab, x, y)
+                za = A.lab_zeta(a, x, y)
+                rhs = None if za is None else A.lab_box(za, b)
+                if lhs is None or rhs is None:
+                    continue
+                checked += 1
+                if not A.lab_eq(lhs, rhs):
+                    _brute_note(violations, "C3", a.elem, b.elem, (x, y))
+    om = S.palette.omega
+    for a in pool:
+        col = S.colour_of(a.elem)
+        for i, x in enumerate(a.labels):
+            e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
+            ae = A.lab_box(a, e)
+            if ae is None:
+                continue
+            got = A.lab_zeta(ae, x, ("e", 0))
+            if got is None:
+                continue
+            want = A.lab_rename(a, {x: ("e", 1)})
+            checked += 1
+            if not A.lab_eq(got, want):
+                _brute_note(violations, "eps", a.elem, x)
+    for c in sorted(S.palette.colours, key=brute_idkey):
+        checked += 1
+        if S.key(S.act(A.eps(c), (1, 0))) != S.key(A.eps(om[c])):
+            _brute_note(violations, "eps-omega", c)
+    return _brute_report(violations, checked)
+
+
+def brute_modular_axioms(A, max_arity=None) -> dict:
+    """check_modular_axioms, recomputing every operation where it is used."""
+    S = A.species
+    om = S.palette.omega
+
+    def diamond(a, b, x, y):
+        if A.colour_at(a, x) != om[A.colour_at(b, y)]:
+            raise ColourMismatch("diamond needs matched colours")
+        ab = A.lab_box(a, b)
+        return None if ab is None else A.lab_zeta(ab, x, y)
+
+    def matched(a, b):
+        return [(x, y) for x in a.labels for y in b.labels
+                if A.colour_at(a, x) == om[A.colour_at(b, y)]]
+
+    pool, pool_b, pool_c = _brute_pools(A, max_arity)
+    violations = []
+    checked = 0
+    for a in pool:
+        for b in pool_b:
+            for (x, y) in matched(a, b):
+                ab = diamond(a, b, x, y)
+                for c in pool_c:
+                    for u in b.labels:
+                        if u == y:
+                            continue
+                        for v in c.labels:
+                            if A.colour_at(b, u) != om[A.colour_at(c, v)]:
+                                continue
+                            try:
+                                lhs = None if ab is None \
+                                    else diamond(ab, c, u, v)
+                                bc = diamond(b, c, u, v)
+                                rhs = None if bc is None \
+                                    else diamond(a, bc, x, y)
+                            except ColourMismatch:
+                                _brute_note(violations, "M1", a.elem, b.elem,
+                                            c.elem, (x, y, u, v))
+                                continue
+                            if lhs is None or rhs is None:
+                                continue
+                            checked += 1
+                            if not A.lab_eq(lhs, rhs):
+                                _brute_note(violations, "M1", a.elem, b.elem,
+                                            c.elem, (x, y, u, v))
+    checked += _brute_contractions_commute(A, pool, "M2", violations)
+    for a in pool:
+        for b in pool_b:
+            for (x, y) in matched(a, b):
+                ab = diamond(a, b, x, y)
+                for (u, v) in _brute_pairs(A, a):
+                    if {u, v} & {x}:
+                        continue
+                    try:
+                        lhs = None if ab is None else A.lab_zeta(ab, u, v)
+                        za = A.lab_zeta(a, u, v)
+                        rhs = None if za is None or x not in za.labels \
+                            else diamond(za, b, x, y)
+                    except ColourMismatch:
+                        _brute_note(violations, "M3", a.elem, b.elem,
+                                    (x, y, u, v))
+                        continue
+                    if lhs is None or rhs is None:
+                        continue
+                    checked += 1
+                    if not A.lab_eq(lhs, rhs):
+                        _brute_note(violations, "M3", a.elem, b.elem,
+                                    (x, y, u, v))
+    for a in pool:
+        for b in pool_b:
+            ms = matched(a, b)
+            for (x, y) in ms:
+                for (u, v) in ms:
+                    if x == u or y == v:
+                        continue
+                    try:
+                        ab1 = diamond(a, b, x, y)
+                        lhs = None if ab1 is None else A.lab_zeta(ab1, u, v)
+                        ab2 = diamond(a, b, u, v)
+                        rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
+                    except ColourMismatch:
+                        _brute_note(violations, "M4", a.elem, b.elem,
+                                    (x, y, u, v))
+                        continue
+                    if lhs is None or rhs is None:
+                        continue
+                    checked += 1
+                    if not A.lab_eq(lhs, rhs):
+                        _brute_note(violations, "M4", a.elem, b.elem,
+                                    (x, y, u, v))
+    for a in pool:
+        col = S.colour_of(a.elem)
+        for i, x in enumerate(a.labels):
+            e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
+            got = diamond(a, e, x, ("e", 0))
+            want = A.lab_rename(a, {x: ("e", 1)})
+            if got is None:
+                continue
+            checked += 1
+            if not A.lab_eq(got, want):
+                _brute_note(violations, "Munit", a.elem, x)
+    return _brute_report(violations, checked)

@@ -1,0 +1,177 @@
+"""The circuit and modular axiom checkers compute each box, contraction
+and multiplication of their pool elements once per check.  These tests
+compare their reports with the brute-force checkers in oracles.py, which
+recompute every operation where it is used, and count the pool-level
+operations of one check."""
+
+import collections
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from feyngraph.errors import FeynGraphError
+from feyngraph.monads import FreeCircuitAlgebra
+from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
+                               check_modular_axioms)
+
+from helpers_nerve import parity_algebra
+from helpers_species import (MONO, TWO, Mutant, mutation_candidates,
+                             tuple_algebra)
+from oracles import brute_circuit_axioms, brute_modular_axioms
+
+
+def free_terminal(cls=FreeCircuitAlgebra):
+    return cls(TerminalSpecies(n_max=4), max_vertices=2, max_valency=2,
+               max_factors=2)
+
+
+def free_two_colour(cls=FreeCircuitAlgebra):
+    return cls(tuple_algebra(TWO, 2).species, max_vertices=1, max_valency=2,
+               max_factors=2)
+
+
+def outcome(check, A, max_arity=None) -> str:
+    """The report as canonical JSON, or the typed error the check raised."""
+    try:
+        return json.dumps(check(A, max_arity=max_arity), sort_keys=True)
+    except FeynGraphError as exc:
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+# -- the same reports as the oracles ------------------------------------------------
+
+# criterion 7 checks the free algebras at these arities
+ALGEBRAS = {
+    "free-terminal": (free_terminal, 3, 2),
+    "free-two-colour": (free_two_colour, 3, 2),
+    "tuple-mono-4": (lambda: tuple_algebra(MONO, 4), None, None),
+    "tuple-two-3": (lambda: tuple_algebra(TWO, 3), None, None),
+    "parity-4": (lambda: parity_algebra(4), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_reports_equal_the_oracles(name):
+    make, ca_arity, mo_arity = ALGEBRAS[name]
+    A = make()
+    assert outcome(check_circuit_axioms, A, ca_arity) == \
+        outcome(brute_circuit_axioms, A, ca_arity)
+    assert outcome(check_modular_axioms, A, mo_arity) == \
+        outcome(brute_modular_axioms, A, mo_arity)
+
+
+# sha256 of the 40 reports below, computed by the checkers that recomputed
+# every operation where it was used (the ones copied into oracles.py)
+MUTANT_REPORTS_SHA256 = \
+    "31fc05bf7027f62ad7f19f9dad6ee7386fe7bc410817fb8fb4fef793cf0efca4"
+
+
+def test_reports_on_the_criterion_7_mutants_are_pinned():
+    A = free_terminal()
+    reports = []
+    for op, key, val in mutation_candidates(A, 20):
+        M = Mutant(A, op, key, val)
+        reports.append(check_circuit_axioms(M, max_arity=2))
+        reports.append(check_modular_axioms(M, max_arity=2))
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MUTANT_REPORTS_SHA256
+
+
+SMALL = [tuple_algebra(TWO, 3), parity_algebra(4)]
+
+
+@st.composite
+def mutants(draw):
+    """One box, zeta or eps entry of a small table algebra replaced by an
+    element of the same arity, chosen at random (possibly the same one,
+    possibly one of other colours)."""
+    A = draw(st.sampled_from(SMALL))
+    S = A.species
+
+    def elem(n):
+        return draw(st.sampled_from(S.elements(n)))
+
+    op = draw(st.sampled_from(["box", "zeta", "eps"]))
+    if op == "box":
+        na = draw(st.integers(0, S.n_max))
+        nb = draw(st.integers(0, S.n_max - na))
+        return Mutant(A, op, (elem(na), elem(nb)), elem(na + nb))
+    if op == "zeta":
+        n = draw(st.integers(2, S.n_max))
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        return Mutant(A, op, (elem(n), i, j), elem(n - 2))
+    colour = draw(st.sampled_from(sorted(S.palette.colours)))
+    return Mutant(A, op, colour, elem(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=mutants())
+def test_reports_on_random_mutants_equal_the_oracles(M):
+    assert outcome(check_circuit_axioms, M) == \
+        outcome(brute_circuit_axioms, M)
+    assert outcome(check_modular_axioms, M) == \
+        outcome(brute_modular_axioms, M)
+
+
+# -- each pool-level operation once -------------------------------------------------
+
+class CountingFreeAlgebra(FreeCircuitAlgebra):
+    """A free circuit algebra that counts its labelled box and contraction
+    calls on pool elements, and its contractions of their boxes.
+
+    A pool element is a labelled element whose element object came out of
+    species.elements, as the pools of a check do; pool elements and boxes
+    are told apart by identity and kept alive, so no id is reused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = collections.Counter()
+        self._kept = []
+        self._elems = set()
+        self._products = {}   # id of the box of two pool elements -> pair
+        elements = self.species.elements
+
+        def recording(n):
+            out = elements(n)
+            self._kept.extend(out)
+            self._elems.update(map(id, out))
+            return out
+
+        self.species.elements = recording
+
+    def _pooled(self, *labelled):
+        return all(id(a.elem) in self._elems for a in labelled)
+
+    def lab_box(self, a, b):
+        r = super().lab_box(a, b)
+        if self._pooled(a, b):
+            self._kept += [a, b, r]
+            self.calls["box", id(a), id(b)] += 1
+            if r is not None:
+                self._products[id(r)] = (id(a), id(b))
+        return r
+
+    def lab_zeta(self, a, x, y):
+        if self._pooled(a):
+            self._kept.append(a)
+            self.calls["zeta", id(a), x, y] += 1
+        elif id(a) in self._products:
+            self.calls["diamond", self._products[id(a)], x, y] += 1
+        return super().lab_zeta(a, x, y)
+
+
+@pytest.mark.parametrize("make", [free_terminal, free_two_colour])
+@pytest.mark.parametrize("check, kinds", [
+    (check_circuit_axioms, {"box", "zeta"}),
+    # at arity 2 no pool element has two disjoint contractible pairs
+    (check_modular_axioms, {"box", "diamond"})])
+def test_each_pool_level_operation_is_computed_once(make, check, kinds):
+    A = make(CountingFreeAlgebra)
+    check(A, max_arity=2)
+    assert kinds <= {key[0] for key in A.calls}
+    repeated = {key[0]: n for key, n in A.calls.items() if n > 1}
+    assert not repeated, f"computed more than once: {repeated}"

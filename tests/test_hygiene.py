@@ -49,13 +49,14 @@ def test_no_silent_truncation_in_library():
 
 def test_bench_hooks_resolve_and_fire():
     """Every hook of the benchmark's recorder names a function of the
-    library, and the distributive-law hooks record calls.  The recorder
-    skips a hook that does not resolve, and misses calls made through a
-    reference captured before it was installed: either reads 0."""
+    library, and the distributive-law and axiom-checker hooks record
+    calls.  The recorder skips a hook that does not resolve, and misses
+    calls made through a reference captured before it was installed:
+    either reads 0."""
     script = textwrap.dedent("""
         import importlib
         import recorder
-        from feyngraph import monads
+        from feyngraph import monads, species
         from feyngraph.species import TerminalSpecies
 
         for name, mod, attr, kind, after in recorder.LAYERS:
@@ -70,18 +71,26 @@ def test_bench_hooks_resolve_and_fire():
         recorder.install(rec)
         K = TerminalSpecies(n_max=3)
 
-        def fired(*fns):
-            for fn in fns:
-                if not rec.calls.get("monads." + fn):
-                    raise SystemExit(f"hook monads.{fn} recorded no call")
+        def fired(*names):
+            for name in names:
+                if not rec.calls.get(name):
+                    raise SystemExit(f"hook {name} recorded no call")
 
         for law in ("dt", "lt", "ld"):
             monads.check_beck(law, K, max_arity=1, max_vertices=1,
                               max_valency=2)
-        fired("mu_T", "law_DT", "law_LT", "telem_key", "check_beck")
+        fired("monads.mu_T", "monads.law_DT", "monads.law_LT",
+              "monads.telem_key", "monads.check_beck")
         monads.yang_baxter_sweep(K, max_arity=1, max_vertices=1,
                                  max_valency=2)
-        fired("yang_baxter_sweep")
+        fired("monads.yang_baxter_sweep")
+        A = monads.FreeCircuitAlgebra(K, max_vertices=1, max_valency=2,
+                                      max_factors=2)
+        species.check_circuit_axioms(A, max_arity=2)
+        species.check_modular_axioms(A, max_arity=2)
+        fired("monads.FreeCircuitAlgebra.box",
+              "monads.FreeCircuitAlgebra.zeta",
+              "species.check_circuit_axioms", "species.check_modular_axioms")
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))

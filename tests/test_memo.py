@@ -236,6 +236,19 @@ def test_a_second_graph_of_one_shape_runs_no_refinement(monkeypatch):
     assert first > 0 and len(calls) == first
 
 
+@pytest.mark.parametrize("token, other", [
+    (1, True), (("a", 1), ("a", True)), (0, 0.0), (0.0, -0.0)])
+def test_labelings_memo_tells_equal_tokens_of_other_types_apart(token, other):
+    g = line(2)
+    port = min(g.ports)
+    first = canonical_labelings(g, {port: token})
+    assert canonical_labelings(g, {port: token}) is first   # a hit
+    second = canonical_labelings(g, {port: other})
+    assert second is not first
+    assert _plain(second) == _from_scratch(g, {port: other})
+    assert _plain(first) == _from_scratch(g, {port: token})
+
+
 # -- colour maps ---------------------------------------------------------------------
 
 def test_colour_at_matches_colour_profile():
