@@ -17,10 +17,10 @@ tuples appear as tags after disjoint unions and quotients, frozensets as
 the edge classes of a colimit).  Canonical labeling maps them to dense
 integers deterministically.
 
-Two memos last for the whole process and grow with what it sees: the sort
-key of each distinct id (idkey), and the canonical labelings of each
-distinct shape, a graph with its ids replaced by their sorted positions
-(canonical_labelings).
+Three memos last for the whole process and grow with what it sees: the
+sort key and the key text of each distinct id (idkey, idstr), and the
+canonical labelings of each distinct shape, a graph with its ids
+replaced by their sorted positions (canonical_labelings).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import (
 Id = Any  # a str, an int, or a tuple or frozenset of ids
 
 _IDKEYS: dict = {}   # id -> (its repr, its idkey)
+_IDSTRS: dict = {}   # tuple or frozenset id -> (its repr, its idstr)
 
 
 def idkey(x: Id) -> tuple:
@@ -78,6 +79,35 @@ def idkey(x: Id) -> tuple:
 
 def sort_ids(ids: Iterable[Id]) -> list:
     return sorted(ids, key=idkey)
+
+
+def idstr(x: Id) -> str:
+    """The text of an id in keys, computed once for each id: its repr,
+    except that a frozenset lists its members in idkey order, so that the
+    text does not follow hash order.  The text of a str, an int or a
+    tuple of them is its repr.  A hit on the memo is trusted only when
+    the reprs agree, as in idkey."""
+    t = type(x)
+    if t is str or t is int:
+        return repr(x)
+    try:
+        hit = _IDSTRS.get(x)
+    except TypeError:
+        raise BadParameter(f"id {x!r} is not hashable") from None
+    r = repr(x)
+    if hit is not None and hit[0] == r:
+        return hit[1]
+    if t is tuple:
+        parts = [idstr(y) for y in x]
+        text = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+    elif t is frozenset:
+        text = ("frozenset({" + ", ".join(map(idstr, sort_ids(x))) + "})"
+                if x else "frozenset()")
+    else:
+        raise BadParameter(f"id {r} is not a str, an int, or a tuple or "
+                           "frozenset of ids")
+    _IDSTRS[x] = (r, text)
+    return text
 
 
 def _copy(m: Mapping) -> dict:

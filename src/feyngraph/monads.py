@@ -15,6 +15,7 @@ FreeCircuitAlgebra.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -23,11 +24,12 @@ from .errors import (ColourMismatch, FormatError, GraphInvariantError,
                      NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
-                     isolated_vertex, read_only, sort_ids, stick,
+                     idstr, isolated_vertex, read_only, sort_ids, stick,
                      tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _Violations,
                       evaluate_species, half_order)
-from .substitution import GraphOfGraphs, enumerate_x_graphs, substitute
+from .substitution import (GraphOfGraphs, enumerate_x_graphs, max_search_cap,
+                           substitute)
 
 __all__ = [
     "VertexDeletion", "PointedMorphism", "FreeElement", "TElem",
@@ -67,9 +69,11 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
             raise NotDeletable(f"vertex {v!r} has valency {g.valency(v)}")
     isolated = {v for v in w if g.valency(v) == 0}
     bivalent = w - isolated
-    # isolated deleted vertices carry no edges; just drop them
-    g1 = FeynmanGraph(g.edges, g.tau, g.half_edges, g.s, g.t,
-                      [v for v in g.vertices if v not in isolated])
+    # isolated deleted vertices carry no edges; just drop them (a graph is
+    # immutable, so without any it is g itself)
+    g1 = g if not isolated else FeynmanGraph(
+        g.edges, g.tau, g.half_edges, g.s, g.t,
+        [v for v in g.vertices if v not in isolated])
     if bivalent:
         pieces = {}
         for v in g1.vertices:
@@ -178,13 +182,18 @@ def _component_homs(sub: FeynmanGraph, h: FeynmanGraph) -> list:
 
 
 def hom_etale(g: FeynmanGraph, h: FeynmanGraph) -> list:
-    """All etale morphisms g -> h."""
+    """All etale morphisms g -> h.  Their number, the product of the hom
+    counts of g's components, is charged to FEYNGRAPH_MAX_SEARCH before
+    any of them is built."""
     per = []
     for sub, _ in g.connected_components():
         homs = _component_homs(sub, h)
         if not homs:
             return []
         per.append(homs)
+    cap = max_search_cap()
+    if math.prod(map(len, per)) > cap:
+        raise OutOfBounds(f"etale homs exceed FEYNGRAPH_MAX_SEARCH={cap}")
     out = []
     for combo in itertools.product(*per):
         em, hm, vm = {}, {}, {}
@@ -297,14 +306,17 @@ def _normalized_pointed(g, h, w, d, e, absorb: bool = True) -> PointedMorphism:
             e = e2
             changed = True
             break
-    em = tuple(sorted((repr(x), repr(e.edge_map[corr[x]])) for x in g.edges))
-    vm = tuple(sorted((repr(v), repr(e.vertex_map[vcorr[v]])) for v in vcorr))
+    # ids are written by idstr: the repr of a colimit edge follows hash order
+    em = tuple(sorted((idstr(x), idstr(e.edge_map[corr[x]]))
+                      for x in g.edges))
+    vm = tuple(sorted((idstr(v), idstr(e.vertex_map[vcorr[v]]))
+                      for v in vcorr))
     fr = []
     for v in sort_ids(fresh):
         a, b = fresh[v]
-        ia, ib = repr(e.edge_map[a]), repr(e.edge_map[b])
-        fr.append((repr(v),) + ((ia, ib) if ia <= ib else (ib, ia)))
-    key = (tuple(sorted(repr(v) for v in w)), em, vm, tuple(fr))
+        ia, ib = idstr(e.edge_map[a]), idstr(e.edge_map[b])
+        fr.append((idstr(v),) + ((ia, ib) if ia <= ib else (ib, ia)))
+    key = (tuple(sorted(map(idstr, w))), em, vm, tuple(fr))
     return PointedMorphism(g, h, w, chain, e, key, corr, vcorr, hcorr, fresh)
 
 

@@ -8,6 +8,16 @@ keeps deletions of bivalent colimit vertices inside the refinement pieces
 (so a deleted identity piece becomes a stick piece) and keeps deletions
 of isolated vertices in the pointed tail, whose own normal form absorbs
 maximally.
+
+make_kleisli normalizes in two steps.  The frame holds what depends only
+on the refinement's substitution and the deleted set: the deletion on the
+colimit, the pieces with bivalent deletions pushed into them, and, for
+each combination of minimal piece labelings, the canonical substitution
+and a plan that carries tail data onto its colimit.  The tail step maps
+one morphism's images through the frame and checks the tail at every
+stage.  corpus_morphisms keeps tables of frames within one pass, so the
+many ch, iso and deletion morphisms that share a source and a deleted set
+pay for their frame once.
 """
 from __future__ import annotations
 
@@ -19,7 +29,7 @@ from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
                      Mismatch, NotACorolla, NotDeletable, OutOfBounds)
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
-                     isolated_vertex, sort_ids, stick)
+                     idstr, isolated_vertex, sort_ids, stick)
 from .monads import (PointedMorphism, _normalized_pointed, deletable_vertices,
                      delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
@@ -108,63 +118,77 @@ def _inverse(maps) -> tuple:
     return tuple({b: a for a, b in m.items()} for m in maps)
 
 
-def _transport(old_sub, new_sub, per_piece_maps, deleted, edge_image,
-               vertex_image, half_image, fresh_images) -> tuple:
-    """Carry tail data from old_sub's colimit onto new_sub's.  The pieces
-    of new_sub come from those of old_sub through per_piece_maps[v], a
-    triple (edges, vertices, halves) of maps from new piece ids back to
-    old ones; a piece without an entry is unchanged.  The image functions
-    and `deleted` describe the tail on the old colimit.  Returns
-    (w, em, hm, vm, fresh_em) on the new colimit."""
+def _transport_plan(old_sub, new_sub, per_piece_maps, deleted) -> tuple:
+    """How tail data moves from old_sub's colimit onto new_sub's.  The
+    pieces of new_sub come from those of old_sub through per_piece_maps[v],
+    a triple (edges, vertices, halves) of maps from new piece ids back to
+    old ones; a piece without an entry is unchanged.  `deleted` is the
+    tail's deleted set on the old colimit.  Returns (w, edges, vertices,
+    halves, fresh): the deleted set on the new colimit, and the pairs
+    (new id, old id) of its edges, kept vertices, their halves and its
+    deleted vertices."""
     def back(v, i, x):
         maps = per_piece_maps.get(v)
         return x if maps is None else maps[i][x]
 
-    em = {}
+    edges = []
     for c in new_sub.colimit.edges:
         # every member of a class names the same old colimit edge
         m = next(iter(c))
-        old = (old_sub.edge_class[m[1]] if m[0] == "b"
-               else old_sub.piece_edge[(m[1], back(m[1], 0, m[2]))])
-        em[c] = edge_image(old)
-    w, hm, vm, fresh_em = set(), {}, {}, {}
+        edges.append((c, old_sub.edge_class[m[1]] if m[0] == "b"
+                      else old_sub.piece_edge[(m[1], back(m[1], 0, m[2]))]))
+    w, vertices, halves, fresh = set(), [], [], []
     for cv in new_sub.colimit.vertices:
         _, v, u = cv
         old_cv = ("p", v, back(v, 1, u))
         if old_cv in deleted:
             w.add(cv)
-            fresh_em[cv] = fresh_images(old_cv)
+            fresh.append((cv, old_cv))
         else:
-            vm[cv] = vertex_image(old_cv)
+            vertices.append((cv, old_cv))
             for h in new_sub.colimit.halves_at(cv):
-                hm[h] = half_image(("p", v, back(v, 2, h[2])))
-    return w, em, hm, vm, fresh_em
+                halves.append((h, ("p", v, back(v, 2, h[2]))))
+    return frozenset(w), edges, vertices, halves, fresh
 
 
-def make_kleisli(sub: Substitution, target, w, em, hm, vm,
-                 fresh_em=None) -> KleisliMorphism:
-    """Normalize raw Kleisli data.  sub is the substitution of the
-    refinement, a graph of graphs over the source (sub.gog), as the
-    caller has already evaluated it; it is not evaluated again.  The tail
-    data (w, em, hm, vm, fresh_em) refers to sub.colimit: w is a set of
-    colimit vertices to delete, em maps every colimit edge to a target
-    edge, hm/vm map the undeleted part, fresh_em gives target images for
-    the fresh sticks of deleted isolated vertices.
+def _apply_plan(plan, edge_image, vertex_image, half_image,
+                fresh_images) -> tuple:
+    """The tail data (em, hm, vm, fresh_em) on the new colimit of a
+    transport plan, for a tail on the old colimit given by its image
+    functions."""
+    _, edges, vertices, halves, fresh = plan
+    return ({c: edge_image(x) for c, x in edges},
+            {h: half_image(x) for h, x in halves},
+            {cv: vertex_image(x) for cv, x in vertices},
+            {cv: fresh_images(x) for cv, x in fresh})
 
-    When the pieces admit several minimal labelings, the least key over
-    all their combinations is kept; more combinations than
-    FEYNGRAPH_MAX_SEARCH raise OutOfBounds."""
+
+@dataclass
+class _Frame:
+    """What make_kleisli computes from a refinement's substitution and a
+    deleted set alone, for the tails of any number of morphisms.
+
+    stages holds (colimit, deleted set, its deletion, plan onto the next
+    stage or None) for each stage of pushing bivalent deletions into the
+    pieces; combos holds (canonical substitution, plan onto its colimit,
+    deletion of its colimit) for each combination of minimal piece
+    labelings; certs is the key part of the piece certificates."""
+    source: FeynmanGraph
+    stages: list
+    certs: tuple
+    combos: list
+
+
+def _kleisli_frame(sub: Substitution, w: frozenset) -> _Frame:
     source = sub.gog.base
     pieces = dict(sub.gog.pieces)
-    fresh_em = dict(fresh_em or {})
+    stages = []
     while True:
         colim = sub.colimit
         d = delete_vertices(colim, w)
-        etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
-        tail = _normalized_pointed(colim, target, frozenset(w), d, etale,
-                                   absorb=False)
-        push = {cv for cv in tail.deleted if colim.valency(cv) == 2}
+        push = {cv for cv in w if colim.valency(cv) == 2}
         if not push:
+            stages.append((colim, w, d, None))
             break
         # delete those vertices inside their pieces instead
         per_v = {}
@@ -178,15 +202,12 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
             pieces[v] = (dd.target, nb)
             shrink[v] = _inverse((dd.edge_correspondence, dd.vertex_map,
                                   dd.half_map))
-        # transport the tail data onto the new colimit through the
-        # composite correspondences of the normalized tail
         sub2 = substitute(GraphOfGraphs(source, pieces))
-        w, em, hm, vm, fresh_em = _transport(
-            sub, sub2, shrink, tail.deleted, tail.edge_image,
-            tail.vertex_image, tail.half_image, tail.fresh_images)
-        sub = sub2
-    # canonicalize pieces and rebuild with transported tail data; when a
-    # piece admits several minimal labelings, minimize the resulting key
+        plan = _transport_plan(sub, sub2, shrink, w)
+        stages.append((colim, w, d, plan))
+        w, sub = plan[0], sub2
+    # canonicalize the pieces, once for each combination of their minimal
+    # labelings
     vs = sort_ids(source.vertices)
     certs, labsets = {}, {}
     for v in vs:
@@ -196,39 +217,97 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
     if math.prod(len(labsets[v]) for v in vs) > cap:
         raise OutOfBounds("piece labeling combinations exceed "
                           f"FEYNGRAPH_MAX_SEARCH={cap}")
-    best = None
+    combos = []
     for combo in itertools.product(*(labsets[v] for v in vs)):
         labs = dict(zip(vs, combo))
         canon = {v: _apply_labeling(pieces[v][0], pieces[v][1], labs[v])
                  for v in vs}
         sub2 = substitute(GraphOfGraphs(source, canon))
-        w2, em2, hm2, vm2, fresh2 = _transport(
-            sub, sub2, {v: _inverse(labs[v]) for v in vs}, w,
-            em.__getitem__, vm.__getitem__, hm.__getitem__,
+        plan = _transport_plan(sub, sub2,
+                               {v: _inverse(labs[v]) for v in vs}, w)
+        combos.append((sub2, plan, delete_vertices(sub2.colimit, plan[0])))
+    return _Frame(source, stages, tuple((idstr(v), certs[v]) for v in vs),
+                  combos)
+
+
+def _kept(frames, obj, kind, build):
+    """build(), kept in the table `frames` (when there is one) under the
+    identity of obj; the entry holds obj, so that its id is not reused
+    while the table lives."""
+    if frames is None:
+        return build()
+    hit = frames.get((id(obj), kind))
+    if hit is None:
+        hit = frames[(id(obj), kind)] = (obj, build())
+    return hit[1]
+
+
+def make_kleisli(sub: Substitution, target, w, em, hm, vm,
+                 fresh_em=None, frames=None) -> KleisliMorphism:
+    """Normalize raw Kleisli data.  sub is the substitution of the
+    refinement, a graph of graphs over the source (sub.gog), as the
+    caller has already evaluated it; it is not evaluated again.  The tail
+    data (w, em, hm, vm, fresh_em) refers to sub.colimit: w is a set of
+    colimit vertices to delete, em maps every colimit edge to a target
+    edge, hm/vm map the undeleted part, fresh_em gives target images for
+    the fresh sticks of deleted isolated vertices.
+
+    Normalizing takes two steps.  The frame depends on sub and w only:
+    it deletes w from the colimit, pushes bivalent deletions into the
+    pieces (a deleted identity piece becomes a stick piece), and
+    canonicalizes the pieces, once for each combination of their minimal
+    labelings, with a plan that carries tail data onto each canonical
+    colimit.  More combinations than FEYNGRAPH_MAX_SEARCH raise
+    OutOfBounds when the frame is built.  The tail step maps this
+    morphism's images through the frame, builds and checks the tail at
+    every stage, and keeps the least key over the combinations.
+
+    frames is a table that a pass over many morphisms passes to every
+    call, such as the local dicts of corpus_morphisms: the frame of a
+    (sub, w) is built once and kept there under the identity of sub, and
+    morphisms of one frame share its substitution and refinement
+    objects.  Without a table the frame is built and used at once."""
+    w = frozenset(w)
+    frame = _kept(frames, sub, w, lambda: _kleisli_frame(sub, w))
+    fresh_em = dict(fresh_em or {})
+    for colim, ws, d, plan in frame.stages:
+        etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
+        tail = _normalized_pointed(colim, target, ws, d, etale, absorb=False)
+        if plan is not None:
+            # carry the tail data through the composite correspondences
+            # of the normalized tail
+            em, hm, vm, fresh_em = _apply_plan(
+                plan, tail.edge_image, tail.vertex_image, tail.half_image,
+                tail.fresh_images)
+    best = None
+    for sub2, plan, d in frame.combos:
+        em2, hm2, vm2, fresh2 = _apply_plan(
+            plan, em.__getitem__, vm.__getitem__, hm.__getitem__,
             fresh_em.__getitem__)
-        d = delete_vertices(sub2.colimit, w2)
         etale = _build_tail_etale(sub2.colimit, target, d,
                                   em2, hm2, vm2, fresh2)
-        tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
-                                   etale, absorb=False)
-        key = (tuple((repr(v), certs[v]) for v in vs), tail.key())
-        cand = KleisliMorphism(source, target, sub2.gog, tail, sub2, key)
+        tail = _normalized_pointed(sub2.colimit, target, plan[0], d, etale,
+                                   absorb=False)
+        key = (frame.certs, tail.key())
         if best is None or key < best.key():
-            best = cand
+            best = KleisliMorphism(frame.source, target, sub2.gog, tail,
+                                   sub2, key)
     return best
 
 
-def _identity_data(g: FeynmanGraph):
+def _identity_data(g: FeynmanGraph, frames=None):
     """The substitution of the identity refinement of g, plus identity
-    tail data on its colimit."""
-    sub = substitute(GraphOfGraphs.identity(g))
-    em = {sub.edge_class[e]: e for e in g.edges}
-    vm, hm = {}, {}
-    for v in g.vertices:
-        vm[("p", v, "*")] = v
-        for h in g.halves_at(v):
-            hm[("p", v, ("h", ("p", repr(h))))] = h
-    return sub, em, hm, vm
+    tail data on its colimit; kept in frames when there is a table."""
+    def build():
+        sub = substitute(GraphOfGraphs.identity(g))
+        em = {sub.edge_class[e]: e for e in g.edges}
+        vm, hm = {}, {}
+        for v in g.vertices:
+            vm[("p", v, "*")] = v
+            for h in g.halves_at(v):
+                hm[("p", v, ("h", ("p", repr(h))))] = h
+        return sub, em, hm, vm
+    return _kept(frames, g, "identity", build)
 
 
 def kleisli_identity(g: FeynmanGraph) -> KleisliMorphism:
@@ -236,17 +315,17 @@ def kleisli_identity(g: FeynmanGraph) -> KleisliMorphism:
     return make_kleisli(sub, g, set(), em, hm, vm)
 
 
-def kleisli_from_etale(e: EtaleMorphism) -> KleisliMorphism:
-    sub, em, hm, vm = _identity_data(e.source)
+def kleisli_from_etale(e: EtaleMorphism, frames=None) -> KleisliMorphism:
+    sub, em, hm, vm = _identity_data(e.source, frames)
     em2 = {c: e.edge_map[x] for c, x in em.items()}
     hm2 = {c: e.half_map[x] for c, x in hm.items()}
     vm2 = {c: e.vertex_map[x] for c, x in vm.items()}
-    return make_kleisli(sub, e.target, set(), em2, hm2, vm2)
+    return make_kleisli(sub, e.target, set(), em2, hm2, vm2, frames=frames)
 
 
-def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
+def kleisli_from_pointed(pm: PointedMorphism, frames=None) -> KleisliMorphism:
     g = pm.source
-    sub, em, hm, vm = _identity_data(g)
+    sub, em, hm, vm = _identity_data(g, frames)
     w, em2, hm2, vm2, fresh = set(), {}, {}, {}, {}
     for c, x in em.items():
         em2[c] = pm.edge_image(x)
@@ -261,7 +340,8 @@ def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
     for ch, x in hm.items():
         if x in pm._hcorr:
             hm2[ch] = pm.half_image(x)
-    return make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
+    return make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh,
+                        frames=frames)
 
 
 def kleisli_refinement(gog: GraphOfGraphs) -> KleisliMorphism:
@@ -559,14 +639,24 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
     Yields (name, kind, kl, from_name, to_name, meta): `from_name` names
     the codomain of the Kleisli morphism kl, because restriction goes
     backwards, and meta holds the record's extra fields.  Nothing here
-    depends on an algebra."""
+    depends on an algebra.
+
+    The pass keeps local tables of Kleisli frames (see make_kleisli) and
+    identity refinements.  Each k-corolla and the stick are built once,
+    and the ch morphisms out of them share one table for the whole pass.
+    The isomorphisms of a graph share a table, and so do its deletions;
+    each of these tables is dropped when its graph is done, so that the
+    pass holds the frames of one graph at a time."""
+    frames, corollas, st = {}, {}, stick()
     for name in sorted(corpus):
         g = corpus[name]
         # vertex elements
         for v in sort_ids(g.vertices):
             halves = half_order(g, v)
             k = len(halves)
-            c = corolla(list(range(k)))
+            if k not in corollas:
+                corollas[k] = corolla(list(range(k)))
+            c = corollas[k]
             cname = _find_corpus_name(corpus, c)
             if cname is None:
                 raise CorpusNotElementClosed(
@@ -578,26 +668,31 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
             phi = EtaleMorphism(c, g, em,
                                 {("h", i): halves[i] for i in range(k)},
                                 {"*": v})
-            yield (f"ch:{name}:v:{v!r}", "ch", kleisli_from_etale(phi),
-                   name, cname,
+            yield (f"ch:{name}:v:{v!r}", "ch",
+                   kleisli_from_etale(phi, frames), name, cname,
                    {"vertex": repr(v),
                     "edge_images": {repr(ce): repr(em[ce]) for ce in c.edges}})
         # edge elements
         for e in sort_ids(g.edges):
-            sname = _find_corpus_name(corpus, stick())
+            sname = _find_corpus_name(corpus, st)
             if sname is None:
                 raise CorpusNotElementClosed("corpus must contain the stick")
-            phi = EtaleMorphism(stick(), g, {"1": e, "2": g.tau[e]}, {}, {})
-            yield (f"ch:{name}:e:{e!r}", "ch", kleisli_from_etale(phi),
-                   name, sname, {"edge": repr(e)})
+            phi = EtaleMorphism(st, g, {"1": e, "2": g.tau[e]}, {}, {})
+            yield (f"ch:{name}:e:{e!r}", "ch",
+                   kleisli_from_etale(phi, frames), name, sname,
+                   {"edge": repr(e)})
         # isomorphisms (etale self-maps of a graph to itself are isos here)
+        isos = {}   # frames of g's isomorphisms
         for idx, psi in enumerate(hom_etale(g, g)):
-            yield (f"iso:{name}:{idx}", "iso", kleisli_from_etale(psi),
-                   name, name, {})
+            yield (f"iso:{name}:{idx}", "iso",
+                   kleisli_from_etale(psi, isos), name, name, {})
     # deletions between corpus graphs
+    last = None
     for gname, hname in (deletion_pairs or _auto_deletions(corpus)):
+        if gname != last:
+            dels, last = {}, gname   # frames of gname's deletions
         g, h = corpus[gname], corpus[hname]
-        for idx, kl in enumerate(kleisli_deletion_homs(g, h)):
+        for idx, kl in enumerate(kleisli_deletion_homs(g, h, dels)):
             yield (f"del:{gname}:{hname}:{idx}", "deletion", kl,
                    hname, gname, {})
     pairs = (_auto_refinements(corpus) if refinements is None
@@ -697,11 +792,13 @@ def _auto_refinements(corpus):
                        refinement_of_corolla(cor, h, boundary))
 
 
-def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
+def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph,
+                          frames=None) -> list:
     """All Kleisli morphisms g -> h given by deleting a nonempty set of
     bivalent/isolated vertices followed by an etale map, without the
     similarity absorption used for pointed hom-set counting (an etale map
-    and a deletion composite are distinct Kleisli morphisms)."""
+    and a deletion composite are distinct Kleisli morphisms).  frames is
+    passed on to make_kleisli."""
     out, seen = [], set()
     dels = deletable_vertices(g)
     for r in range(1, len(dels) + 1):
@@ -713,7 +810,7 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
             for e in hom_etale(d.target, h):
                 pm = _normalized_pointed(g, h, frozenset(w0), d, e,
                                          absorb=False)
-                kl = kleisli_from_pointed(pm)
+                kl = kleisli_from_pointed(pm, frames)
                 if kl.key() not in seen:
                     seen.add(kl.key())
                     out.append(kl)

@@ -402,11 +402,28 @@ class FiniteCircuitAlgebra(CircuitAlgebraOps):
 
 # -- axiom checkers ---------------------------------------------------------------
 
+# an instance whose operations give an ill-coloured or undefined result
+# violates its axiom; the check records it and goes on
+_ILL_FORMED = (ColourMismatch, FormatError)
+
+
+def _attempt(op, *args) -> tuple:
+    """(op(*args), None), or (None, the error) when op is ill-formed."""
+    try:
+        return op(*args), None
+    except _ILL_FORMED as exc:
+        return None, exc
+
+
 class _Violations(list):
     """The violations an exhaustive check found, and its report."""
 
     def note(self, kind, *witnesses):
         self.append((kind,) + tuple(map(repr, witnesses)))
+
+    def failed(self, kind, exc, *witnesses):
+        """An instance that raised exc: its witnesses plus the error."""
+        self.note(kind, *witnesses, f"{type(exc).__name__}: {exc}")
 
     def report(self, checked: int) -> dict:
         return {"ok": not self, "violations": sorted(set(self)),
@@ -475,7 +492,10 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
                          max_arity: Optional[int] = None) -> dict:
     """Exhaustively verify C1 (box associativity), commutativity, the
     external unit law, C2 (contractions commute), C3 (contraction and box
-    commute), and the eps unit law within the carrier bounds.
+    commute), and the eps unit law within the carrier bounds.  An
+    instance whose operations raise ColourMismatch or FormatError is
+    counted and reported as a violation of its axiom, with the error;
+    OutOfBounds propagates.
 
     Returns {"ok": bool, "violations": [...], "checked": int}.
     """
@@ -522,9 +542,14 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
             if ab is None:
                 continue
             for (x, y) in prs:
-                lhs = A.lab_zeta(ab, x, y)
-                za = ops.zeta(a, x, y)
-                rhs = None if za is None else A.lab_box(za, b)
+                try:
+                    lhs = A.lab_zeta(ab, x, y)
+                    za = ops.zeta(a, x, y)
+                    rhs = None if za is None else A.lab_box(za, b)
+                except _ILL_FORMED as exc:
+                    checked += 1
+                    violations.failed("C3", exc, a.elem, b.elem, (x, y))
+                    continue
                 if lhs is None or rhs is None:
                     continue
                 checked += 1
@@ -536,10 +561,13 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
         col = S.colour_of(a.elem)
         for i, x in enumerate(a.labels):
             e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            ae = A.lab_box(a, e)
-            if ae is None:
+            try:
+                ae = A.lab_box(a, e)
+                got = None if ae is None else A.lab_zeta(ae, x, ("e", 0))
+            except _ILL_FORMED as exc:
+                checked += 1
+                violations.failed("eps", exc, a.elem, x)
                 continue
-            got = A.lab_zeta(ae, x, ("e", 0))
             if got is None:
                 continue
             want = A.lab_rename(a, {x: ("e", 1)})
@@ -601,7 +629,8 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                          max_arity: Optional[int] = None) -> dict:
     """Verify M1 (diamond associativity), M2 (contractions commute),
     M3 (diamond and contraction commute), M4 (parallel multiplication),
-    and the eps unit law for the derived multiplication.
+    and the eps unit law for the derived multiplication.  Ill-formed
+    instances are reported as in check_circuit_axioms.
     """
     S = A.species
     om = S.palette.omega
@@ -618,23 +647,29 @@ def check_modular_axioms(A: CircuitAlgebraOps,
     # M1: (a <>_{x,y} b) <>_{u,v} c = a <>_{x,y} (b <>_{u,v} c).  The
     # matched (c, u, v) of each b do not depend on a, x or y, so they are
     # listed once, ahead of the loops; a stays the outer loop, so that
-    # operations are first computed, and first raise, in a, b, c order.
+    # operations are first computed in a, b, c order.  An ill-formed
+    # a <>_{x,y} b fails every instance that needs it.
     tails = [[(c, u, v) for c in pool_c for u, v in matched(b, c)]
              for b in pool_b]
     for a in pool:
         for b, tail in zip(pool_b, tails):
             for (x, y) in matched(a, b):
-                ab = ops.diamond(a, b, x, y)
+                ab, failure = _attempt(ops.diamond, a, b, x, y)
                 for c, u, v in tail:
                     if u == y:
                         continue
-                    try:
-                        lhs = None if ab is None else diamond(ab, c, u, v)
-                        bc = ops.diamond(b, c, u, v)
-                        rhs = None if bc is None else diamond(a, bc, x, y)
-                    except ColourMismatch:
-                        violations.note("M1", a.elem, b.elem,
-                                        c.elem, (x, y, u, v))
+                    exc = failure
+                    if exc is None:
+                        try:
+                            lhs = None if ab is None else diamond(ab, c, u, v)
+                            bc = ops.diamond(b, c, u, v)
+                            rhs = None if bc is None else diamond(a, bc, x, y)
+                        except _ILL_FORMED as e:
+                            exc = e
+                    if exc is not None:
+                        checked += 1
+                        violations.failed("M1", exc, a.elem, b.elem,
+                                          c.elem, (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
@@ -648,17 +683,24 @@ def check_modular_axioms(A: CircuitAlgebraOps,
         prs = _contractible_pairs(A, a)
         for b in pool_b:
             for (x, y) in matched(a, b):
-                ab = ops.diamond(a, b, x, y)
+                ab, failure = _attempt(ops.diamond, a, b, x, y)
                 for (u, v) in prs:
                     if {u, v} & {x}:
                         continue
-                    try:
-                        lhs = None if ab is None else A.lab_zeta(ab, u, v)
-                        za = ops.zeta(a, u, v)
-                        rhs = None if za is None or x not in za.labels \
-                            else diamond(za, b, x, y)
-                    except ColourMismatch:
-                        violations.note("M3", a.elem, b.elem, (x, y, u, v))
+                    exc = failure
+                    if exc is None:
+                        try:
+                            lhs = None if ab is None \
+                                else A.lab_zeta(ab, u, v)
+                            za = ops.zeta(a, u, v)
+                            rhs = None if za is None or x not in za.labels \
+                                else diamond(za, b, x, y)
+                        except _ILL_FORMED as e:
+                            exc = e
+                    if exc is not None:
+                        checked += 1
+                        violations.failed("M3", exc, a.elem, b.elem,
+                                          (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
@@ -678,8 +720,10 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                         lhs = None if ab1 is None else A.lab_zeta(ab1, u, v)
                         ab2 = ops.diamond(a, b, u, v)
                         rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
-                    except ColourMismatch:
-                        violations.note("M4", a.elem, b.elem, (x, y, u, v))
+                    except _ILL_FORMED as exc:
+                        checked += 1
+                        violations.failed("M4", exc, a.elem, b.elem,
+                                          (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
@@ -691,7 +735,11 @@ def check_modular_axioms(A: CircuitAlgebraOps,
         col = S.colour_of(a.elem)
         for i, x in enumerate(a.labels):
             e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            got = diamond(a, e, x, ("e", 0))
+            got, exc = _attempt(diamond, a, e, x, ("e", 0))
+            if exc is not None:
+                checked += 1
+                violations.failed("Munit", exc, a.elem, x)
+                continue
             want = A.lab_rename(a, {x: ("e", 1)})
             if got is None:
                 continue

@@ -119,8 +119,9 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
             e = base.s[h]
             uf.union(("b", base.tau[e]), ("p", v, p_port))
             uf.union(("b", e), ("p", v, piece.tau[p_port]))
-    cls = uf.classes()
-    edge_of = {x: frozenset(cls[uf.find(x)]) for x in uf.parent}
+    # one frozenset per class, shared by its members
+    cls = {r: frozenset(xs) for r, xs in uf.classes().items()}
+    edge_of = {x: cls[uf.find(x)] for x in uf.parent}
     new_edges = set(edge_of.values())
     new_tau = {}
     for c in new_edges:

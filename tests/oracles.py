@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from feyngraph.errors import ColourMismatch
+from feyngraph.errors import ColourMismatch, FormatError
 from feyngraph.graphs import FeynmanGraph
 
 
@@ -274,6 +274,14 @@ def _brute_note(violations, kind, *witnesses):
     violations.append((kind,) + tuple(map(repr, witnesses)))
 
 
+# an instance whose operations raise one of these is a violation
+_BRUTE_ILL_FORMED = (ColourMismatch, FormatError)
+
+
+def _brute_failed(violations, kind, exc, *witnesses):
+    _brute_note(violations, kind, *witnesses, f"{type(exc).__name__}: {exc}")
+
+
 def _brute_pools(A, max_arity):
     S = A.species
     top = S.n_max if max_arity is None else min(max_arity, S.n_max)
@@ -361,9 +369,15 @@ def brute_circuit_axioms(A, max_arity=None) -> dict:
             if ab is None:
                 continue
             for (x, y) in _brute_pairs(A, a):
-                lhs = A.lab_zeta(ab, x, y)
-                za = A.lab_zeta(a, x, y)
-                rhs = None if za is None else A.lab_box(za, b)
+                try:
+                    lhs = A.lab_zeta(ab, x, y)
+                    za = A.lab_zeta(a, x, y)
+                    rhs = None if za is None else A.lab_box(za, b)
+                except _BRUTE_ILL_FORMED as exc:
+                    checked += 1
+                    _brute_failed(violations, "C3", exc, a.elem, b.elem,
+                                  (x, y))
+                    continue
                 if lhs is None or rhs is None:
                     continue
                 checked += 1
@@ -374,10 +388,15 @@ def brute_circuit_axioms(A, max_arity=None) -> dict:
         col = S.colour_of(a.elem)
         for i, x in enumerate(a.labels):
             e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            ae = A.lab_box(a, e)
-            if ae is None:
+            try:
+                ae = A.lab_box(a, e)
+                if ae is None:
+                    continue
+                got = A.lab_zeta(ae, x, ("e", 0))
+            except _BRUTE_ILL_FORMED as exc:
+                checked += 1
+                _brute_failed(violations, "eps", exc, a.elem, x)
                 continue
-            got = A.lab_zeta(ae, x, ("e", 0))
             if got is None:
                 continue
             want = A.lab_rename(a, {x: ("e", 1)})
@@ -412,7 +431,6 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
     for a in pool:
         for b in pool_b:
             for (x, y) in matched(a, b):
-                ab = diamond(a, b, x, y)
                 for c in pool_c:
                     for u in b.labels:
                         if u == y:
@@ -421,14 +439,16 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
                             if A.colour_at(b, u) != om[A.colour_at(c, v)]:
                                 continue
                             try:
+                                ab = diamond(a, b, x, y)
                                 lhs = None if ab is None \
                                     else diamond(ab, c, u, v)
                                 bc = diamond(b, c, u, v)
                                 rhs = None if bc is None \
                                     else diamond(a, bc, x, y)
-                            except ColourMismatch:
-                                _brute_note(violations, "M1", a.elem, b.elem,
-                                            c.elem, (x, y, u, v))
+                            except _BRUTE_ILL_FORMED as exc:
+                                checked += 1
+                                _brute_failed(violations, "M1", exc, a.elem,
+                                              b.elem, c.elem, (x, y, u, v))
                                 continue
                             if lhs is None or rhs is None:
                                 continue
@@ -440,18 +460,19 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
     for a in pool:
         for b in pool_b:
             for (x, y) in matched(a, b):
-                ab = diamond(a, b, x, y)
                 for (u, v) in _brute_pairs(A, a):
                     if {u, v} & {x}:
                         continue
                     try:
+                        ab = diamond(a, b, x, y)
                         lhs = None if ab is None else A.lab_zeta(ab, u, v)
                         za = A.lab_zeta(a, u, v)
                         rhs = None if za is None or x not in za.labels \
                             else diamond(za, b, x, y)
-                    except ColourMismatch:
-                        _brute_note(violations, "M3", a.elem, b.elem,
-                                    (x, y, u, v))
+                    except _BRUTE_ILL_FORMED as exc:
+                        checked += 1
+                        _brute_failed(violations, "M3", exc, a.elem, b.elem,
+                                      (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
@@ -471,9 +492,10 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
                         lhs = None if ab1 is None else A.lab_zeta(ab1, u, v)
                         ab2 = diamond(a, b, u, v)
                         rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
-                    except ColourMismatch:
-                        _brute_note(violations, "M4", a.elem, b.elem,
-                                    (x, y, u, v))
+                    except _BRUTE_ILL_FORMED as exc:
+                        checked += 1
+                        _brute_failed(violations, "M4", exc, a.elem, b.elem,
+                                      (x, y, u, v))
                         continue
                     if lhs is None or rhs is None:
                         continue
@@ -485,7 +507,12 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
         col = S.colour_of(a.elem)
         for i, x in enumerate(a.labels):
             e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            got = diamond(a, e, x, ("e", 0))
+            try:
+                got = diamond(a, e, x, ("e", 0))
+            except _BRUTE_ILL_FORMED as exc:
+                checked += 1
+                _brute_failed(violations, "Munit", exc, a.elem, x)
+                continue
             want = A.lab_rename(a, {x: ("e", 1)})
             if got is None:
                 continue
@@ -493,3 +520,139 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
             if not A.lab_eq(got, want):
                 _brute_note(violations, "Munit", a.elem, x)
     return _brute_report(violations, checked)
+
+
+# -- Kleisli normal forms -----------------------------------------------------------
+#
+# make_kleisli as it was before it split into a frame and a tail step:
+# every morphism deletes, pushes, substitutes and canonicalizes its
+# refinement afresh.  The tail checks (_build_tail_etale, and the pointed
+# normal form with its key) and the piece labelings are the library's.
+
+
+def _brute_transport(old_sub, new_sub, per_piece_maps, deleted, edge_image,
+                     vertex_image, half_image, fresh_images) -> tuple:
+    def back(v, i, x):
+        maps = per_piece_maps.get(v)
+        return x if maps is None else maps[i][x]
+
+    em = {}
+    for c in new_sub.colimit.edges:
+        m = next(iter(c))
+        old = (old_sub.edge_class[m[1]] if m[0] == "b"
+               else old_sub.piece_edge[(m[1], back(m[1], 0, m[2]))])
+        em[c] = edge_image(old)
+    w, hm, vm, fresh_em = set(), {}, {}, {}
+    for cv in new_sub.colimit.vertices:
+        _, v, u = cv
+        old_cv = ("p", v, back(v, 1, u))
+        if old_cv in deleted:
+            w.add(cv)
+            fresh_em[cv] = fresh_images(old_cv)
+        else:
+            vm[cv] = vertex_image(old_cv)
+            for h in new_sub.colimit.halves_at(cv):
+                hm[h] = half_image(("p", v, back(v, 2, h[2])))
+    return w, em, hm, vm, fresh_em
+
+
+def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
+    """make_kleisli, normalizing each morphism from scratch."""
+    from feyngraph.graphs import idstr, sort_ids
+    from feyngraph.monads import _normalized_pointed, delete_vertices
+    from feyngraph.nerve import (KleisliMorphism, _apply_labeling,
+                                 _build_tail_etale, _piece_labelings)
+    from feyngraph.substitution import GraphOfGraphs, substitute
+
+    def inverse(maps):
+        return tuple({b: a for a, b in m.items()} for m in maps)
+
+    source = sub.gog.base
+    pieces = dict(sub.gog.pieces)
+    fresh_em = dict(fresh_em or {})
+    while True:
+        colim = sub.colimit
+        d = delete_vertices(colim, w)
+        etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
+        tail = _normalized_pointed(colim, target, frozenset(w), d, etale,
+                                   absorb=False)
+        push = {cv for cv in tail.deleted if colim.valency(cv) == 2}
+        if not push:
+            break
+        per_v = {}
+        for cv in push:
+            per_v.setdefault(cv[1], set()).add(cv[2])
+        shrink = {}
+        for v, ws in per_v.items():
+            piece, boundary = pieces[v]
+            dd = delete_vertices(piece, ws)
+            nb = {dd.edge_correspondence[p]: h for p, h in boundary.items()}
+            pieces[v] = (dd.target, nb)
+            shrink[v] = inverse((dd.edge_correspondence, dd.vertex_map,
+                                 dd.half_map))
+        sub2 = substitute(GraphOfGraphs(source, pieces))
+        w, em, hm, vm, fresh_em = _brute_transport(
+            sub, sub2, shrink, tail.deleted, tail.edge_image,
+            tail.vertex_image, tail.half_image, tail.fresh_images)
+        sub = sub2
+    vs = sort_ids(source.vertices)
+    certs, labsets = {}, {}
+    for v in vs:
+        piece, boundary = pieces[v]
+        certs[v], labsets[v] = _piece_labelings(piece, boundary)
+    best = None
+    for combo in itertools.product(*(labsets[v] for v in vs)):
+        labs = dict(zip(vs, combo))
+        canon = {v: _apply_labeling(pieces[v][0], pieces[v][1], labs[v])
+                 for v in vs}
+        sub2 = substitute(GraphOfGraphs(source, canon))
+        w2, em2, hm2, vm2, fresh2 = _brute_transport(
+            sub, sub2, {v: inverse(labs[v]) for v in vs}, w,
+            em.__getitem__, vm.__getitem__, hm.__getitem__,
+            fresh_em.__getitem__)
+        d = delete_vertices(sub2.colimit, w2)
+        etale = _build_tail_etale(sub2.colimit, target, d,
+                                  em2, hm2, vm2, fresh2)
+        tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
+                                   etale, absorb=False)
+        key = (tuple((idstr(v), certs[v]) for v in vs), tail.key())
+        cand = KleisliMorphism(source, target, sub2.gog, tail, sub2, key)
+        if best is None or key < best.key():
+            best = cand
+    return best
+
+
+def _brute_identity_data(g):
+    from feyngraph.substitution import GraphOfGraphs, substitute
+    sub = substitute(GraphOfGraphs.identity(g))
+    em = {sub.edge_class[e]: e for e in g.edges}
+    vm, hm = {}, {}
+    for v in g.vertices:
+        vm[("p", v, "*")] = v
+        for h in g.halves_at(v):
+            hm[("p", v, ("h", ("p", repr(h))))] = h
+    return sub, em, hm, vm
+
+
+def brute_kleisli_from_etale(e):
+    sub, em, hm, vm = _brute_identity_data(e.source)
+    return brute_make_kleisli(
+        sub, e.target, set(), {c: e.edge_map[x] for c, x in em.items()},
+        {c: e.half_map[x] for c, x in hm.items()},
+        {c: e.vertex_map[x] for c, x in vm.items()})
+
+
+def brute_kleisli_from_pointed(pm):
+    g = pm.source
+    sub, em, hm, vm = _brute_identity_data(g)
+    w, vm2, fresh = set(), {}, {}
+    for cv, v in vm.items():
+        if v in pm.deleted:
+            w.add(cv)
+            if g.valency(v) == 0:
+                fresh[cv] = pm.fresh_images(v)
+        else:
+            vm2[cv] = pm.vertex_image(v)
+    em2 = {c: pm.edge_image(x) for c, x in em.items()}
+    hm2 = {c: pm.half_image(x) for c, x in hm.items() if x in pm._hcorr}
+    return brute_make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)

@@ -80,6 +80,42 @@ def test_reports_on_the_criterion_7_mutants_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == MUTANT_REPORTS_SHA256
 
 
+def ill_coloured_mutants(A):
+    """Every single-entry box mutant of A with one of the first two
+    elements of the entry's arity, and every eps mutant with an element of
+    arity 2: many give results of the wrong colours."""
+    S = A.species
+    for na in range(S.n_max + 1):
+        for nb in range(S.n_max + 1 - na):
+            for a in S.elements(na):
+                for b in S.elements(nb):
+                    for val in S.elements(na + nb)[:2]:
+                        yield Mutant(A, "box", (a, b), val)
+    for c in sorted(S.palette.colours):
+        for val in S.elements(2):
+            yield Mutant(A, "eps", c, val)
+
+
+def test_ill_coloured_instances_are_reported_not_raised():
+    """In 50 of these 210 checks an instance of C3, the eps law, M1 or
+    Munit meets a ColourMismatch, and in 4 more one of M1, M3 or M4 does.
+    Every check returns a report equal to the oracle's, and the 54 reports
+    that record an error all fail."""
+    reports = []
+    for M in ill_coloured_mutants(tuple_algebra(TWO, 3)):
+        for check, brute in ((check_circuit_axioms, brute_circuit_axioms),
+                             (check_modular_axioms, brute_modular_axioms)):
+            report = check(M)
+            assert report == brute(M)
+            reports.append(report)
+    assert len(reports) == 210
+    failed = [r for r in reports
+              if any("ColourMismatch: " in w
+                     for v in r["violations"] for w in v)]
+    assert len(failed) == 54
+    assert not any(r["ok"] for r in failed)
+
+
 SMALL = [tuple_algebra(TWO, 3), parity_algebra(4)]
 
 

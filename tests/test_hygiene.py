@@ -49,15 +49,17 @@ def test_no_silent_truncation_in_library():
 
 def test_bench_hooks_resolve_and_fire():
     """Every hook of the benchmark's recorder names a function of the
-    library, and the distributive-law and axiom-checker hooks record
-    calls.  The recorder skips a hook that does not resolve, and misses
+    library, and the distributive-law, axiom-checker and nerve hooks
+    record calls.  The recorder skips a hook that does not resolve, and misses
     calls made through a reference captured before it was installed:
     either reads 0."""
     script = textwrap.dedent("""
         import importlib
         import recorder
         from feyngraph import monads, species
+        from feyngraph.graphs import corolla, stick, wheel
         from feyngraph.species import TerminalSpecies
+        from helpers_species import MONO, tuple_algebra
 
         for name, mod, attr, kind, after in recorder.LAYERS:
             module = importlib.import_module("feyngraph." + mod)
@@ -91,9 +93,17 @@ def test_bench_hooks_resolve_and_fire():
         fired("monads.FreeCircuitAlgebra.box",
               "monads.FreeCircuitAlgebra.zeta",
               "species.check_circuit_axioms", "species.check_modular_axioms")
+        # the wheel's vertex is bivalent, so the nerve has deletions
+        nerve = importlib.import_module("feyngraph.nerve")
+        nerve.nerve(tuple_algebra(MONO, 2),
+                    {"stick": stick(), "corolla2": corolla([0, 1]),
+                     "wheel1": wheel(1)})
+        fired("nerve.nerve", "nerve.make_kleisli",
+              "nerve.kleisli_deletion_homs", "nerve.restrict_kleisli",
+              "substitution.substitute", "monads.delete_vertices")
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+        [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -3,9 +3,10 @@ and the free circuit algebra."""
 
 import pytest
 
-from feyngraph.errors import ColourMismatch, NotDeletable
-from feyngraph.graphs import (FeynmanGraph, corolla, is_isomorphic,
-                              isolated_vertex, line, stick, wheel)
+from feyngraph.errors import ColourMismatch, NotDeletable, OutOfBounds
+from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union,
+                              is_isomorphic, isolated_vertex, line, stick,
+                              wheel)
 from feyngraph.monads import (FreeCircuitAlgebra, TSpecies, DSpecies,
                               LSpecies, check_beck, check_monad_laws,
                               check_t_associativity, check_yang_baxter,
@@ -95,6 +96,20 @@ def test_hom_etale_matches_brute_oracle(g, h):
 def test_hom_etale_covering_wheel():
     assert len(hom_etale(wheel(3), wheel(1))) == 2
     assert len(hom_etale(wheel(2), wheel(2))) == 4
+
+
+def test_hom_etale_is_charged_to_the_search_budget(monkeypatch):
+    # each of the two sticks goes to any of the six edges of the 3-wheel
+    g = disjoint_union(stick(), stick())
+    default = hom_etale(g, wheel(3))
+    assert len(default) == 36
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "35")
+    with pytest.raises(OutOfBounds):
+        hom_etale(g, wheel(3))
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "36")
+    got = hom_etale(g, wheel(3))
+    assert [(m.edge_map, m.half_map, m.vertex_map) for m in got] == \
+        [(m.edge_map, m.half_map, m.vertex_map) for m in default]
 
 
 # -- pointed homs --------------------------------------------------------------------

@@ -1,21 +1,30 @@
 """Kleisli morphisms, nerve computation, and the Segal checker."""
 
+import collections
 import functools
 import hashlib
 import importlib
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from feyngraph.errors import (CorpusNotElementClosed, Mismatch,
-                              NotACorolla, OutOfBounds, ValencyOutOfRange)
+                              NotACorolla, NotDeletable, OutOfBounds,
+                              ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
 from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
                               wheel)
-from feyngraph.monads import half_order, hom_pointed
+from feyngraph.monads import (deletable_vertices, delete_vertices,
+                              half_order, hom_etale, hom_pointed)
 from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
-                             fullness_probe, graphs_equal, kleisli_compose,
+                             corpus_morphisms, fullness_probe, graphs_equal,
+                             kleisli_compose,
                              kleisli_deletion_homs,
                              kleisli_equal, kleisli_from_etale,
                              kleisli_from_pointed, kleisli_identity,
@@ -28,7 +37,8 @@ from feyngraph.substitution import GraphOfGraphs, substitute
 
 from helpers_nerve import corpus14, dumbbell, parity_algebra, theta
 from helpers_species import MONO, TWO, tuple_algebra
-from oracles import brute_presheaf_maps
+from oracles import (brute_kleisli_from_etale, brute_kleisli_from_pointed,
+                     brute_presheaf_maps)
 
 nerve_module = importlib.import_module("feyngraph.nerve")
 monads_module = importlib.import_module("feyngraph.monads")
@@ -190,6 +200,130 @@ def test_kleisli_labelings_are_charged_to_the_search_budget(monkeypatch):
     monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1")
     with pytest.raises(OutOfBounds):
         refinement_of_corolla(cor, w1, {})
+
+
+# -- one frame per refinement and deleted set ----------------------------------------
+
+def _corpus_kleisli_inputs(corpus):
+    """The etale maps and pointed morphisms that corpus_morphisms turns
+    into ch, iso and deletion Kleisli morphisms, with one corolla per
+    valency and one stick, as there; every deletion before the dedupe."""
+    corollas, st = {}, stick()
+    for name in sorted(corpus):
+        g = corpus[name]
+        for v in sort_ids(g.vertices):
+            halves = half_order(g, v)
+            k = len(halves)
+            c = corollas.setdefault(k, corolla(list(range(k))))
+            em = {}
+            for i, h in enumerate(halves):
+                em[i], em[("in", i)] = g.tau[g.s[h]], g.s[h]
+            yield "etale", EtaleMorphism(
+                c, g, em, {("h", i): halves[i] for i in range(k)}, {"*": v})
+        for e in sort_ids(g.edges):
+            yield "etale", EtaleMorphism(st, g, {"1": e, "2": g.tau[e]},
+                                         {}, {})
+        for psi in hom_etale(g, g):
+            yield "etale", psi
+    for gname, hname in nerve_module._auto_deletions(corpus):
+        g, h = corpus[gname], corpus[hname]
+        dels = deletable_vertices(g)
+        for r in range(1, len(dels) + 1):
+            for w0 in itertools.combinations(dels, r):
+                try:
+                    d = delete_vertices(g, w0)
+                except NotDeletable:
+                    continue
+                for e in hom_etale(d.target, h):
+                    yield "pointed", monads_module._normalized_pointed(
+                        g, h, frozenset(w0), d, e, absorb=False)
+
+
+def _assert_same_kleisli(got, want):
+    assert got.key() == want.key()
+    assert graphs_equal(got.source, want.source)
+    assert graphs_equal(got.target, want.target)
+    assert set(got.refinement.pieces) == set(want.refinement.pieces)
+    for v, (piece, boundary) in want.refinement.pieces.items():
+        piece2, boundary2 = got.refinement.pieces[v]
+        assert graphs_equal(piece2, piece)
+        assert boundary2 == boundary
+    assert graphs_equal(got._sub.colimit, want._sub.colimit)
+    t, u = got.pointed_tail, want.pointed_tail
+    assert graphs_equal(t.etale_part.source, u.etale_part.source)
+    assert t.deleted == u.deleted
+    for attr in ("edge_map", "half_map", "vertex_map"):
+        assert getattr(t.etale_part, attr) == getattr(u.etale_part, attr)
+    assert (t._corr, t._vcorr, t._hcorr, t._fresh) == \
+        (u._corr, u._vcorr, u._hcorr, u._fresh)
+
+
+def test_frame_built_morphisms_equal_the_oracle():
+    """Every ch, iso and deletion morphism on corpus14, built through one
+    shared frame table, equals the one normalized from scratch."""
+    frames, kinds = {}, collections.Counter()
+    for kind, x in _corpus_kleisli_inputs(corpus14()):
+        if kind == "pointed":
+            got = kleisli_from_pointed(x, frames)
+            want = brute_kleisli_from_pointed(x)
+        else:
+            got = kleisli_from_etale(x, frames)
+            want = brute_kleisli_from_etale(x)
+        _assert_same_kleisli(got, want)
+        kinds[kind] += 1
+    # 79 ch and 54 iso morphisms; 142 deletions, of which one repeats
+    assert kinds == {"etale": 133, "pointed": 142}
+    # one frame per refinement and deleted set, not one per morphism
+    assert sum(k[1] != "identity" for k in frames) == 37
+
+
+def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):
+    calls = []
+
+    def counting(gog):
+        calls.append(gog)
+        return substitute(gog)
+
+    for module in (nerve_module, monads_module):
+        monkeypatch.setattr(module, "substitute", counting)
+    assert len(list(corpus_morphisms(corpus14()))) == 309
+    assert len(calls) <= 400
+
+
+KEYS_SCRIPT = """
+import hashlib
+from feyngraph.etale import glue_ports
+from feyngraph.graphs import corolla, disjoint_union, stick, wheel
+from feyngraph.monads import hom_pointed
+from feyngraph.nerve import corpus_morphisms
+from helpers_nerve import corpus14
+
+keys = [repr(kl.key()) for _, _, kl, *_ in corpus_morphisms(corpus14())]
+# the pairs of criterion 5
+du = disjoint_union(corolla([0]), corolla([0]))
+pa, pb = sorted(du.ports, key=repr)
+edge, _ = glue_ports(du, [(pa, pb)])
+pairs = [(wheel(1), stick()), (corolla([]), stick())]
+pairs += [(wheel(m), g) for m in (1, 2, 3)
+          for g in (stick(), corolla([0]), wheel(1), edge)]
+for g, h in pairs:
+    keys += [repr(pm.key()) for pm in hom_pointed(g, h)]
+print(len(keys), hashlib.sha256("\\n".join(keys).encode()).hexdigest())
+"""
+
+
+def test_kleisli_and_pointed_keys_do_not_depend_on_the_hash_seed():
+    # a colimit edge id is a frozenset, whose repr follows hash order
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    out = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", KEYS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out.add(run.stdout)
+    assert len(out) == 1, out
 
 
 # -- nerve and restrictions ----------------------------------------------------------
