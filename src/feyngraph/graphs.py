@@ -20,7 +20,9 @@ integers deterministically.
 Three memos last for the whole process and grow with what it sees: the
 sort key and the key text of each distinct id (idkey, idstr), and the
 canonical labelings of each distinct shape, a graph with its ids
-replaced by their sorted positions (canonical_labelings).
+replaced by their sorted positions (canonical_labelings).  A fourth, in
+the nerve module, does not grow: it holds the Kleisli morphisms of the
+last corpus that nerves saw (nerve._memo_morphisms).
 """
 
 from __future__ import annotations

@@ -265,7 +265,7 @@ def hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
     deletions collapse onto the full one); fresh sticks from isolated-vertex
     deletion are counted up to orientation flip (contracted-unit
     coinvariants)."""
-    out, seen = [], []
+    out, seen = [], set()
     dels = deletable_vertices(g)
     for r in range(len(dels) + 1):
         for w0 in itertools.combinations(dels, r):
@@ -273,7 +273,7 @@ def hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
             for e in hom_etale(d.target, h):
                 pm = _normalized_pointed(g, h, frozenset(w0), d, e)
                 if pm.key() not in seen:
-                    seen.append(pm.key())
+                    seen.add(pm.key())
                     out.append(pm)
     return out
 

@@ -17,7 +17,13 @@ and a plan that carries tail data onto its colimit.  The tail step maps
 one morphism's images through the frame and checks the tail at every
 stage.  corpus_morphisms keeps tables of frames within one pass, so the
 many ch, iso and deletion morphisms that share a source and a deleted set
-pay for their frame once.
+pay for their frame once; a source graph's deletions are kept there too.
+
+The morphisms of a corpus do not depend on an algebra.  nerves keeps the
+last complete pass of corpus_morphisms for the whole process, keyed by
+the identities of the corpus graphs and refinements, the deletion pairs
+and the search budget, so the nerves and fullness probes of one corpus
+build its morphisms once.
 """
 from __future__ import annotations
 
@@ -429,7 +435,9 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
         if mark and mark[0] == "fresh1":
             w.add(cv)
             a, b = t1.fresh_images(mark[1])
-            fresh[cv] = (trace_h_edge(k2, a), trace_h_edge(k2, b))
+            # images of k2's source edges a and b in k2's target
+            fresh[cv] = (t2.edge_image(k2._sub.edge_class[a]),
+                         t2.edge_image(k2._sub.edge_class[b]))
         elif mark and mark[0] == "del2":
             w.add(cv)
             c2v = mark[1]
@@ -443,11 +451,6 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
                 qh = hn[2][2]
                 hm[hn] = t2.half_image(("p", w_h, qh))
     return make_kleisli(sub, k, w, em, hm, vm, fresh)
-
-
-def trace_h_edge(k2: KleisliMorphism, eh):
-    """Image in k2's target of an edge of k2's source."""
-    return k2.pointed_tail.edge_image(k2._sub.edge_class[eh])
 
 
 def kleisli_equal(a: KleisliMorphism, b: KleisliMorphism) -> bool:
@@ -705,11 +708,45 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
         yield f"ref:{rname}", "refinement", kl, fn, tn, {}
 
 
+# the last complete pass of corpus_morphisms: (key, the corpus graphs and
+# refinements of the key, the morphisms); see _memo_morphisms
+_LAST_PASS: list = []
+
+
+def _memo_morphisms(corpus: dict, deletion_pairs, refinements):
+    """corpus_morphisms(corpus, deletion_pairs, refinements), from a memo
+    that lives for the process and holds one pass.
+
+    The key is made of the (name, id) pairs of the corpus graphs and of
+    the refinements, the deletion pairs and FEYNGRAPH_MAX_SEARCH, so a
+    lower budget raises as a first pass would.  The entry holds those
+    graphs and refinements, so that their ids are not reused while it
+    lives.  A pass is stored once it is complete, replacing the entry
+    before it; a pass that raises, or whose consumer stops early, is not
+    stored.  On a miss the morphisms are yielded as they are built."""
+    if deletion_pairs is not None:
+        deletion_pairs = tuple(map(tuple, deletion_pairs))
+    refs = None if refinements is None else tuple(refinements.items())
+    key = (tuple((n, id(g)) for n, g in corpus.items()), deletion_pairs,
+           None if refs is None else tuple((n, id(kl)) for n, kl in refs),
+           max_search_cap())
+    if _LAST_PASS and _LAST_PASS[0][0] == key:
+        yield from _LAST_PASS[0][2]
+        return
+    built = []
+    for m in corpus_morphisms(corpus, deletion_pairs, refinements):
+        built.append(m)
+        yield m
+    _LAST_PASS[:] = [(key, (tuple(corpus.values()), refs), built)]
+
+
 def nerves(algebras, corpus: dict, deletion_pairs=None,
            refinements=None) -> list:
     """The nerves of finite circuit algebras on one named corpus, in one
-    pass: each morphism of corpus_morphisms is built once, restricted for
-    every algebra, then dropped.  Object sets are the decorations of each
+    pass: each morphism of corpus_morphisms is restricted for every
+    algebra.  The morphisms come from a memo that holds the last complete
+    pass, so a later call on the same corpus graphs builds none of them
+    (see _memo_morphisms).  Object sets are the decorations of each
     graph.  An automatically generated refinement whose intermediate
     arity exceeds an algebra's tables is omitted from that algebra's
     nerve only."""
@@ -718,7 +755,7 @@ def nerves(algebras, corpus: dict, deletion_pairs=None,
              for name, g in corpus.items()}
             for A in algebras]
     morphisms = [{} for _ in algebras]
-    for mname, kind, kl, from_name, to_name, meta in corpus_morphisms(
+    for mname, kind, kl, from_name, to_name, meta in _memo_morphisms(
             corpus, deletion_pairs, refinements):
         for A, dec, out in zip(algebras, decs, morphisms):
             table = {}
@@ -798,14 +835,15 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph,
     bivalent/isolated vertices followed by an etale map, without the
     similarity absorption used for pointed hom-set counting (an etale map
     and a deletion composite are distinct Kleisli morphisms).  frames is
-    passed on to make_kleisli."""
+    passed on to make_kleisli, and it keeps the deletion of each vertex set
+    of g too, so that a table shared by the calls for one g and many h
+    deletes each set once."""
     out, seen = [], set()
     dels = deletable_vertices(g)
     for r in range(1, len(dels) + 1):
         for w0 in itertools.combinations(dels, r):
-            try:
-                d = delete_vertices(g, list(w0))
-            except NotDeletable:
+            d = _kept(frames, g, ("delete", w0), lambda: _deletion(g, w0))
+            if d is None:
                 continue
             for e in hom_etale(d.target, h):
                 pm = _normalized_pointed(g, h, frozenset(w0), d, e,
@@ -815,6 +853,14 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph,
                     seen.add(kl.key())
                     out.append(kl)
     return out
+
+
+def _deletion(g: FeynmanGraph, w0):
+    """delete_vertices(g, w0), or None when w0 is not deletable."""
+    try:
+        return delete_vertices(g, list(w0))
+    except NotDeletable:
+        return None
 
 
 def _auto_deletions(corpus):

@@ -290,6 +290,29 @@ def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):
     assert len(calls) <= 400
 
 
+def test_one_corpus_pass_deletes_each_vertex_set_once(monkeypatch):
+    """kleisli_deletion_homs keeps each deletion of a corpus graph in the
+    table corpus_morphisms shares among that graph's targets: 18 distinct
+    (graph, vertex set) pairs, 144 calls when each target deleted again."""
+    corpus = corpus14()
+    calls = []
+
+    def counting(g, w):
+        if any(g is x for x in corpus.values()):
+            calls.append((id(g), frozenset(w)))
+        return delete_vertices(g, w)
+
+    monkeypatch.setattr(nerve_module, "delete_vertices", counting)
+    rows = [f"{name} {kind} {fn} {tn} {kl.key()!r}"
+            for name, kind, kl, fn, tn, _ in corpus_morphisms(corpus)]
+    assert len(calls) <= 18
+    assert len(calls) == len(set(calls))
+    assert len(rows) == 309
+    # the names, ends and keys of the pass before deletions were kept
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
+        "32a2bb316cb2c15ce04c861bcb906a04be3ba7a92811037d06b68bb303a153a2"
+
+
 KEYS_SCRIPT = """
 import hashlib
 from feyngraph.etale import glue_ports
@@ -638,10 +661,12 @@ def test_presheaf_maps_refuses_before_building_the_search(monkeypatch):
     assert peak < 20 * 2 ** 20
 
 
-def test_shared_pass_equals_one_nerve_per_algebra():
-    A, B = parity_algebra(4), parity_algebra(6)
-    PA, PB = nerves((A, B), corpus14())
-    for P, alone in ((PA, nerve(A, corpus14())), (PB, nerve(B, corpus14()))):
+def test_shared_pass_equals_one_nerve_per_algebra(monkeypatch):
+    # the later nerves on the same corpus object take the stored pass
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    A, B, corpus = parity_algebra(4), parity_algebra(6), corpus14()
+    PA, PB = nerves((A, B), corpus)
+    for P, alone in ((PA, nerve(A, corpus)), (PB, nerve(B, corpus))):
         assert json.dumps(P.to_json(), sort_keys=True) == \
             json.dumps(alone.to_json(), sort_keys=True)
         assert list(P.morphisms) == list(alone.morphisms)
@@ -669,6 +694,96 @@ def test_fullness_probe_builds_each_kleisli_morphism_once(monkeypatch):
     fullness_probe(tuple_algebra(MONO, 6), parity_algebra(6), corpus14(), 4)
     assert one_nerve > 0
     assert len(calls) == one_nerve
+
+
+# -- the memo of corpus passes -------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """Count make_kleisli and substitute calls made from the nerve module
+    (and substitute calls from the monads module) from now on."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(nerve_module, "make_kleisli",
+                        counting("make_kleisli", nerve_module.make_kleisli))
+    for module in (nerve_module, monads_module):
+        monkeypatch.setattr(module, "substitute",
+                            counting("substitute", substitute))
+    return calls
+
+
+def _json_text(P):
+    return json.dumps(P.to_json(), sort_keys=True)
+
+
+COLD_NERVE_SCRIPT = """
+import json
+from feyngraph.nerve import nerve
+from helpers_nerve import corpus14
+from helpers_species import MONO, tuple_algebra
+print(json.dumps(nerve(tuple_algebra(MONO, 6), corpus14()).to_json(),
+                 sort_keys=True))
+"""
+
+
+def test_second_nerve_on_one_corpus_builds_no_morphism(monkeypatch):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    corpus, A = corpus14(), tuple_algebra(MONO, 6)
+    first = _json_text(nerve(A, corpus))
+    calls = _count_builds(monkeypatch)
+    second = _json_text(nerve(A, corpus))
+    assert calls == {}
+    assert second == first
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "tests")]))
+    run = subprocess.run([sys.executable, "-c", COLD_NERVE_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == second + "\n"
+
+
+def test_equal_corpus_of_fresh_graphs_misses_the_memo(monkeypatch):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    A = parity_algebra(4)
+    first = _json_text(nerve(A, corpus14()))
+    calls = _count_builds(monkeypatch)
+    assert _json_text(nerve(A, corpus14())) == first
+    assert calls["make_kleisli"] > 0 and calls["substitute"] > 0
+
+
+def test_lower_budget_raises_after_a_stored_pass(monkeypatch):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    corpus, A = corpus14(), parity_algebra(4)
+    nerve(A, corpus)
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "8")
+    with pytest.raises(OutOfBounds):
+        list(corpus_morphisms(corpus14()))   # as a first pass does
+    with pytest.raises(OutOfBounds):
+        nerve(A, corpus)
+
+
+def test_a_pass_that_raised_is_not_stored(monkeypatch):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    corpus, A = corpus14(), parity_algebra(4)
+    nerve(A, corpus)
+    stored = list(nerve_module._LAST_PASS)
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "8")
+    for _ in range(2):   # no partial pass is served the second time
+        with pytest.raises(OutOfBounds):
+            nerve(A, corpus)
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH")
+    with pytest.raises(CorpusNotElementClosed):
+        nerve(tuple_algebra(MONO, 4), {"wheel1": wheel(1), "stick": stick()})
+    assert [e is f for e, f in zip(nerve_module._LAST_PASS, stored)] == [True]
+    calls = _count_builds(monkeypatch)
+    nerve(A, corpus)
+    assert calls == {}
 
 
 # -- serialization -------------------------------------------------------------------
