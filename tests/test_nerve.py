@@ -661,12 +661,10 @@ def test_presheaf_maps_refuses_before_building_the_search(monkeypatch):
     assert peak < 20 * 2 ** 20
 
 
-def test_shared_pass_equals_one_nerve_per_algebra(monkeypatch):
-    # the later nerves on the same corpus object take the stored pass
-    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
-    A, B, corpus = parity_algebra(4), parity_algebra(6), corpus14()
-    PA, PB = nerves((A, B), corpus)
-    for P, alone in ((PA, nerve(A, corpus)), (PB, nerve(B, corpus))):
+def test_shared_pass_equals_one_nerve_per_algebra():
+    A, B = parity_algebra(4), parity_algebra(6)
+    PA, PB = nerves((A, B), corpus14())
+    for P, alone in ((PA, nerve(A, corpus14())), (PB, nerve(B, corpus14()))):
         assert json.dumps(P.to_json(), sort_keys=True) == \
             json.dumps(alone.to_json(), sort_keys=True)
         assert list(P.morphisms) == list(alone.morphisms)
@@ -719,6 +717,20 @@ def _count_builds(monkeypatch):
 
 def _json_text(P):
     return json.dumps(P.to_json(), sort_keys=True)
+
+
+def test_shared_pass_equals_stored_nerves_on_one_corpus(monkeypatch):
+    # the later nerves on the same corpus object take the stored pass,
+    # after A and B have restricted its morphisms
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    A, B, corpus = parity_algebra(4), parity_algebra(6), corpus14()
+    PA, PB = nerves((A, B), corpus)
+    calls = _count_builds(monkeypatch)
+    stored = nerve(A, corpus), nerve(B, corpus)
+    assert calls == {}
+    for P, alone in zip((PA, PB), stored):
+        assert _json_text(P) == _json_text(alone)
+        assert list(P.morphisms) == list(alone.morphisms)
 
 
 COLD_NERVE_SCRIPT = """
