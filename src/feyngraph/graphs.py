@@ -9,8 +9,8 @@ free monads) is built on this one class.
 
 A graph is an immutable value: its id-sets are frozensets and its maps are
 read-only.  So what is derived from it alone (the sorted id orders, the
-canonical labelings for given tokens) is computed once and kept on the
-graph.
+canonical labelings for given tokens, the nerve's Kleisli record) is
+computed once and kept on the graph.
 
 Ids are strs, ints, or tuples or frozensets of ids (strings in files;
 tuples appear as tags after disjoint unions and quotients, frozensets as
@@ -22,7 +22,8 @@ sort key and the key text of each distinct id (idkey, idstr), and the
 canonical labelings of each distinct shape, a graph with its ids
 replaced by their sorted positions (canonical_labelings).  A fourth, in
 the nerve module, does not grow: it holds the Kleisli morphisms of the
-last corpus that nerves saw (nerve._memo_morphisms).
+last corpus that nerves saw (nerve._memo_morphisms); Kleisli frames live
+on the graph and substitution they come from, not in a process memo.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class FeynmanGraph:
 
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
                  "_s_inv", "_halves_at", "_ports",
-                 "_sorted_edges", "_sorted_vertices", "_labelings")
+                 "_sorted_edges", "_sorted_vertices", "_labelings", "_kleisli")
 
     def __init__(self, edges: Iterable[Id], tau: Mapping[Id, Id],
                  half_edges: Iterable[Id] = (), s: Optional[Mapping[Id, Id]] = None,
@@ -155,6 +156,7 @@ class FeynmanGraph:
                                     MappingProxyType(tau))
         self._sorted_edges = self._sorted_vertices = None
         self._labelings: Optional[dict] = None   # token key -> labelings
+        self._kleisli = None   # filled by nerve._kleisli_record
 
     def _validate(self) -> None:
         if set(self.tau) != self.edges:

@@ -15,9 +15,10 @@ colimit, the pieces with bivalent deletions pushed into them, and, for
 each combination of minimal piece labelings, the canonical substitution
 and a plan that carries tail data onto its colimit.  The tail step maps
 one morphism's images through the frame and checks the tail at every
-stage.  corpus_morphisms keeps tables of frames within one pass, so the
-many ch, iso and deletion morphisms that share a source and a deleted set
-pay for their frame once; a source graph's deletions are kept there too.
+stage.  A frame is kept on its substitution (Substitution.frames), and a
+graph keeps its identity refinement and vertex deletions (_kleisli_record),
+so the ch, iso and deletion morphisms out of one graph object share one
+frame per deleted set, whoever builds them.
 
 The morphisms of a corpus do not depend on an algebra.  nerves keeps the
 last complete pass of corpus_morphisms for the whole process, keyed by
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
-                     Mismatch, NotACorolla, NotDeletable, OutOfBounds)
+                     Mismatch, NotACorolla, OutOfBounds)
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
@@ -179,7 +180,6 @@ class _Frame:
     pieces; combos holds (canonical substitution, plan onto its colimit,
     deletion of its colimit) for each combination of minimal piece
     labelings; certs is the key part of the piece certificates."""
-    source: FeynmanGraph
     stages: list
     certs: tuple
     combos: list
@@ -219,10 +219,7 @@ def _kleisli_frame(sub: Substitution, w: frozenset) -> _Frame:
     for v in vs:
         piece, boundary = pieces[v]
         certs[v], labsets[v] = _piece_labelings(piece, boundary)
-    cap = max_search_cap()
-    if math.prod(len(labsets[v]) for v in vs) > cap:
-        raise OutOfBounds("piece labeling combinations exceed "
-                          f"FEYNGRAPH_MAX_SEARCH={cap}")
+    _charge_combos(math.prod(len(labsets[v]) for v in vs))
     combos = []
     for combo in itertools.product(*(labsets[v] for v in vs)):
         labs = dict(zip(vs, combo))
@@ -232,24 +229,18 @@ def _kleisli_frame(sub: Substitution, w: frozenset) -> _Frame:
         plan = _transport_plan(sub, sub2,
                                {v: _inverse(labs[v]) for v in vs}, w)
         combos.append((sub2, plan, delete_vertices(sub2.colimit, plan[0])))
-    return _Frame(source, stages, tuple((idstr(v), certs[v]) for v in vs),
-                  combos)
+    return _Frame(stages, tuple((idstr(v), certs[v]) for v in vs), combos)
 
 
-def _kept(frames, obj, kind, build):
-    """build(), kept in the table `frames` (when there is one) under the
-    identity of obj; the entry holds obj, so that its id is not reused
-    while the table lives."""
-    if frames is None:
-        return build()
-    hit = frames.get((id(obj), kind))
-    if hit is None:
-        hit = frames[(id(obj), kind)] = (obj, build())
-    return hit[1]
+def _charge_combos(n: int) -> None:
+    cap = max_search_cap()
+    if n > cap:
+        raise OutOfBounds("piece labeling combinations exceed "
+                          f"FEYNGRAPH_MAX_SEARCH={cap}")
 
 
 def make_kleisli(sub: Substitution, target, w, em, hm, vm,
-                 fresh_em=None, frames=None) -> KleisliMorphism:
+                 fresh_em=None) -> KleisliMorphism:
     """Normalize raw Kleisli data.  sub is the substitution of the
     refinement, a graph of graphs over the source (sub.gog), as the
     caller has already evaluated it; it is not evaluated again.  The tail
@@ -263,18 +254,21 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
     pieces (a deleted identity piece becomes a stick piece), and
     canonicalizes the pieces, once for each combination of their minimal
     labelings, with a plan that carries tail data onto each canonical
-    colimit.  More combinations than FEYNGRAPH_MAX_SEARCH raise
-    OutOfBounds when the frame is built.  The tail step maps this
-    morphism's images through the frame, builds and checks the tail at
-    every stage, and keeps the least key over the combinations.
+    colimit.  The tail step maps this morphism's images through the
+    frame, builds and checks the tail at every stage, and keeps the least
+    key over the combinations.
 
-    frames is a table that a pass over many morphisms passes to every
-    call, such as the local dicts of corpus_morphisms: the frame of a
-    (sub, w) is built once and kept there under the identity of sub, and
+    The frame of (sub, w) is built once and kept in sub.frames, so the
     morphisms of one frame share its substitution and refinement
-    objects.  Without a table the frame is built and used at once."""
+    objects.  More combinations than FEYNGRAPH_MAX_SEARCH raise
+    OutOfBounds before the frame is built, and again at each use of a
+    kept frame, so a lower budget raises as a first call does."""
     w = frozenset(w)
-    frame = _kept(frames, sub, w, lambda: _kleisli_frame(sub, w))
+    frame = sub.frames.get(w)
+    if frame is None:
+        frame = sub.frames[w] = _kleisli_frame(sub, w)
+    else:
+        _charge_combos(len(frame.combos))
     fresh_em = dict(fresh_em or {})
     for colim, ws, d, plan in frame.stages:
         etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
@@ -296,15 +290,17 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
                                    absorb=False)
         key = (frame.certs, tail.key())
         if best is None or key < best.key():
-            best = KleisliMorphism(frame.source, target, sub2.gog, tail,
+            best = KleisliMorphism(sub.gog.base, target, sub2.gog, tail,
                                    sub2, key)
     return best
 
 
-def _identity_data(g: FeynmanGraph, frames=None):
-    """The substitution of the identity refinement of g, plus identity
-    tail data on its colimit; kept in frames when there is a table."""
-    def build():
+def _kleisli_record(g: FeynmanGraph) -> tuple:
+    """What the Kleisli morphisms out of g share, built on first use and
+    kept on g: (sub, em, hm, vm, deletions), the substitution of the
+    identity refinement of g, identity tail data on its colimit, and
+    delete_vertices(g, w0) for each vertex tuple w0 deleted so far."""
+    if g._kleisli is None:
         sub = substitute(GraphOfGraphs.identity(g))
         em = {sub.edge_class[e]: e for e in g.edges}
         vm, hm = {}, {}
@@ -312,31 +308,30 @@ def _identity_data(g: FeynmanGraph, frames=None):
             vm[("p", v, "*")] = v
             for h in g.halves_at(v):
                 hm[("p", v, ("h", ("p", repr(h))))] = h
-        return sub, em, hm, vm
-    return _kept(frames, g, "identity", build)
+        g._kleisli = sub, em, hm, vm, {}
+    return g._kleisli
 
 
 def kleisli_identity(g: FeynmanGraph) -> KleisliMorphism:
-    sub, em, hm, vm = _identity_data(g)
+    sub, em, hm, vm, _ = _kleisli_record(g)
     return make_kleisli(sub, g, set(), em, hm, vm)
 
 
-def kleisli_from_etale(e: EtaleMorphism, frames=None) -> KleisliMorphism:
-    sub, em, hm, vm = _identity_data(e.source, frames)
+def kleisli_from_etale(e: EtaleMorphism) -> KleisliMorphism:
+    sub, em, hm, vm, _ = _kleisli_record(e.source)
     em2 = {c: e.edge_map[x] for c, x in em.items()}
     hm2 = {c: e.half_map[x] for c, x in hm.items()}
     vm2 = {c: e.vertex_map[x] for c, x in vm.items()}
-    return make_kleisli(sub, e.target, set(), em2, hm2, vm2, frames=frames)
+    return make_kleisli(sub, e.target, set(), em2, hm2, vm2)
 
 
-def kleisli_from_pointed(pm: PointedMorphism, frames=None) -> KleisliMorphism:
+def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
     g = pm.source
-    sub, em, hm, vm = _identity_data(g, frames)
+    sub, em, hm, vm, _ = _kleisli_record(g)
     w, em2, hm2, vm2, fresh = set(), {}, {}, {}, {}
     for c, x in em.items():
         em2[c] = pm.edge_image(x)
-    for cv in list(vm):
-        v = vm[cv]
+    for cv, v in vm.items():
         if v in pm.deleted:
             w.add(cv)
             if g.valency(v) == 0:
@@ -346,8 +341,7 @@ def kleisli_from_pointed(pm: PointedMorphism, frames=None) -> KleisliMorphism:
     for ch, x in hm.items():
         if x in pm._hcorr:
             hm2[ch] = pm.half_image(x)
-    return make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh,
-                        frames=frames)
+    return make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
 
 
 def kleisli_refinement(gog: GraphOfGraphs) -> KleisliMorphism:
@@ -644,13 +638,12 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
     backwards, and meta holds the record's extra fields.  Nothing here
     depends on an algebra.
 
-    The pass keeps local tables of Kleisli frames (see make_kleisli) and
-    identity refinements.  Each k-corolla and the stick are built once,
-    and the ch morphisms out of them share one table for the whole pass.
-    The isomorphisms of a graph share a table, and so do its deletions;
-    each of these tables is dropped when its graph is done, so that the
-    pass holds the frames of one graph at a time."""
-    frames, corollas, st = {}, {}, stick()
+    The morphisms out of one graph object share its identity refinement,
+    its deletions and one Kleisli frame per deleted set, which are kept
+    on the graph (see make_kleisli).  The pass builds each k-corolla and
+    the stick once, so that the ch morphisms out of them share too; the
+    frames of the corpus graphs live as long as those graphs."""
+    corollas, st = {}, stick()
     for name in sorted(corpus):
         g = corpus[name]
         # vertex elements
@@ -672,7 +665,7 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
                                 {("h", i): halves[i] for i in range(k)},
                                 {"*": v})
             yield (f"ch:{name}:v:{v!r}", "ch",
-                   kleisli_from_etale(phi, frames), name, cname,
+                   kleisli_from_etale(phi), name, cname,
                    {"vertex": repr(v),
                     "edge_images": {repr(ce): repr(em[ce]) for ce in c.edges}})
         # edge elements
@@ -682,20 +675,16 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
                 raise CorpusNotElementClosed("corpus must contain the stick")
             phi = EtaleMorphism(st, g, {"1": e, "2": g.tau[e]}, {}, {})
             yield (f"ch:{name}:e:{e!r}", "ch",
-                   kleisli_from_etale(phi, frames), name, sname,
+                   kleisli_from_etale(phi), name, sname,
                    {"edge": repr(e)})
         # isomorphisms (etale self-maps of a graph to itself are isos here)
-        isos = {}   # frames of g's isomorphisms
         for idx, psi in enumerate(hom_etale(g, g)):
             yield (f"iso:{name}:{idx}", "iso",
-                   kleisli_from_etale(psi, isos), name, name, {})
+                   kleisli_from_etale(psi), name, name, {})
     # deletions between corpus graphs
-    last = None
     for gname, hname in (deletion_pairs or _auto_deletions(corpus)):
-        if gname != last:
-            dels, last = {}, gname   # frames of gname's deletions
         g, h = corpus[gname], corpus[hname]
-        for idx, kl in enumerate(kleisli_deletion_homs(g, h, dels)):
+        for idx, kl in enumerate(kleisli_deletion_homs(g, h)):
             yield (f"del:{gname}:{hname}:{idx}", "deletion", kl,
                    hname, gname, {})
     pairs = (_auto_refinements(corpus) if refinements is None
@@ -829,38 +818,29 @@ def _auto_refinements(corpus):
                        refinement_of_corolla(cor, h, boundary))
 
 
-def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph,
-                          frames=None) -> list:
+def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
     """All Kleisli morphisms g -> h given by deleting a nonempty set of
     bivalent/isolated vertices followed by an etale map, without the
     similarity absorption used for pointed hom-set counting (an etale map
-    and a deletion composite are distinct Kleisli morphisms).  frames is
-    passed on to make_kleisli, and it keeps the deletion of each vertex set
-    of g too, so that a table shared by the calls for one g and many h
-    deletes each set once."""
+    and a deletion composite are distinct Kleisli morphisms).  Each
+    deletion of g is kept on g, so the calls for one g and many h delete
+    each vertex set once."""
     out, seen = [], set()
+    *_, deletions = _kleisli_record(g)
     dels = deletable_vertices(g)
     for r in range(1, len(dels) + 1):
         for w0 in itertools.combinations(dels, r):
-            d = _kept(frames, g, ("delete", w0), lambda: _deletion(g, w0))
+            d = deletions.get(w0)
             if d is None:
-                continue
+                d = deletions[w0] = delete_vertices(g, w0)
             for e in hom_etale(d.target, h):
                 pm = _normalized_pointed(g, h, frozenset(w0), d, e,
                                          absorb=False)
-                kl = kleisli_from_pointed(pm, frames)
+                kl = kleisli_from_pointed(pm)
                 if kl.key() not in seen:
                     seen.add(kl.key())
                     out.append(kl)
     return out
-
-
-def _deletion(g: FeynmanGraph, w0):
-    """delete_vertices(g, w0), or None when w0 is not deletable."""
-    try:
-        return delete_vertices(g, list(w0))
-    except NotDeletable:
-        return None
 
 
 def _auto_deletions(corpus):
@@ -1082,13 +1062,16 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
         return all(rq["map"][comp[fn][x]] == comp[tn][rp["map"][x]]
                    for x in P.sets[fn])
 
-    # the squares between elementary objects, at the later of their levels
+    # the squares between elementary objects, at the later of their
+    # levels; extend_rest checks the others
     level = {n: i for i, n in enumerate(base)}
-    squares = [[] for _ in base]
+    squares, outer = [[] for _ in base], []
     for mn in shared:
         ends = (P.morphisms[mn]["from_graph"], P.morphisms[mn]["to_graph"])
         if all(n in level for n in ends):
             squares[max(level[n] for n in ends)].append(mn)
+        else:
+            outer.append(mn)
     # the ch-families of the other objects: P's per element, Q's indexed
     chs = {n: sorted(mn for mn in shared
                      if P.morphisms[mn]["kind"] == "ch"
@@ -1123,7 +1106,7 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
                 *(itertools.product(*per_x) for _, per_x in options)):
             for (n, _), vals in zip(options, choice):
                 comp[n] = dict(zip(P.sets[n], vals))
-            if all(square(mn, comp) for mn in shared):
+            if all(square(mn, comp) for mn in outer):
                 out.append({n: dict(comp[n]) for n in names})
 
     def extend_base(i, comp):

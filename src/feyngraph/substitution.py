@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from .errors import BoundsTooLarge, InvalidGraphOfGraphs
+from .errors import BadParameter, BoundsTooLarge, InvalidGraphOfGraphs
 from .etale import _UF
 from .graphs import FeynmanGraph, canonical_labelings
 
@@ -23,7 +23,17 @@ DEFAULT_MAX_SEARCH = 10 ** 7
 
 
 def max_search_cap() -> int:
-    return int(os.environ.get("FEYNGRAPH_MAX_SEARCH", DEFAULT_MAX_SEARCH))
+    """FEYNGRAPH_MAX_SEARCH, else DEFAULT_MAX_SEARCH; a value that is not
+    a nonnegative integer raises BadParameter."""
+    text = os.environ.get("FEYNGRAPH_MAX_SEARCH", DEFAULT_MAX_SEARCH)
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise BadParameter(f"FEYNGRAPH_MAX_SEARCH={text!r} is not a "
+                           "nonnegative integer")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,8 @@ class Substitution:
     colimit: FeynmanGraph
     edge_class: Mapping[Any, Any]     # base edge -> colimit edge
     piece_edge: Mapping[tuple, Any]   # (vertex, piece edge) -> colimit edge
+    # nerve.make_kleisli's frames by deleted set; not part of the value
+    frames: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def substitute(gog: GraphOfGraphs) -> Substitution:

@@ -281,6 +281,17 @@ def test_max_search_env_cap(monkeypatch, capsys):
     monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH")
 
 
+def test_malformed_max_search_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "abc")
+    code = main(["enumerate", "--labels", "2", "--max-vertices", "1",
+                 "--max-valency", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("error: BadParameter: FEYNGRAPH_MAX_SEARCH='abc' is not a "
+            "nonnegative integer") in captured.err
+
+
 def test_result_trailer_everywhere(capsys):
     cases = [
         ["validate", "stick"],

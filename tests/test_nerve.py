@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from feyngraph.errors import (CorpusNotElementClosed, Mismatch,
-                              NotACorolla, NotDeletable, OutOfBounds,
+                              NotACorolla, OutOfBounds,
                               ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
 from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
@@ -230,10 +230,7 @@ def _corpus_kleisli_inputs(corpus):
         dels = deletable_vertices(g)
         for r in range(1, len(dels) + 1):
             for w0 in itertools.combinations(dels, r):
-                try:
-                    d = delete_vertices(g, w0)
-                except NotDeletable:
-                    continue
+                d = delete_vertices(g, w0)
                 for e in hom_etale(d.target, h):
                     yield "pointed", monads_module._normalized_pointed(
                         g, h, frozenset(w0), d, e, absorb=False)
@@ -258,23 +255,71 @@ def _assert_same_kleisli(got, want):
         (u._corr, u._vcorr, u._hcorr, u._fresh)
 
 
-def test_frame_built_morphisms_equal_the_oracle():
-    """Every ch, iso and deletion morphism on corpus14, built through one
-    shared frame table, equals the one normalized from scratch."""
-    frames, kinds = {}, collections.Counter()
+def _count_frames(monkeypatch):
+    """The (substitution, deleted set) pairs that make_kleisli builds a
+    frame for from now on."""
+    built = []
+    build = nerve_module._kleisli_frame
+
+    def counting(sub, w):
+        built.append((sub, w))
+        return build(sub, w)
+
+    monkeypatch.setattr(nerve_module, "_kleisli_frame", counting)
+    return built
+
+
+def test_frame_built_morphisms_equal_the_oracle(monkeypatch):
+    """Every ch, iso and deletion morphism on corpus14, built through the
+    frames kept on its source graph, equals the one normalized from
+    scratch."""
+    built, kinds = _count_frames(monkeypatch), collections.Counter()
     for kind, x in _corpus_kleisli_inputs(corpus14()):
         if kind == "pointed":
-            got = kleisli_from_pointed(x, frames)
+            got = kleisli_from_pointed(x)
             want = brute_kleisli_from_pointed(x)
         else:
-            got = kleisli_from_etale(x, frames)
+            got = kleisli_from_etale(x)
             want = brute_kleisli_from_etale(x)
         _assert_same_kleisli(got, want)
         kinds[kind] += 1
     # 79 ch and 54 iso morphisms; 142 deletions, of which one repeats
     assert kinds == {"etale": 133, "pointed": 142}
     # one frame per refinement and deleted set, not one per morphism
-    assert sum(k[1] != "identity" for k in frames) == 37
+    assert len(built) == 37
+
+
+def test_second_morphism_out_of_a_graph_reuses_its_frame(monkeypatch):
+    """The identity refinement and the frame stay on the source graph: a
+    second Kleisli morphism out of the same graph object substitutes
+    nothing and builds no frame, and an equal fresh graph builds both."""
+    phi = next(iter(hom_etale(wheel(2), wheel(2))))
+    first = kleisli_from_etale(phi)
+    calls = []
+
+    def counting(gog):
+        calls.append(gog)
+        return substitute(gog)
+
+    monkeypatch.setattr(nerve_module, "substitute", counting)
+    built = _count_frames(monkeypatch)
+    again = kleisli_from_etale(phi)
+    assert (calls, built) == ([], [])
+    assert again.key() == first.key()
+    psi = next(iter(hom_etale(wheel(2), wheel(2))))
+    assert kleisli_from_etale(psi).key() == first.key()
+    assert len(built) == 1 and len(calls) > 1
+
+
+def test_a_kept_frame_is_charged_to_the_search_budget(monkeypatch):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    g = wheel(1)
+    kleisli_identity(g)
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "0")
+    with pytest.raises(OutOfBounds):
+        kleisli_identity(wheel(1))   # a cold build
+    with pytest.raises(OutOfBounds):
+        kleisli_identity(g)          # the frame kept on g
 
 
 def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):
@@ -291,9 +336,9 @@ def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):
 
 
 def test_one_corpus_pass_deletes_each_vertex_set_once(monkeypatch):
-    """kleisli_deletion_homs keeps each deletion of a corpus graph in the
-    table corpus_morphisms shares among that graph's targets: 18 distinct
-    (graph, vertex set) pairs, 144 calls when each target deleted again."""
+    """kleisli_deletion_homs keeps each deletion of a corpus graph on the
+    graph, for all its targets: 18 distinct (graph, vertex set) pairs,
+    144 calls when each target deleted again."""
     corpus = corpus14()
     calls = []
 

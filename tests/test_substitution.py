@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feyngraph.errors import BoundsTooLarge, InvalidGraphOfGraphs
+from feyngraph.errors import (BadParameter, BoundsTooLarge,
+                              InvalidGraphOfGraphs)
 from feyngraph.graphs import (
     FeynmanGraph, corolla, disjoint_union, is_isomorphic, line, stick, wheel,
     canonical_form,
 )
 from feyngraph.etale import glue_ports
 from feyngraph.substitution import (
-    GraphOfGraphs, XGraph, _graph_from_matching, _matchings, compose_gogs,
-    enumerate_x_graphs, substitute,
+    DEFAULT_MAX_SEARCH, GraphOfGraphs, XGraph, _graph_from_matching,
+    _matchings, compose_gogs, enumerate_x_graphs, max_search_cap, substitute,
 )
 
 from oracles import (admissible_connected_matchings, brute_count_classes,
@@ -185,6 +186,17 @@ def test_enumerate_matches_brute_class_count():
 def test_enumerate_respects_cap():
     with pytest.raises(BoundsTooLarge):
         enumerate_x_graphs(["a", "b"], max_vertices=4, max_valency=4, max_search=10)
+
+
+def test_search_budget_is_read_from_the_environment(monkeypatch):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    assert max_search_cap() == DEFAULT_MAX_SEARCH
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "0")
+    assert max_search_cap() == 0
+    for bad in ("abc", "-1", "1.5", ""):
+        monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", bad)
+        with pytest.raises(BadParameter, match="FEYNGRAPH_MAX_SEARCH"):
+            max_search_cap()
 
 
 # -- one matching per stub orbit -------------------------------------------------
