@@ -108,7 +108,8 @@ class Substitution:
     edge_class: Mapping[Any, Any]     # base edge -> colimit edge
     piece_edge: Mapping[tuple, Any]   # (vertex, piece edge) -> colimit edge
     # nerve.make_kleisli's frames by deleted set; not part of the value
-    frames: dict = field(default_factory=dict, repr=False, compare=False)
+    frames: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 def substitute(gog: GraphOfGraphs) -> Substitution:

@@ -311,6 +311,18 @@ def test_second_morphism_out_of_a_graph_reuses_its_frame(monkeypatch):
     assert len(built) == 1 and len(calls) > 1
 
 
+def test_a_substitutions_frames_are_not_a_constructor_option():
+    """Only make_kleisli fills Substitution.frames: the field cannot be
+    passed in, and dataclasses.replace starts the copy with no frames."""
+    import dataclasses
+    sub = substitute(GraphOfGraphs.identity(wheel(1)))
+    with pytest.raises(TypeError):
+        type(sub)(sub.gog, sub.colimit, sub.edge_class, sub.piece_edge,
+                  frames={})
+    sub.frames[frozenset()] = object()
+    assert dataclasses.replace(sub).frames == {}
+
+
 def test_a_kept_frame_is_charged_to_the_search_budget(monkeypatch):
     monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
     g = wheel(1)
