@@ -61,10 +61,6 @@ class InvalidGraphOfGraphs(FeynGraphError):
     pass
 
 
-class BoundsTooLarge(FeynGraphError):
-    pass
-
-
 class NotDeletable(FeynGraphError):
     """Vertex deletion requested at a vertex of valency not in {0, 2}."""
 
@@ -83,6 +79,10 @@ class ValencyOutOfRange(FeynGraphError):
 
 class OutOfBounds(FeynGraphError):
     """A law application would exceed the configured bounds."""
+
+
+class BoundsTooLarge(OutOfBounds):
+    """A search would take more steps than FEYNGRAPH_MAX_SEARCH allows."""
 
 
 class Mismatch(FeynGraphError):

@@ -28,7 +28,7 @@ from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _Violations,
                       evaluate_species, half_order)
-from .substitution import (GraphOfGraphs, enumerate_x_graphs, max_search_cap,
+from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
                            substitute)
 
 __all__ = [
@@ -191,9 +191,7 @@ def hom_etale(g: FeynmanGraph, h: FeynmanGraph) -> list:
         if not homs:
             return []
         per.append(homs)
-    cap = max_search_cap()
-    if math.prod(map(len, per)) > cap:
-        raise OutOfBounds(f"etale homs exceed FEYNGRAPH_MAX_SEARCH={cap}")
+    SearchBudget("etale homs").spend(math.prod(map(len, per)))
     out = []
     for combo in itertools.product(*per):
         em, hm, vm = {}, {}, {}
@@ -265,17 +263,36 @@ def hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
     deletions collapse onto the full one); fresh sticks from isolated-vertex
     deletion are counted up to orientation flip (contracted-unit
     coinvariants)."""
-    out, seen = [], set()
+    return list(_deletion_homs(g, h, True, {}))
+
+
+def _deletion_homs(g: FeynmanGraph, h: FeynmanGraph, absorb: bool,
+                   deletions: dict, build=None):
+    """The morphisms g -> h that delete a set of deletable vertices of g
+    and then map etale: each pointed morphism normalized with `absorb`,
+    or what `build` makes of it, once per key, in order of the deleted
+    set.  Without absorb the empty set is left out, for the etale maps
+    themselves are not deletions.
+
+    deletions keeps delete_vertices(g, w0) by vertex tuple w0, so that a
+    caller may share them across calls.  The vertex sets are charged to
+    FEYNGRAPH_MAX_SEARCH before any is tried."""
     dels = deletable_vertices(g)
-    for r in range(len(dels) + 1):
+    smallest = 0 if absorb else 1
+    SearchBudget("deletion vertex sets").spend(2 ** len(dels) - smallest)
+    seen = set()
+    for r in range(smallest, len(dels) + 1):
         for w0 in itertools.combinations(dels, r):
-            d = delete_vertices(g, list(w0))
+            d = deletions.get(w0)
+            if d is None:
+                d = deletions[w0] = delete_vertices(g, w0)
             for e in hom_etale(d.target, h):
-                pm = _normalized_pointed(g, h, frozenset(w0), d, e)
-                if pm.key() not in seen:
-                    seen.add(pm.key())
-                    out.append(pm)
-    return out
+                m = _normalized_pointed(g, h, frozenset(w0), d, e, absorb)
+                if build is not None:
+                    m = build(m)
+                if m.key() not in seen:
+                    seen.add(m.key())
+                    yield m
 
 
 def _normalized_pointed(g, h, w, d, e, absorb: bool = True) -> PointedMorphism:

@@ -22,9 +22,9 @@ frame per deleted set, whoever builds them.
 
 The morphisms of a corpus do not depend on an algebra.  nerves keeps the
 last complete pass of corpus_morphisms for the whole process, keyed by
-the identities of the corpus graphs and refinements, the deletion pairs
-and the search budget, so the nerves and fullness probes of one corpus
-build its morphisms once.
+the identities of the corpus graphs and refinements and the search
+budget, so the nerves and fullness probes of one corpus build its
+morphisms once.
 """
 from __future__ import annotations
 
@@ -32,16 +32,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (ColourMismatch, CorpusNotElementClosed, FormatError,
-                     Mismatch, NotACorolla, OutOfBounds)
+from .errors import (BoundsTooLarge, ColourMismatch, CorpusNotElementClosed,
+                     FormatError, Mismatch, NotACorolla, OutOfBounds)
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
-from .monads import (PointedMorphism, _normalized_pointed, deletable_vertices,
+from .monads import (PointedMorphism, _deletion_homs, _normalized_pointed,
                      delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
-from .substitution import (GraphOfGraphs, Substitution, max_search_cap,
-                           substitute)
+from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
+                           max_search_cap, substitute)
 
 __all__ = [
     "KleisliMorphism", "FinitePresheaf",
@@ -102,7 +102,7 @@ def _apply_labeling(piece, boundary, lab):
     return new, new_boundary
 
 
-def _build_tail_etale(colim, target, d, em, hm, vm, fresh_em):
+def _build_tail_etale(target, d, em, hm, vm, fresh_em):
     members = {}
     for x, c in d.edge_correspondence.items():
         members.setdefault(c, []).append(x)
@@ -185,7 +185,8 @@ class _Frame:
     combos: list
 
 
-def _kleisli_frame(sub: Substitution, w: frozenset) -> _Frame:
+def _kleisli_frame(sub: Substitution, w: frozenset,
+                   budget: SearchBudget) -> _Frame:
     source = sub.gog.base
     pieces = dict(sub.gog.pieces)
     stages = []
@@ -219,7 +220,7 @@ def _kleisli_frame(sub: Substitution, w: frozenset) -> _Frame:
     for v in vs:
         piece, boundary = pieces[v]
         certs[v], labsets[v] = _piece_labelings(piece, boundary)
-    _charge_combos(math.prod(len(labsets[v]) for v in vs))
+    budget.spend(math.prod(len(labsets[v]) for v in vs))
     combos = []
     for combo in itertools.product(*(labsets[v] for v in vs)):
         labs = dict(zip(vs, combo))
@@ -230,13 +231,6 @@ def _kleisli_frame(sub: Substitution, w: frozenset) -> _Frame:
                                {v: _inverse(labs[v]) for v in vs}, w)
         combos.append((sub2, plan, delete_vertices(sub2.colimit, plan[0])))
     return _Frame(stages, tuple((idstr(v), certs[v]) for v in vs), combos)
-
-
-def _charge_combos(n: int) -> None:
-    cap = max_search_cap()
-    if n > cap:
-        raise OutOfBounds("piece labeling combinations exceed "
-                          f"FEYNGRAPH_MAX_SEARCH={cap}")
 
 
 def make_kleisli(sub: Substitution, target, w, em, hm, vm,
@@ -261,17 +255,18 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
     The frame of (sub, w) is built once and kept in sub.frames, so the
     morphisms of one frame share its substitution and refinement
     objects.  More combinations than FEYNGRAPH_MAX_SEARCH raise
-    OutOfBounds before the frame is built, and again at each use of a
+    BoundsTooLarge before the frame is built, and again at each use of a
     kept frame, so a lower budget raises as a first call does."""
     w = frozenset(w)
+    budget = SearchBudget("piece labeling combinations")
     frame = sub.frames.get(w)
     if frame is None:
-        frame = sub.frames[w] = _kleisli_frame(sub, w)
+        frame = sub.frames[w] = _kleisli_frame(sub, w, budget)
     else:
-        _charge_combos(len(frame.combos))
+        budget.spend(len(frame.combos))
     fresh_em = dict(fresh_em or {})
     for colim, ws, d, plan in frame.stages:
-        etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
+        etale = _build_tail_etale(target, d, em, hm, vm, fresh_em)
         tail = _normalized_pointed(colim, target, ws, d, etale, absorb=False)
         if plan is not None:
             # carry the tail data through the composite correspondences
@@ -284,8 +279,7 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
         em2, hm2, vm2, fresh2 = _apply_plan(
             plan, em.__getitem__, vm.__getitem__, hm.__getitem__,
             fresh_em.__getitem__)
-        etale = _build_tail_etale(sub2.colimit, target, d,
-                                  em2, hm2, vm2, fresh2)
+        etale = _build_tail_etale(target, d, em2, hm2, vm2, fresh2)
         tail = _normalized_pointed(sub2.colimit, target, plan[0], d, etale,
                                    absorb=False)
         key = (frame.certs, tail.key())
@@ -627,7 +621,7 @@ def _is_elementary(g: FeynmanGraph) -> bool:
     return not sticks if g.vertices else len(sticks) <= 1
 
 
-def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
+def corpus_morphisms(corpus: dict, refinements=None):
     """The declared morphisms of the graphical category on a named corpus,
     built one at a time: the element morphisms ch_x, all isomorphisms,
     pointed deletions between corpus graphs, and the given refinements
@@ -682,7 +676,7 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
             yield (f"iso:{name}:{idx}", "iso",
                    kleisli_from_etale(psi), name, name, {})
     # deletions between corpus graphs
-    for gname, hname in (deletion_pairs or _auto_deletions(corpus)):
+    for gname, hname in _auto_deletions(corpus):
         g, h = corpus[gname], corpus[hname]
         for idx, kl in enumerate(kleisli_deletion_homs(g, h)):
             yield (f"del:{gname}:{hname}:{idx}", "deletion", kl,
@@ -702,35 +696,31 @@ def corpus_morphisms(corpus: dict, deletion_pairs=None, refinements=None):
 _LAST_PASS: list = []
 
 
-def _memo_morphisms(corpus: dict, deletion_pairs, refinements):
-    """corpus_morphisms(corpus, deletion_pairs, refinements), from a memo
-    that lives for the process and holds one pass.
+def _memo_morphisms(corpus: dict, refinements):
+    """corpus_morphisms(corpus, refinements), from a memo that lives for
+    the process and holds one pass.
 
     The key is made of the (name, id) pairs of the corpus graphs and of
-    the refinements, the deletion pairs and FEYNGRAPH_MAX_SEARCH, so a
-    lower budget raises as a first pass would.  The entry holds those
-    graphs and refinements, so that their ids are not reused while it
-    lives.  A pass is stored once it is complete, replacing the entry
+    the refinements, and FEYNGRAPH_MAX_SEARCH, so a lower budget raises
+    as a first pass would.  The entry holds those graphs and
+    refinements, so that their ids are not reused while it lives.  A pass is stored once it is complete, replacing the entry
     before it; a pass that raises, or whose consumer stops early, is not
     stored.  On a miss the morphisms are yielded as they are built."""
-    if deletion_pairs is not None:
-        deletion_pairs = tuple(map(tuple, deletion_pairs))
     refs = None if refinements is None else tuple(refinements.items())
-    key = (tuple((n, id(g)) for n, g in corpus.items()), deletion_pairs,
+    key = (tuple((n, id(g)) for n, g in corpus.items()),
            None if refs is None else tuple((n, id(kl)) for n, kl in refs),
            max_search_cap())
     if _LAST_PASS and _LAST_PASS[0][0] == key:
         yield from _LAST_PASS[0][2]
         return
     built = []
-    for m in corpus_morphisms(corpus, deletion_pairs, refinements):
+    for m in corpus_morphisms(corpus, refinements):
         built.append(m)
         yield m
     _LAST_PASS[:] = [(key, (tuple(corpus.values()), refs), built)]
 
 
-def nerves(algebras, corpus: dict, deletion_pairs=None,
-           refinements=None) -> list:
+def nerves(algebras, corpus: dict, refinements=None) -> list:
     """The nerves of finite circuit algebras on one named corpus, in one
     pass: each morphism of corpus_morphisms is restricted for every
     algebra.  The morphisms come from a memo that holds the last complete
@@ -745,7 +735,7 @@ def nerves(algebras, corpus: dict, deletion_pairs=None,
             for A in algebras]
     morphisms = [{} for _ in algebras]
     for mname, kind, kl, from_name, to_name, meta in _memo_morphisms(
-            corpus, deletion_pairs, refinements):
+            corpus, refinements):
         for A, dec, out in zip(algebras, decs, morphisms):
             table = {}
             try:
@@ -755,6 +745,9 @@ def nerves(algebras, corpus: dict, deletion_pairs=None,
                         raise FormatError(
                             f"restriction left the carrier at {mname}")
                     table[key] = k2
+            except BoundsTooLarge:
+                # a search the budget refused is not an arity bound
+                raise
             except OutOfBounds:
                 if kind != "refinement" or refinements is not None:
                     raise
@@ -771,12 +764,12 @@ def nerves(algebras, corpus: dict, deletion_pairs=None,
 
 
 def nerve(A: CircuitAlgebraOps, corpus: dict,
-          deletion_pairs=None, refinements=None) -> FinitePresheaf:
+          refinements=None) -> FinitePresheaf:
     """The nerve of a finite circuit algebra on a named corpus: object
     sets are the decorations of each graph; restrictions are generated by
     the element morphisms ch_x, all isomorphisms, pointed deletions
     between corpus graphs, and any declared refinements."""
-    return nerves((A,), corpus, deletion_pairs, refinements)[0]
+    return nerves((A,), corpus, refinements)[0]
 
 
 def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
@@ -800,7 +793,10 @@ def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
 def _auto_refinements(corpus):
     """For every corolla in the corpus, refinements by every corpus graph
     with a matching number of ports (one per port/slot bijection), as
-    (name, Kleisli morphism) pairs built one at a time."""
+    (name, Kleisli morphism) pairs built one at a time.  The k! bijections
+    of each k-corolla and graph are charged to FEYNGRAPH_MAX_SEARCH before
+    any of them is built."""
+    budget = SearchBudget("refinement port bijections")
     for cname in sorted(corpus):
         cor = corpus[cname]
         if len(cor.vertices) != 1 or cor.inner_edges():
@@ -812,6 +808,7 @@ def _auto_refinements(corpus):
             if not h.vertices or len(h.ports) != len(halves):
                 continue
             ports = sort_ids(h.ports)
+            budget.spend(math.factorial(len(halves)))
             for idx, perm in enumerate(itertools.permutations(halves)):
                 boundary = dict(zip(ports, perm))
                 yield (f"{cname}<-{hname}:{idx}",
@@ -825,22 +822,8 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
     and a deletion composite are distinct Kleisli morphisms).  Each
     deletion of g is kept on g, so the calls for one g and many h delete
     each vertex set once."""
-    out, seen = [], set()
     *_, deletions = _kleisli_record(g)
-    dels = deletable_vertices(g)
-    for r in range(1, len(dels) + 1):
-        for w0 in itertools.combinations(dels, r):
-            d = deletions.get(w0)
-            if d is None:
-                d = deletions[w0] = delete_vertices(g, w0)
-            for e in hom_etale(d.target, h):
-                pm = _normalized_pointed(g, h, frozenset(w0), d, e,
-                                         absorb=False)
-                kl = kleisli_from_pointed(pm)
-                if kl.key() not in seen:
-                    seen.add(kl.key())
-                    out.append(kl)
-    return out
+    return list(_deletion_homs(g, h, False, deletions, kleisli_from_pointed))
 
 
 def _auto_deletions(corpus):
@@ -1050,11 +1033,8 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
     shared = [mn for mn in P.morphisms if mn in Q.morphisms]
     base = [n for n in names if _is_elementary(P.corpus[n])]
     rest = [n for n in names if n not in base]
-    cap = max_search_cap()
-    if math.prod(max(len(Q.sets[n]) ** len(P.sets[n]), 1)
-                 for n in base) > cap:
-        raise OutOfBounds("natural-transformation search exceeds "
-                          f"FEYNGRAPH_MAX_SEARCH={cap}")
+    SearchBudget("natural-transformation choices").spend(
+        math.prod(max(len(Q.sets[n]) ** len(P.sets[n]), 1) for n in base))
 
     def square(mn, comp):
         rp, rq = P.morphisms[mn], Q.morphisms[mn]
@@ -1140,10 +1120,8 @@ def algebra_morphisms(A: CircuitAlgebraOps, B: CircuitAlgebraOps,
             keys.append(SA.key(x))
             images.append([y for y in eb
                            if SB.colour_of(y) == SA.colour_of(x)])
-    cap = max_search_cap()
-    if math.prod(map(len, images)) > cap:
-        raise OutOfBounds("algebra-morphism search exceeds "
-                          f"FEYNGRAPH_MAX_SEARCH={cap}")
+    SearchBudget("algebra-morphism candidates").spend(
+        math.prod(map(len, images)))
     out = []
     for vals in itertools.product(*images):
         fwd = dict(zip(keys, vals))

@@ -425,6 +425,19 @@ class _Violations(list):
         """An instance that raised exc: its witnesses plus the error."""
         self.note(kind, *witnesses, f"{type(exc).__name__}: {exc}")
 
+    def judge(self, kind, exc, lhs, rhs, eq, *witnesses) -> int:
+        """One candidate instance of an axiom, lhs = rhs under eq, whose
+        computation raised exc (or None).  It counts, and is noted when
+        it raised or its sides differ, unless a side is undefined (None).
+        Returns the number of instances checked, 1 or 0."""
+        if exc is not None:
+            self.failed(kind, exc, *witnesses)
+        elif lhs is None or rhs is None:
+            return 0
+        elif not eq(lhs, rhs):
+            self.note(kind, *witnesses)
+        return 1
+
     def report(self, checked: int) -> dict:
         return {"ok": not self, "violations": sorted(set(self)),
                 "checked": checked}
@@ -504,33 +517,39 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
     ops = _PoolOps(A)
     violations = _Violations()
     checked = 0
-    # C1 associativity + commutativity
+    # C1 associativity + commutativity; an ill-formed a box b fails every
+    # instance that needs it
     for a in pool:
         for b in pool_b:
-            ab = ops.box(a, b)
-            if ab is None:
+            ab, failure = _attempt(ops.box, a, b)
+            if ab is None and failure is None:
                 continue
-            ba = A.lab_box(b, a)
-            if ba is not None:
-                checked += 1
-                if not A.lab_eq(ab, ba):
-                    violations.note("commutativity", a.elem, b.elem)
+            ba, exc = (_attempt(A.lab_box, b, a) if failure is None
+                       else (None, failure))
+            checked += violations.judge("commutativity", exc, ab, ba,
+                                        A.lab_eq, a.elem, b.elem)
             for c in pool_c:
-                abc1 = A.lab_box(ab, c)
-                bc = ops.box(b, c)
-                abc2 = None if bc is None else A.lab_box(a, bc)
-                if abc1 is None or abc2 is None:
-                    continue
-                checked += 1
-                if not A.lab_eq(abc1, abc2):
-                    violations.note("C1", a.elem, b.elem, c.elem)
+                exc, abc1, abc2 = failure, None, None
+                if exc is None:
+                    try:
+                        abc1 = A.lab_box(ab, c)
+                        bc = ops.box(b, c)
+                        abc2 = None if bc is None else A.lab_box(a, bc)
+                    except _ILL_FORMED as e:
+                        exc = e
+                checked += violations.judge("C1", exc, abc1, abc2, A.lab_eq,
+                                            a.elem, b.elem, c.elem)
     # external unit
     if not A.nonunital:
         u = A.lab(A.unit0(), ())
         for a in pool:
             checked += 1
-            au = A.lab_box(a, u)
-            ua = A.lab_box(u, a)
+            try:
+                au = A.lab_box(a, u)
+                ua = A.lab_box(u, a)
+            except _ILL_FORMED as exc:
+                violations.failed("unit", exc, a.elem)
+                continue
             if au is None or ua is None or not (A.lab_eq(au, a) and A.lab_eq(ua, a)):
                 violations.note("unit", a.elem)
     checked += _check_contractions_commute(ops, pool, "C2", violations)
@@ -538,42 +557,35 @@ def check_circuit_axioms(A: CircuitAlgebraOps,
     for a in pool:
         prs = _contractible_pairs(A, a)
         for b in pool_b:
-            ab = ops.box(a, b)
-            if ab is None:
+            ab, failure = _attempt(ops.box, a, b)
+            if ab is None and failure is None:
                 continue
             for (x, y) in prs:
-                try:
-                    lhs = A.lab_zeta(ab, x, y)
-                    za = ops.zeta(a, x, y)
-                    rhs = None if za is None else A.lab_box(za, b)
-                except _ILL_FORMED as exc:
-                    checked += 1
-                    violations.failed("C3", exc, a.elem, b.elem, (x, y))
-                    continue
-                if lhs is None or rhs is None:
-                    continue
-                checked += 1
-                if not A.lab_eq(lhs, rhs):
-                    violations.note("C3", a.elem, b.elem, (x, y))
+                exc, lhs, rhs = failure, None, None
+                if exc is None:
+                    try:
+                        lhs = A.lab_zeta(ab, x, y)
+                        za = ops.zeta(a, x, y)
+                        rhs = None if za is None else A.lab_box(za, b)
+                    except _ILL_FORMED as e:
+                        exc = e
+                checked += violations.judge("C3", exc, lhs, rhs, A.lab_eq,
+                                            a.elem, b.elem, (x, y))
     # eps law: contracting a stick onto a position is a renaming
     om = S.palette.omega
     for a in pool:
         col = S.colour_of(a.elem)
         for i, x in enumerate(a.labels):
             e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
+            exc = got = None
             try:
                 ae = A.lab_box(a, e)
                 got = None if ae is None else A.lab_zeta(ae, x, ("e", 0))
-            except _ILL_FORMED as exc:
-                checked += 1
-                violations.failed("eps", exc, a.elem, x)
-                continue
-            if got is None:
-                continue
-            want = A.lab_rename(a, {x: ("e", 1)})
-            checked += 1
-            if not A.lab_eq(got, want):
-                violations.note("eps", a.elem, x)
+            except _ILL_FORMED as err:
+                exc = err
+            want = None if got is None else A.lab_rename(a, {x: ("e", 1)})
+            checked += violations.judge("eps", exc, got, want, A.lab_eq,
+                                        a.elem, x)
     # eps compatibility with omega: eps(omega c) = swap . eps(c)
     for c in sort_ids(S.palette.colours):
         checked += 1
@@ -593,19 +605,21 @@ def _check_contractions_commute(ops: _PoolOps, pool, kind, violations) -> int:
             for (x2, y2) in prs:
                 if {x1, y1} & {x2, y2}:
                     continue
-                first = ops.zeta(a, x1, y1)
-                if first is None:
-                    continue
-                second = A.lab_zeta(first, x2, y2) \
-                    if _still_contractible(A, first, x2, y2) else None
-                other = ops.zeta(a, x2, y2)
-                other2 = None if other is None or not _still_contractible(
-                    A, other, x1, y1) else A.lab_zeta(other, x1, y1)
-                if second is None or other2 is None:
-                    continue
-                checked += 1
-                if not A.lab_eq(second, other2):
-                    violations.note(kind, a.elem, (x1, y1), (x2, y2))
+                exc = second = other2 = None
+                try:
+                    first = ops.zeta(a, x1, y1)
+                    if first is None:
+                        continue
+                    second = A.lab_zeta(first, x2, y2) \
+                        if _still_contractible(A, first, x2, y2) else None
+                    other = ops.zeta(a, x2, y2)
+                    other2 = None if other is None or not _still_contractible(
+                        A, other, x1, y1) else A.lab_zeta(other, x1, y1)
+                except _ILL_FORMED as e:
+                    exc = e
+                checked += violations.judge(kind, exc, second, other2,
+                                            A.lab_eq, a.elem, (x1, y1),
+                                            (x2, y2))
     return checked
 
 
@@ -658,7 +672,7 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                 for c, u, v in tail:
                     if u == y:
                         continue
-                    exc = failure
+                    exc, lhs, rhs = failure, None, None
                     if exc is None:
                         try:
                             lhs = None if ab is None else diamond(ab, c, u, v)
@@ -666,17 +680,11 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                             rhs = None if bc is None else diamond(a, bc, x, y)
                         except _ILL_FORMED as e:
                             exc = e
-                    if exc is not None:
-                        checked += 1
-                        violations.failed("M1", exc, a.elem, b.elem,
-                                          c.elem, (x, y, u, v))
-                        continue
-                    if lhs is None or rhs is None:
-                        continue
-                    checked += 1
-                    if not A.lab_eq(lhs, rhs):
-                        violations.note("M1", a.elem, b.elem,
-                                        c.elem, (x, y, u, v))
+                    if exc is None and (lhs is None or rhs is None):
+                        continue    # most candidates; spare them the call
+                    checked += violations.judge("M1", exc, lhs, rhs,
+                                                A.lab_eq, a.elem, b.elem,
+                                                c.elem, (x, y, u, v))
     checked += _check_contractions_commute(ops, pool, "M2", violations)
     # M3: zeta_{u,v}(a <>_{x,y} b) = zeta_{u,v}(a) <>_{x,y} b, u,v in a
     for a in pool:
@@ -687,7 +695,7 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                 for (u, v) in prs:
                     if {u, v} & {x}:
                         continue
-                    exc = failure
+                    exc, lhs, rhs = failure, None, None
                     if exc is None:
                         try:
                             lhs = None if ab is None \
@@ -697,16 +705,9 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                                 else diamond(za, b, x, y)
                         except _ILL_FORMED as e:
                             exc = e
-                    if exc is not None:
-                        checked += 1
-                        violations.failed("M3", exc, a.elem, b.elem,
-                                          (x, y, u, v))
-                        continue
-                    if lhs is None or rhs is None:
-                        continue
-                    checked += 1
-                    if not A.lab_eq(lhs, rhs):
-                        violations.note("M3", a.elem, b.elem, (x, y, u, v))
+                    checked += violations.judge("M3", exc, lhs, rhs,
+                                                A.lab_eq, a.elem, b.elem,
+                                                (x, y, u, v))
     # M4: two parallel edges between a and b can be contracted in either order
     for a in pool:
         for b in pool_b:
@@ -715,37 +716,26 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                 for (u, v) in ms:
                     if x == u or y == v:
                         continue
+                    exc = lhs = rhs = None
                     try:
                         ab1 = ops.diamond(a, b, x, y)
                         lhs = None if ab1 is None else A.lab_zeta(ab1, u, v)
                         ab2 = ops.diamond(a, b, u, v)
                         rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
-                    except _ILL_FORMED as exc:
-                        checked += 1
-                        violations.failed("M4", exc, a.elem, b.elem,
-                                          (x, y, u, v))
-                        continue
-                    if lhs is None or rhs is None:
-                        continue
-                    checked += 1
-                    if not A.lab_eq(lhs, rhs):
-                        violations.note("M4", a.elem, b.elem, (x, y, u, v))
+                    except _ILL_FORMED as e:
+                        exc = e
+                    checked += violations.judge("M4", exc, lhs, rhs,
+                                                A.lab_eq, a.elem, b.elem,
+                                                (x, y, u, v))
     # unit law for diamond
     for a in pool:
         col = S.colour_of(a.elem)
         for i, x in enumerate(a.labels):
             e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
             got, exc = _attempt(diamond, a, e, x, ("e", 0))
-            if exc is not None:
-                checked += 1
-                violations.failed("Munit", exc, a.elem, x)
-                continue
-            want = A.lab_rename(a, {x: ("e", 1)})
-            if got is None:
-                continue
-            checked += 1
-            if not A.lab_eq(got, want):
-                violations.note("Munit", a.elem, x)
+            want = None if got is None else A.lab_rename(a, {x: ("e", 1)})
+            checked += violations.judge("Munit", exc, got, want, A.lab_eq,
+                                        a.elem, x)
     return violations.report(checked)
 
 

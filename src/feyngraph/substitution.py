@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from .errors import BadParameter, BoundsTooLarge, InvalidGraphOfGraphs
 from .etale import _UF
@@ -34,6 +34,23 @@ def max_search_cap() -> int:
         raise BadParameter(f"FEYNGRAPH_MAX_SEARCH={text!r} is not a "
                            "nonnegative integer")
     return cap
+
+
+class SearchBudget:
+    """One search's allowance of FEYNGRAPH_MAX_SEARCH units, read once when
+    the search starts.  spend(n) raises BoundsTooLarge, naming the search,
+    once more than the cap has been spent."""
+    __slots__ = ("search", "cap", "left")
+
+    def __init__(self, search: str):
+        self.search = search
+        self.cap = self.left = max_search_cap()
+
+    def spend(self, n: int = 1) -> None:
+        self.left -= n
+        if self.left < 0:
+            raise BoundsTooLarge(f"{self.search} exceed "
+                                 f"FEYNGRAPH_MAX_SEARCH={self.cap}")
 
 
 @dataclass(frozen=True)
@@ -254,8 +271,8 @@ def _matching_connected(matching, n_vertices: int) -> bool:
 
 
 def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
-                       connected_only: bool = True, admissible_only: bool = True,
-                       max_search: Optional[int] = None) -> list:
+                       connected_only: bool = True,
+                       admissible_only: bool = True) -> list:
     """One canonical XGraph per labeled isomorphism class within bounds.
 
     Generates by vertex-valency multisets, then perfect matchings on the
@@ -264,13 +281,11 @@ def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
     unmatched stub of each vertex).  Admissibility (no port-port pair) and
     connectivity are decided on the matching, so only kept matchings
     become graphs; vertices of equal valency are still interchangeable,
-    so classes are deduplicated by canonical form.  The search budget
-    (max_search, else FEYNGRAPH_MAX_SEARCH) is charged once for each
-    generated matching.
+    so classes are deduplicated by canonical form.  Each generated
+    matching is charged to FEYNGRAPH_MAX_SEARCH.
     """
     labels = list(labels)
-    cap = max_search if max_search is not None else max_search_cap()
-    budget = cap
+    budget = SearchBudget("enumerated matchings")
     found = {}
     for nv in range(max_vertices + 1):
         for valencies in itertools.combinations_with_replacement(
@@ -282,10 +297,7 @@ def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
             for vi, d in enumerate(valencies):
                 points += [("s", vi, j) for j in range(d)]
             for matching in _stub_orbit_matchings(points, admissible_only):
-                budget -= 1
-                if budget < 0:
-                    raise BoundsTooLarge(
-                        f"enumeration exceeded FEYNGRAPH_MAX_SEARCH={cap}")
+                budget.spend()
                 if connected_only and not _matching_connected(matching, nv):
                     continue
                 x = XGraph(*_graph_from_matching(labels, valencies, matching))

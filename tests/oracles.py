@@ -312,14 +312,21 @@ def _brute_contractions_commute(A, pool, kind, violations):
             for (x2, y2) in prs:
                 if {x1, y1} & {x2, y2}:
                     continue
-                first = A.lab_zeta(a, x1, y1)
-                if first is None:
+                try:
+                    first = A.lab_zeta(a, x1, y1)
+                    if first is None:
+                        continue
+                    second = A.lab_zeta(first, x2, y2) \
+                        if still(first, x2, y2) else None
+                    other = A.lab_zeta(a, x2, y2)
+                    other2 = None if other is None \
+                        or not still(other, x1, y1) \
+                        else A.lab_zeta(other, x1, y1)
+                except _BRUTE_ILL_FORMED as exc:
+                    checked += 1
+                    _brute_failed(violations, kind, exc, a.elem, (x1, y1),
+                                  (x2, y2))
                     continue
-                second = A.lab_zeta(first, x2, y2) \
-                    if still(first, x2, y2) else None
-                other = A.lab_zeta(a, x2, y2)
-                other2 = None if other is None or not still(other, x1, y1) \
-                    else A.lab_zeta(other, x1, y1)
                 if second is None or other2 is None:
                     continue
                 checked += 1
@@ -336,18 +343,32 @@ def brute_circuit_axioms(A, max_arity=None) -> dict:
     checked = 0
     for a in pool:
         for b in pool_b:
-            ab = A.lab_box(a, b)
-            if ab is None:
-                continue
-            ba = A.lab_box(b, a)
-            if ba is not None:
+            try:
+                ab = A.lab_box(a, b)
+                if ab is None:
+                    continue
+                ba = A.lab_box(b, a)
+            except _BRUTE_ILL_FORMED as exc:
                 checked += 1
-                if not A.lab_eq(ab, ba):
-                    _brute_note(violations, "commutativity", a.elem, b.elem)
+                _brute_failed(violations, "commutativity", exc, a.elem,
+                              b.elem)
+            else:
+                if ba is not None:
+                    checked += 1
+                    if not A.lab_eq(ab, ba):
+                        _brute_note(violations, "commutativity", a.elem,
+                                    b.elem)
             for c in pool_c:
-                abc1 = A.lab_box(ab, c)
-                bc = A.lab_box(b, c)
-                abc2 = None if bc is None else A.lab_box(a, bc)
+                try:
+                    ab = A.lab_box(a, b)
+                    abc1 = A.lab_box(ab, c)
+                    bc = A.lab_box(b, c)
+                    abc2 = None if bc is None else A.lab_box(a, bc)
+                except _BRUTE_ILL_FORMED as exc:
+                    checked += 1
+                    _brute_failed(violations, "C1", exc, a.elem, b.elem,
+                                  c.elem)
+                    continue
                 if abc1 is None or abc2 is None:
                     continue
                 checked += 1
@@ -357,19 +378,23 @@ def brute_circuit_axioms(A, max_arity=None) -> dict:
         u = A.lab(A.unit0(), ())
         for a in pool:
             checked += 1
-            au = A.lab_box(a, u)
-            ua = A.lab_box(u, a)
+            try:
+                au = A.lab_box(a, u)
+                ua = A.lab_box(u, a)
+            except _BRUTE_ILL_FORMED as exc:
+                _brute_failed(violations, "unit", exc, a.elem)
+                continue
             if au is None or ua is None or \
                     not (A.lab_eq(au, a) and A.lab_eq(ua, a)):
                 _brute_note(violations, "unit", a.elem)
     checked += _brute_contractions_commute(A, pool, "C2", violations)
     for a in pool:
         for b in pool_b:
-            ab = A.lab_box(a, b)
-            if ab is None:
-                continue
             for (x, y) in _brute_pairs(A, a):
                 try:
+                    ab = A.lab_box(a, b)
+                    if ab is None:
+                        break
                     lhs = A.lab_zeta(ab, x, y)
                     za = A.lab_zeta(a, x, y)
                     rhs = None if za is None else A.lab_box(za, b)
@@ -573,7 +598,7 @@ def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
     while True:
         colim = sub.colimit
         d = delete_vertices(colim, w)
-        etale = _build_tail_etale(colim, target, d, em, hm, vm, fresh_em)
+        etale = _build_tail_etale(target, d, em, hm, vm, fresh_em)
         tail = _normalized_pointed(colim, target, frozenset(w), d, etale,
                                    absorb=False)
         push = {cv for cv in tail.deleted if colim.valency(cv) == 2}
@@ -611,8 +636,7 @@ def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
             em.__getitem__, vm.__getitem__, hm.__getitem__,
             fresh_em.__getitem__)
         d = delete_vertices(sub2.colimit, w2)
-        etale = _build_tail_etale(sub2.colimit, target, d,
-                                  em2, hm2, vm2, fresh2)
+        etale = _build_tail_etale(target, d, em2, hm2, vm2, fresh2)
         tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
                                    etale, absorb=False)
         key = (tuple((idstr(v), certs[v]) for v in vs), tail.key())

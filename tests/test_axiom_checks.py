@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feyngraph.cli import main
 from feyngraph.errors import FeynGraphError
 from feyngraph.monads import FreeCircuitAlgebra
-from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
-                               check_modular_axioms)
+from feyngraph.species import (TerminalSpecies, algebra_from_json,
+                               check_circuit_axioms, check_modular_axioms)
 
 from helpers_nerve import parity_algebra
-from helpers_species import (MONO, TWO, Mutant, mutation_candidates,
-                             tuple_algebra)
+from helpers_species import (MONO, TWO, Mutant, algebra_to_json,
+                             mutation_candidates, tuple_algebra)
 from oracles import brute_circuit_axioms, brute_modular_axioms
 
 
@@ -114,6 +115,37 @@ def test_ill_coloured_instances_are_reported_not_raised():
                      for v in r["violations"] for w in v)]
     assert len(failed) == 54
     assert not any(r["ok"] for r in failed)
+
+
+# (n_max, table, entry, axioms of the circuit check, of the modular
+# check): a tuple algebra of TWO without that table entry, whose operation
+# then raises FormatError, and the axioms whose instances meet it
+UNDEFINED_ENTRIES = [
+    (3, "box", "t:-|t:", {"C1", "C3", "commutativity", "unit"}, set()),
+    (4, "zeta", "t:+,-,+,-|0|1", {"C2", "C3"}, {"M1", "M2", "M3"}),
+]
+
+
+@pytest.mark.parametrize("n_max, table, entry, circuit, modular",
+                         UNDEFINED_ENTRIES)
+def test_undefined_operations_are_reported_not_raised(
+        n_max, table, entry, circuit, modular, tmp_path, capsys):
+    data = algebra_to_json(tuple_algebra(TWO, n_max))
+    del data[table][entry]
+    A = algebra_from_json(data)
+    for check, brute, axioms in (
+            (check_circuit_axioms, brute_circuit_axioms, circuit),
+            (check_modular_axioms, brute_modular_axioms, modular)):
+        report = check(A)
+        assert report == brute(A)
+        assert {v[0] for v in report["violations"]} == axioms
+        assert all(f"FormatError: {table} undefined" in v[-1]
+                   for v in report["violations"])
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-ca", str(path)]) == 1
+    assert capsys.readouterr().out.endswith(
+        f"RESULT fail n_checked={check_circuit_axioms(A)['checked']}\n")
 
 
 SMALL = [tuple_algebra(TWO, 3), parity_algebra(4)]

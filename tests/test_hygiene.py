@@ -1,5 +1,6 @@
 """Source checks: the library's runtime checks must survive python -O,
-and no handler may swallow errors it does not name."""
+no handler may swallow errors it does not name, and every search draws on
+one budget."""
 
 import ast
 import os
@@ -12,12 +13,27 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "feyngraph"
 
 
-def _nodes(kind):
+def _scoped_nodes():
+    """(where, names of the enclosing classes and functions, node) for
+    every node of the library."""
+    def walk(node, scope, where):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            yield f"{where}:{getattr(child, 'lineno', '?')}", inner, child
+            yield from walk(child, inner, where)
+
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, kind):
-                yield f"{path.name}:{node.lineno}", node
+        yield from walk(tree, (), path.name)
+
+
+def _nodes(kind):
+    for where, _, node in _scoped_nodes():
+        if isinstance(node, kind):
+            yield where, node
 
 
 def test_no_assert_statements_in_library():
@@ -45,6 +61,27 @@ def test_no_silent_truncation_in_library():
     found += [where for where, node in _nodes(ast.ImportFrom)
               if any(a.name == "islice" for a in node.names)]
     assert not found, f"silent truncation: {found}"
+
+
+def test_one_search_budget():
+    """Every enumeration draws on FEYNGRAPH_MAX_SEARCH through one budget
+    type: only SearchBudget raises BoundsTooLarge, and only it and the key
+    of the corpus-pass memo read the cap."""
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or \
+            (isinstance(node, ast.Attribute) and node.attr == name)
+
+    found = []
+    for where, scope, node in _scoped_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if named(exc, "BoundsTooLarge") and "SearchBudget" not in scope:
+                found.append(f"{where} raises BoundsTooLarge")
+        if isinstance(node, ast.Call) and named(node.func, "max_search_cap") \
+                and not {"SearchBudget", "_memo_morphisms"} & set(scope):
+            found.append(f"{where} reads the cap")
+    assert not found, f"searches outside the one budget: {found}"
 
 
 def test_bench_hooks_resolve_and_fire():

@@ -14,8 +14,8 @@ import tracemalloc
 
 import pytest
 
-from feyngraph.errors import (CorpusNotElementClosed, Mismatch,
-                              NotACorolla, OutOfBounds,
+from feyngraph.errors import (BoundsTooLarge, CorpusNotElementClosed,
+                              Mismatch, NotACorolla, OutOfBounds,
                               ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
 from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
@@ -33,7 +33,8 @@ from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
                              presheaf_maps, refinement_of_corolla,
                              restrict_kleisli)
 from feyngraph.species import evaluate_species
-from feyngraph.substitution import GraphOfGraphs, substitute
+from feyngraph.substitution import (GraphOfGraphs, enumerate_x_graphs,
+                                    substitute)
 
 from helpers_nerve import corpus14, dumbbell, parity_algebra, theta
 from helpers_species import MONO, TWO, tuple_algebra
@@ -261,9 +262,9 @@ def _count_frames(monkeypatch):
     built = []
     build = nerve_module._kleisli_frame
 
-    def counting(sub, w):
+    def counting(sub, w, budget):
         built.append((sub, w))
-        return build(sub, w)
+        return build(sub, w, budget)
 
     monkeypatch.setattr(nerve_module, "_kleisli_frame", counting)
     return built
@@ -332,6 +333,75 @@ def test_a_kept_frame_is_charged_to_the_search_budget(monkeypatch):
         kleisli_identity(wheel(1))   # a cold build
     with pytest.raises(OutOfBounds):
         kleisli_identity(g)          # the frame kept on g
+
+
+def _small_corpus():
+    return {"stick": stick(), "corolla1": corolla([0]),
+            "corolla2": corolla([0, 1]), "corolla3": corolla([0, 1, 2]),
+            "wheel1": wheel(1)}
+
+
+def _all_corpus_morphisms(corpus):
+    return list(corpus_morphisms(corpus))
+
+
+# (search, size, function, arguments): every search charged to
+# FEYNGRAPH_MAX_SEARCH, and a call that spends `size` on it, more than on
+# any other search it makes; the arguments are built at the default cap
+BUDGETED = [
+    ("enumerated matchings", 18, enumerate_x_graphs,
+     lambda: (["a", "b"], 2, 3)),
+    ("etale homs", 4, hom_etale, lambda: (wheel(2), wheel(2))),
+    ("deletion vertex sets", 8, hom_pointed, lambda: (wheel(3), wheel(1))),
+    ("deletion vertex sets", 7, kleisli_deletion_homs,
+     lambda: (wheel(3), wheel(1))),
+    # theta has 12 automorphisms, and no port to fix
+    ("piece labeling combinations", 12, refinement_of_corolla,
+     lambda: (corolla([]), theta(), {})),
+    # 1! + 2! + 3! for the three corollas refined by themselves, beside
+    # the 3! automorphisms of corolla3
+    ("refinement port bijections", 9, _all_corpus_morphisms,
+     lambda: (_small_corpus(),)),
+    ("natural-transformation choices", 8, presheaf_maps,
+     lambda: nerves((tuple_algebra(MONO, 3), parity_algebra(4)),
+                    _small_corpus())),
+    ("algebra-morphism candidates", 16, algebra_morphisms,
+     lambda: (tuple_algebra(MONO, 3), parity_algebra(4), 3)),
+]
+
+
+@pytest.mark.parametrize("search, size, fn, args", BUDGETED,
+                         ids=[f"{row[0]}-{row[2].__name__}"
+                              for row in BUDGETED])
+def test_every_search_stops_at_the_budget(monkeypatch, search, size, fn,
+                                          args):
+    monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
+    args = args()
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", str(size - 1))
+    with pytest.raises(BoundsTooLarge, match=f"^{search} exceed "):
+        fn(*args)
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", str(size))
+    fn(*args)
+
+
+def test_a_refused_search_in_a_refinement_is_not_an_arity_bound(
+        monkeypatch):
+    """nerves leaves out an automatic refinement whose restriction leaves
+    an algebra's bounds (OutOfBounds), but a search that the budget
+    refused there (BoundsTooLarge, an OutOfBounds too) still raises."""
+    restrict = nerve_module.restrict_kleisli
+    corpus = {"stick": stick(), "corolla2": corolla([0, 1]),
+              "line2": line(2)}
+
+    def refusing(A, kl, dec):
+        # only the refinement of corolla2 by line2 has a 2-vertex piece
+        if any(len(p.vertices) > 1 for p, _ in kl.refinement.pieces.values()):
+            raise BoundsTooLarge("searches exceed FEYNGRAPH_MAX_SEARCH=0")
+        return restrict(A, kl, dec)
+
+    monkeypatch.setattr(nerve_module, "restrict_kleisli", refusing)
+    with pytest.raises(BoundsTooLarge):
+        nerve(tuple_algebra(MONO, 3), corpus)
 
 
 def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):

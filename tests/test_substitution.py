@@ -183,9 +183,10 @@ def test_enumerate_matches_brute_class_count():
     assert brute_count_classes(raw) == len(xs)
 
 
-def test_enumerate_respects_cap():
+def test_enumerate_respects_cap(monkeypatch):
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "10")
     with pytest.raises(BoundsTooLarge):
-        enumerate_x_graphs(["a", "b"], max_vertices=4, max_valency=4, max_search=10)
+        enumerate_x_graphs(["a", "b"], max_vertices=4, max_valency=4)
 
 
 def test_search_budget_is_read_from_the_environment(monkeypatch):
