@@ -345,12 +345,15 @@ class TElem:
     colouring and a vertex decoration (element plus explicit half order).
 
     Immutable: colours and vdec are read-only, so a key computed once
-    stays valid; telem_key keeps it on the element."""
+    stays valid; telem_key keeps it on the element, and TSpecies.act
+    keeps each permuted element on the element it permutes, so that a
+    permuted element is built, and keyed, once."""
     graph: FeynmanGraph
     ports: tuple                # position -> port edge
     colours: Mapping            # edge -> colour
     vdec: Mapping               # vertex -> (element, half order tuple)
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
+    _acted: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "colours", read_only(self.colours))
@@ -422,8 +425,18 @@ class TSpecies(SpeciesOps):
         return tuple(t.colours[e] for e in t.ports)
 
     def act(self, t: TElem, sigma):
-        return TElem(t.graph, tuple(t.ports[sigma[i]] for i in range(len(sigma))),
-                     t.colours, t.vdec)
+        sigma = tuple(sigma)
+        if sigma == tuple(range(len(sigma))):
+            return t
+        acted = t._acted
+        if acted is None:
+            acted = {}
+            object.__setattr__(t, "_acted", acted)
+        u = acted.get(sigma)
+        if u is None:
+            u = acted[sigma] = TElem(t.graph, tuple(t.ports[i] for i in sigma),
+                                     t.colours, t.vdec)
+        return u
 
     def key(self, t: TElem):
         return ("T",) + telem_key(self.inner, t)
@@ -490,8 +503,21 @@ class LSpecies(SpeciesOps):
         self.n_max = n_max if n_max is not None else max_factors * inner.n_max
 
     def norm(self, factors):
-        return tuple(sorted(((tuple(b), x) for b, x in factors),
-                            key=lambda f: (f[0], _kstr(self.inner, f[1]))))
+        """The factors sorted by (block, key string of the element).  The
+        blocks of a well-formed element are disjoint, so only arity-0
+        factors share one: key strings are computed only inside a run of
+        equal blocks.  Both sorts are stable, so the order is that of one
+        sort by (block, key string), for any input."""
+        out = []
+        for _, run in itertools.groupby(
+                sorted(((tuple(b), x) for b, x in factors),
+                       key=lambda f: f[0]),
+                key=lambda f: f[0]):
+            run = list(run)
+            if len(run) > 1:
+                run.sort(key=lambda f: _kstr(self.inner, f[1]))
+            out += run
+        return tuple(out)
 
     def elements(self, n):
         out, seen = [], set()
@@ -764,11 +790,15 @@ def law_LD(S: SpeciesOps, d):
 
 def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                      max_vertices: int = 2, max_valency: int = 3) -> dict:
-    """Unit triangles and associativity for the bounded T (substitution),
-    D and L monads over S."""
+    """Unit triangles for the bounded T (substitution), D and L monads
+    over S, and associativity of D and L on D(D(D S)) and L(L(L S)).
+    T's associativity is checked here by arity only; see
+    check_t_associativity."""
     violations, checked = _Violations(), 0
     TS = TSpecies(S, max_vertices, max_valency)
     TT_inner = TSpecies(TS, max_vertices, max_valency)
+    DS, LS = DSpecies(S), LSpecies(S, 4)
+    DDS, LLS = DSpecies(DS), LSpecies(LSpecies(S, 2), 2)
 
     for n in range(max_arity + 1):
         for t in TS.elements(n):
@@ -790,19 +820,21 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
             flat = mu_T(TS, tt)
             if len(flat.ports) != n:
                 violations.note("T-mu-arity", n)
-        for d in DSpecies(DSpecies(S)).elements(n):
+        # D and L associativity: on A(A(A S)), flattening the two outer
+        # layers first equals flattening each factor first
+        for ddd in DSpecies(DDS).elements(n):
             checked += 1
-            lhs = mu_D(d)
-            if DSpecies(S).arity(lhs) != n:
-                violations.note("D-mu-arity", n)
-        for le in LSpecies(LSpecies(S, 2), 2).elements(n):
+            lhs = mu_D(mu_D(ddd))
+            rhs = mu_D(_fmap_D(mu_D, ddd))
+            if DS.key(lhs) != DS.key(rhs):
+                violations.note("D-assoc", DS.key(lhs), DS.key(rhs))
+        for lll in LSpecies(LLS, 2).elements(n):
             checked += 1
-            flat = mu_L(LSpecies(S, 4), le)
-            if sum(len(b) for b, _ in flat) != n:
-                violations.note("L-mu-arity", n)
+            lhs = mu_L(LS, mu_L(LLS, lll))
+            rhs = mu_L(LS, _fmap_L(lambda ll: mu_L(LS, ll), lll))
+            if LS.key(lhs) != LS.key(rhs):
+                violations.note("L-assoc", LS.key(lhs), LS.key(rhs))
     # D and L unit laws
-    DS = DSpecies(S)
-    LS = LSpecies(S, 4)
     for n in range(max_arity + 1):
         for d in DS.elements(n):
             checked += 2

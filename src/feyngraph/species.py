@@ -335,10 +335,6 @@ class CircuitAlgebraOps:
         rest = tuple(l for k, l in enumerate(a.labels) if k not in (i, j))
         return Labeled(r, rest)
 
-    def lab_diamond(self, a: Labeled, b: Labeled, x, y) -> Optional[Labeled]:
-        ab = self.lab_box(a, b)
-        return None if ab is None else self.lab_zeta(ab, x, y)
-
     def lab_rename(self, a: Labeled, mapping: Mapping) -> Labeled:
         return Labeled(a.elem, tuple(mapping.get(l, l) for l in a.labels))
 
@@ -458,11 +454,12 @@ _UNSET = object()
 
 class _PoolOps:
     """lab_box, lab_zeta and the derived multiplication on one check's pool
-    elements, each computed once for the check.
+    elements and on their results, each computed once for the check.
 
-    Pool elements live for the whole check, so they are keyed by identity;
-    only pool elements may be passed.  An operation that raises is not
-    stored, so it raises again at every instance that needs it."""
+    Pool elements live for the whole check, and so do the results kept
+    here, so both are keyed by identity; only pool elements and results
+    returned by this object may be passed.  An operation that raises is
+    not stored, so it raises again at every instance that needs it."""
 
     def __init__(self, A: CircuitAlgebraOps):
         self.A = A
@@ -485,12 +482,19 @@ class _PoolOps:
     def zeta(self, a: Labeled, x, y) -> Optional[Labeled]:
         return self._once(a, (x, y), self.A.lab_zeta, a, x, y)
 
+    def product(self, a: Labeled, b: Labeled, x, y) -> Optional[Labeled]:
+        """a <>_{x,y} b, as derive_multiplication's.  The box is kept and
+        the contraction is not, for a product that only one instance
+        needs."""
+        return _multiply(self.A, self.box, a, b, x, y)
+
     def diamond(self, a: Labeled, b: Labeled, x, y) -> Optional[Labeled]:
-        """a <>_{x,y} b; the callers pass colour-matched x and y only."""
-        ab = self.box(a, b)
-        if ab is None:
+        """a <>_{x,y} b, kept: for the products of two pool elements,
+        which several axioms need.  A product whose box is undefined is
+        not kept, as most are."""
+        if self.box(a, b) is None:
             return None
-        return self._once(a, (id(b), x, y), self.A.lab_zeta, ab, x, y)
+        return self._once(a, (id(b), x, y), self.product, a, b, x, y)
 
 
 def _contractible_pairs(A, a: Labeled) -> list:
@@ -630,12 +634,20 @@ def _still_contractible(A, a: Labeled, x, y) -> bool:
     return cx == om[cy]
 
 
+def _multiply(A: CircuitAlgebraOps, box: Callable, a: Labeled, b: Labeled,
+              x, y) -> Optional[Labeled]:
+    """Contract x with y in box(a, b); ColourMismatch unless the colours
+    at x and y are matched."""
+    if A.colour_at(a, x) != A.species.palette.omega[A.colour_at(b, y)]:
+        raise ColourMismatch("diamond needs matched colours")
+    ab = box(a, b)
+    return None if ab is None else A.lab_zeta(ab, x, y)
+
+
 def derive_multiplication(A: CircuitAlgebraOps) -> Callable:
     """The modular multiplication: contract one matched pair of a box."""
     def diamond(a: Labeled, b: Labeled, x, y) -> Optional[Labeled]:
-        if A.colour_at(a, x) != A.species.palette.omega[A.colour_at(b, y)]:
-            raise ColourMismatch("diamond needs matched colours")
-        return A.lab_diamond(a, b, x, y)
+        return _multiply(A, A.lab_box, a, b, x, y)
     return diamond
 
 
@@ -662,22 +674,39 @@ def check_modular_axioms(A: CircuitAlgebraOps,
     # matched (c, u, v) of each b do not depend on a, x or y, so they are
     # listed once, ahead of the loops; a stays the outer loop, so that
     # operations are first computed in a, b, c order.  An ill-formed
-    # a <>_{x,y} b fails every instance that needs it.
+    # a <>_{x,y} b fails every instance that needs it.  Where it is
+    # undefined, only the entries whose b <>_{u,v} c is defined or raises
+    # can be judged: those of b's tail, for y, are listed on first use.
     tails = [[(c, u, v) for c in pool_c for u, v in matched(b, c)]
              for b in pool_b]
+    live = {}     # (index of b, y) -> the part of b's tail that is judged
+
+    def live_tail(j, y):
+        got = live.get((j, y))
+        if got is None:
+            # any(): the product, or the error, is not None
+            got = live[(j, y)] = [
+                (c, u, v) for c, u, v in tails[j]
+                if u != y and any(_attempt(ops.diamond, pool_b[j], c, u, v))]
+        return got
+
     for a in pool:
-        for b, tail in zip(pool_b, tails):
+        for j, b in enumerate(pool_b):
             for (x, y) in matched(a, b):
                 ab, failure = _attempt(ops.diamond, a, b, x, y)
+                tail = tails[j] if ab is not None or failure is not None \
+                    else live_tail(j, y)
                 for c, u, v in tail:
                     if u == y:
                         continue
                     exc, lhs, rhs = failure, None, None
                     if exc is None:
                         try:
-                            lhs = None if ab is None else diamond(ab, c, u, v)
+                            lhs = None if ab is None \
+                                else ops.product(ab, c, u, v)
                             bc = ops.diamond(b, c, u, v)
-                            rhs = None if bc is None else diamond(a, bc, x, y)
+                            rhs = None if bc is None \
+                                else ops.product(a, bc, x, y)
                         except _ILL_FORMED as e:
                             exc = e
                     if exc is None and (lhs is None or rhs is None):
@@ -719,9 +748,9 @@ def check_modular_axioms(A: CircuitAlgebraOps,
                     exc = lhs = rhs = None
                     try:
                         ab1 = ops.diamond(a, b, x, y)
-                        lhs = None if ab1 is None else A.lab_zeta(ab1, u, v)
+                        lhs = None if ab1 is None else ops.zeta(ab1, u, v)
                         ab2 = ops.diamond(a, b, u, v)
-                        rhs = None if ab2 is None else A.lab_zeta(ab2, x, y)
+                        rhs = None if ab2 is None else ops.zeta(ab2, x, y)
                     except _ILL_FORMED as e:
                         exc = e
                     checked += violations.judge("M4", exc, lhs, rhs,

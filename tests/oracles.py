@@ -256,6 +256,15 @@ def brute_presheaf_maps(P, Q) -> list:
     return out
 
 
+# -- L normal form ------------------------------------------------------------------
+
+def brute_l_norm(LS, factors) -> tuple:
+    """The factors of an L element in one stable sort, by block and by the
+    repr of the element's key in the inner species."""
+    return tuple(sorted(((tuple(b), x) for b, x in factors),
+                        key=lambda f: (f[0], repr(LS.inner.key(f[1])))))
+
+
 # -- circuit and modular axioms -----------------------------------------------------
 #
 # The checkers as they were before they kept per-check tables: every box,

@@ -7,6 +7,10 @@ operations of one check."""
 import collections
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +85,33 @@ def test_reports_on_the_criterion_7_mutants_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == MUTANT_REPORTS_SHA256
 
 
+def free_reports(runs: int) -> list:
+    """Both checkers' reports at arity 2 on criterion 7's free algebras,
+    as one JSON text for each of `runs` runs on the same algebras."""
+    algebras = [free_terminal(), free_two_colour()]
+    return [json.dumps([check(A, max_arity=2) for A in algebras
+                        for check in (check_circuit_axioms,
+                                      check_modular_axioms)],
+                       sort_keys=True) for _ in range(runs)]
+
+
+def test_reports_do_not_depend_on_memos_or_the_hash_seed():
+    """Permuted elements and keys are kept on the elements, and sort keys
+    and labelings for the process: the reports read the same on a second
+    run and in a fresh process under another PYTHONHASHSEED."""
+    here = pathlib.Path(__file__).resolve().parent
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_axiom_checks as t; "
+                               "print(t.free_reports(1)[0])"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    first, second = free_reports(2)
+    assert first == second == run.stdout.strip()
+
+
 def ill_coloured_mutants(A):
     """Every single-entry box mutant of A with one of the first two
     elements of the entry's arity, and every eps mutant with an element of
@@ -146,6 +177,26 @@ def test_undefined_operations_are_reported_not_raised(
     assert main(["check-ca", str(path)]) == 1
     assert capsys.readouterr().out.endswith(
         f"RESULT fail n_checked={check_circuit_axioms(A)['checked']}\n")
+
+
+def test_raising_products_are_judged_where_a_diamond_b_is_undefined():
+    """Without the box entry (t:+,-, t:-), b <> c raises for b = t:+,-
+    and c = t:-.  For a of arity 2 or 3, a <> b leaves the carrier
+    (n_max 3) and is undefined, and M1 still judges, and fails, those
+    instances, one for each "+" position x of such an a: 4 of arity 2
+    and 12 of arity 3."""
+    data = algebra_to_json(tuple_algebra(TWO, 3))
+    del data["box"]["t:+,-|t:-"]
+    A = algebra_from_json(data)
+    report = check_modular_axioms(A)
+    assert report == brute_modular_axioms(A)
+    S = A.species
+    arity = {repr(e): n for n in range(S.n_max + 1) for e in S.elements(n)}
+    undefined_head = [v for v in report["violations"] if v[0] == "M1"
+                      and v[2] == repr("t:+,-") and arity[v[1]] >= 2]
+    assert len(undefined_head) == 16
+    assert all(v[-1] == repr("FormatError: box undefined on "
+                             "('t:+,-', 't:-')") for v in undefined_head)
 
 
 SMALL = [tuple_algebra(TWO, 3), parity_algebra(4)]

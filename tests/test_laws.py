@@ -5,8 +5,9 @@ checkers look the laws up when they run, so they check the mutant.  A
 report that finds a violation is pinned by the sha256 of its sorted JSON,
 so its kinds, witnesses and `checked` count stay the same from run to
 run.  A law whose output is ill-formed is reported, not raised.  Also:
-the reports do not depend on what the process has memoised, and the key
-of an L element does not depend on the order of its factors.
+the reports do not depend on what the process has memoised, the key of
+an L element does not depend on the order of its factors, and L's norm
+orders factors as one sort by block and key does.
 """
 
 import functools
@@ -27,6 +28,7 @@ from feyngraph.monads import (DSpecies, LSpecies, TElem, TSpecies,
 from feyngraph.species import TerminalSpecies
 
 from helpers_species import TWO, tuple_algebra
+from oracles import brute_l_norm
 
 monads = importlib.import_module("feyngraph.monads")
 LAW_DT, LAW_LT, LAW_LD = monads.law_DT, monads.law_LT, monads.law_LD
@@ -219,3 +221,25 @@ def test_l_key_ignores_factor_order(which, n, data):
     le = data.draw(st.sampled_from(elems))
     shuffled = tuple(data.draw(st.permutations(le)))
     assert LS.key(shuffled) == LS.key(le)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_elements(which):
+    LS, _ = _l_elements(which, 0)
+    return LS, [x for n in range(3) for x in LS.inner.elements(n)]
+
+
+# blocks repeat, empty or not, and need not match an element's arity
+BLOCKS = [(), (0,), (1,), (0, 1), (1, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=st.sampled_from(["LT", "LD"]), data=st.data())
+def test_l_norm_equals_one_sort_by_block_and_key(which, data):
+    LS, inner = _factor_elements(which)
+    factors = data.draw(st.lists(st.tuples(st.sampled_from(BLOCKS),
+                                           st.sampled_from(inner)),
+                                 max_size=6))
+    # equal elements too must come out in the same order
+    assert [(b, id(x)) for b, x in LS.norm(factors)] == \
+        [(b, id(x)) for b, x in brute_l_norm(LS, factors)]

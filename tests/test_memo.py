@@ -1,9 +1,9 @@
-"""Labelings, T-keys and colour maps are computed once and kept on the
-graph, element or labeled element they belong to; sort keys and labelings
-are also shared across the process, by id and by shape.  These tests
-check that what the memos return equals what is computed from scratch,
-that the canonical forms still agree with the brute-force oracles, and
-that nothing a memo hands out can be changed."""
+"""Labelings, T-keys, permuted T-elements and colour maps are computed
+once and kept on the graph, element or labeled element they belong to;
+sort keys and labelings are also shared across the process, by id and by
+shape.  These tests check that what the memos return equals what is
+computed from scratch, that the canonical forms still agree with the
+brute-force oracles, and that nothing a memo hands out can be changed."""
 
 import dataclasses
 import hashlib
@@ -72,8 +72,11 @@ def test_memoised_key_equals_key_from_scratch(data):
     perms = data.draw(st.lists(st.permutations(range(len(t.ports))),
                                min_size=1, max_size=4))
     for sigma in perms:
-        # act shares t's graph, so its labelings memo is warm
+        # act shares t's graph, so its labelings memo is warm, and keeps
+        # u on t, so acting again gives u itself, key and all
         u = TWO_TS.act(t, tuple(sigma))
+        assert TWO_TS.act(t, sigma) is u
+        assert (u is t) == (sigma == sorted(sigma))
         key = TWO_TS.key(u)
         assert TWO_TS.key(u) == key
         assert TWO_TS.key(fresh(u)) == key

@@ -1,8 +1,11 @@
 """Pointed structure, the bounded monads T/D/L, their distributive laws,
 and the free circuit algebra."""
 
+import functools
+
 import pytest
 
+from feyngraph import monads
 from feyngraph.errors import ColourMismatch, NotDeletable, OutOfBounds
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union,
                               is_isomorphic, isolated_vertex, line, stick,
@@ -169,6 +172,55 @@ def test_t_associativity_terminal():
 def test_monad_laws_two_colour():
     r = check_monad_laws(S2, max_arity=1, max_vertices=1, max_valency=2)
     assert r["ok"], r["violations"]
+
+
+MU_D, MU_L = monads.mu_D, monads.mu_L
+
+
+def mu_D_swapping_nested_units(dd):
+    """mu_D that, flattening D(D(D S)), swaps the colours of a formal unit
+    under two plain layers.  On D(D S) it is mu_D, so the unit laws hold."""
+    if dd[0] == "b" and dd[1][0] == "b" and dd[1][1][0] == "eps":
+        return ("b", ("eps", S2.palette.omega[dd[1][1][1]]))
+    return MU_D(dd)
+
+
+def mu_L_reversing_inner_factors(LS, big):
+    """mu_L that, flattening L(L(L S)), reverses the positions of every
+    L S element it moves.  On L(L S) it is mu_L, so the unit laws hold."""
+    if not isinstance(LS.inner, LSpecies):
+        return MU_L(LS, big)
+    inner = LS.inner
+    return LS.norm([(tuple(block[i] for i in ib),
+                     inner.act(x, tuple(range(inner.arity(x)))[::-1]))
+                    for block, le in big for ib, x in le])
+
+
+@pytest.mark.parametrize("name, kind", [("mu_D", "D-assoc"),
+                                        ("mu_L", "L-assoc")])
+def test_arity_keeping_wrong_multiplication_is_reported(monkeypatch, name,
+                                                        kind):
+    if name == "mu_D":
+        AAA = DSpecies(DSpecies(DSpecies(S2)))
+        broken = mu_D_swapping_nested_units
+        sound, wrong = MU_D, broken
+    else:
+        AAA = LSpecies(LSpecies(LSpecies(S2, 2), 2), 2)
+        broken = mu_L_reversing_inner_factors
+        sound = functools.partial(MU_L, AAA.inner)
+        wrong = functools.partial(broken, AAA.inner)
+    # the broken flattening of A(A(A S)) keeps every arity, so an arity
+    # check passes it, but it changes some elements
+    AA = AAA.inner
+    elems = [x for n in range(3) for x in AAA.elements(n)]
+    assert all(AA.arity(wrong(x)) == AA.arity(sound(x)) for x in elems)
+    assert any(AA.key(wrong(x)) != AA.key(sound(x)) for x in elems)
+    bounds = dict(max_arity=2, max_vertices=1, max_valency=2)
+    assert check_monad_laws(S2, **bounds)["ok"]
+    monkeypatch.setattr(monads, name, broken)
+    r = check_monad_laws(S2, **bounds)
+    assert not r["ok"]
+    assert {v[0] for v in r["violations"]} == {kind}
 
 
 # -- free constructions vs oracle ----------------------------------------------------
