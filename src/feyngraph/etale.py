@@ -19,7 +19,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .graphs import FeynmanGraph, corolla, sort_ids, stick
+from .graphs import FeynmanGraph, _UF, corolla, sort_ids, stick
 
 
 @dataclass(frozen=True)
@@ -157,35 +157,6 @@ def elements_category(g: FeynmanGraph):
             target_edge = emb.underlying.edge_map[lab]
             arrows.append(("ch", by_edge[target_edge], el, lab))
     return elements, arrows
-
-
-class _UF:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smaller root for determinism
-            if repr(ra) > repr(rb):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 def glue_ports(g: FeynmanGraph, pairs):

@@ -128,6 +128,38 @@ def read_only(m: Mapping) -> MappingProxyType:
     return MappingProxyType(_copy(m))
 
 
+class _UF:
+    """Union-find with path halving, behind every colimit and component
+    search.  classes() lists each class's members in the order they were
+    added, and the classes in the order of their first members, so no
+    result depends on which member is a root."""
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def classes(self) -> dict:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 class FeynmanGraph:
     """Immutable Feynman graph.  Construction validates all invariants."""
 
@@ -247,47 +279,27 @@ class FeynmanGraph:
         return [(e, f) for (e, f) in self.orbits()
                 if e in self._ports and f in self._ports]
 
-    def connected_components(self):
-        """Partition into connected subgraphs.
-
-        Returns a list of (subgraph, inclusion) where inclusion is a dict
-        with identity 'edge_map', 'half_map', 'vertex_map' into self.
-        """
-        parent: dict = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        items = [("e", e) for e in self.edges] + [("v", v) for v in self.vertices]
-        for it in items:
-            parent[it] = it
+    def connected_components(self) -> list:
+        """The connected subgraphs, in idkey order of their least id."""
+        uf = _UF()
         for e in self.edges:
-            union(("e", e), ("e", self.tau[e]))
+            uf.add(("e", e))
+        for v in self.vertices:
+            uf.add(("v", v))
+        for e in self.edges:
+            uf.union(("e", e), ("e", self.tau[e]))
         for h in self.half_edges:
-            union(("e", self.s[h]), ("v", self.t[h]))
-        groups: dict = {}
-        for it in items:
-            groups.setdefault(find(it), []).append(it)
+            uf.union(("e", self.s[h]), ("v", self.t[h]))
         comps = []
-        for root in sorted(groups, key=lambda r: idkey(min((i[1] for i in groups[r]), key=idkey))):
-            es = {i for k, i in groups[root] if k == "e"}
-            vs = {i for k, i in groups[root] if k == "v"}
+        for members in sorted(uf.classes().values(),
+                              key=lambda xs: idkey(min((x[1] for x in xs),
+                                                       key=idkey))):
+            es = {x for k, x in members if k == "e"}
+            vs = {x for k, x in members if k == "v"}
             hs = {h for h in self.half_edges if self.s[h] in es}
-            sub = FeynmanGraph(es, {e: self.tau[e] for e in es}, hs,
-                               {h: self.s[h] for h in hs},
-                               {h: self.t[h] for h in hs}, vs)
-            inc = {"edge_map": {e: e for e in es},
-                   "half_map": {h: h for h in hs},
-                   "vertex_map": {v: v for v in vs}}
-            comps.append((sub, inc))
+            comps.append(FeynmanGraph(es, {e: self.tau[e] for e in es}, hs,
+                                      {h: self.s[h] for h in hs},
+                                      {h: self.t[h] for h in hs}, vs))
         return comps
 
     def is_connected(self) -> bool:
@@ -546,8 +558,7 @@ def _label_shape(e_tok: tuple, v_tok: tuple, links: tuple) -> tuple:
 
 
 def canonical_labelings(g: FeynmanGraph,
-                        edge_tokens: Optional[Mapping[Id, Any]] = None,
-                        vertex_tokens: Optional[Mapping[Id, Any]] = None):
+                        edge_tokens: Optional[Mapping[Id, Any]] = None):
     """Individualisation-refinement canonical labeling.
 
     Returns (certificate, labelings) where labelings is a tuple of pairs
@@ -567,14 +578,12 @@ def canonical_labelings(g: FeynmanGraph,
     edges = g.sorted_edges
     verts = g.sorted_vertices
     e_vals = tuple(map(edge_tokens.get, edges)) if edge_tokens else None
-    v_vals = tuple(map(vertex_tokens.get, verts)) if vertex_tokens else None
     try:
         # version 2 writes no back-references, so equal tokens of equal
         # types give equal bytes
-        token_key = marshal.dumps((e_vals, v_vals), 2)
+        token_key = marshal.dumps(e_vals, 2)
     except ValueError:
-        token_key = (tuple(map(repr, e_vals or ())),
-                     tuple(map(repr, v_vals or ())))
+        token_key = tuple(map(repr, e_vals))
     if g._labelings is None:
         g._labelings = {}
     else:
@@ -593,8 +602,7 @@ def canonical_labelings(g: FeynmanGraph,
         ports = g.ports
         e_tok = tuple(repr(("e", e in ports, t))
                       for e, t in zip(edges, e_vals or (None,) * len(edges)))
-        v_tok = tuple(repr(("v", g.valency(v), t))
-                      for v, t in zip(verts, v_vals or (None,) * len(verts)))
+        v_tok = tuple(repr(("v", g.valency(v), None)) for v in verts)
         shared = _SHAPES[shape] = _label_shape(e_tok, v_tok, links)
     cert, labs = shared
     result = (cert, tuple((MappingProxyType(dict(zip(edges, ei))),
@@ -622,11 +630,10 @@ def canonical_form(g: FeynmanGraph,
 
 
 def automorphisms(g: FeynmanGraph,
-                  edge_tokens: Optional[Mapping[Id, Any]] = None,
-                  vertex_tokens: Optional[Mapping[Id, Any]] = None) -> list:
-    """All automorphisms preserving the given tokens, as
+                  edge_tokens: Optional[Mapping[Id, Any]] = None) -> list:
+    """All automorphisms preserving the given edge tokens, as
     (edge_map, half_map, vertex_map) triples."""
-    _, labelings = canonical_labelings(g, edge_tokens, vertex_tokens)
+    _, labelings = canonical_labelings(g, edge_tokens)
     eidx0, vidx0 = labelings[0]
     inv_e = {i: e for e, i in eidx0.items()}
     inv_v = {i: v for v, i in vidx0.items()}

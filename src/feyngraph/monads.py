@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import (ColourMismatch, FormatError, GraphInvariantError,
-                     InvalidGraphOfGraphs, NotCommuting, NotDeletable,
-                     NotLocallyBijective, OutOfBounds)
+                     InvalidGraphOfGraphs, Mismatch, NotCommuting,
+                     NotDeletable, NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, read_only, sort_ids, stick,
@@ -60,6 +60,15 @@ class VertexDeletion:
     fresh_sticks: dict          # deleted isolated vertex -> (edge, tau edge)
 
 
+def _deleted_stick(g: FeynmanGraph, v) -> tuple:
+    """The piece that replaces a deleted bivalent vertex v of g, with its
+    boundary: a stick tagged ("del", v) whose ends go to v's halves in
+    half order."""
+    h1, h2 = half_order(g, v)
+    piece = stick().tagged(("del", v))
+    return piece, {(("del", v), "1"): h1, (("del", v), "2"): h2}
+
+
 def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
     w = frozenset(w)
     for v in w:
@@ -78,10 +87,7 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
         pieces = {}
         for v in g1.vertices:
             if v in bivalent:
-                piece = stick().tagged(("del", v))
-                pa, pb = (("del", v), "1"), (("del", v), "2")
-                h1, h2 = half_order(g1, v)
-                pieces[v] = (piece, {pa: h1, pb: h2})
+                pieces[v] = _deleted_stick(g1, v)
             else:
                 emb = vertex_neighbourhood(g1, v)
                 piece = emb.underlying.source
@@ -186,7 +192,7 @@ def hom_etale(g: FeynmanGraph, h: FeynmanGraph) -> list:
     counts of g's components, is charged to FEYNGRAPH_MAX_SEARCH before
     any of them is built."""
     per = []
-    for sub, _ in g.connected_components():
+    for sub in g.connected_components():
         homs = _component_homs(sub, h)
         if not homs:
             return []
@@ -238,21 +244,25 @@ class PointedMorphism:
         return (self.etale_part.edge_map[a], self.etale_part.edge_map[b])
 
 
-def _restrict_along(d2: VertexDeletion, e: EtaleMorphism) -> Optional[EtaleMorphism]:
-    """Restrict etale e: T -> H along a further deletion d2 of T, when e is
-    constant on the merged edge classes; otherwise None."""
-    em = {}
-    for x, c in d2.edge_correspondence.items():
-        y = e.edge_map[x]
-        if c in em and em[c] != y:
-            return None
-        em[c] = y
-    hm = {d2.half_map[h]: e.half_map[h] for h in d2.half_map}
-    vm = {d2.vertex_map[v]: e.vertex_map[v] for v in d2.vertex_map}
-    try:
-        return EtaleMorphism(d2.target, e.target, em, hm, vm)
-    except (NotCommuting, NotLocallyBijective):
-        return None
+def _push_forward(d: VertexDeletion, target: FeynmanGraph, em, hm, vm,
+                  fresh_em=None) -> EtaleMorphism:
+    """The etale map d.target -> target through which a map out of
+    d.source factors along the deletion d: em gives the image of every
+    source edge, hm and vm those of the halves and vertices that d keeps,
+    and fresh_em the image pair of the fresh stick of each deleted
+    isolated vertex.  Raises Mismatch when em is not constant on an edge
+    class that d merges, and NotCommuting or NotLocallyBijective when the
+    result is not etale."""
+    em_t = {}
+    for x, c in d.edge_correspondence.items():
+        y = em[x]
+        if em_t.setdefault(c, y) != y:
+            raise Mismatch("tail edge map inconsistent on merged classes")
+    for v, (a, b) in d.fresh_sticks.items():
+        em_t[a], em_t[b] = fresh_em[v]
+    return EtaleMorphism(d.target, target, em_t,
+                         {d.half_map[h]: hm[h] for h in d.half_map},
+                         {d.vertex_map[v]: vm[v] for v in d.vertex_map})
 
 
 def hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
@@ -309,8 +319,10 @@ def _normalized_pointed(g, h, w, d, e, absorb: bool = True) -> PointedMorphism:
             if chain[-1].target.valency(tv) != 2:
                 continue
             d2 = delete_vertices(chain[-1].target, [tv])
-            e2 = _restrict_along(d2, e)
-            if e2 is None:
+            try:
+                e2 = _push_forward(d2, e.target, e.edge_map, e.half_map,
+                                   e.vertex_map)
+            except (Mismatch, NotCommuting, NotLocallyBijective):
                 continue
             w = w | {inv_v[tv]}
             corr = {x: d2.edge_correspondence[c] for x, c in corr.items()}
@@ -766,7 +778,7 @@ def law_LT(S: SpeciesOps, t: TElem):
         vdec[cv] = (elem, tuple(("p", v, hh) for hh in order))
     port_class = [sub.edge_class[e] for e in t.ports]
     factors = []
-    for comp, _ in sub.colimit.connected_components():
+    for comp in sub.colimit.connected_components():
         block = tuple(i for i, e in enumerate(port_class)
                       if e in comp.edges)
         telem = TElem(comp,
@@ -791,12 +803,10 @@ def law_LD(S: SpeciesOps, d):
 def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                      max_vertices: int = 2, max_valency: int = 3) -> dict:
     """Unit triangles for the bounded T (substitution), D and L monads
-    over S, and associativity of D and L on D(D(D S)) and L(L(L S)).
-    T's associativity is checked here by arity only; see
-    check_t_associativity."""
+    over S, and associativity of D and L on D(D(D S)) and L(L(L S)), by
+    key.  T's associativity is checked by check_t_associativity."""
     violations, checked = _Violations(), 0
     TS = TSpecies(S, max_vertices, max_valency)
-    TT_inner = TSpecies(TS, max_vertices, max_valency)
     DS, LS = DSpecies(S), LSpecies(S, 4)
     DDS, LLS = DSpecies(DS), LSpecies(LSpecies(S, 2), 2)
 
@@ -811,15 +821,6 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
             rt = mu_T(TS, _fmap_T(lambda x: eta_T(S, x), t))
             if TS.key(rt) != TS.key(t):
                 violations.note("T-right-unit", TS.key(t))
-        for tt in TT_inner.elements(n):
-            # associativity needs a third layer; exercise it through the
-            # two evaluation orders of T(T(T S)) built from tt by unit
-            # insertion, which is covered by the unit laws; here check
-            # substitution against composing graph-of-graphs directly
-            checked += 1
-            flat = mu_T(TS, tt)
-            if len(flat.ports) != n:
-                violations.note("T-mu-arity", n)
         # D and L associativity: on A(A(A S)), flattening the two outer
         # layers first equals flattening each factor first
         for ddd in DSpecies(DDS).elements(n):
@@ -929,7 +930,8 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
                     witnesses = axiom(n, x)
                 except (ColourMismatch, FormatError, InvalidGraphOfGraphs,
                         GraphInvariantError) as e:
-                    witnesses = (n, f"{type(e).__name__}: {e}")
+                    violations.failed(name, e, n)
+                    continue
                 if witnesses:
                     violations.note(name, *witnesses)
     return violations.report(checked)
@@ -1074,34 +1076,23 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
         if fi == fj:
             blk, x = factors[fi]
             if x[0] == "eps":
-                new = ((), ("o", frozenset({x[1], om[x[1]]})))
+                factors[fi] = ((), ("o", frozenset({x[1], om[x[1]]})))
             else:
-                new = self._glue_within(blk, x[1], i, j)
-                if new is None:
-                    return None
-            factors[fi] = new
+                factors[fi] = self._glue_within(blk, x[1], i, j)
         else:
             bi, xi = factors[fi]
             bj, xj = factors[fj]
-            if xi[0] == "eps" and xj[0] == "eps":
-                keep_i = bi[0] if bi[1] == i else bi[1]
-                keep_j = bj[0] if bj[1] == j else bj[1]
-                lo, hi = min(keep_i, keep_j), max(keep_i, keep_j)
-                factors[fi] = ((lo, hi), ("eps", cols[lo]))
-                factors.pop(fj)
-            elif xi[0] == "eps" or xj[0] == "eps":
+            if xi[0] == "eps" or xj[0] == "eps":
+                # rename through the formal unit: the other factor's
+                # contracted position becomes the unit's other end
                 if xi[0] == "eps":
-                    (be, xe, ce), (bt, xt, ct) = (bi, xi, i), (bj, xj, j)
-                    ei, ti = fi, fj
+                    (be, ce), (bt, xt, ct), ei, ti = (bi, i), (bj, xj, j), fi, fj
                 else:
-                    (be, xe, ce), (bt, xt, ct) = (bj, xj, j), (bi, xi, i)
-                    ei, ti = fj, fi
+                    (be, ce), (bt, xt, ct), ei, ti = (bj, j), (bi, xi, i), fj, fi
                 other = be[0] if be[1] == ce else be[1]
                 nb = tuple(sorted(other if p == ct else p for p in bt))
-                old_sorted = list(bt)
-                perm = tuple(old_sorted.index(ct if q == other else q)
-                             for q in nb)
-                factors[ti] = (nb, ("b", self.TS.act(xt[1], perm)))
+                perm = tuple(bt.index(ct if q == other else q) for q in nb)
+                factors[ti] = (nb, self.DS.act(xt, perm))
                 factors.pop(ei)
             else:
                 merged = self._glue_across(bi, xi[1], i, bj, xj[1], j)

@@ -37,8 +37,9 @@ from .errors import (BoundsTooLarge, ColourMismatch, CorpusNotElementClosed,
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
-from .monads import (PointedMorphism, _deletion_homs, _normalized_pointed,
-                     delete_vertices, half_order, hom_etale)
+from .monads import (PointedMorphism, _deleted_stick, _deletion_homs,
+                     _normalized_pointed, _push_forward, delete_vertices,
+                     half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
                            max_search_cap, substitute)
@@ -100,24 +101,6 @@ def _apply_labeling(piece, boundary, lab):
     new = piece.relabel(emap, hmap, vmap)
     new_boundary = {emap[p]: h for p, h in boundary.items()}
     return new, new_boundary
-
-
-def _build_tail_etale(target, d, em, hm, vm, fresh_em):
-    members = {}
-    for x, c in d.edge_correspondence.items():
-        members.setdefault(c, []).append(x)
-    em_e = {}
-    for c, xs in members.items():
-        images = {repr(em[x]): em[x] for x in xs}
-        if len(images) != 1:
-            raise Mismatch("tail edge map inconsistent on merged classes")
-        em_e[c] = next(iter(images.values()))
-    for v, (a, b) in d.fresh_sticks.items():
-        fa, fb = fresh_em[v]
-        em_e[a], em_e[b] = fa, fb
-    hm_e = {d.half_map[h]: hm[h] for h in d.half_map}
-    vm_e = {d.vertex_map[v]: vm[v] for v in d.vertex_map}
-    return EtaleMorphism(d.target, target, em_e, hm_e, vm_e)
 
 
 def _inverse(maps) -> tuple:
@@ -266,7 +249,7 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
         budget.spend(len(frame.combos))
     fresh_em = dict(fresh_em or {})
     for colim, ws, d, plan in frame.stages:
-        etale = _build_tail_etale(target, d, em, hm, vm, fresh_em)
+        etale = _push_forward(d, target, em, hm, vm, fresh_em)
         tail = _normalized_pointed(colim, target, ws, d, etale, absorb=False)
         if plan is not None:
             # carry the tail data through the composite correspondences
@@ -279,7 +262,7 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
         em2, hm2, vm2, fresh2 = _apply_plan(
             plan, em.__getitem__, vm.__getitem__, hm.__getitem__,
             fresh_em.__getitem__)
-        etale = _build_tail_etale(target, d, em2, hm2, vm2, fresh2)
+        etale = _push_forward(d, target, em2, hm2, vm2, fresh2)
         tail = _normalized_pointed(sub2.colimit, target, plan[0], d, etale,
                                    absorb=False)
         key = (frame.certs, tail.key())
@@ -364,10 +347,7 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
                     inner[u] = (isolated_vertex(), {})
                     marks[("p", v, ("p", u, "*"))] = ("fresh1", cu)
                 else:
-                    piece = stick().tagged(("del", u))
-                    h1, h2 = half_order(pv, u)
-                    inner[u] = (piece, {(("del", u), "1"): h1,
-                                        (("del", u), "2"): h2})
+                    inner[u] = _deleted_stick(pv, u)
             else:
                 w_h = t1.vertex_image(cu)
                 qw, bndq = k2.refinement.pieces[w_h]
@@ -453,8 +433,9 @@ def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
                      boundary: dict, colours: dict, elems: dict):
     """Evaluate a decorated piece to a single algebra element whose
     positions follow the base vertex's sorted half order: box the vertex
-    elements together, contract every internal edge pair, then realign the
-    remaining (port) positions along the boundary."""
+    elements together, contract every internal edge pair, box a formal
+    unit for each stick component, then realign the positions, which now
+    face the piece ports, along the boundary."""
     S = A.species
     acc = A.unit0()
     slots = []
@@ -469,7 +450,7 @@ def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
         ports = sort_ids(piece.ports)
         if len(ports) != 2:
             raise FormatError("vertex-free piece must be a stick")
-        return A.eps(colours[ports[0]]), ports
+        return A.eps(colours[ports[0]])
     # contract internal pairs
     changed = True
     while changed:
@@ -485,13 +466,19 @@ def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
                     break
             if changed:
                 break
-    # remaining slots correspond to piece ports; realign to the base order
-    base_halves = sorted(boundary.values(), key=idkey)
-    pos_of = {}
-    for i, h in enumerate(slots):
-        pos_of[boundary[piece.tau[piece.s[h]]]] = i
-    sigma = tuple(pos_of[h] for h in base_halves)
-    return S.act(acc, sigma), [slots[i] for i in sigma]
+    ports = [piece.tau[piece.s[h]] for h in slots]
+    if len(ports) < len(boundary):
+        # a stick component faces two ports and no slot: a formal unit
+        for e, f in piece.stick_components():
+            acc = A.box(acc, A.eps(colours[e]))
+            if acc is None:
+                raise OutOfBounds("piece evaluation exceeds the algebra "
+                                  "bounds")
+            ports += [e, f]
+    # realign to the base order
+    pos_of = {boundary[p]: i for i, p in enumerate(ports)}
+    sigma = tuple(pos_of[h] for h in sorted(boundary.values(), key=idkey))
+    return S.act(acc, sigma)
 
 
 def restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
@@ -543,8 +530,7 @@ def restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
             want = half_order(piece, u)
             sigma = tuple(order.index(h) for h in want)
             pelems[u] = S.act(elem, sigma)
-        elem, _ = algebra_evaluate(A, piece, boundary, pcol, pelems)
-        velems[v] = elem
+        velems[v] = algebra_evaluate(A, piece, boundary, pcol, pelems)
         vorders[v] = half_order(kl.source, v)
     return Decoration(ecol, velems, vorders, S)
 
@@ -619,6 +605,11 @@ def _is_elementary(g: FeynmanGraph) -> bool:
         return False
     sticks = g.stick_components()
     return not sticks if g.vertices else len(sticks) <= 1
+
+
+def _is_corolla(g: FeynmanGraph) -> bool:
+    """One vertex, no inner edge and no stick component."""
+    return bool(g.vertices) and _is_elementary(g)
 
 
 def corpus_morphisms(corpus: dict, refinements=None):
@@ -777,7 +768,7 @@ def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
     """The refinement Kleisli morphism replacing the single vertex of a
     corolla by a boundary-matched graph; its target is the piece itself
     with its original ids, so it can be declared on a corpus."""
-    if not cor.vertices or not _is_elementary(cor):
+    if not _is_corolla(cor):
         raise NotACorolla(f"cannot refine {cor!r}: it is not a corolla")
     v = next(iter(cor.vertices))
     sub = substitute(GraphOfGraphs(cor, {v: (piece, boundary)}))
@@ -799,7 +790,7 @@ def _auto_refinements(corpus):
     budget = SearchBudget("refinement port bijections")
     for cname in sorted(corpus):
         cor = corpus[cname]
-        if len(cor.vertices) != 1 or cor.inner_edges():
+        if not _is_corolla(cor):
             continue
         v = next(iter(cor.vertices))
         halves = half_order(cor, v)

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import BadParameter, BoundsTooLarge, InvalidGraphOfGraphs
-from .etale import _UF
-from .graphs import FeynmanGraph, canonical_labelings
+from .graphs import FeynmanGraph, _UF, canonical_labelings
 
 DEFAULT_MAX_SEARCH = 10 ** 7
 
@@ -217,27 +216,18 @@ def compose_gogs(outer: GraphOfGraphs, sub: Substitution,
 
 # -- enumeration ---------------------------------------------------------------
 
-def _matchings(points: list):
-    """All perfect matchings on an even list of points."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for i, p in enumerate(rest):
-        for m in _matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, p)] + m
+def _matchings(points: list, ports_apart: bool = False):
+    """Perfect matchings on an even list of points, one for each orbit of
+    the stub permutations at each vertex; with no stub among the points,
+    every perfect matching.
 
-
-def _stub_orbit_matchings(points: list, ports_apart: bool):
-    """The perfect matchings that _matchings yields, one for each orbit of
-    the stub permutations at each vertex, in _matchings order.
-
-    A point pairs only with the lowest unmatched stub of each vertex (the
-    stubs of a vertex are consecutive and ascending in points), and, with
-    ports_apart, never with another port.  The least member of an orbit
-    in _matchings order has this form: had it paired a point with a stub
-    while a lower stub of that vertex was free, swapping the two stubs
-    would give a member that _matchings yields earlier."""
+    A stub ("s", v, j) is a slot of vertex v, and the stubs of a vertex
+    are consecutive and ascending in points.  A point pairs only with the
+    lowest unmatched stub of each vertex, and, with ports_apart, a port
+    ("x", ...) never pairs with another port.  The first member of an
+    orbit in generation order has this form: had it paired a point with a
+    stub while a lower stub of that vertex was free, swapping the two
+    stubs would give an earlier member."""
     if not points:
         yield []
         return
@@ -250,7 +240,7 @@ def _stub_orbit_matchings(points: list, ports_apart: bool):
             seen_vertices.add(p[1])
         elif ports_apart and first[0] == "x":
             continue
-        for m in _stub_orbit_matchings(rest[:i] + rest[i + 1:], ports_apart):
+        for m in _matchings(rest[:i] + rest[i + 1:], ports_apart):
             yield [(first, p)] + m
 
 
@@ -296,7 +286,7 @@ def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
             points = [("x", x) for x in labels]
             for vi, d in enumerate(valencies):
                 points += [("s", vi, j) for j in range(d)]
-            for matching in _stub_orbit_matchings(points, admissible_only):
+            for matching in _matchings(points, admissible_only):
                 budget.spend()
                 if connected_only and not _matching_connected(matching, nv):
                     continue

@@ -118,6 +118,8 @@ def corolla_like_class_count(n: int, max_valency: int) -> int:
 
 
 def _perfect_matchings(points):
+    """Every perfect matching on an even list of points, with no orbit
+    reduction: the reference for substitution._matchings."""
     if not points:
         yield ()
         return
@@ -560,7 +562,7 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
 #
 # make_kleisli as it was before it split into a frame and a tail step:
 # every morphism deletes, pushes, substitutes and canonicalizes its
-# refinement afresh.  The tail checks (_build_tail_etale, and the pointed
+# refinement afresh.  The tail checks (_push_forward, and the pointed
 # normal form with its key) and the piece labelings are the library's.
 
 
@@ -593,9 +595,10 @@ def _brute_transport(old_sub, new_sub, per_piece_maps, deleted, edge_image,
 def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
     """make_kleisli, normalizing each morphism from scratch."""
     from feyngraph.graphs import idstr, sort_ids
-    from feyngraph.monads import _normalized_pointed, delete_vertices
+    from feyngraph.monads import (_normalized_pointed, _push_forward,
+                                  delete_vertices)
     from feyngraph.nerve import (KleisliMorphism, _apply_labeling,
-                                 _build_tail_etale, _piece_labelings)
+                                 _piece_labelings)
     from feyngraph.substitution import GraphOfGraphs, substitute
 
     def inverse(maps):
@@ -607,7 +610,7 @@ def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
     while True:
         colim = sub.colimit
         d = delete_vertices(colim, w)
-        etale = _build_tail_etale(target, d, em, hm, vm, fresh_em)
+        etale = _push_forward(d, target, em, hm, vm, fresh_em)
         tail = _normalized_pointed(colim, target, frozenset(w), d, etale,
                                    absorb=False)
         push = {cv for cv in tail.deleted if colim.valency(cv) == 2}
@@ -645,7 +648,7 @@ def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
             em.__getitem__, vm.__getitem__, hm.__getitem__,
             fresh_em.__getitem__)
         d = delete_vertices(sub2.colimit, w2)
-        etale = _build_tail_etale(target, d, em2, hm2, vm2, fresh2)
+        etale = _push_forward(d, target, em2, hm2, vm2, fresh2)
         tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
                                    etale, absorb=False)
         key = (tuple((idstr(v), certs[v]) for v in vs), tail.key())

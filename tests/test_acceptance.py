@@ -23,12 +23,12 @@ from feyngraph.nerve import (check_segal, fullness_probe, mutated_presheaves,
 from feyngraph.species import (Palette, TableSpecies, TerminalSpecies,
                                check_circuit_axioms, check_modular_axioms)
 from feyngraph.substitution import (GraphOfGraphs, _graph_from_matching,
-                                    _matchings, compose_gogs, substitute)
+                                    compose_gogs, substitute)
 
 from helpers_nerve import corpus14, parity_algebra
 from helpers_species import (MONO, TWO, Mutant, mutation_candidates,
                              tuple_algebra)
-from oracles import brute_isomorphic
+from oracles import _perfect_matchings, brute_isomorphic
 
 
 def record(num, name, ok, detail=""):
@@ -479,7 +479,7 @@ def _oracle_class_count(n_labels, max_vertices, max_valency):
             points = [("x", lab) for lab in labels]
             for vi, d in enumerate(valencies):
                 points += [("s", vi, j) for j in range(d)]
-            for m in _matchings(points):
+            for m in _perfect_matchings(points):
                 g, lab = _graph_from_matching(labels, valencies, m)
                 if g.stick_components():
                     continue

@@ -128,8 +128,8 @@ class TestQueries:
     def test_components_partition(self):
         g = disjoint_union(corolla(["a", "b"]), wheel(2))
         comps = g.connected_components()
-        assert sum(len(c.edges) for c, _ in comps) == len(g.edges)
-        assert sum(len(c.vertices) for c, _ in comps) == len(g.vertices)
+        assert sum(len(c.edges) for c in comps) == len(g.edges)
+        assert sum(len(c.vertices) for c in comps) == len(g.vertices)
 
     def test_stick_component_detection(self):
         g = disjoint_union(stick(), wheel(1))

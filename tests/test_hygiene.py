@@ -1,6 +1,6 @@
 """Source checks: the library's runtime checks must survive python -O,
 no handler may swallow errors it does not name, and every search draws on
-one budget."""
+one budget and one union-find."""
 
 import ast
 import os
@@ -82,6 +82,17 @@ def test_one_search_budget():
                 and not {"SearchBudget", "_memo_morphisms"} & set(scope):
             found.append(f"{where} reads the cap")
     assert not found, f"searches outside the one budget: {found}"
+
+
+def test_one_union_find():
+    """Every colimit and component search identifies ids through one
+    union-find, graphs._UF: no other library function defines find or
+    union."""
+    found = [where for where, scope, node in _scoped_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in ("find", "union")
+             and not (where.startswith("graphs.py:") and scope[:-1] == ("_UF",))]
+    assert not found, f"union-find outside graphs._UF: {found}"
 
 
 def test_bench_hooks_resolve_and_fire():

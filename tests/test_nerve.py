@@ -624,13 +624,27 @@ def _with_stick_components():
             "stick+stick": disjoint_union(stick(), stick())}
 
 
-def test_nerve_rejects_refining_a_corolla_with_a_stick_component():
+def test_refining_a_corolla_with_a_stick_component_is_refused():
     # corolla([0]) + stick has one vertex and no inner edge, but it is not
     # a corolla: refining its vertex leaves the stick outside every piece
-    corpus = {**corpus14(),
-              "corolla1+stick": disjoint_union(corolla([0]), stick())}
+    cs = disjoint_union(corolla([0]), stick())
     with pytest.raises(NotACorolla):
-        nerve(tuple_algebra(MONO, 6), corpus)
+        refinement_of_corolla(cs, corolla([0]), {0: ("h", 0)})
+
+
+@pytest.mark.parametrize("name", ["0cs", "cs"])
+def test_nerve_on_a_corpus_with_a_corolla_and_a_stick(name):
+    # the graph is refined into no corolla, whatever its name sorts
+    # against; as a refinement target its stick evaluates to a formal unit
+    corpus = {**corpus14(), name: disjoint_union(corolla([0]), stick())}
+    for mk, size in ((lambda: tuple_algebra(MONO, 6), 1),
+                     (lambda: tuple_algebra(TWO, 6), 4),
+                     (lambda: parity_algebra(6), 2)):
+        P = nerve(mk(), corpus)
+        assert len(P.morphisms) == 340
+        rep = check_segal(P)
+        assert rep["ok"], rep
+        assert rep["per_graph"][name]["size"] == size
 
 
 def test_segal_compares_stick_components_with_their_limit():

@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from feyngraph.errors import (BadParameter, BoundsTooLarge,
                               InvalidGraphOfGraphs)
 from feyngraph.graphs import (
-    FeynmanGraph, corolla, disjoint_union, is_isomorphic, line, stick, wheel,
-    canonical_form,
+    FeynmanGraph, corolla, disjoint_union, idstr, is_isomorphic, line, stick,
+    wheel, canonical_form,
 )
+from feyngraph.monads import half_order
+from feyngraph.nerve import graphs_equal
 from feyngraph.etale import glue_ports
 from feyngraph.substitution import (
     DEFAULT_MAX_SEARCH, GraphOfGraphs, XGraph, _graph_from_matching,
-    _matchings, compose_gogs, enumerate_x_graphs, max_search_cap, substitute,
+    compose_gogs, enumerate_x_graphs, max_search_cap, substitute,
 )
 
-from oracles import (admissible_connected_matchings, brute_count_classes,
-                     brute_isomorphic, port_fixing_automorphisms,
-                     stub_group_order)
+from oracles import (_perfect_matchings, admissible_connected_matchings,
+                     brute_count_classes, brute_isomorphic,
+                     port_fixing_automorphisms, stub_group_order)
 
 
 def single_vertex_gog(base, piece, boundary):
@@ -140,6 +142,49 @@ def test_substitution_commutes_with_gluing():
     assert is_isomorphic(glued, wheel(2)) is not None
 
 
+def _same_colimit(g, h):
+    """Equal graphs whose edges, classes of identified ids, are written
+    alike."""
+    return graphs_equal(g, h) and sorted(map(idstr, g.edges)) == \
+        sorted(map(idstr, h.edges))
+
+
+def _line_pieces(base):
+    """The identity pieces of base, with a 2-vertex line at each bivalent
+    vertex."""
+    pieces = dict(GraphOfGraphs.identity(base).pieces)
+    piece = line(2)
+    for v in base.vertices:
+        if base.valency(v) == 2:
+            pieces[v] = (piece, dict(zip(sorted(piece.ports, key=repr),
+                                         half_order(base, v))))
+    return pieces
+
+
+@pytest.mark.parametrize("base", [wheel(3), line(2), corolla(["a", "b"]),
+                                  disjoint_union(wheel(2), corolla([1]))])
+def test_substitution_colimit_ignores_the_order_of_the_pieces(base):
+    pieces = _line_pieces(base)
+    backwards = {v: (piece, dict(reversed(boundary.items())))
+                 for v, (piece, boundary) in reversed(pieces.items())}
+    forward = substitute(GraphOfGraphs(base, pieces))
+    backward = substitute(GraphOfGraphs(base, backwards))
+    assert _same_colimit(forward.colimit, backward.colimit)
+    assert forward.edge_class == backward.edge_class
+    assert forward.piece_edge == backward.piece_edge
+
+
+def test_glued_colimit_ignores_the_order_of_the_glue_pairs():
+    g = disjoint_union(corolla(["a", "b", "c"]), corolla(["d", "e", "f"]))
+    pairs = [(("L", "a"), ("R", "d")), (("L", "b"), ("R", "e")),
+             (("L", "c"), ("R", "f"))]
+    for k in range(1, len(pairs) + 1):
+        glued, edge_of = glue_ports(g, pairs[:k])
+        back, back_of = glue_ports(g, [(b, a) for a, b in pairs[:k]][::-1])
+        assert _same_colimit(glued, back)
+        assert edge_of == back_of
+
+
 # -- enumeration ----------------------------------------------------------------
 
 def test_enumerate_zero_labels_one_vertex():
@@ -164,8 +209,6 @@ def test_enumerate_matches_brute_class_count():
     xs = enumerate_x_graphs(["a"], max_vertices=2, max_valency=3)
     assert brute_count_classes(xs) == len(xs)
     # exhaustive cross-check: re-enumerate without dedup via oracle count
-    from feyngraph.substitution import _matchings, _graph_from_matching
-    import itertools
     raw = []
     for nv in range(3):
         for valencies in itertools.combinations_with_replacement(range(4), nv):
@@ -175,7 +218,7 @@ def test_enumerate_matches_brute_class_count():
             points = [("x", "a")]
             for vi, d in enumerate(valencies):
                 points += [("s", vi, j) for j in range(d)]
-            for m in _matchings(points):
+            for m in _perfect_matchings(points):
                 g, lab = _graph_from_matching(["a"], valencies, m)
                 x = XGraph(g, lab)
                 if x.is_admissible() and len(g.connected_components()) == 1:
@@ -227,7 +270,7 @@ def _reference_shapes(n_labels, max_vertices, max_valency, connected_only,
             points = [("x", x) for x in labels]
             for vi, d in enumerate(valencies):
                 points += [("s", vi, j) for j in range(d)]
-            for m in _matchings(points):
+            for m in _perfect_matchings(points):
                 x = XGraph(*_graph_from_matching(labels, valencies, m))
                 if admissible_only and not x.is_admissible():
                     continue
