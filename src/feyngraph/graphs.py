@@ -161,7 +161,8 @@ class _UF:
 
 
 class FeynmanGraph:
-    """Immutable Feynman graph.  Construction validates all invariants."""
+    """Immutable Feynman graph.  Construction validates all invariants
+    (FeynmanGraph._trusted, for builders that guarantee them, does not)."""
 
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
                  "_s_inv", "_halves_at", "_ports",
@@ -178,6 +179,22 @@ class FeynmanGraph:
         self.t = t = _copy(t or {})
         self.tau = tau = _copy(tau)
         self._validate()
+        self._index(s, t, tau)
+
+    @classmethod
+    def _trusted(cls, edges: frozenset, tau: dict, half_edges: frozenset,
+                 s: dict, t: dict, vertices: frozenset) -> "FeynmanGraph":
+        """A graph whose builder guarantees every invariant, taken as
+        given: the frozensets and dicts are kept, not copied, and nothing
+        is validated.  Only for constructions that are valid by design;
+        the tests check each against the validating constructor."""
+        g = cls.__new__(cls)
+        g.edges, g.half_edges, g.vertices = edges, half_edges, vertices
+        g._index(s, t, tau)
+        return g
+
+    def _index(self, s: dict, t: dict, tau: dict) -> None:
+        """The derived lookups, then the maps as read-only views."""
         self._s_inv = {e: h for h, e in s.items()}
         halves_at: dict = {v: [] for v in self.vertices}
         for h in sort_ids(self.half_edges):

@@ -23,9 +23,8 @@ from .errors import (ColourMismatch, FormatError, GraphInvariantError,
                      InvalidGraphOfGraphs, Mismatch, NotCommuting,
                      NotDeletable, NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
-from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
-                     idstr, isolated_vertex, read_only, sort_ids, stick,
-                     tagged_union)
+from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
+                     idkey, idstr, read_only, sort_ids, stick, tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _Violations,
                       evaluate_species, half_order)
 from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
@@ -735,57 +734,81 @@ def law_DT(S: SpeciesOps, t: TElem):
 
 def law_LT(S: SpeciesOps, t: TElem):
     """lambda_LT: T(L S) -> L(T S).  Replace every vertex by the disjoint
-    union of corollas of its factors, evaluate the colimit and split into
-    connected components."""
-    om = S.palette.omega
-    pieces = {}
-    fdec = {}  # colimit vertex -> (element, explicit half order)
-    for v in sort_ids(t.graph.vertices):
-        le, order = t.vdec[v]
-        graphs, boundary = [], {}
-        for fi, (block, elem) in enumerate(le):
-            tag = ("f", fi)
-            if block:
-                labels = [("fp", p) for p in block]
-                graphs.append((tag, corolla(labels)))
-                for p in block:
-                    boundary[(tag, ("fp", p))] = order[p]
-                fdec[("p", v, (tag, "*"))] = (
-                    elem, tuple((tag, ("h", ("fp", p))) for p in block))
-            else:
-                graphs.append((tag, isolated_vertex()))
-                fdec[("p", v, (tag, "*"))] = (elem, ())
-        # the empty product deletes the (isolated) vertex outright
-        piece = tagged_union(graphs)
-        pieces[v] = (piece, boundary)
-    sub = substitute(GraphOfGraphs(t.graph, pieces))
-    colours = {}
-    for e, c in t.colours.items():
-        colours[sub.edge_class[e]] = c
-    for v in t.graph.vertices:
-        le, order = t.vdec[v]
-        for fi, (block, elem) in enumerate(le):
-            tag = ("f", fi)
-            cols = S.colour_of(elem)
-            for i, p in enumerate(block):
-                pe = (tag, ("fp", p))
-                colours[sub.piece_edge[(v, pe)]] = cols[i]
-                colours[sub.piece_edge[(v, (tag, ("in", ("fp", p))))]] = \
-                    om[cols[i]]
+    union of corollas of its factors and split the result into connected
+    components.
+
+    The substitution colimit is built directly.  A factor's corolla
+    touches only the base halves of its own block, so each base edge e
+    is a class of its own: ("b", e), the inner edge of the corolla
+    position whose half lies on e, and the port of the position whose
+    half lies on tau e.  Ids, colours and the order of the components are
+    those of substituting the corollas and splitting the colimit; a
+    vertex whose factor blocks do not partition its positions raises
+    InvalidGraphOfGraphs, as GraphOfGraphs does."""
+    g = t.graph
+    s, tau = g.s, g.tau
+    members = {e: [("b", e)] for e in g.edges}   # base edge -> its class
+    halves = {}             # factor vertex -> [(its half, base edge)]
     vdec = {}
-    for cv, (elem, order) in fdec.items():
-        v = cv[1]
-        vdec[cv] = (elem, tuple(("p", v, hh) for hh in order))
-    port_class = [sub.edge_class[e] for e in t.ports]
+    for v in g.vertices:
+        le, order = t.vdec[v]
+        placed = [order[p] for block, _ in le for p in block]
+        if len(placed) != g.valency(v) or set(placed) != set(g.halves_at(v)):
+            raise InvalidGraphOfGraphs(
+                f"boundary at {v!r} must biject onto H_v")
+        for fi, (block, elem) in enumerate(le):
+            tag = ("f", fi)
+            fv = ("p", v, (tag, "*"))
+            hs = halves[fv] = []
+            for p in block:
+                fp = ("fp", p)
+                e = s[order[p]]
+                members[e].append(("p", v, (tag, ("in", fp))))
+                members[tau[e]].append(("p", v, (tag, fp)))
+                hs.append((("p", v, (tag, ("h", fp))), e))
+            vdec[fv] = (elem, tuple(hh for hh, _ in hs))
+    cls = {e: frozenset(m) for e, m in members.items()}
+    ctau = {c: cls[tau[e]] for e, c in cls.items()}
+    colours = {cls[e]: c for e, c in t.colours.items()}
+    om = S.palette.omega
+    for fv, hs in halves.items():
+        cols = S.colour_of(vdec[fv][0])
+        for i, (_, e) in enumerate(hs):
+            colours[ctau[cls[e]]] = cols[i]
+            colours[cls[e]] = om[cols[i]]
+    # components in idkey order of their least id: a class sorts by its
+    # base edge and before every vertex, so adding the classes in base
+    # edge order, and before the factor vertices, lists the components in
+    # that order with their classes first; a factor without a block is
+    # alone, after them
+    uf = _UF()
+    for e in g.sorted_edges:
+        uf.add(cls[e])
+    for c, d in ctau.items():
+        uf.union(c, d)
+    for fv, hs in halves.items():
+        if hs:
+            uf.add(fv)
+            for _, e in hs:
+                uf.union(cls[e], fv)
+    parts = list(uf.classes().values())
+    parts += [[fv] for fv in sorted((fv for fv, hs in halves.items()
+                                     if not hs), key=idkey)]
+    port_class = [cls[e] for e in t.ports]
     factors = []
-    for comp in sub.colimit.connected_components():
-        block = tuple(i for i, e in enumerate(port_class)
-                      if e in comp.edges)
-        telem = TElem(comp,
-                      tuple(port_class[i] for i in block),
-                      {e: colours[e] for e in comp.edges},
-                      {v2: vdec[v2] for v2 in comp.vertices})
-        factors.append((block, telem))
+    for part in parts:
+        cs = [x for x in part if type(x) is frozenset]
+        fvs = part[len(cs):]
+        hs = [(hh, cls[e], fv) for fv in fvs for hh, e in halves[fv]]
+        edges = frozenset(cs)
+        comp = FeynmanGraph._trusted(
+            edges, {c: ctau[c] for c in cs},
+            frozenset(hh for hh, _, _ in hs), {hh: c for hh, c, _ in hs},
+            {hh: fv for hh, _, fv in hs}, frozenset(fvs))
+        block = tuple(i for i, c in enumerate(port_class) if c in edges)
+        factors.append((block, TElem(
+            comp, tuple(port_class[i] for i in block),
+            {c: colours[c] for c in cs}, {fv: vdec[fv] for fv in fvs})))
     return LSpecies(TSpecies(S)).norm(factors)
 
 

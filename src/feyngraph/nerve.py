@@ -1017,14 +1017,16 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
     square between two chosen objects fails; the other components follow
     from the ch-families, and every result passes the check of all the
     squares.  The elementary choices, the product of |Q(n)|^|P(n)|, are
-    charged to FEYNGRAPH_MAX_SEARCH before the search starts."""
+    charged to FEYNGRAPH_MAX_SEARCH before the search starts, and each
+    product of candidates for the other objects before it is walked."""
     names = sorted(P.corpus)
     if sorted(Q.corpus) != names:
         raise Mismatch("presheaves must share a corpus")
     shared = [mn for mn in P.morphisms if mn in Q.morphisms]
     base = [n for n in names if _is_elementary(P.corpus[n])]
     rest = [n for n in names if n not in base]
-    SearchBudget("natural-transformation choices").spend(
+    budget = SearchBudget("natural-transformation choices")
+    budget.spend(
         math.prod(max(len(Q.sets[n]) ** len(P.sets[n]), 1) for n in base))
 
     def square(mn, comp):
@@ -1073,6 +1075,7 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
                     return
                 per_x.append(cands)
             options.append((n, per_x))
+        budget.spend(math.prod(len(c) for _, per_x in options for c in per_x))
         for choice in itertools.product(
                 *(itertools.product(*per_x) for _, per_x in options)):
             for (n, _), vals in zip(options, choice):
@@ -1131,8 +1134,9 @@ def _is_algebra_morphism(A, B, phi, max_arity):
     om = SA.palette.omega
     for n in range(max_arity + 1):
         for x in SA.elements(n):
-            if n >= 2:
-                sigma = (1, 0) + tuple(range(2, n))
+            # the adjacent transpositions generate S_n
+            for i in range(n - 1):
+                sigma = tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
                 if SB.key(phi(SA.act(x, sigma))) != \
                         SB.key(SB.act(phi(x), sigma)):
                     return False

@@ -184,14 +184,20 @@ class Decoration:
     vertex_elems: Mapping[Any, Any]
     half_orders: Mapping[Any, tuple]
     species: SpeciesOps = field(repr=False)  # of the vertex elements
+    _key: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def key(self):
         """Edge colours and vertex elements; an element is told apart by
-        its species key, computed only here."""
-        ec = tuple(sorted(((repr(e), repr(c)) for e, c in self.edge_colours.items())))
-        ve = tuple(sorted(((repr(v), repr(self.species.key(x)))
-                           for v, x in self.vertex_elems.items())))
-        return (ec, ve)
+        its species key, computed only here.  Kept on the decoration,
+        whose maps no caller changes once it is built."""
+        if self._key is None:
+            ec = tuple(sorted(((repr(e), repr(c))
+                               for e, c in self.edge_colours.items())))
+            ve = tuple(sorted(((repr(v), repr(self.species.key(x)))
+                               for v, x in self.vertex_elems.items())))
+            object.__setattr__(self, "_key", (ec, ve))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, Decoration) and self.key() == other.key()

@@ -692,3 +692,119 @@ def brute_kleisli_from_pointed(pm):
     em2 = {c: pm.edge_image(x) for c, x in em.items()}
     hm2 = {c: pm.half_image(x) for c, x in hm.items() if x in pm._hcorr}
     return brute_make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
+
+
+# -- distributive laws ---------------------------------------------------------------
+
+def brute_law_LT(S, t):
+    """lambda_LT through the general machinery: substitute the disjoint
+    union of the factors' corollas at every vertex, then split the
+    colimit into connected components."""
+    from feyngraph.graphs import (corolla, isolated_vertex, sort_ids,
+                                  tagged_union)
+    from feyngraph.monads import LSpecies, TElem, TSpecies
+    from feyngraph.substitution import GraphOfGraphs, substitute
+
+    om = S.palette.omega
+    pieces = {}
+    fdec = {}  # colimit vertex -> (element, explicit half order)
+    for v in sort_ids(t.graph.vertices):
+        le, order = t.vdec[v]
+        graphs, boundary = [], {}
+        for fi, (block, elem) in enumerate(le):
+            tag = ("f", fi)
+            if block:
+                labels = [("fp", p) for p in block]
+                graphs.append((tag, corolla(labels)))
+                for p in block:
+                    boundary[(tag, ("fp", p))] = order[p]
+                fdec[("p", v, (tag, "*"))] = (
+                    elem, tuple((tag, ("h", ("fp", p))) for p in block))
+            else:
+                graphs.append((tag, isolated_vertex()))
+                fdec[("p", v, (tag, "*"))] = (elem, ())
+        # the empty product deletes the (isolated) vertex outright
+        pieces[v] = (tagged_union(graphs), boundary)
+    sub = substitute(GraphOfGraphs(t.graph, pieces))
+    colours = {}
+    for e, c in t.colours.items():
+        colours[sub.edge_class[e]] = c
+    for v in t.graph.vertices:
+        le, order = t.vdec[v]
+        for fi, (block, elem) in enumerate(le):
+            tag = ("f", fi)
+            cols = S.colour_of(elem)
+            for i, p in enumerate(block):
+                colours[sub.piece_edge[(v, (tag, ("fp", p)))]] = cols[i]
+                colours[sub.piece_edge[(v, (tag, ("in", ("fp", p))))]] = \
+                    om[cols[i]]
+    vdec = {}
+    for cv, (elem, order) in fdec.items():
+        vdec[cv] = (elem, tuple(("p", cv[1], hh) for hh in order))
+    port_class = [sub.edge_class[e] for e in t.ports]
+    factors = []
+    for comp in sub.colimit.connected_components():
+        block = tuple(i for i, e in enumerate(port_class)
+                      if e in comp.edges)
+        factors.append((block, TElem(
+            comp, tuple(port_class[i] for i in block),
+            {e: colours[e] for e in comp.edges},
+            {v2: vdec[v2] for v2 in comp.vertices})))
+    return LSpecies(TSpecies(S)).norm(factors)
+
+
+# -- algebra morphisms ---------------------------------------------------------------
+
+def brute_is_algebra_morphism(A, B, phi, max_arity) -> bool:
+    """Whether phi: A -> B commutes with eps, the external unit, zeta, box
+    and the symmetric action, the action tried under every one of the n!
+    permutations of each arity n <= max_arity (keep it at 4 or less)."""
+    SA, SB = A.species, B.species
+
+    def same(a, b):
+        return SB.key(a) == SB.key(b)
+
+    if not all(same(phi(A.eps(c)), B.eps(c)) for c in SA.palette.colours):
+        return False
+    if not same(phi(A.unit0()), B.unit0()):
+        return False
+    om = SA.palette.omega
+    elems = {n: SA.elements(n) for n in range(max_arity + 1)}
+    for n, xs in elems.items():
+        for x in xs:
+            if not all(same(phi(SA.act(x, sigma)), SB.act(phi(x), sigma))
+                       for sigma in itertools.permutations(range(n))):
+                return False
+            cols = SA.colour_of(x)
+            for i, j in itertools.combinations(range(n), 2):
+                if cols[i] != om[cols[j]]:
+                    continue
+                za, zb = A.zeta(x, i, j), B.zeta(phi(x), i, j)
+                if za is not None and zb is not None and \
+                        not same(phi(za), zb):
+                    return False
+            for y in (y for m in range(max_arity + 1 - n) for y in elems[m]):
+                ba = A.box(x, y)
+                if ba is None:
+                    continue
+                bb = B.box(phi(x), phi(y))
+                if bb is not None and not same(phi(ba), bb):
+                    return False
+    return True
+
+
+def brute_algebra_morphisms(A, B, max_arity) -> list:
+    """Every colour-preserving map A -> B up to max_arity, as a dict from
+    the key of an element to its image, that brute_is_algebra_morphism
+    accepts."""
+    SA, SB = A.species, B.species
+    xs = [x for n in range(max_arity + 1) for x in SA.elements(n)]
+    images = [[y for y in SB.elements(len(SA.colour_of(x)))
+               if SB.colour_of(y) == SA.colour_of(x)] for x in xs]
+    out = []
+    for vals in itertools.product(*images):
+        fwd = {SA.key(x): y for x, y in zip(xs, vals)}
+        if brute_is_algebra_morphism(A, B, lambda x: fwd[SA.key(x)],
+                                     max_arity):
+            out.append(fwd)
+    return out

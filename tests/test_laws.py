@@ -7,7 +7,10 @@ so its kinds, witnesses and `checked` count stay the same from run to
 run.  A law whose output is ill-formed is reported, not raised.  Also:
 the reports do not depend on what the process has memoised, the key of
 an L element does not depend on the order of its factors, and L's norm
-orders factors as one sort by block and key does.
+orders factors as one sort by block and key does.  lambda_LT, built
+directly, equals the substitution colimit it replaces
+(oracles.brute_law_LT) on every input of the sweeps, with the same
+errors, and never falls back on that colimit.
 """
 
 import functools
@@ -23,14 +26,17 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feyngraph.errors import InvalidGraphOfGraphs
+from feyngraph.graphs import FeynmanGraph
 from feyngraph.monads import (DSpecies, LSpecies, TElem, TSpecies,
                               check_beck, yang_baxter_sweep)
 from feyngraph.species import TerminalSpecies
 
 from helpers_species import TWO, tuple_algebra
-from oracles import brute_l_norm
+from oracles import brute_l_norm, brute_law_LT
 
 monads = importlib.import_module("feyngraph.monads")
+substitution = importlib.import_module("feyngraph.substitution")
 LAW_DT, LAW_LT, LAW_LD = monads.law_DT, monads.law_LT, monads.law_LD
 
 SPECIES = {"K": TerminalSpecies(n_max=4),
@@ -201,6 +207,164 @@ def test_reports_do_not_depend_on_what_the_process_memoised():
     first, second = (json.dumps(_reports(SPECIES["K"]), sort_keys=True)
                      for _ in range(2))
     assert first == second == run.stdout.strip()
+
+
+# -- lambda_LT against its colimit oracle -------------------------------------------
+
+def _recorded_lt_inputs(S):
+    """Every (species, element) that law_LT sees in the lt sweep and the
+    Yang-Baxter sweep at the bounds above."""
+    seen = []
+
+    def recording(S2, t):
+        seen.append((S2, t))
+        return LAW_LT(S2, t)
+
+    monads.law_LT = recording
+    try:
+        check_beck("lt", S, **BOUNDS["lt"])
+        yang_baxter_sweep(S, **YB_BOUNDS)
+    finally:
+        monads.law_LT = LAW_LT
+    return seen
+
+
+def _factor(f):
+    """A factor as plain, hashable data: its block, graph, ports, colours
+    and vertex decoration."""
+    block, t = f
+    g = t.graph
+    return (block, g.edges, g.half_edges, g.vertices,
+            frozenset(g.tau.items()), frozenset(g.s.items()),
+            frozenset(g.t.items()), t.ports, frozenset(t.colours.items()),
+            frozenset(t.vdec.items()))
+
+
+@pytest.mark.parametrize("species", sorted(SPECIES))
+def test_law_lt_equals_the_colimit_oracle(species):
+    inputs = _recorded_lt_inputs(SPECIES[species])
+    assert len(inputs) > 100
+    for S, t in inputs:
+        # equal as factor multisets, and in the same order too
+        assert [_factor(f) for f in LAW_LT(S, t)] == \
+            [_factor(f) for f in brute_law_LT(S, t)]
+
+
+def test_law_lt_colours_ill_coloured_input_as_the_oracle():
+    """Piece colours overwrite base colours, vertex by vertex in one
+    order, so an element whose factors disagree with its edge colours
+    comes out coloured as through the colimit."""
+    S = SPECIES["S2"]
+    TLS = TSpecies(LSpecies(S, 2), 2, 2)
+    recoloured = 0
+    for t in TLS.elements(0) + TLS.elements(1):
+        for v, (le, order) in t.vdec.items():
+            for i, (block, _) in enumerate(le):
+                for x in S.elements(len(block)):
+                    vdec = dict(t.vdec)
+                    vdec[v] = (le[:i] + ((block, x),) + le[i + 1:], order)
+                    u = TElem(t.graph, t.ports, t.colours, vdec)
+                    assert [_factor(f) for f in LAW_LT(S, u)] == \
+                        [_factor(f) for f in brute_law_LT(S, u)]
+                    recoloured += 1
+    assert recoloured > 100
+
+
+@pytest.mark.parametrize("species", sorted(SPECIES))
+def test_law_lt_components_equal_validated_graphs(species):
+    for S, t in _recorded_lt_inputs(SPECIES[species]):
+        for _, x in LAW_LT(S, t):
+            g = x.graph
+            h = FeynmanGraph(g.edges, g.tau, g.half_edges, g.s, g.t,
+                             g.vertices)
+            assert (g.edges, g.half_edges, g.vertices, g.ports) == \
+                (h.edges, h.half_edges, h.vertices, h.ports)
+            assert (dict(g.tau), dict(g.s), dict(g.t)) == \
+                (dict(h.tau), dict(h.s), dict(h.t))
+            assert all(g.halves_at(v) == h.halves_at(v) for v in g.vertices)
+            assert all(g.half_of_edge(e) == h.half_of_edge(e)
+                       for e in g.edges)
+
+
+def test_law_lt_builds_no_colimit_and_validates_no_component(monkeypatch):
+    inside, outputs, substituted, validated = [], [], [], []
+    substitute, validate = substitution.substitute, FeynmanGraph._validate
+
+    def watched(S, t):
+        inside.append(t)
+        try:
+            le = LAW_LT(S, t)
+        finally:
+            inside.pop()
+        outputs.extend(x.graph for _, x in le)
+        return le
+
+    def counting(gog):
+        if inside:
+            substituted.append(gog)
+        return substitute(gog)
+
+    def recording(g):
+        validated.append(g)
+        validate(g)
+
+    monkeypatch.setattr(monads, "law_LT", watched)
+    monkeypatch.setattr(monads, "substitute", counting)
+    monkeypatch.setattr(substitution, "substitute", counting)
+    monkeypatch.setattr(FeynmanGraph, "_validate", recording)
+    check_beck("lt", SPECIES["K"], **BOUNDS["lt"])
+    yang_baxter_sweep(SPECIES["K"], **YB_BOUNDS)
+    assert outputs and validated
+    assert not substituted
+    checked = {id(g) for g in validated}
+    assert not any(id(g) in checked for g in outputs)
+
+
+def _two_factor_element(blocks):
+    """The T(L K) element on one 2-valent vertex whose L element has the
+    given blocks, each decorated by the K element of its arity."""
+    K = SPECIES["K"]
+    t = TSpecies(LSpecies(K, 2), 1, 2).elements(2)[0]
+    (v, (_, order)), = t.vdec.items()
+    le = tuple((b, ("k", len(b))) for b in blocks)
+    return TElem(t.graph, t.ports, t.colours, {v: (le, order)})
+
+
+@pytest.mark.parametrize("blocks", [((0,), (0,)), ((0, 1), (1,)), ((0,),),
+                                    ((), (1,))],
+                         ids=["overlap", "overlap-in-part", "missing",
+                              "missing-beside-empty"])
+def test_law_lt_rejects_blocks_that_do_not_partition(blocks):
+    t = _two_factor_element(blocks)
+    for law in (LAW_LT, brute_law_LT):
+        with pytest.raises(InvalidGraphOfGraphs, match="must biject"):
+            law(SPECIES["K"], t)
+
+
+def _blocks_overlapped(inner):
+    def law(S, t):
+        """lambda_LT whose last factor takes the block of the first when
+        both are nonempty and of one size."""
+        le = inner(S, t)
+        first, last = le[0][0] if le else (), le[-1][0] if le else ()
+        if first and len(first) == len(last) and first != last:
+            return le[:-1] + ((first, le[-1][1]),)
+        return le
+    return law
+
+
+@pytest.mark.parametrize("species", sorted(SPECIES))
+def test_ill_formed_l_blocks_are_reported_as_before(monkeypatch, species):
+    S = SPECIES[species]
+    sound = check_beck("lt", S, **BOUNDS["lt"])
+    reports = []
+    for inner in (LAW_LT, brute_law_LT):
+        monkeypatch.setattr(monads, "law_LT", _blocks_overlapped(inner))
+        reports.append(check_beck("lt", S, **BOUNDS["lt"]))
+    fast, oracle = reports
+    assert fast == oracle
+    assert not fast["ok"] and fast["checked"] == sound["checked"]
+    assert any("InvalidGraphOfGraphs" in v[2] for v in fast["violations"])
 
 
 # -- L keys ignore factor order -----------------------------------------------------

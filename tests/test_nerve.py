@@ -32,13 +32,15 @@ from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
                              mutated_presheaves, nerve, nerves,
                              presheaf_maps, refinement_of_corolla,
                              restrict_kleisli)
-from feyngraph.species import evaluate_species
+from feyngraph.species import (FiniteCircuitAlgebra, TableSpecies,
+                               evaluate_species)
 from feyngraph.substitution import (GraphOfGraphs, enumerate_x_graphs,
                                     substitute)
 
 from helpers_nerve import corpus14, dumbbell, parity_algebra, theta
 from helpers_species import MONO, TWO, tuple_algebra
-from oracles import (brute_kleisli_from_etale, brute_kleisli_from_pointed,
+from oracles import (brute_algebra_morphisms, brute_is_algebra_morphism,
+                     brute_kleisli_from_etale, brute_kleisli_from_pointed,
                      brute_presheaf_maps)
 
 nerve_module = importlib.import_module("feyngraph.nerve")
@@ -362,7 +364,8 @@ BUDGETED = [
     # the 3! automorphisms of corolla3
     ("refinement port bijections", 9, _all_corpus_morphisms,
      lambda: (_small_corpus(),)),
-    ("natural-transformation choices", 8, presheaf_maps,
+    # 8 elementary choices, and the candidates for the other objects
+    ("natural-transformation choices", 12, presheaf_maps,
      lambda: nerves((tuple_algebra(MONO, 3), parity_algebra(4)),
                     _small_corpus())),
     ("algebra-morphism candidates", 16, algebra_morphisms,
@@ -739,6 +742,46 @@ def test_algebra_morphisms_are_charged_to_the_search_budget(monkeypatch):
     assert algebra_morphisms(B, B, 4) == default
 
 
+def _s3_points_algebra():
+    """A one-colour algebra whose arity-3 elements a, b, c are permuted
+    by S_3 as it permutes three points: (0 1) swaps a and b, (1 2) swaps
+    b and c.  Its tables need not satisfy the axioms."""
+    arity = {0: ["u"], 1: ["p"], 2: ["e"], 3: ["a", "b", "c"]}
+    colour = {x: ("*",) * n for n, xs in arity.items() for x in xs}
+    action = {("a", 0): "b", ("b", 0): "a", ("c", 0): "c",
+              ("a", 1): "a", ("b", 1): "c", ("c", 1): "b"}
+    S = TableSpecies(MONO, arity, colour, action)
+    box = {("p", "p"): "e", ("p", "e"): "c", ("e", "p"): "c"}
+    for xs in arity.values():
+        for x in xs:
+            box[("u", x)] = box[(x, "u")] = x
+    zeta = {("e", 0, 1): "u"}
+    zeta.update({(x, i, j): "p" for x in "abc"
+                 for i, j in itertools.combinations(range(3), 2)})
+    return FiniteCircuitAlgebra(S, box, zeta, {"*": "e"}, external_unit="u")
+
+
+def test_algebra_morphisms_commute_with_every_adjacent_transposition():
+    # swapping a and b commutes with (0 1), not with (1 2)
+    A = _s3_points_algebra()
+    swap = {"a": "b", "b": "a"}
+    for phi, ok in ((lambda x: x, True), (lambda x: swap.get(x, x), False)):
+        assert nerve_module._is_algebra_morphism(A, A, phi, 3) is ok
+        assert brute_is_algebra_morphism(A, A, phi, 3) is ok
+    assert algebra_morphisms(A, A, 3) == brute_algebra_morphisms(A, A, 3)
+    assert len(algebra_morphisms(A, A, 3)) == 1
+
+
+@pytest.mark.parametrize("a,b", [("mono", "parity6"), ("parity6", "mono"),
+                                 ("mono", "mono"), ("parity6", "parity6"),
+                                 ("two", "two")])
+def test_algebra_morphisms_match_the_all_permutations_oracle(a, b):
+    A, B = ALGEBRAS[a](), ALGEBRAS[b]()
+    homs = algebra_morphisms(A, B, 4)
+    assert homs
+    assert homs == brute_algebra_morphisms(A, B, 4)
+
+
 def test_presheaf_maps_identity_exists():
     P = nerve(parity_algebra(4), {"stick": stick(), "corolla0": corolla([]),
                                   "corolla1": corolla([0]),
@@ -781,11 +824,22 @@ def test_presheaf_maps_matches_brute_force_oracle(corpus, a, b):
 
 def test_presheaf_maps_charges_the_search_budget(monkeypatch):
     P = _nerve_of("parity6", "corpus14")
-    # six elementary objects, 4 maps on each but the stick: 1,024 choices
-    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1024")
+    # six elementary objects, 4 maps on each but the stick: 1,024 choices;
+    # the products of candidates for the other objects add 64
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1088")
     assert len(presheaf_maps(P, P)) == 4
     monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "10")
     with pytest.raises(OutOfBounds):
+        presheaf_maps(P, P)
+
+
+def test_presheaf_maps_charges_the_other_objects_too(monkeypatch):
+    """A cap that covers the elementary choices alone refuses the walk
+    over the candidates for the other objects."""
+    P = _nerve_of("parity6", "corpus14")
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "1024")
+    with pytest.raises(BoundsTooLarge,
+                       match="^natural-transformation choices exceed "):
         presheaf_maps(P, P)
 
 

@@ -52,6 +52,27 @@ def test_corolla_evaluation_is_arity_set():
     assert elems == set(S.elements(3))
 
 
+def test_decoration_key_is_computed_once():
+    S = tuple_algebra(TWO, 3).species
+    keyed, key = [], S.key
+
+    def counting(elem):
+        keyed.append(elem)
+        return key(elem)
+
+    S.key = counting
+    decs = evaluate_species(S, line(2))   # two vertices to key
+    first = [d.key() for d in decs]
+    assert len(keyed) == 2 * len(decs)
+    assert [d.key() for d in decs] == first
+    assert len(set(decs)) == len(decs)
+    assert len(keyed) == 2 * len(decs)
+    # the kept key takes no part in equality
+    d = decs[0]
+    assert d == type(d)(dict(d.edge_colours), dict(d.vertex_elems),
+                        dict(d.half_orders), S)
+
+
 def test_counts_match_brute_oracle():
     for S in [terminal_species(), tuple_algebra(TWO, 4).species]:
         for g in CORPUS:
