@@ -9,8 +9,8 @@ free monads) is built on this one class.
 
 A graph is an immutable value: its id-sets are frozensets and its maps are
 read-only.  So what is derived from it alone (the sorted id orders, the
-canonical labelings for given tokens, the nerve's Kleisli record) is
-computed once and kept on the graph.
+canonical labelings for given tokens, the nerve's Kleisli record, its
+vertex deletions) is computed once and kept on the graph.
 
 Ids are strs, ints, or tuples or frozensets of ids (strings in files;
 tuples appear as tags after disjoint unions and quotients, frozensets as
@@ -166,7 +166,8 @@ class FeynmanGraph:
 
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
                  "_s_inv", "_halves_at", "_ports",
-                 "_sorted_edges", "_sorted_vertices", "_labelings", "_kleisli")
+                 "_sorted_edges", "_sorted_vertices", "_labelings", "_kleisli",
+                 "_deletions")
 
     def __init__(self, edges: Iterable[Id], tau: Mapping[Id, Id],
                  half_edges: Iterable[Id] = (), s: Optional[Mapping[Id, Id]] = None,
@@ -206,6 +207,7 @@ class FeynmanGraph:
         self._sorted_edges = self._sorted_vertices = None
         self._labelings: Optional[dict] = None   # token key -> labelings
         self._kleisli = None   # filled by nerve._kleisli_record
+        self._deletions = None   # filled by monads._deletion_homs
 
     def _validate(self) -> None:
         if set(self.tau) != self.edges:

@@ -272,20 +272,24 @@ def hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
     deletions collapse onto the full one); fresh sticks from isolated-vertex
     deletion are counted up to orientation flip (contracted-unit
     coinvariants)."""
-    return list(_deletion_homs(g, h, True, {}))
+    return list(_deletion_homs(g, h, True))
 
 
 def _deletion_homs(g: FeynmanGraph, h: FeynmanGraph, absorb: bool,
-                   deletions: dict, build=None):
+                   build=None):
     """The morphisms g -> h that delete a set of deletable vertices of g
     and then map etale: each pointed morphism normalized with `absorb`,
     or what `build` makes of it, once per key, in order of the deleted
     set.  Without absorb the empty set is left out, for the etale maps
     themselves are not deletions.
 
-    deletions keeps delete_vertices(g, w0) by vertex tuple w0, so that a
-    caller may share them across calls.  The vertex sets are charged to
-    FEYNGRAPH_MAX_SEARCH before any is tried."""
+    delete_vertices(g, w0) is kept on g by vertex tuple w0, so that the
+    calls for one g and any h, pointed or Kleisli, delete each vertex set
+    once.  The vertex sets are charged to FEYNGRAPH_MAX_SEARCH before any
+    is tried."""
+    if g._deletions is None:
+        g._deletions = {}
+    deletions = g._deletions
     dels = deletable_vertices(g)
     smallest = 0 if absorb else 1
     SearchBudget("deletion vertex sets").spend(2 ** len(dels) - smallest)

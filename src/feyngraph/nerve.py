@@ -16,9 +16,15 @@ each combination of minimal piece labelings, the canonical substitution
 and a plan that carries tail data onto its colimit.  The tail step maps
 one morphism's images through the frame and checks the tail at every
 stage.  A frame is kept on its substitution (Substitution.frames), and a
-graph keeps its identity refinement and vertex deletions (_kleisli_record),
-so the ch, iso and deletion morphisms out of one graph object share one
-frame per deleted set, whoever builds them.
+graph keeps its identity refinement (_kleisli_record) and its vertex
+deletions (monads._deletion_homs), so the ch, iso and deletion morphisms
+out of one graph object share one frame per deleted set, whoever builds
+them.
+
+Restricting a decoration along a Kleisli morphism runs a plan kept on the
+morphism, and the program that evaluates each piece is kept on the
+refinement (restrict_kleisli), so each restriction only looks up colours
+and calls the algebra's operations.
 
 The morphisms of a corpus do not depend on an algebra.  nerves keeps the
 last complete pass of corpus_morphisms for the whole process, keyed by
@@ -30,7 +36,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import (BoundsTooLarge, ColourMismatch, CorpusNotElementClosed,
                      FormatError, Mismatch, NotACorolla, OutOfBounds)
@@ -76,6 +83,8 @@ class KleisliMorphism:
     pointed_tail: PointedMorphism
     _sub: Substitution
     _key: tuple
+    # restrict_kleisli's plan, built on the first restriction along it
+    _plan: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def key(self):
         return self._key
@@ -274,9 +283,8 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
 
 def _kleisli_record(g: FeynmanGraph) -> tuple:
     """What the Kleisli morphisms out of g share, built on first use and
-    kept on g: (sub, em, hm, vm, deletions), the substitution of the
-    identity refinement of g, identity tail data on its colimit, and
-    delete_vertices(g, w0) for each vertex tuple w0 deleted so far."""
+    kept on g: (sub, em, hm, vm), the substitution of the identity
+    refinement of g and identity tail data on its colimit."""
     if g._kleisli is None:
         sub = substitute(GraphOfGraphs.identity(g))
         em = {sub.edge_class[e]: e for e in g.edges}
@@ -285,17 +293,17 @@ def _kleisli_record(g: FeynmanGraph) -> tuple:
             vm[("p", v, "*")] = v
             for h in g.halves_at(v):
                 hm[("p", v, ("h", ("p", repr(h))))] = h
-        g._kleisli = sub, em, hm, vm, {}
+        g._kleisli = sub, em, hm, vm
     return g._kleisli
 
 
 def kleisli_identity(g: FeynmanGraph) -> KleisliMorphism:
-    sub, em, hm, vm, _ = _kleisli_record(g)
+    sub, em, hm, vm = _kleisli_record(g)
     return make_kleisli(sub, g, set(), em, hm, vm)
 
 
 def kleisli_from_etale(e: EtaleMorphism) -> KleisliMorphism:
-    sub, em, hm, vm, _ = _kleisli_record(e.source)
+    sub, em, hm, vm = _kleisli_record(e.source)
     em2 = {c: e.edge_map[x] for c, x in em.items()}
     hm2 = {c: e.half_map[x] for c, x in hm.items()}
     vm2 = {c: e.vertex_map[x] for c, x in vm.items()}
@@ -304,7 +312,7 @@ def kleisli_from_etale(e: EtaleMorphism) -> KleisliMorphism:
 
 def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
     g = pm.source
-    sub, em, hm, vm, _ = _kleisli_record(g)
+    sub, em, hm, vm = _kleisli_record(g)
     w, em2, hm2, vm2, fresh = set(), {}, {}, {}, {}
     for c, x in em.items():
         em2[c] = pm.edge_image(x)
@@ -429,6 +437,73 @@ def kleisli_equal(a: KleisliMorphism, b: KleisliMorphism) -> bool:
 
 # -- decorations and their transport -------------------------------------------------
 
+def _piece_program(piece: FeynmanGraph, boundary: dict) -> tuple:
+    """How a decorated piece is evaluated, worked out from the piece and
+    its boundary alone: (vertices, contractions, units, sigma).  The
+    vertex elements are boxed in the order of `vertices`, then each
+    (i, j) of `contractions` is contracted in turn, then a formal unit on
+    the colour of each edge in `units` is boxed (one for each stick
+    component), and the positions, which now face the piece ports, are
+    realigned along the boundary by sigma.  A vertex-free piece has no
+    vertices; its units hold the port whose colour its formal unit takes,
+    or are None when it is not a stick."""
+    if not piece.vertices:
+        ports = sort_ids(piece.ports)
+        return (), (), (ports[0],) if len(ports) == 2 else None, ()
+    vertices = tuple(sort_ids(piece.vertices))
+    slots = [h for u in vertices for h in half_order(piece, u)]
+    contractions = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(slots)):
+            for j in range(i + 1, len(slots)):
+                if piece.tau[piece.s[slots[i]]] == piece.s[slots[j]]:
+                    contractions.append((i, j))
+                    del slots[j], slots[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    ports = [piece.tau[piece.s[h]] for h in slots]
+    units = []
+    if len(ports) < len(boundary):
+        # a stick component faces two ports and no slot
+        for e, f in piece.stick_components():
+            units.append(e)
+            ports += [e, f]
+    pos_of = {boundary[p]: i for i, p in enumerate(ports)}
+    sigma = tuple(pos_of[h] for h in sorted(boundary.values(), key=idkey))
+    return vertices, tuple(contractions), tuple(units), sigma
+
+
+def _run_piece_program(A: CircuitAlgebraOps, program: tuple, colours: dict,
+                       elems: dict):
+    """The algebra element of a piece from its program (see
+    _piece_program), the colours of the edges in its units and the
+    elements at its vertices."""
+    vertices, contractions, units, sigma = program
+    acc = A.unit0()
+    if not vertices:
+        # degenerate stick piece: the formal unit on its edge colour
+        if units is None:
+            raise FormatError("vertex-free piece must be a stick")
+        return A.eps(colours[units[0]])
+    for u in vertices:
+        acc = A.box(acc, elems[u])
+        if acc is None:
+            raise OutOfBounds("piece evaluation exceeds the algebra bounds")
+    for i, j in contractions:
+        acc = A.zeta(acc, i, j)
+        if acc is None:
+            raise OutOfBounds("contraction exceeds bounds")
+    for e in units:
+        acc = A.box(acc, A.eps(colours[e]))
+        if acc is None:
+            raise OutOfBounds("piece evaluation exceeds the algebra bounds")
+    return A.species.act(acc, sigma)
+
+
 def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
                      boundary: dict, colours: dict, elems: dict):
     """Evaluate a decorated piece to a single algebra element whose
@@ -436,103 +511,99 @@ def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
     elements together, contract every internal edge pair, box a formal
     unit for each stick component, then realign the positions, which now
     face the piece ports, along the boundary."""
-    S = A.species
-    acc = A.unit0()
-    slots = []
-    for u in sort_ids(piece.vertices):
-        order = half_order(piece, u)
-        acc = A.box(acc, elems[u])
-        if acc is None:
-            raise OutOfBounds("piece evaluation exceeds the algebra bounds")
-        slots += list(order)
-    if not piece.vertices:
-        # degenerate stick piece: the formal unit on its edge colour
-        ports = sort_ids(piece.ports)
-        if len(ports) != 2:
-            raise FormatError("vertex-free piece must be a stick")
-        return A.eps(colours[ports[0]])
-    # contract internal pairs
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(slots)):
-            for j in range(i + 1, len(slots)):
-                if piece.tau[piece.s[slots[i]]] == piece.s[slots[j]]:
-                    acc = A.zeta(acc, i, j)
-                    if acc is None:
-                        raise OutOfBounds("contraction exceeds bounds")
-                    del slots[j], slots[i]
-                    changed = True
-                    break
-            if changed:
-                break
-    ports = [piece.tau[piece.s[h]] for h in slots]
-    if len(ports) < len(boundary):
-        # a stick component faces two ports and no slot: a formal unit
-        for e, f in piece.stick_components():
-            acc = A.box(acc, A.eps(colours[e]))
-            if acc is None:
-                raise OutOfBounds("piece evaluation exceeds the algebra "
-                                  "bounds")
-            ports += [e, f]
-    # realign to the base order
-    pos_of = {boundary[p]: i for i, p in enumerate(ports)}
-    sigma = tuple(pos_of[h] for h in sorted(boundary.values(), key=idkey))
-    return S.act(acc, sigma)
+    return _run_piece_program(A, _piece_program(piece, boundary), colours,
+                              elems)
+
+
+def _restriction_plan(kl: KleisliMorphism) -> tuple:
+    """What restricting along kl works out from kl alone: (vertices,
+    edges, pieces).
+
+    vertices holds, for each colimit vertex cv, (cv, kind, data): a
+    zero-valent deletion ("zero", the target edge of its fresh stick), a
+    unit insertion ("unit", the target edges whose colours it needs) or a
+    kept vertex ("kept", its target vertex and the tail images of its
+    halves).  edges pairs each source edge with its target edge.  pieces
+    holds, for each source vertex v, (v, perms, program, colour edges,
+    half order): perms gives, for each piece vertex, its colimit vertex
+    and the permutation onto the piece's half order; program is the
+    piece program, kept on the refinement, and colour edges pairs each
+    edge its units read with its target edge."""
+    tail, sub = kl.pointed_tail, kl._sub
+    colim = sub.colimit
+    vertices = []
+    for cv in colim.vertices:
+        order = half_order(colim, cv)
+        if cv not in tail.deleted:
+            data = (tail.vertex_image(cv),
+                    tuple(tail.half_image(h) for h in order))
+            vertices.append((cv, "kept", data))
+        elif colim.valency(cv) == 0:
+            vertices.append((cv, "zero", tail.fresh_images(cv)[0]))
+        else:
+            vertices.append((cv, "unit", tuple(
+                tail.edge_image(colim.tau[colim.s[h]]) for h in order)))
+    edges = tuple((e, tail.edge_image(sub.edge_class[e]))
+                  for e in kl.source.edges)
+    pieces, programs = [], kl.refinement.programs
+    for v in kl.source.vertices:
+        piece, boundary = kl.refinement.pieces[v]
+        program = programs.get(v)
+        if program is None:
+            program = programs[v] = _piece_program(piece, boundary)
+        perms = []
+        for u in piece.vertices:
+            cu = ("p", v, u)
+            order = [h[2] for h in half_order(colim, cu)]
+            perms.append((u, cu, tuple(order.index(h)
+                                       for h in half_order(piece, u))))
+        reads = tuple((pe, tail.edge_image(sub.piece_edge[(v, pe)]))
+                      for pe in program[2] or ())
+        pieces.append((v, tuple(perms), program, reads,
+                       half_order(kl.source, v)))
+    return tuple(vertices), edges, tuple(pieces)
 
 
 def restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
                      dec: Decoration) -> Decoration:
     """Restriction of the nerve of A along a Kleisli morphism: transport a
     decoration of the target back to the source (structure-map evaluation
-    on refinement pieces, unit insertion on deletions)."""
+    on refinement pieces, unit insertion on deletions).
+
+    What depends on kl alone is worked out on the first restriction along
+    it and kept on kl (_restriction_plan); each call then only looks up
+    colours and calls eps, zeta, box and act."""
+    if kl._plan is None:
+        kl._plan = _restriction_plan(kl)
+    vertices, edges, pieces = kl._plan
     S = A.species
-    tail = kl.pointed_tail
-    colim = kl._sub.colimit
-    # pull colours back to the colimit
-    ccol = {c: dec.edge_colours[tail.edge_image(c)] for c in colim.edges}
-    # vertex elements on the colimit
-    celems, corders = {}, {}
-    for cv in colim.vertices:
-        order = half_order(colim, cv)
-        corders[cv] = order
-        if cv in tail.deleted:
-            if colim.valency(cv) == 0:
-                a, _ = tail.fresh_images(cv)
-                e = A.eps(dec.edge_colours[a])
-                z = A.zeta(e, 0, 1)
-                if z is None:
-                    raise OutOfBounds("unit insertion exceeds bounds")
-                celems[cv] = z
-            else:
-                want = tuple(ccol[colim.tau[colim.s[h]]] for h in order)
-                cand = A.eps(want[0])
-                if S.colour_of(cand) != want:
-                    raise ColourMismatch("unit colour does not match")
-                celems[cv] = cand
-        else:
-            tv = tail.vertex_image(cv)
-            telem = dec.vertex_elems[tv]
+    colours = dec.edge_colours
+    celems = {}
+    for cv, kind, data in vertices:
+        if kind == "kept":
+            tv, images = data
             torder = dec.half_orders[tv]
-            sigma = tuple(torder.index(tail.half_image(h)) for h in order)
-            celems[cv] = S.act(telem, sigma)
-    # evaluate pieces
-    ecol = {e: ccol[kl._sub.edge_class[e]] for e in kl.source.edges}
+            celems[cv] = S.act(dec.vertex_elems[tv],
+                               tuple(torder.index(h) for h in images))
+        elif kind == "zero":
+            z = A.zeta(A.eps(colours[data]), 0, 1)
+            if z is None:
+                raise OutOfBounds("unit insertion exceeds bounds")
+            celems[cv] = z
+        else:
+            want = tuple(colours[e] for e in data)
+            cand = A.eps(want[0])
+            if S.colour_of(cand) != want:
+                raise ColourMismatch("unit colour does not match")
+            celems[cv] = cand
     velems, vorders = {}, {}
-    for v in kl.source.vertices:
-        piece, boundary = kl.refinement.pieces[v]
-        pcol = {pe: ccol[kl._sub.piece_edge[(v, pe)]] for pe in piece.edges}
-        pelems = {}
-        for u in piece.vertices:
-            cu = ("p", v, u)
-            elem = celems[cu]
-            order = [h[2] for h in corders[cu]]
-            want = half_order(piece, u)
-            sigma = tuple(order.index(h) for h in want)
-            pelems[u] = S.act(elem, sigma)
-        velems[v] = algebra_evaluate(A, piece, boundary, pcol, pelems)
-        vorders[v] = half_order(kl.source, v)
-    return Decoration(ecol, velems, vorders, S)
+    for v, perms, program, reads, order in pieces:
+        pelems = {u: S.act(celems[cu], sigma) for u, cu, sigma in perms}
+        velems[v] = _run_piece_program(
+            A, program, {pe: colours[te] for pe, te in reads}, pelems)
+        vorders[v] = order
+    return Decoration({e: colours[te] for e, te in edges}, velems, vorders,
+                      S)
 
 
 # -- finite presheaves ---------------------------------------------------------------
@@ -550,8 +621,15 @@ class FinitePresheaf:
     def to_json(self):
         from .io import graph_to_json
 
+        texts = {}   # element key -> its text, written once per call
+
         def kstr(k):
-            return k if isinstance(k, str) else repr(k)
+            if isinstance(k, str):
+                return k
+            text = texts.get(k)
+            if text is None:
+                text = texts[k] = repr(k)
+            return text
 
         return {
             "corpus": [{"name": n, "graph": graph_to_json(self.corpus[n])}
@@ -569,6 +647,14 @@ class FinitePresheaf:
                  "edge": r.get("edge")}
                 for n, r in sorted(self.morphisms.items())],
         }
+
+    def copy(self) -> "FinitePresheaf":
+        """A copy that owns its sets, its records and their dicts."""
+        return FinitePresheaf(
+            dict(self.corpus), {n: list(ks) for n, ks in self.sets.items()},
+            {mn: {f: dict(x) if isinstance(x, dict) else x
+                  for f, x in r.items()}
+             for mn, r in self.morphisms.items()})
 
     @classmethod
     def from_json(cls, data):
@@ -714,28 +800,31 @@ def _memo_morphisms(corpus: dict, refinements):
 def nerves(algebras, corpus: dict, refinements=None) -> list:
     """The nerves of finite circuit algebras on one named corpus, in one
     pass: each morphism of corpus_morphisms is restricted for every
-    algebra.  The morphisms come from a memo that holds the last complete
-    pass, so a later call on the same corpus graphs builds none of them
-    (see _memo_morphisms).  Object sets are the decorations of each
-    graph.  An automatically generated refinement whose intermediate
-    arity exceeds an algebra's tables is omitted from that algebra's
-    nerve only."""
+    distinct algebra object, once.  The morphisms come from a memo that
+    holds the last complete pass, so a later call on the same corpus
+    graphs builds none of them (see _memo_morphisms).  Object sets are
+    the decorations of each graph.  An automatically generated refinement
+    whose intermediate arity exceeds an algebra's tables is omitted from
+    that algebra's nerve only.  Each returned presheaf owns its records
+    and their dicts, also where an algebra is given twice."""
+    distinct = list({id(A): A for A in algebras}.values())
     decs = [{name: {d.key(): d
                     for d in evaluate_species(A.species, g)}
              for name, g in corpus.items()}
-            for A in algebras]
-    morphisms = [{} for _ in algebras]
+            for A in distinct]
+    morphisms = [{} for _ in distinct]
     for mname, kind, kl, from_name, to_name, meta in _memo_morphisms(
             corpus, refinements):
-        for A, dec, out in zip(algebras, decs, morphisms):
+        for A, dec, out in zip(distinct, decs, morphisms):
             table = {}
             try:
                 for key, d in dec[from_name].items():
-                    k2 = restrict_kleisli(A, kl, d).key()
-                    if k2 not in dec[to_name]:
+                    d2 = dec[to_name].get(restrict_kleisli(A, kl, d).key())
+                    if d2 is None:
                         raise FormatError(
                             f"restriction left the carrier at {mname}")
-                    table[key] = k2
+                    # the key object of the carrier, shared by every map
+                    table[key] = d2.key()
             except BoundsTooLarge:
                 # a search the budget refused is not an arity bound
                 raise
@@ -749,9 +838,16 @@ def nerves(algebras, corpus: dict, refinements=None) -> list:
             rec.update({f: dict(x) if isinstance(x, dict) else x
                         for f, x in meta.items()})
             out[mname] = rec
-    return [FinitePresheaf(dict(corpus),
-                           {name: sorted(dec[name]) for name in corpus}, out)
-            for dec, out in zip(decs, morphisms)]
+    built = {id(A): FinitePresheaf(dict(corpus),
+                                   {name: sorted(dec[name])
+                                    for name in corpus}, out)
+             for A, dec, out in zip(distinct, decs, morphisms)}
+    presheaves = []
+    for A in algebras:
+        P = built[id(A)]
+        presheaves.append(P.copy() if any(Q is P for Q in presheaves)
+                          else P)
+    return presheaves
 
 
 def nerve(A: CircuitAlgebraOps, corpus: dict,
@@ -813,8 +909,7 @@ def kleisli_deletion_homs(g: FeynmanGraph, h: FeynmanGraph) -> list:
     and a deletion composite are distinct Kleisli morphisms).  Each
     deletion of g is kept on g, so the calls for one g and many h delete
     each vertex set once."""
-    *_, deletions = _kleisli_record(g)
-    return list(_deletion_homs(g, h, False, deletions, kleisli_from_pointed))
+    return list(_deletion_homs(g, h, False, kleisli_from_pointed))
 
 
 def _auto_deletions(corpus):
@@ -835,6 +930,13 @@ def check_segal(P: FinitePresheaf) -> dict:
     of P over the element category of G, computed from the declared ch
     restrictions.  Elementary graphs (sticks, corollas) pass trivially."""
     report = {"ok": True, "corpus": sorted(P.corpus), "per_graph": {}}
+    chs = {}       # graph name -> its ch records, in declaration order
+    edge_ch = {}   # (graph name, edge repr) -> the first such ch record
+    for r in P.morphisms.values():
+        if r["kind"] == "ch":
+            chs.setdefault(r["from_graph"], []).append(r)
+            if r.get("edge") is not None:
+                edge_ch.setdefault((r["from_graph"], r["edge"]), r)
     for name in sorted(P.corpus):
         g = P.corpus[name]
         entry = {"ok": True, "size": len(P.sets[name])}
@@ -844,9 +946,7 @@ def check_segal(P: FinitePresheaf) -> dict:
             continue
         vch = {}    # vertex repr -> morphism record
         ech = {}    # edge repr -> record
-        for mname, r in P.morphisms.items():
-            if r["kind"] != "ch" or r["from_graph"] != name:
-                continue
+        for r in chs.get(name, ()):
             if r.get("vertex") is not None:
                 vch[r["vertex"]] = r
             elif r.get("edge") is not None:
@@ -857,7 +957,7 @@ def check_segal(P: FinitePresheaf) -> dict:
             raise CorpusNotElementClosed(
                 f"{name}: missing element restrictions {missing[:3]}")
         # corolla-edge restrictions, needed for compatibility
-        limit = _segal_limit(P, g, vch, ech)
+        limit = _segal_limit(P, g, vch, ech, edge_ch)
         canonical = {}
         for x in P.sets[name]:
             fam = (tuple((vr, vch[vr]["map"][x]) for vr in sorted(vch)),
@@ -881,17 +981,18 @@ def check_segal(P: FinitePresheaf) -> dict:
     return report
 
 
-def _segal_limit(P: FinitePresheaf, g, vch, ech) -> set:
+def _segal_limit(P: FinitePresheaf, g, vch, ech, edge_ch) -> set:
     """Compatible families over the elements of g.
 
     An edge at a vertex takes its value from the vertex's corolla element
     through the declared edge_images.  A stick component (e, tau e) is an
     element of its own: any value u of the stick at e, and flip(u) at
-    tau e, where flip restricts along the stick's orientation reversal."""
+    tau e, where flip restricts along the stick's orientation reversal.
+    edge_ch holds the ch record of each (graph name, edge repr)."""
     vreprs = sorted(vch)
     ereprs = sorted(ech)
     sticks = [(repr(e), repr(f)) for e, f in g.stick_components()]
-    flip = _stick_flip(P) if sticks else {}
+    flip = _stick_flip(P, edge_ch) if sticks else {}
     stick_choices = list(itertools.product(flip, repeat=len(sticks)))
     out = set()
     vdomains = [P.sets[vch[vr]["to_graph"]] for vr in vreprs]
@@ -905,7 +1006,7 @@ def _segal_limit(P: FinitePresheaf, g, vch, ech) -> set:
                 if ger not in ech:
                     ok = False
                     break
-                crec = _edge_ch_of(P, cname, ce)
+                crec = edge_ch.get((cname, ce))
                 if crec is None:
                     ok = False
                     break
@@ -929,24 +1030,16 @@ def _segal_limit(P: FinitePresheaf, g, vch, ech) -> set:
     return out
 
 
-def _stick_flip(P: FinitePresheaf) -> dict:
+def _stick_flip(P: FinitePresheaf, edge_ch: dict) -> dict:
     """The restriction of P(stick) along the stick's orientation reversal:
     the declared element map of the corpus stick at its edge "2"."""
     sname = _find_corpus_name(P.corpus, stick())
-    rec = None if sname is None else _edge_ch_of(P, sname, repr("2"))
+    rec = None if sname is None else edge_ch.get((sname, repr("2")))
     if rec is None:
         raise CorpusNotElementClosed(
             "a graph with a stick component needs the stick and its "
             "element maps in the corpus")
     return rec["map"]
-
-
-def _edge_ch_of(P: FinitePresheaf, gname, edge_repr):
-    for r in P.morphisms.values():
-        if (r["kind"] == "ch" and r["from_graph"] == gname
-                and r.get("edge") == edge_repr):
-            return r
-    return None
 
 
 # -- mutation fixtures ---------------------------------------------------------------
@@ -963,17 +1056,11 @@ def mutated_presheaves(P: FinitePresheaf, count: int = 10) -> list:
          and len(set(r["map"].values())) >= 2),
         key=repr)
 
-    def clone():
-        return FinitePresheaf(
-            dict(P.corpus), {n: list(ks) for n, ks in P.sets.items()},
-            {mn: {**r, "map": dict(r["map"])}
-             for mn, r in P.morphisms.items()})
-
     i = 0
     for n in names:
         if len(out) >= count:
             break
-        q = clone()
+        q = P.copy()
         dup = q.sets[n][0]
         q.sets[n] = q.sets[n] + [("dup", dup)]
         for r in q.morphisms.values():
@@ -984,7 +1071,7 @@ def mutated_presheaves(P: FinitePresheaf, count: int = 10) -> list:
     for mn in chs:
         if len(out) >= count:
             break
-        q = clone()
+        q = P.copy()
         r = q.morphisms[mn]
         keys = sorted(r["map"], key=repr)
         first = r["map"][keys[0]]
@@ -995,7 +1082,7 @@ def mutated_presheaves(P: FinitePresheaf, count: int = 10) -> list:
             break
         if len(P.sets[n]) < 2:
             continue
-        q = clone()
+        q = P.copy()
         dropped = q.sets[n][-1]
         q.sets[n] = q.sets[n][:-1]
         for r in q.morphisms.values():
@@ -1012,39 +1099,34 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
     function per corpus object commuting with every declared morphism
     present in both presheaves.
 
-    The components on the elementary objects are chosen one object at a
-    time, in name order, and a partial choice is dropped as soon as a
-    square between two chosen objects fails; the other components follow
-    from the ch-families, and every result passes the check of all the
-    squares.  The elementary choices, the product of |Q(n)|^|P(n)|, are
-    charged to FEYNGRAPH_MAX_SEARCH before the search starts, and each
-    product of candidates for the other objects before it is walked."""
+    The components are chosen one object at a time: first the elementary
+    objects in name order, then the others in name order, whose
+    candidates follow from their ch-families.  Each square is checked
+    once both its ends are chosen, and a partial choice is dropped as
+    soon as one fails.  The elementary choices, the product of
+    |Q(n)|^|P(n)|, are charged to FEYNGRAPH_MAX_SEARCH before the search
+    starts, and the product of the candidates for the other objects
+    before they are walked."""
     names = sorted(P.corpus)
     if sorted(Q.corpus) != names:
         raise Mismatch("presheaves must share a corpus")
     shared = [mn for mn in P.morphisms if mn in Q.morphisms]
     base = [n for n in names if _is_elementary(P.corpus[n])]
     rest = [n for n in names if n not in base]
+    order = base + rest
     budget = SearchBudget("natural-transformation choices")
     budget.spend(
         math.prod(max(len(Q.sets[n]) ** len(P.sets[n]), 1) for n in base))
-
-    def square(mn, comp):
-        rp, rq = P.morphisms[mn], Q.morphisms[mn]
-        fn, tn = rp["from_graph"], rp["to_graph"]
-        return all(rq["map"][comp[fn][x]] == comp[tn][rp["map"][x]]
-                   for x in P.sets[fn])
-
-    # the squares between elementary objects, at the later of their
-    # levels; extend_rest checks the others
-    level = {n: i for i, n in enumerate(base)}
-    squares, outer = [[] for _ in base], []
+    # each square, as (from, to, Q's map, [(x, P's map at x)]), at the
+    # later of its two ends
+    level = {n: i for i, n in enumerate(order)}
+    squares = [[] for _ in order]
     for mn in shared:
-        ends = (P.morphisms[mn]["from_graph"], P.morphisms[mn]["to_graph"])
-        if all(n in level for n in ends):
-            squares[max(level[n] for n in ends)].append(mn)
-        else:
-            outer.append(mn)
+        rp = P.morphisms[mn]
+        fn, tn = rp["from_graph"], rp["to_graph"]
+        squares[max(level[fn], level[tn])].append(
+            (fn, tn, Q.morphisms[mn]["map"],
+             [(x, rp["map"][x]) for x in P.sets[fn]]))
     # the ch-families of the other objects: P's per element, Q's indexed
     chs = {n: sorted(mn for mn in shared
                      if P.morphisms[mn]["kind"] == "ch"
@@ -1063,37 +1145,47 @@ def presheaf_maps(P: FinitePresheaf, Q: FinitePresheaf) -> list:
             qfam[n].setdefault(fam, []).append(y)
     out = []
 
-    def extend_rest(comp):
+    def candidates(comp):
         # the component image of x must have the translated family
-        options = []
+        per_object = {}
         for n in rest:
             per_x = []
             for fam in pfam[n]:
                 want = tuple(comp[t][v] for t, v in zip(ch_targets[n], fam))
                 cands = qfam[n].get(want)
                 if not cands:
-                    return
+                    return None
                 per_x.append(cands)
-            options.append((n, per_x))
-        budget.spend(math.prod(len(c) for _, per_x in options for c in per_x))
-        for choice in itertools.product(
-                *(itertools.product(*per_x) for _, per_x in options)):
-            for (n, _), vals in zip(options, choice):
-                comp[n] = dict(zip(P.sets[n], vals))
-            if all(square(mn, comp) for mn in outer):
-                out.append({n: dict(comp[n]) for n in names})
+            per_object[n] = per_x
+        budget.spend(math.prod(len(c) for per_x in per_object.values()
+                               for c in per_x))
+        return per_object
 
-    def extend_base(i, comp):
+    def holds(i, comp):
+        for fn, tn, qmap, pairs in squares[i]:
+            cf, ct = comp[fn], comp[tn]
+            for x, px in pairs:
+                if qmap[cf[x]] != ct[px]:
+                    return False
+        return True
+
+    def extend(i, comp, cands):
         if i == len(base):
-            extend_rest(comp)
+            cands = candidates(comp)
+            if cands is None:
+                return
+        if i == len(order):
+            out.append({n: dict(comp[n]) for n in names})
             return
-        n = base[i]
-        for vals in itertools.product(Q.sets[n], repeat=len(P.sets[n])):
+        n = order[i]
+        space = (itertools.product(Q.sets[n], repeat=len(P.sets[n]))
+                 if i < len(base) else itertools.product(*cands[n]))
+        for vals in space:
             comp[n] = dict(zip(P.sets[n], vals))
-            if all(square(mn, comp) for mn in squares[i]):
-                extend_base(i + 1, comp)
+            if holds(i, comp):
+                extend(i + 1, comp, cands)
 
-    extend_base(0, {})
+    extend(0, {}, None)
     return out
 
 

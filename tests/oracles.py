@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from feyngraph.errors import ColourMismatch, FormatError
-from feyngraph.graphs import FeynmanGraph
+from feyngraph.errors import ColourMismatch, FormatError, OutOfBounds
+from feyngraph.graphs import FeynmanGraph, idkey, sort_ids
+from feyngraph.species import Decoration, half_order
 
 
 def brute_idkey(x) -> tuple:
@@ -751,6 +752,118 @@ def brute_law_LT(S, t):
             {e: colours[e] for e in comp.edges},
             {v2: vdec[v2] for v2 in comp.vertices})))
     return LSpecies(TSpecies(S)).norm(factors)
+
+
+# -- restriction along a Kleisli morphism --------------------------------------------
+#
+# restrict_kleisli and algebra_evaluate as they were before restriction
+# kept a plan on the morphism: every call works out the half orders, tail
+# images, contractions and realignments afresh.
+
+def brute_algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
+                           boundary: dict, colours: dict, elems: dict):
+    """Evaluate a decorated piece to a single algebra element whose
+    positions follow the base vertex's sorted half order: box the vertex
+    elements together, contract every internal edge pair, box a formal
+    unit for each stick component, then realign the positions, which now
+    face the piece ports, along the boundary."""
+    S = A.species
+    acc = A.unit0()
+    slots = []
+    for u in sort_ids(piece.vertices):
+        order = half_order(piece, u)
+        acc = A.box(acc, elems[u])
+        if acc is None:
+            raise OutOfBounds("piece evaluation exceeds the algebra bounds")
+        slots += list(order)
+    if not piece.vertices:
+        # degenerate stick piece: the formal unit on its edge colour
+        ports = sort_ids(piece.ports)
+        if len(ports) != 2:
+            raise FormatError("vertex-free piece must be a stick")
+        return A.eps(colours[ports[0]])
+    # contract internal pairs
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(slots)):
+            for j in range(i + 1, len(slots)):
+                if piece.tau[piece.s[slots[i]]] == piece.s[slots[j]]:
+                    acc = A.zeta(acc, i, j)
+                    if acc is None:
+                        raise OutOfBounds("contraction exceeds bounds")
+                    del slots[j], slots[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    ports = [piece.tau[piece.s[h]] for h in slots]
+    if len(ports) < len(boundary):
+        # a stick component faces two ports and no slot: a formal unit
+        for e, f in piece.stick_components():
+            acc = A.box(acc, A.eps(colours[e]))
+            if acc is None:
+                raise OutOfBounds("piece evaluation exceeds the algebra "
+                                  "bounds")
+            ports += [e, f]
+    # realign to the base order
+    pos_of = {boundary[p]: i for i, p in enumerate(ports)}
+    sigma = tuple(pos_of[h] for h in sorted(boundary.values(), key=idkey))
+    return S.act(acc, sigma)
+
+
+def brute_restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
+                           dec: Decoration) -> Decoration:
+    """Restriction of the nerve of A along a Kleisli morphism: transport a
+    decoration of the target back to the source (structure-map evaluation
+    on refinement pieces, unit insertion on deletions)."""
+    S = A.species
+    tail = kl.pointed_tail
+    colim = kl._sub.colimit
+    # pull colours back to the colimit
+    ccol = {c: dec.edge_colours[tail.edge_image(c)] for c in colim.edges}
+    # vertex elements on the colimit
+    celems, corders = {}, {}
+    for cv in colim.vertices:
+        order = half_order(colim, cv)
+        corders[cv] = order
+        if cv in tail.deleted:
+            if colim.valency(cv) == 0:
+                a, _ = tail.fresh_images(cv)
+                e = A.eps(dec.edge_colours[a])
+                z = A.zeta(e, 0, 1)
+                if z is None:
+                    raise OutOfBounds("unit insertion exceeds bounds")
+                celems[cv] = z
+            else:
+                want = tuple(ccol[colim.tau[colim.s[h]]] for h in order)
+                cand = A.eps(want[0])
+                if S.colour_of(cand) != want:
+                    raise ColourMismatch("unit colour does not match")
+                celems[cv] = cand
+        else:
+            tv = tail.vertex_image(cv)
+            telem = dec.vertex_elems[tv]
+            torder = dec.half_orders[tv]
+            sigma = tuple(torder.index(tail.half_image(h)) for h in order)
+            celems[cv] = S.act(telem, sigma)
+    # evaluate pieces
+    ecol = {e: ccol[kl._sub.edge_class[e]] for e in kl.source.edges}
+    velems, vorders = {}, {}
+    for v in kl.source.vertices:
+        piece, boundary = kl.refinement.pieces[v]
+        pcol = {pe: ccol[kl._sub.piece_edge[(v, pe)]] for pe in piece.edges}
+        pelems = {}
+        for u in piece.vertices:
+            cu = ("p", v, u)
+            elem = celems[cu]
+            order = [h[2] for h in corders[cu]]
+            want = half_order(piece, u)
+            sigma = tuple(order.index(h) for h in want)
+            pelems[u] = S.act(elem, sigma)
+        velems[v] = brute_algebra_evaluate(A, piece, boundary, pcol, pelems)
+        vorders[v] = half_order(kl.source, v)
+    return Decoration(ecol, velems, vorders, S)
 
 
 # -- algebra morphisms ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the free circuit algebra."""
 
 import functools
+import sys
 
 import pytest
 
@@ -133,6 +134,29 @@ def test_pointed_wheel_counts_stable(target):
     base = len(hom_pointed(wheel(1), target))
     for m in (2, 3):
         assert len(hom_pointed(wheel(m), target)) == base
+
+
+def test_pointed_homs_delete_each_vertex_set_once(monkeypatch):
+    """Criterion 5's twelve calls, on graphs built once: the deletions of
+    a graph are kept on it, so each (graph, vertex tuple) is deleted once
+    (14 deletions; 56 when every call deleted afresh)."""
+    from feyngraph.etale import glue_ports
+    calls = []
+
+    def counting(g, w):
+        if sys._getframe(1).f_code.co_name == "_deletion_homs":
+            calls.append((id(g), tuple(w)))
+        return delete_vertices(g, w)
+
+    monkeypatch.setattr(monads, "delete_vertices", counting)
+    du = disjoint_union(corolla([0]), corolla([0]))
+    pa, pb = sorted(du.ports, key=repr)
+    edge, _ = glue_ports(du, [(pa, pb)])
+    wheels = {m: wheel(m) for m in (1, 2, 3)}
+    counts = [[len(hom_pointed(wheels[m], g)) for m in (1, 2, 3)]
+              for g in (stick(), corolla([0]), wheels[1], edge)]
+    assert all(len(set(row)) == 1 for row in counts)
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_pointed_normal_form_parts():

@@ -14,9 +14,9 @@ import tracemalloc
 
 import pytest
 
-from feyngraph.errors import (BoundsTooLarge, CorpusNotElementClosed,
-                              Mismatch, NotACorolla, OutOfBounds,
-                              ValencyOutOfRange)
+from feyngraph.errors import (BoundsTooLarge, ColourMismatch,
+                              CorpusNotElementClosed, FormatError, Mismatch,
+                              NotACorolla, OutOfBounds, ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
 from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
                               wheel)
@@ -41,7 +41,7 @@ from helpers_nerve import corpus14, dumbbell, parity_algebra, theta
 from helpers_species import MONO, TWO, tuple_algebra
 from oracles import (brute_algebra_morphisms, brute_is_algebra_morphism,
                      brute_kleisli_from_etale, brute_kleisli_from_pointed,
-                     brute_presheaf_maps)
+                     brute_presheaf_maps, brute_restrict_kleisli)
 
 nerve_module = importlib.import_module("feyngraph.nerve")
 monads_module = importlib.import_module("feyngraph.monads")
@@ -432,10 +432,11 @@ def test_one_corpus_pass_deletes_each_vertex_set_once(monkeypatch):
             calls.append((id(g), frozenset(w)))
         return delete_vertices(g, w)
 
-    monkeypatch.setattr(nerve_module, "delete_vertices", counting)
+    # the deletions of a corpus graph are made in monads._deletion_homs
+    monkeypatch.setattr(monads_module, "delete_vertices", counting)
     rows = [f"{name} {kind} {fn} {tn} {kl.key()!r}"
             for name, kind, kl, fn, tn, _ in corpus_morphisms(corpus)]
-    assert len(calls) <= 18
+    assert len(calls) == 18
     assert len(calls) == len(set(calls))
     assert len(rows) == 309
     # the names, ends and keys of the pass before deletions were kept
@@ -561,6 +562,77 @@ def test_deletion_restriction_inserts_the_unit():
         for d in evaluate_species(A.species, w1):
             d2 = restrict_kleisli(A, kl, d)
             assert parity[d2.key()] == 0
+
+
+def _nonunital_parity(n_max):
+    P = parity_algebra(n_max)
+    return FiniteCircuitAlgebra(P.species, P._box, P._zeta, P._eps,
+                                nonunital=True)
+
+
+# the three algebras of the benchmark's nerve workload; one whose tables
+# stop at arity 3, so that refinements leave them (OutOfBounds); and one
+# without an external unit, which every piece evaluation asks for
+RESTRICTION_ALGEBRAS = {
+    "mono-6": lambda: tuple_algebra(MONO, 6),
+    "two-colour-6": lambda: tuple_algebra(TWO, 6),
+    "parity-6": lambda: parity_algebra(6),
+    "mono-3": lambda: tuple_algebra(MONO, 3),
+    "nonunital-parity-6": lambda: _nonunital_parity(6),
+}
+
+
+def _restriction_outcome(restrict, A, kl, dec):
+    try:
+        return "ok", restrict(A, kl, dec).key()
+    except (ColourMismatch, FormatError, OutOfBounds) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", RESTRICTION_ALGEBRAS)
+def test_restriction_plan_matches_the_brute_restriction(name):
+    """restrict_kleisli, on its first call along a morphism and from the
+    plan kept on it after, gives the decoration, or raises the error,
+    that the restriction worked out afresh gives, on every morphism and
+    decoration of corpus14 and of a corolla beside a stick, whose stick
+    evaluates to a formal unit in its refinements."""
+    A = RESTRICTION_ALGEBRAS[name]()
+    corpus = {**corpus14(), "cs": disjoint_union(corolla([0]), stick())}
+    decs = {n: evaluate_species(A.species, g) for n, g in corpus.items()}
+    kinds = collections.Counter()
+    for mname, _, kl, from_name, _, _ in corpus_morphisms(corpus):
+        for dec in decs[from_name]:
+            want = _restriction_outcome(brute_restrict_kleisli, A, kl, dec)
+            got = _restriction_outcome(restrict_kleisli, A, kl, dec)
+            assert got == want, mname
+            kinds[want[0]] += 1
+    assert kinds["ok"] > 0
+    if name in ("mono-3", "nonunital-parity-6"):
+        assert kinds[OutOfBounds] > 0
+
+
+def test_restriction_keeps_one_plan_per_morphism(monkeypatch):
+    """The plan of a morphism is built on the first restriction along it
+    and the program of a piece once for its refinement: a second nerve on
+    the same corpus builds neither."""
+    corpus, A = corpus14(), parity_algebra(6)
+    plans, programs = [], []
+    for name, calls in (("_restriction_plan", plans),
+                        ("_piece_program", programs)):
+        def counting(*args, fn=getattr(nerve_module, name), calls=calls):
+            calls.append(None)
+            return fn(*args)
+        monkeypatch.setattr(nerve_module, name, counting)
+    first = nerve(A, corpus)
+    n_plans, n_programs = len(plans), len(programs)
+    assert n_plans == len(first.morphisms)
+    # the ch, iso and deletion morphisms out of a graph share its identity
+    # refinement, and so the programs of its pieces
+    assert n_programs < sum(len(kl.source.vertices)
+                            for _, _, kl, *_ in corpus_morphisms(corpus))
+    second = nerve(A, corpus)
+    assert (len(plans), len(programs)) == (n_plans, n_programs)
+    assert second.to_json() == first.to_json()
 
 
 def test_nerve_valency_out_of_range():
@@ -812,7 +884,7 @@ def _nerve_of(algebra, corpus):
 @pytest.mark.parametrize("corpus,a,b", [
     ("corpus14", "mono", "parity6"), ("corpus14", "parity4", "parity6"),
     ("corpus14", "parity6", "parity4"), ("corpus14", "parity6", "mono"),
-    ("corpus14", "mono", "mono"),
+    ("corpus14", "mono", "mono"), ("corpus14", "parity6", "parity6"),
     ("corpus5", "mono", "parity4"), ("corpus5", "parity4", "parity4"),
     ("corpus5", "parity6", "parity4"), ("corpus5", "parity4", "mono")])
 def test_presheaf_maps_matches_brute_force_oracle(corpus, a, b):
@@ -870,6 +942,34 @@ def test_shared_pass_equals_one_nerve_per_algebra():
     assert with_images
     assert all(PA.morphisms[mn]["edge_images"]
                is not PB.morphisms[mn]["edge_images"] for mn in with_images)
+
+
+def test_nerves_restrict_once_for_an_algebra_given_twice(monkeypatch):
+    """An algebra object given twice is restricted once, and each of its
+    presheaves owns its records and their dicts."""
+    A, corpus = parity_algebra(6), corpus14()
+    calls = []
+    restrict = nerve_module.restrict_kleisli
+
+    def counting(A, kl, dec):
+        calls.append(None)
+        return restrict(A, kl, dec)
+
+    monkeypatch.setattr(nerve_module, "restrict_kleisli", counting)
+    alone, = nerves((A,), corpus)
+    once = len(calls)
+    P, Q = nerves((A, A), corpus)
+    assert len(calls) == 2 * once
+    assert _json_text(P) == _json_text(Q) == _json_text(alone)
+    assert P.sets is not Q.sets
+    for mn, r in P.morphisms.items():
+        r2 = Q.morphisms[mn]
+        assert r is not r2 and r["map"] is not r2["map"]
+        if "edge_images" in r:
+            assert r["edge_images"] is not r2["edge_images"]
+    mn = next(iter(P.morphisms))
+    P.morphisms[mn]["map"].clear()
+    assert _json_text(Q) == _json_text(alone)
 
 
 def test_fullness_probe_builds_each_kleisli_morphism_once(monkeypatch):
