@@ -16,7 +16,7 @@ from .brauer import (BrauerDiagram, WiringDiagram, cap, compose_brauer, cup,
                      wiring_to_graph)
 from .errors import FeynGraphError
 from .etale import glue_ports
-from .graphs import is_isomorphic
+from .graphs import idstr, is_isomorphic
 from .io import graph_to_json, id_from_json, parse_graph_arg
 from .monads import (check_beck, free_apply, hom_pointed, yang_baxter_sweep)
 from .nerve import FinitePresheaf, check_segal, nerve
@@ -251,7 +251,7 @@ def cmd_yb_sweep(args):
 def cmd_pointed_hom(args):
     g, h = parse_graph_arg(args.g), parse_graph_arg(args.h)
     homs = hom_pointed(g, h)
-    lines = sorted(f"morphism deleted={sorted(map(repr, pm.deleted))}"
+    lines = sorted(f"morphism deleted={sorted(map(idstr, pm.deleted))}"
                    for pm in homs)
     for line_ in lines:
         print(line_)

@@ -19,7 +19,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .graphs import FeynmanGraph, _UF, corolla, sort_ids, stick
+from .graphs import FeynmanGraph, _UF, corolla, idstr, sort_ids, stick
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,10 @@ class EtaleMorphism:
                     self.source, self.target)
 
     def key(self) -> tuple:
-        return (tuple(sorted(((repr(k), repr(v)) for k, v in self.edge_map.items()))),
-                tuple(sorted(((repr(k), repr(v)) for k, v in self.vertex_map.items()))))
+        return (tuple(sorted(((idstr(k), idstr(v))
+                              for k, v in self.edge_map.items()))),
+                tuple(sorted(((idstr(k), idstr(v))
+                              for k, v in self.vertex_map.items()))))
 
     def __eq__(self, other):
         return isinstance(other, EtaleMorphism) and self.key() == other.key()

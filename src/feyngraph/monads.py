@@ -870,10 +870,13 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                 violations.note("D-left-unit", DS.key(d))
             if mu_D(_fmap_D(eta_D, d)) != d:
                 violations.note("D-right-unit", DS.key(d))
-        for x in S.elements(n):
-            checked += 1
-            if mu_L(LS, eta_L(LS, eta_L(S, x))) != eta_L(S, x):
-                violations.note("L-left-unit", repr(S.key(x)))
+        for x in LS.elements(n):
+            checked += 2
+            if LS.key(mu_L(LS, eta_L(LS, x))) != LS.key(x):
+                violations.note("L-left-unit", LS.key(x))
+            if LS.key(mu_L(LS, _fmap_L(lambda y: eta_L(S, y), x))) != \
+                    LS.key(x):
+                violations.note("L-right-unit", LS.key(x))
     return violations.report(checked)
 
 
@@ -1054,17 +1057,14 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
     return None."""
 
     def __init__(self, S: SpeciesOps, max_vertices: int = 2,
-                 max_valency: int = 3, max_factors: int = 2,
-                 n_max: Optional[int] = None):
+                 max_valency: int = 3, max_factors: int = 2):
         self.base = S
         self.TS = TSpecies(S, max_vertices, max_valency)
         self.DS = DSpecies(self.TS)
         self.species = LSpecies(self.DS, max_factors,
-                                n_max=n_max if n_max is not None
-                                else max_factors * 2)
+                                n_max=max_factors * 2)
         self.max_vertices = max_vertices
         self.max_factors = max_factors
-        self.nonunital = False
 
     # -- structural helpers
     def _arity(self, a):
@@ -1080,7 +1080,6 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
         return self.species.norm(a + shifted)
 
     def eps(self, c):
-        om = self.base.palette.omega
         if c not in self.base.palette.colours:
             raise ColourMismatch(f"unknown colour {c!r}")
         return self.species.norm((((0, 1), ("eps", c)),))

@@ -11,15 +11,15 @@ maximally.
 
 make_kleisli normalizes in two steps.  The frame holds what depends only
 on the refinement's substitution and the deleted set: the deletion on the
-colimit, the pieces with bivalent deletions pushed into them, and, for
-each combination of minimal piece labelings, the canonical substitution
-and a plan that carries tail data onto its colimit.  The tail step maps
-one morphism's images through the frame and checks the tail at every
-stage.  A frame is kept on its substitution (Substitution.frames), and a
-graph keeps its identity refinement (_kleisli_record) and its vertex
-deletions (monads._deletion_homs), so the ch, iso and deletion morphisms
-out of one graph object share one frame per deleted set, whoever builds
-them.
+colimit, the pieces with the bivalent deletions pushed into them once,
+and, for each combination of minimal piece labelings, the canonical
+substitution and a plan that carries tail data from the original colimit
+onto its colimit.  The tail step checks the tail once, against the
+deletion, and carries its data through each plan.  A frame is kept on its
+substitution (Substitution.frames), and a graph keeps its identity
+refinement (_kleisli_record) and its vertex deletions
+(monads._deletion_homs), so the ch, iso and deletion morphisms out of one
+graph object share one frame per deleted set, whoever builds them.
 
 Restricting a decoration along a Kleisli morphism runs a plan kept on the
 morphism, and the program that evaluates each piece is kept on the
@@ -44,9 +44,9 @@ from .errors import (BoundsTooLarge, ColourMismatch, CorpusNotElementClosed,
 from .etale import EtaleMorphism
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
-from .monads import (PointedMorphism, _deleted_stick, _deletion_homs,
-                     _normalized_pointed, _push_forward, delete_vertices,
-                     half_order, hom_etale)
+from .monads import (PointedMorphism, VertexDeletion, _deleted_stick,
+                     _deletion_homs, _normalized_pointed, _push_forward,
+                     delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
                            max_search_cap, substitute)
@@ -93,7 +93,7 @@ class KleisliMorphism:
 def _piece_labelings(piece: FeynmanGraph, boundary: dict):
     """Canonical labelings of a piece; ports carry distinct tokens (the
     attached base half), so every labeling fixes the boundary."""
-    tokens = {e: ("port", repr(boundary[e])) if e in boundary else ("inner",)
+    tokens = {e: ("port", idstr(boundary[e])) if e in boundary else ("inner",)
               for e in piece.edges}
     cert, labs = canonical_labelings(piece, edge_tokens=tokens)
     out = []
@@ -117,49 +117,44 @@ def _inverse(maps) -> tuple:
     return tuple({b: a for a, b in m.items()} for m in maps)
 
 
-def _transport_plan(old_sub, new_sub, per_piece_maps, deleted) -> tuple:
+def _transport_plan(old_sub, new_sub, back, deleted) -> tuple:
     """How tail data moves from old_sub's colimit onto new_sub's.  The
-    pieces of new_sub come from those of old_sub through per_piece_maps[v],
-    a triple (edges, vertices, halves) of maps from new piece ids back to
-    old ones; a piece without an entry is unchanged.  `deleted` is the
-    tail's deleted set on the old colimit.  Returns (w, edges, vertices,
-    halves, fresh): the deleted set on the new colimit, and the pairs
-    (new id, old id) of its edges, kept vertices, their halves and its
-    deleted vertices."""
-    def back(v, i, x):
-        maps = per_piece_maps.get(v)
-        return x if maps is None else maps[i][x]
-
+    pieces of new_sub come from those of old_sub through back[v], a
+    triple (edges, vertices, halves) of maps from new piece ids to old
+    ones.  `deleted` is the tail's deleted set on the old colimit.
+    Returns (w, edges, vertices, halves, fresh): the deleted set on the
+    new colimit, and the pairs (new id, old id) of its edges, kept
+    vertices, their halves and its deleted vertices."""
     edges = []
     for c in new_sub.colimit.edges:
-        # every member of a class names the same old colimit edge
+        # the members of a class may name old colimit edges that the
+        # deletion of the bivalent vertices merges; make_kleisli checks
+        # that the tail gives them one image, so any member will do
         m = next(iter(c))
         edges.append((c, old_sub.edge_class[m[1]] if m[0] == "b"
-                      else old_sub.piece_edge[(m[1], back(m[1], 0, m[2]))]))
+                      else old_sub.piece_edge[(m[1], back[m[1]][0][m[2]])]))
     w, vertices, halves, fresh = set(), [], [], []
     for cv in new_sub.colimit.vertices:
         _, v, u = cv
-        old_cv = ("p", v, back(v, 1, u))
+        old_cv = ("p", v, back[v][1][u])
         if old_cv in deleted:
             w.add(cv)
             fresh.append((cv, old_cv))
         else:
             vertices.append((cv, old_cv))
             for h in new_sub.colimit.halves_at(cv):
-                halves.append((h, ("p", v, back(v, 2, h[2]))))
+                halves.append((h, ("p", v, back[v][2][h[2]])))
     return frozenset(w), edges, vertices, halves, fresh
 
 
-def _apply_plan(plan, edge_image, vertex_image, half_image,
-                fresh_images) -> tuple:
+def _apply_plan(plan, em, hm, vm, fresh_em) -> tuple:
     """The tail data (em, hm, vm, fresh_em) on the new colimit of a
-    transport plan, for a tail on the old colimit given by its image
-    functions."""
+    transport plan, for the tail data on the old colimit."""
     _, edges, vertices, halves, fresh = plan
-    return ({c: edge_image(x) for c, x in edges},
-            {h: half_image(x) for h, x in halves},
-            {cv: vertex_image(x) for cv, x in vertices},
-            {cv: fresh_images(x) for cv, x in fresh})
+    return ({c: em[x] for c, x in edges},
+            {h: hm[x] for h, x in halves},
+            {cv: vm[x] for cv, x in vertices},
+            {cv: fresh_em[x] for cv, x in fresh})
 
 
 @dataclass
@@ -167,44 +162,34 @@ class _Frame:
     """What make_kleisli computes from a refinement's substitution and a
     deleted set alone, for the tails of any number of morphisms.
 
-    stages holds (colimit, deleted set, its deletion, plan onto the next
-    stage or None) for each stage of pushing bivalent deletions into the
-    pieces; combos holds (canonical substitution, plan onto its colimit,
-    deletion of its colimit) for each combination of minimal piece
-    labelings; certs is the key part of the piece certificates."""
-    stages: list
+    deletion deletes the set from the substitution's colimit; combos
+    holds (canonical substitution, plan from the substitution's colimit
+    onto its colimit, deletion of its colimit) for each combination of
+    minimal labelings of the pieces, with the bivalent deletions pushed
+    into them; certs is the key part of the piece certificates."""
+    deletion: VertexDeletion
     certs: tuple
     combos: list
 
 
 def _kleisli_frame(sub: Substitution, w: frozenset,
                    budget: SearchBudget) -> _Frame:
-    source = sub.gog.base
+    source, colim = sub.gog.base, sub.colimit
+    deletion = delete_vertices(colim, w)
+    # delete the bivalent vertices of w inside their pieces instead, which
+    # leaves only isolated vertices in w
     pieces = dict(sub.gog.pieces)
-    stages = []
-    while True:
-        colim = sub.colimit
-        d = delete_vertices(colim, w)
-        push = {cv for cv in w if colim.valency(cv) == 2}
-        if not push:
-            stages.append((colim, w, d, None))
-            break
-        # delete those vertices inside their pieces instead
-        per_v = {}
-        for cv in push:
+    per_v, shrink = {}, {}
+    for cv in w:
+        if colim.valency(cv) == 2:
             per_v.setdefault(cv[1], set()).add(cv[2])
-        shrink = {}
-        for v, ws in per_v.items():
-            piece, boundary = pieces[v]
-            dd = delete_vertices(piece, ws)
-            nb = {dd.edge_correspondence[p]: h for p, h in boundary.items()}
-            pieces[v] = (dd.target, nb)
-            shrink[v] = _inverse((dd.edge_correspondence, dd.vertex_map,
-                                  dd.half_map))
-        sub2 = substitute(GraphOfGraphs(source, pieces))
-        plan = _transport_plan(sub, sub2, shrink, w)
-        stages.append((colim, w, d, plan))
-        w, sub = plan[0], sub2
+    for v, ws in per_v.items():
+        piece, boundary = pieces[v]
+        dd = delete_vertices(piece, ws)
+        nb = {dd.edge_correspondence[p]: h for p, h in boundary.items()}
+        pieces[v] = (dd.target, nb)
+        shrink[v] = _inverse((dd.edge_correspondence, dd.vertex_map,
+                              dd.half_map))
     # canonicalize the pieces, once for each combination of their minimal
     # labelings
     vs = sort_ids(source.vertices)
@@ -219,10 +204,17 @@ def _kleisli_frame(sub: Substitution, w: frozenset,
         canon = {v: _apply_labeling(pieces[v][0], pieces[v][1], labs[v])
                  for v in vs}
         sub2 = substitute(GraphOfGraphs(source, canon))
-        plan = _transport_plan(sub, sub2,
-                               {v: _inverse(labs[v]) for v in vs}, w)
+        # back to the original pieces: undo the labeling, then the
+        # deletion inside the piece
+        back = {}
+        for v in vs:
+            back[v] = _inverse(labs[v])
+            if v in shrink:
+                back[v] = tuple({x: old[y] for x, y in new.items()}
+                                for new, old in zip(back[v], shrink[v]))
+        plan = _transport_plan(sub, sub2, back, w)
         combos.append((sub2, plan, delete_vertices(sub2.colimit, plan[0])))
-    return _Frame(stages, tuple((idstr(v), certs[v]) for v in vs), combos)
+    return _Frame(deletion, tuple((idstr(v), certs[v]) for v in vs), combos)
 
 
 def make_kleisli(sub: Substitution, target, w, em, hm, vm,
@@ -236,19 +228,21 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
     the fresh sticks of deleted isolated vertices.
 
     Normalizing takes two steps.  The frame depends on sub and w only:
-    it deletes w from the colimit, pushes bivalent deletions into the
+    it deletes w from the colimit, pushes the bivalent deletions into the
     pieces (a deleted identity piece becomes a stick piece), and
     canonicalizes the pieces, once for each combination of their minimal
-    labelings, with a plan that carries tail data onto each canonical
-    colimit.  The tail step maps this morphism's images through the
-    frame, builds and checks the tail at every stage, and keeps the least
-    key over the combinations.
+    labelings, with a plan that carries tail data from sub.colimit onto
+    each canonical colimit.  The tail step checks the tail once against
+    the deletion of w, carries its data through each plan, and keeps the
+    least key over the combinations.
 
     The frame of (sub, w) is built once and kept in sub.frames, so the
     morphisms of one frame share its substitution and refinement
-    objects.  More combinations than FEYNGRAPH_MAX_SEARCH raise
-    BoundsTooLarge before the frame is built, and again at each use of a
-    kept frame, so a lower budget raises as a first call does."""
+    objects.  A w that is not deletable raises NotDeletable first.  More
+    combinations than FEYNGRAPH_MAX_SEARCH raise BoundsTooLarge before
+    the frame is built, and again at each use of a kept frame, so a lower
+    budget raises as a first call does.  A tail whose em differs on edges
+    that the deletion merges raises Mismatch."""
     w = frozenset(w)
     budget = SearchBudget("piece labeling combinations")
     frame = sub.frames.get(w)
@@ -256,21 +250,12 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
         frame = sub.frames[w] = _kleisli_frame(sub, w, budget)
     else:
         budget.spend(len(frame.combos))
-    fresh_em = dict(fresh_em or {})
-    for colim, ws, d, plan in frame.stages:
-        etale = _push_forward(d, target, em, hm, vm, fresh_em)
-        tail = _normalized_pointed(colim, target, ws, d, etale, absorb=False)
-        if plan is not None:
-            # carry the tail data through the composite correspondences
-            # of the normalized tail
-            em, hm, vm, fresh_em = _apply_plan(
-                plan, tail.edge_image, tail.vertex_image, tail.half_image,
-                tail.fresh_images)
+    fresh_em = fresh_em or {}
+    # the plans take any one of the edges that the deletion merges
+    _push_forward(frame.deletion, target, em, hm, vm, fresh_em)
     best = None
     for sub2, plan, d in frame.combos:
-        em2, hm2, vm2, fresh2 = _apply_plan(
-            plan, em.__getitem__, vm.__getitem__, hm.__getitem__,
-            fresh_em.__getitem__)
+        em2, hm2, vm2, fresh2 = _apply_plan(plan, em, hm, vm, fresh_em)
         etale = _push_forward(d, target, em2, hm2, vm2, fresh2)
         tail = _normalized_pointed(sub2.colimit, target, plan[0], d, etale,
                                    absorb=False)
@@ -735,19 +720,20 @@ def corpus_morphisms(corpus: dict, refinements=None):
             phi = EtaleMorphism(c, g, em,
                                 {("h", i): halves[i] for i in range(k)},
                                 {"*": v})
-            yield (f"ch:{name}:v:{v!r}", "ch",
+            yield (f"ch:{name}:v:{idstr(v)}", "ch",
                    kleisli_from_etale(phi), name, cname,
-                   {"vertex": repr(v),
-                    "edge_images": {repr(ce): repr(em[ce]) for ce in c.edges}})
+                   {"vertex": idstr(v),
+                    "edge_images": {idstr(ce): idstr(em[ce])
+                                    for ce in c.edges}})
         # edge elements
         for e in sort_ids(g.edges):
             sname = _find_corpus_name(corpus, st)
             if sname is None:
                 raise CorpusNotElementClosed("corpus must contain the stick")
             phi = EtaleMorphism(st, g, {"1": e, "2": g.tau[e]}, {}, {})
-            yield (f"ch:{name}:e:{e!r}", "ch",
+            yield (f"ch:{name}:e:{idstr(e)}", "ch",
                    kleisli_from_etale(phi), name, sname,
-                   {"edge": repr(e)})
+                   {"edge": idstr(e)})
         # isomorphisms (etale self-maps of a graph to itself are isos here)
         for idx, psi in enumerate(hom_etale(g, g)):
             yield (f"iso:{name}:{idx}", "iso",
@@ -768,8 +754,8 @@ def corpus_morphisms(corpus: dict, refinements=None):
         yield f"ref:{rname}", "refinement", kl, fn, tn, {}
 
 
-# the last complete pass of corpus_morphisms: (key, the corpus graphs and
-# refinements of the key, the morphisms); see _memo_morphisms
+# the last complete pass of corpus_morphisms: (key, the morphisms); see
+# _memo_morphisms
 _LAST_PASS: list = []
 
 
@@ -777,24 +763,25 @@ def _memo_morphisms(corpus: dict, refinements):
     """corpus_morphisms(corpus, refinements), from a memo that lives for
     the process and holds one pass.
 
-    The key is made of the (name, id) pairs of the corpus graphs and of
-    the refinements, and FEYNGRAPH_MAX_SEARCH, so a lower budget raises
-    as a first pass would.  The entry holds those graphs and
-    refinements, so that their ids are not reused while it lives.  A pass is stored once it is complete, replacing the entry
-    before it; a pass that raises, or whose consumer stops early, is not
-    stored.  On a miss the morphisms are yielded as they are built."""
-    refs = None if refinements is None else tuple(refinements.items())
-    key = (tuple((n, id(g)) for n, g in corpus.items()),
-           None if refs is None else tuple((n, id(kl)) for n, kl in refs),
+    The key is made of the (name, graph) pairs of the corpus, the
+    (name, Kleisli morphism) pairs of the refinements and
+    FEYNGRAPH_MAX_SEARCH, so a lower budget raises as a first pass
+    would.  Graphs compare by identity, and the key holds the graphs and
+    refinements it names.  A pass is stored once it is complete,
+    replacing the entry before it; a pass that raises, or whose consumer
+    stops early, is not stored.  On a miss the morphisms are yielded as
+    they are built."""
+    key = (tuple(corpus.items()),
+           None if refinements is None else tuple(refinements.items()),
            max_search_cap())
     if _LAST_PASS and _LAST_PASS[0][0] == key:
-        yield from _LAST_PASS[0][2]
+        yield from _LAST_PASS[0][1]
         return
     built = []
     for m in corpus_morphisms(corpus, refinements):
         built.append(m)
         yield m
-    _LAST_PASS[:] = [(key, (tuple(corpus.values()), refs), built)]
+    _LAST_PASS[:] = [(key, built)]
 
 
 def nerves(algebras, corpus: dict, refinements=None) -> list:
@@ -931,7 +918,7 @@ def check_segal(P: FinitePresheaf) -> dict:
     restrictions.  Elementary graphs (sticks, corollas) pass trivially."""
     report = {"ok": True, "corpus": sorted(P.corpus), "per_graph": {}}
     chs = {}       # graph name -> its ch records, in declaration order
-    edge_ch = {}   # (graph name, edge repr) -> the first such ch record
+    edge_ch = {}   # (graph name, edge idstr) -> the first such ch record
     for r in P.morphisms.values():
         if r["kind"] == "ch":
             chs.setdefault(r["from_graph"], []).append(r)
@@ -944,15 +931,15 @@ def check_segal(P: FinitePresheaf) -> dict:
             entry["elementary"] = True
             report["per_graph"][name] = entry
             continue
-        vch = {}    # vertex repr -> morphism record
-        ech = {}    # edge repr -> record
+        vch = {}    # vertex idstr -> morphism record
+        ech = {}    # edge idstr -> record
         for r in chs.get(name, ()):
             if r.get("vertex") is not None:
                 vch[r["vertex"]] = r
             elif r.get("edge") is not None:
                 ech[r["edge"]] = r
-        missing = ([repr(v) for v in g.vertices if repr(v) not in vch]
-                   + [repr(e) for e in g.edges if repr(e) not in ech])
+        missing = ([idstr(v) for v in g.vertices if idstr(v) not in vch]
+                   + [idstr(e) for e in g.edges if idstr(e) not in ech])
         if missing:
             raise CorpusNotElementClosed(
                 f"{name}: missing element restrictions {missing[:3]}")
@@ -988,10 +975,10 @@ def _segal_limit(P: FinitePresheaf, g, vch, ech, edge_ch) -> set:
     through the declared edge_images.  A stick component (e, tau e) is an
     element of its own: any value u of the stick at e, and flip(u) at
     tau e, where flip restricts along the stick's orientation reversal.
-    edge_ch holds the ch record of each (graph name, edge repr)."""
+    edge_ch holds the ch record of each (graph name, edge idstr)."""
     vreprs = sorted(vch)
     ereprs = sorted(ech)
-    sticks = [(repr(e), repr(f)) for e, f in g.stick_components()]
+    sticks = [(idstr(e), idstr(f)) for e, f in g.stick_components()]
     flip = _stick_flip(P, edge_ch) if sticks else {}
     stick_choices = list(itertools.product(flip, repeat=len(sticks)))
     out = set()

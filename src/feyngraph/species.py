@@ -22,7 +22,7 @@ from .errors import (
     OutOfBounds,
     ValencyOutOfRange,
 )
-from .graphs import FeynmanGraph, idkey, sort_ids
+from .graphs import FeynmanGraph, idkey, idstr, sort_ids
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,9 @@ class Decoration:
         its species key, computed only here.  Kept on the decoration,
         whose maps no caller changes once it is built."""
         if self._key is None:
-            ec = tuple(sorted(((repr(e), repr(c))
+            ec = tuple(sorted(((idstr(e), repr(c))
                                for e, c in self.edge_colours.items())))
-            ve = tuple(sorted(((repr(v), repr(self.species.key(x)))
+            ve = tuple(sorted(((idstr(v), repr(self.species.key(x)))
                                for v, x in self.vertex_elems.items())))
             object.__setattr__(self, "_key", (ec, ve))
         return self._key

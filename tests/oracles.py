@@ -563,8 +563,11 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
 #
 # make_kleisli as it was before it split into a frame and a tail step:
 # every morphism deletes, pushes, substitutes and canonicalizes its
-# refinement afresh.  The tail checks (_push_forward, and the pointed
-# normal form with its key) and the piece labelings are the library's.
+# refinement afresh.  It pushes the bivalent deletions in stages, with a
+# new substitution and a checked, normalized tail at each stage, until
+# none is left; the library pushes them once and checks the tail once.
+# The tail checks (_push_forward, and the pointed normal form with its
+# key) and the piece labelings are the library's.
 
 
 def _brute_transport(old_sub, new_sub, per_piece_maps, deleted, edge_image,

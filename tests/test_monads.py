@@ -247,6 +247,45 @@ def test_arity_keeping_wrong_multiplication_is_reported(monkeypatch, name,
     assert {v[0] for v in r["violations"]} == {kind}
 
 
+
+def mu_L_swapping_two_units(LS, big):
+    """mu_L that, flattening an L(L S) element in which exactly two factors
+    have positive arity, each through one factor of positive arity (as
+    L eta_L makes them), swaps the elements of those two factors when
+    their arities agree.  A lone factor (the left unit) is flattened as
+    by mu_L, and below arity 3 both sides of associativity swap the same
+    two factors, so only the right unit fails there."""
+    flat = MU_L(LS, big)
+    if isinstance(LS.inner, LSpecies):
+        return flat
+    moving = [le for _, le in big if any(b for b, _ in le)]
+    if len(moving) != 2 or any(sum(1 for b, _ in le if b) != 1
+                               for le in moving):
+        return flat
+    (b1, x1), (b2, x2) = [f for f in flat if f[0]]
+    if len(b1) != len(b2):
+        return flat
+    return LS.norm([f for f in flat if not f[0]] + [(b1, x2), (b2, x1)])
+
+
+def test_broken_right_unit_of_L_is_reported(monkeypatch):
+    """A multiplication that keeps L's left unit and associativity within
+    the bounds, but not its right unit."""
+    bounds = dict(max_arity=2, max_vertices=1, max_valency=2)
+    monkeypatch.setattr(monads, "mu_L", mu_L_swapping_two_units)
+    r = check_monad_laws(S2, **bounds)
+    assert not r["ok"]
+    assert {v[0] for v in r["violations"]} == {"L-right-unit"}
+
+
+def test_L_unit_laws_are_checked_on_every_element():
+    # 450 checks before both L unit laws covered every element of L S
+    # (LSpecies(K, 4) has 16 elements up to arity 2): 3 left-unit checks
+    # on eta_L images became 16 left- and 16 right-unit checks
+    r = check_monad_laws(K, max_arity=2, max_vertices=2, max_valency=3)
+    assert r["ok"] and r["checked"] == 479
+
+
 # -- free constructions vs oracle ----------------------------------------------------
 
 def test_free_T_terminal_closed_one_vertex():

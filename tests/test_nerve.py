@@ -16,7 +16,8 @@ import pytest
 
 from feyngraph.errors import (BoundsTooLarge, ColourMismatch,
                               CorpusNotElementClosed, FormatError, Mismatch,
-                              NotACorolla, OutOfBounds, ValencyOutOfRange)
+                              NotACorolla, NotDeletable, OutOfBounds,
+                              ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
 from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
                               wheel)
@@ -41,7 +42,8 @@ from helpers_nerve import corpus14, dumbbell, parity_algebra, theta
 from helpers_species import MONO, TWO, tuple_algebra
 from oracles import (brute_algebra_morphisms, brute_is_algebra_morphism,
                      brute_kleisli_from_etale, brute_kleisli_from_pointed,
-                     brute_presheaf_maps, brute_restrict_kleisli)
+                     brute_make_kleisli, brute_presheaf_maps,
+                     brute_restrict_kleisli)
 
 nerve_module = importlib.import_module("feyngraph.nerve")
 monads_module = importlib.import_module("feyngraph.monads")
@@ -53,7 +55,28 @@ CORPUS_GRAPHS = [stick(), corolla([0]), corolla([0, 1]), wheel(1), wheel(2),
                  line(1), line(2), corolla([])]
 
 
+@pytest.fixture
+def shadow_oracle(monkeypatch):
+    """From now on every make_kleisli call also normalizes its arguments
+    with the staged oracle, and the two must agree.  Counts the calls by
+    (bivalent vertices pushed into pieces, labeling combinations)."""
+    seen = collections.Counter()
+    build = nerve_module.make_kleisli
+
+    def shadowed(sub, target, w, em, hm, vm, fresh_em=None):
+        got = build(sub, target, w, em, hm, vm, fresh_em)
+        _assert_same_kleisli(
+            got, brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em))
+        pushed = sum(sub.colimit.valency(cv) == 2 for cv in w)
+        seen[pushed, len(sub.frames[frozenset(w)].combos)] += 1
+        return got
+
+    monkeypatch.setattr(nerve_module, "make_kleisli", shadowed)
+    return seen
+
+
 @pytest.mark.parametrize("g", CORPUS_GRAPHS, ids=lambda g: repr(g))
+@pytest.mark.usefixtures("shadow_oracle")
 def test_identity_composes_to_itself(g):
     i = kleisli_identity(g)
     assert kleisli_equal(kleisli_compose(i, i), i)
@@ -67,6 +90,7 @@ def _line_refinement(g, v):
     return GraphOfGraphs(g, pieces)
 
 
+@pytest.mark.usefixtures("shadow_oracle")
 def test_refinement_unit_laws():
     g = line(2)
     gog = _line_refinement(g, sort_ids(g.vertices)[0])
@@ -76,6 +100,7 @@ def test_refinement_unit_laws():
         kleisli_compose(kleisli_identity(kref.target), kref), kref)
 
 
+@pytest.mark.usefixtures("shadow_oracle")
 def test_refinements_compose_to_nested_substitution():
     g = line(2)
     k1 = kleisli_refinement(_line_refinement(g, sort_ids(g.vertices)[0]))
@@ -131,6 +156,7 @@ def test_deletion_composite_differs_from_identity():
 
 
 @pytest.mark.parametrize("G", [wheel(1), wheel(2)], ids=["W1", "W2"])
+@pytest.mark.usefixtures("shadow_oracle")
 def test_ch_e_after_kappa_is_a_pointed_morphism(G):
     w1, st = wheel(1), stick()
     kappas = [kleisli_from_pointed(pm) for pm in hom_pointed(w1, st)]
@@ -144,6 +170,7 @@ def test_ch_e_after_kappa_is_a_pointed_morphism(G):
         assert len(hits) == 1
 
 
+@pytest.mark.usefixtures("shadow_oracle")
 def test_equality_is_a_congruence():
     pointed, refined = _kappa_presentations()
     pairs = [(a, b) for a in refined for b in pointed
@@ -337,6 +364,67 @@ def test_a_kept_frame_is_charged_to_the_search_budget(monkeypatch):
         kleisli_identity(g)          # the frame kept on g
 
 
+def test_shadow_oracle_agrees_on_a_corpus_pass(shadow_oracle):
+    """Every make_kleisli call of one corpus14 pass, with its default
+    refinements, equals the staged oracle.  Only the five refinement
+    frames have more than one labeling combination there."""
+    assert len(list(corpus_morphisms(corpus14()))) == 309
+    assert shadow_oracle == {(0, 1): 165, (0, 2): 1, (0, 4): 1, (0, 6): 1,
+                             (0, 8): 1, (0, 12): 1, (1, 1): 42, (2, 1): 46,
+                             (3, 1): 52}
+
+
+def _wheel_piece_deletions():
+    """make_kleisli arguments of corolla0 refined by wheel(m), whose
+    rotations and reflection fix its empty boundary, followed by the
+    deletion of a proper vertex set of the colimit and an etale map.
+    (Deleting every vertex would leave a piece with no vertex and no
+    boundary, which no graph of graphs admits.)"""
+    for m in (2, 3):
+        sub = substitute(GraphOfGraphs(corolla([]), {"*": (wheel(m), {})}))
+        colim = sub.colimit
+        for h in (wheel(1), wheel(2), stick()):
+            for pm in monads_module._deletion_homs(colim, h, False):
+                w = pm.deleted
+                if len(w) == m:
+                    continue
+                yield (sub, h, w, {c: pm.edge_image(c) for c in colim.edges},
+                       {x: pm.half_image(x) for x in pm._hcorr},
+                       {v: pm.vertex_image(v) for v in pm._vcorr})
+
+
+def test_shadow_oracle_agrees_on_pushed_deletions_with_several_labelings(
+        shadow_oracle):
+    for args in _wheel_piece_deletions():
+        nerve_module.make_kleisli(*args)
+    assert shadow_oracle == {(1, 2): 4, (1, 4): 18, (2, 2): 6}
+
+
+def test_a_bad_deleted_set_raises_before_the_budget(monkeypatch):
+    # the trivalent vertex is not deletable, and a budget of 0 would
+    # refuse the frame's one labeling combination
+    sub, em, hm, vm = nerve_module._kleisli_record(corolla([0, 1, 2]))
+    monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "0")
+    with pytest.raises(NotDeletable):
+        make_kleisli(sub, corolla([0, 1, 2]), set(vm), em, hm, vm)
+
+
+def test_a_tail_that_splits_merged_edges_raises_mismatch():
+    """Deleting a vertex of wheel(2) merges the edges at its two halves;
+    a tail that sends them to different edges does not factor through
+    the deletion, although each plan reads only one of them."""
+    sub, h, w, em, hm, vm = next(
+        args for args in _wheel_piece_deletions()
+        if len(args[2]) == 1 and args[1].vertices)
+    make_kleisli(sub, h, w, em, hm, vm)
+    merged = delete_vertices(sub.colimit, w).edge_correspondence
+    x, y = next((x, y) for x in merged for y in merged
+                if x != y and merged[x] == merged[y])
+    assert em[x] == em[y] != h.tau[em[x]]
+    with pytest.raises(Mismatch):
+        make_kleisli(sub, h, w, {**em, x: h.tau[em[x]]}, hm, vm)
+
+
 def _small_corpus():
     return {"stick": stick(), "corolla1": corolla([0]),
             "corolla2": corolla([0, 1]), "corolla3": corolla([0, 1, 2]),
@@ -478,6 +566,47 @@ def test_kleisli_and_pointed_keys_do_not_depend_on_the_hash_seed():
         assert run.returncode == 0, run.stderr
         out.add(run.stdout)
     assert len(out) == 1, out
+
+
+LOOP_NERVE_SCRIPT = """
+import hashlib, json, sys
+from feyngraph.etale import glue_ports
+from feyngraph.graphs import corolla
+from feyngraph.nerve import FinitePresheaf, check_segal, nerve
+from helpers_nerve import corpus14, parity_algebra
+
+corpus = corpus14()
+# gluing two ports makes an inner edge pair with frozenset ids
+corpus["loop"] = glue_ports(corolla(["a", "b", "c"]), [("a", "b")])[0]
+text = json.dumps(nerve(parity_algebra(4), corpus).to_json(), sort_keys=True)
+path = sys.argv[1]
+if sys.argv[2] == "write":
+    with open(path, "w") as fh:
+        fh.write(text)
+with open(path) as fh:
+    P = FinitePresheaf.from_json(json.load(fh))
+print(hashlib.sha256(text.encode()).hexdigest(), check_segal(P)["ok"])
+"""
+
+
+def test_nerve_with_frozenset_ids_does_not_depend_on_the_hash_seed(
+        tmp_path):
+    """The nerve written under one hash seed is the one written under
+    every other, and passes the Segal check when another reads it."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    written = tmp_path / "loop_nerve.json"
+    out = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", LOOP_NERVE_SCRIPT, str(written),
+             "write" if seed == 0 else "read"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout.split())
+    assert len({digest for digest, _ in out}) == 1, out
+    assert [ok for _, ok in out] == ["True"] * 4
 
 
 # -- nerve and restrictions ----------------------------------------------------------
