@@ -207,7 +207,7 @@ class FeynmanGraph:
         self._sorted_edges = self._sorted_vertices = None
         self._labelings: Optional[dict] = None   # token key -> labelings
         self._kleisli = None   # filled by nerve._kleisli_record
-        self._deletions = None   # filled by monads._deletion_homs
+        self._deletions = None   # filled by monads._deletion
 
     def _validate(self) -> None:
         if set(self.tau) != self.edges:

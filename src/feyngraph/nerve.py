@@ -6,8 +6,8 @@ followed by a pointed free map from the refinement's colimit to H.  Two
 presentations are equal when their normal forms agree: the normal form
 keeps deletions of bivalent colimit vertices inside the refinement pieces
 (so a deleted identity piece becomes a stick piece) and keeps deletions
-of isolated vertices in the pointed tail, whose own normal form absorbs
-maximally.
+of isolated vertices in the pointed tail: one vertex deletion of the
+colimit followed by an etale map (monads.PointedMorphism).
 
 make_kleisli normalizes in two steps.  The frame holds what depends only
 on the refinement's substitution and the deleted set: the deletion on the
@@ -18,7 +18,7 @@ onto its colimit.  The tail step checks the tail once, against the
 deletion, and carries its data through each plan.  A frame is kept on its
 substitution (Substitution.frames), and a graph keeps its identity
 refinement (_kleisli_record) and its vertex deletions
-(monads._deletion_homs), so the ch, iso and deletion morphisms out of one
+(monads._deletion), so the ch, iso and deletion morphisms out of one
 graph object share one frame per deleted set, whoever builds them.
 
 Restricting a decoration along a Kleisli morphism runs a plan kept on the
@@ -257,7 +257,7 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
     for sub2, plan, d in frame.combos:
         em2, hm2, vm2, fresh2 = _apply_plan(plan, em, hm, vm, fresh_em)
         etale = _push_forward(d, target, em2, hm2, vm2, fresh2)
-        tail = _normalized_pointed(sub2.colimit, target, plan[0], d, etale,
+        tail = _normalized_pointed(sub2.colimit, target, d, etale,
                                    absorb=False)
         key = (frame.certs, tail.key())
         if best is None or key < best.key():
@@ -309,7 +309,7 @@ def kleisli_from_pointed(pm: PointedMorphism) -> KleisliMorphism:
         else:
             vm2[cv] = pm.vertex_image(v)
     for ch, x in hm.items():
-        if x in pm._hcorr:
+        if x in pm.similarity_part.half_map:
             hm2[ch] = pm.half_image(x)
     return make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
 

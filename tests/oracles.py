@@ -570,6 +570,67 @@ def brute_modular_axioms(A, max_arity=None) -> dict:
 # key) and the piece labelings are the library's.
 
 
+def _brute_pointed_key(g, d, e) -> tuple:
+    """The key of the pointed morphism that deletes d.deleted and maps by
+    e, after absorbing bivalent vertices one at a time: each is deleted
+    from the last deletion's target, and the search restarts after every
+    vertex absorbed."""
+    from feyngraph.errors import Mismatch, NotCommuting, NotLocallyBijective
+    from feyngraph.graphs import idstr
+    from feyngraph.monads import (_push_forward, deletable_vertices,
+                                  delete_vertices)
+    w, last = d.deleted, d.target
+    corr = dict(d.edge_correspondence)
+    vcorr = dict(d.vertex_map)
+    fresh = dict(d.fresh_sticks)
+    changed = True
+    while changed:
+        changed = False
+        inv_v = {tv: v for v, tv in vcorr.items()}
+        for tv in deletable_vertices(last):
+            if last.valency(tv) != 2:
+                continue
+            d2 = delete_vertices(last, [tv])
+            try:
+                e2 = _push_forward(d2, e.target, e.edge_map, e.half_map,
+                                   e.vertex_map)
+            except (Mismatch, NotCommuting, NotLocallyBijective):
+                continue
+            w = w | {inv_v[tv]}
+            corr = {x: d2.edge_correspondence[c] for x, c in corr.items()}
+            vcorr = {v: d2.vertex_map[c] for v, c in vcorr.items() if c != tv}
+            fresh = {v: (d2.edge_correspondence[a], d2.edge_correspondence[b])
+                     for v, (a, b) in fresh.items()}
+            last, e, changed = d2.target, e2, True
+            break
+    em = tuple(sorted((idstr(x), idstr(e.edge_map[corr[x]]))
+                      for x in g.edges))
+    vm = tuple(sorted((idstr(v), idstr(e.vertex_map[vcorr[v]]))
+                      for v in vcorr))
+    fr = []
+    for v in sort_ids(fresh):
+        a, b = fresh[v]
+        ia, ib = idstr(e.edge_map[a]), idstr(e.edge_map[b])
+        fr.append((idstr(v),) + ((ia, ib) if ia <= ib else (ib, ia)))
+    return (tuple(sorted(map(idstr, w))), em, vm, tuple(fr))
+
+
+def brute_hom_pointed(g: FeynmanGraph, h: FeynmanGraph) -> list:
+    """The keys of hom_pointed(g, h), in its order, with every deletion
+    made afresh and absorbed as a chain (_brute_pointed_key)."""
+    from feyngraph.monads import deletable_vertices, delete_vertices, hom_etale
+    dels = deletable_vertices(g)
+    keys = []
+    for r in range(len(dels) + 1):
+        for w0 in itertools.combinations(dels, r):
+            d = delete_vertices(g, w0)
+            for e in hom_etale(d.target, h):
+                key = _brute_pointed_key(g, d, e)
+                if key not in keys:
+                    keys.append(key)
+    return keys
+
+
 def _brute_transport(old_sub, new_sub, per_piece_maps, deleted, edge_image,
                      vertex_image, half_image, fresh_images) -> tuple:
     def back(v, i, x):
@@ -615,8 +676,7 @@ def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
         colim = sub.colimit
         d = delete_vertices(colim, w)
         etale = _push_forward(d, target, em, hm, vm, fresh_em)
-        tail = _normalized_pointed(colim, target, frozenset(w), d, etale,
-                                   absorb=False)
+        tail = _normalized_pointed(colim, target, d, etale, absorb=False)
         push = {cv for cv in tail.deleted if colim.valency(cv) == 2}
         if not push:
             break
@@ -653,8 +713,8 @@ def brute_make_kleisli(sub, target, w, em, hm, vm, fresh_em=None):
             fresh_em.__getitem__)
         d = delete_vertices(sub2.colimit, w2)
         etale = _push_forward(d, target, em2, hm2, vm2, fresh2)
-        tail = _normalized_pointed(sub2.colimit, target, frozenset(w2), d,
-                                   etale, absorb=False)
+        tail = _normalized_pointed(sub2.colimit, target, d, etale,
+                                   absorb=False)
         key = (tuple((idstr(v), certs[v]) for v in vs), tail.key())
         cand = KleisliMorphism(source, target, sub2.gog, tail, sub2, key)
         if best is None or key < best.key():
@@ -694,7 +754,8 @@ def brute_kleisli_from_pointed(pm):
         else:
             vm2[cv] = pm.vertex_image(v)
     em2 = {c: pm.edge_image(x) for c, x in em.items()}
-    hm2 = {c: pm.half_image(x) for c, x in hm.items() if x in pm._hcorr}
+    hm2 = {c: pm.half_image(x) for c, x in hm.items()
+           if x in pm.similarity_part.half_map}
     return brute_make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
 
 

@@ -4,10 +4,11 @@ Each mutant replaces one distributive law in feyngraph.monads; the
 checkers look the laws up when they run, so they check the mutant.  A
 report that finds a violation is pinned by the sha256 of its sorted JSON,
 so its kinds, witnesses and `checked` count stay the same from run to
-run.  A law whose output is ill-formed is reported, not raised.  Also:
-the reports do not depend on what the process has memoised, the key of
-an L element does not depend on the order of its factors, and L's norm
-orders factors as one sort by block and key does.  lambda_LT, built
+run.  A law whose output is ill-formed is reported, not raised, by
+check_beck and the Yang-Baxter sweep alike.  Also: the reports do not
+depend on what the process has memoised, the key of an L element does
+not depend on the order of its factors, and L's norm orders factors as
+one sort by block and key does.  lambda_LT, built
 directly, equals the substitution colimit it replaces
 (oracles.brute_law_LT) on every input of the sweeps, with the same
 errors, and never falls back on that colimit.
@@ -26,7 +27,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feyngraph.errors import InvalidGraphOfGraphs
+from feyngraph.errors import ColourMismatch, InvalidGraphOfGraphs
 from feyngraph.graphs import FeynmanGraph
 from feyngraph.monads import (DSpecies, LSpecies, TElem, TSpecies,
                               check_beck, yang_baxter_sweep)
@@ -188,6 +189,27 @@ def test_ill_formed_law_output_is_reported(monkeypatch):
             if v[2] == message] == ["0", "1", "2"]
     assert all(v[0] == "dt-mu-T" for v in r["violations"] if v[2] == message)
 
+
+
+def eps_unmatched(S, d):
+    """lambda_LD that cannot colour a formal unit."""
+    if d[0] == "eps":
+        raise ColourMismatch("no colour for a formal unit")
+    return LAW_LD(S, d)
+
+
+def test_ill_formed_law_output_is_reported_by_the_yang_baxter_sweep(
+        monkeypatch):
+    # check_beck and the sweep treat the same errors as ill-formed output
+    S = SPECIES["S2"]
+    sound = yang_baxter_sweep(S, **YB_BOUNDS)
+    monkeypatch.setattr(monads, "law_LD", eps_unmatched)
+    beck = check_beck("ld", S, **BOUNDS["ld"])
+    assert beck["checked"] == 147 and len(beck["violations"]) == 3
+    r = yang_baxter_sweep(S, **YB_BOUNDS)
+    assert not r["ok"] and r["checked"] == sound["checked"]
+    message = repr("ColourMismatch: no colour for a formal unit")
+    assert r["violations"] == [("yang-baxter", "0", message)]
 
 def test_reports_do_not_depend_on_what_the_process_memoised():
     """Sort keys and labelings are memoised for the whole process: a

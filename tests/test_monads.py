@@ -2,19 +2,20 @@
 and the free circuit algebra."""
 
 import functools
-import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feyngraph import monads
 from feyngraph.errors import ColourMismatch, NotDeletable, OutOfBounds
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union,
-                              is_isomorphic, isolated_vertex, line, stick,
-                              wheel)
+                              disjoint_union_all, is_isomorphic,
+                              isolated_vertex, line, stick, wheel)
 from feyngraph.monads import (FreeCircuitAlgebra, TSpecies, DSpecies,
-                              LSpecies, check_beck, check_monad_laws,
-                              check_t_associativity, check_yang_baxter,
-                              delete_vertices, deletable_vertices, eta_T,
+                              LSpecies, VertexDeletion, check_beck,
+                              check_monad_laws, check_t_associativity,
+                              check_yang_baxter, delete_vertices,
+                              deletable_vertices, eta_T,
                               free_apply, hom_etale, hom_pointed, law_DT,
                               law_LT, law_LD, mu_T, similarity_terminal,
                               yang_baxter_sweep)
@@ -22,7 +23,9 @@ from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
                                check_modular_axioms, evaluate_species)
 
 from helpers_species import TWO, tuple_algebra
-from oracles import brute_etale_homs, corolla_like_class_count
+from helpers_nerve import corpus14
+from oracles import (brute_etale_homs, brute_hom_pointed,
+                     corolla_like_class_count)
 
 K = TerminalSpecies(n_max=4)
 S2 = tuple_algebra(TWO, 3).species
@@ -138,14 +141,15 @@ def test_pointed_wheel_counts_stable(target):
 
 def test_pointed_homs_delete_each_vertex_set_once(monkeypatch):
     """Criterion 5's twelve calls, on graphs built once: the deletions of
-    a graph are kept on it, so each (graph, vertex tuple) is deleted once
-    (14 deletions; 56 when every call deleted afresh)."""
+    a graph are kept on it, and absorption looks its larger vertex sets up
+    there, so each (graph, vertex tuple) is deleted once: 14 deletions in
+    all (48 calls on 34 distinct pairs when absorption deleted again from
+    each deletion's target)."""
     from feyngraph.etale import glue_ports
     calls = []
 
     def counting(g, w):
-        if sys._getframe(1).f_code.co_name == "_deletion_homs":
-            calls.append((id(g), tuple(w)))
+        calls.append((id(g), tuple(w)))
         return delete_vertices(g, w)
 
     monkeypatch.setattr(monads, "delete_vertices", counting)
@@ -161,9 +165,52 @@ def test_pointed_homs_delete_each_vertex_set_once(monkeypatch):
 
 def test_pointed_normal_form_parts():
     for pm in hom_pointed(wheel(2), corolla([0])):
-        assert pm.similarity_part
+        assert isinstance(pm.similarity_part, VertexDeletion)
+        assert pm.similarity_part.deleted == frozenset(wheel(2).vertices)
         assert pm.etale_part.target is not None
         assert pm.deleted == frozenset(wheel(2).vertices)
+
+
+
+def _pointed_graphs() -> list:
+    """32 graphs: corpus14, wheel(4), line(3), the isolated vertex and
+    fifteen disjoint unions of small graphs."""
+    iv = isolated_vertex()
+    graphs = list(corpus14().values()) + [wheel(4), line(3), iv]
+    unions = [(iv, iv), (iv, stick()), (stick(), stick()), (wheel(1), iv),
+              (wheel(1), wheel(1)), (wheel(2), iv), (line(1), iv),
+              (line(2), wheel(1)), (corolla([0]), stick()),
+              (corolla([]), iv), (wheel(1), line(1)),
+              (corolla([0, 1]), wheel(1)), (wheel(1), stick()),
+              (line(1), line(1)), (wheel(2), wheel(1))]
+    return graphs + [disjoint_union(a, b) for a, b in unions]
+
+
+def test_pointed_homs_match_the_chain_oracle():
+    """One deletion per morphism, absorbed in one pass over its vertices,
+    gives the keys, in the same order, of absorbing one vertex at a time
+    along a chain of deletions."""
+    graphs = _pointed_graphs()
+    assert len(graphs) == 32
+    morphisms = 0
+    for g in graphs:
+        for h in graphs:
+            got = [pm.key() for pm in hom_pointed(g, h)]
+            assert got == brute_hom_pointed(g, h)
+            morphisms += len(got)
+    assert morphisms > 1000
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([wheel(1), wheel(2), wheel(3), line(1),
+                                 line(2), line(3), isolated_vertex()]),
+                min_size=1, max_size=2),
+       st.sampled_from([stick(), corolla([0]), wheel(1), wheel(2)]))
+def test_pointed_homs_match_the_chain_oracle_on_unions(parts, h):
+    # two parts at most: the oracle deletes every vertex set afresh, and
+    # three wheel(3)s take it seconds for one target
+    g = disjoint_union_all(parts)
+    assert [pm.key() for pm in hom_pointed(g, h)] == brute_hom_pointed(g, h)
 
 
 # -- monad units and multiplications -------------------------------------------------

@@ -263,7 +263,7 @@ def _corpus_kleisli_inputs(corpus):
                 d = delete_vertices(g, w0)
                 for e in hom_etale(d.target, h):
                     yield "pointed", monads_module._normalized_pointed(
-                        g, h, frozenset(w0), d, e, absorb=False)
+                        g, h, d, e, absorb=False)
 
 
 def _assert_same_kleisli(got, want):
@@ -281,8 +281,10 @@ def _assert_same_kleisli(got, want):
     assert t.deleted == u.deleted
     for attr in ("edge_map", "half_map", "vertex_map"):
         assert getattr(t.etale_part, attr) == getattr(u.etale_part, attr)
-    assert (t._corr, t._vcorr, t._hcorr, t._fresh) == \
-        (u._corr, u._vcorr, u._hcorr, u._fresh)
+    for attr in ("edge_correspondence", "vertex_map", "half_map",
+                 "fresh_sticks"):
+        assert getattr(t.similarity_part, attr) == \
+            getattr(u.similarity_part, attr)
 
 
 def _count_frames(monkeypatch):
@@ -389,8 +391,10 @@ def _wheel_piece_deletions():
                 if len(w) == m:
                     continue
                 yield (sub, h, w, {c: pm.edge_image(c) for c in colim.edges},
-                       {x: pm.half_image(x) for x in pm._hcorr},
-                       {v: pm.vertex_image(v) for v in pm._vcorr})
+                       {x: pm.half_image(x)
+                        for x in pm.similarity_part.half_map},
+                       {v: pm.vertex_image(v)
+                        for v in pm.similarity_part.vertex_map})
 
 
 def test_shadow_oracle_agrees_on_pushed_deletions_with_several_labelings(
@@ -520,7 +524,7 @@ def test_one_corpus_pass_deletes_each_vertex_set_once(monkeypatch):
             calls.append((id(g), frozenset(w)))
         return delete_vertices(g, w)
 
-    # the deletions of a corpus graph are made in monads._deletion_homs
+    # the deletions of a corpus graph are made in monads._deletion
     monkeypatch.setattr(monads_module, "delete_vertices", counting)
     rows = [f"{name} {kind} {fn} {tn} {kl.key()!r}"
             for name, kind, kl, fn, tn, _ in corpus_morphisms(corpus)]
