@@ -5,12 +5,13 @@ T builds connected decorated graphs (substitution is its multiplication),
 D adjoins formal units/contracted units at arities 2 and 0, and L builds
 free graded commutative monoids (disjoint unions).  Each is described
 once: a species constructor, a unit eta_*, a multiplication mu_* and a
-functor map _fmap_*.  check_beck states Beck's four axioms once, for any
-law lambda: A B => B A, and checks lambda_DT, lambda_LT and lambda_LD
-with it.  An L element's key ignores the order of its factors, so L
-values are normed only where they are built, not to be compared.  The
-composite L.D.T carries a circuit-algebra structure; see
-FreeCircuitAlgebra.
+functor map _fmap_*.  Each monad law is stated once over that
+description, and check_beck states Beck's four axioms once, for any law
+lambda: A B => B A; check_monad_laws, check_t_associativity and
+check_beck run their instances through one sweep.  An L element's key
+ignores the order of its factors, so L values are normed only where they
+are built, not to be compared.  The composite L.D.T carries a
+circuit-algebra structure; see FreeCircuitAlgebra.
 """
 from __future__ import annotations
 
@@ -22,13 +23,13 @@ from typing import Mapping, Optional
 from .errors import (ColourMismatch, FormatError, GraphInvariantError,
                      InvalidGraphOfGraphs, Mismatch, NotCommuting,
                      NotDeletable, NotLocallyBijective, OutOfBounds)
-from .etale import EtaleMorphism, glue_ports, vertex_neighbourhood
+from .etale import EtaleMorphism, glue_ports
 from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
                      idkey, idstr, read_only, sort_ids, stick, tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _Violations,
                       evaluate_species, half_order)
 from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
-                           substitute)
+                           identity_half, identity_piece, substitute)
 
 __all__ = [
     "VertexDeletion", "PointedMorphism", "FreeElement", "TElem",
@@ -83,26 +84,14 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
         g.edges, g.tau, g.half_edges, g.s, g.t,
         [v for v in g.vertices if v not in isolated])
     if bivalent:
-        pieces = {}
-        for v in g1.vertices:
-            if v in bivalent:
-                pieces[v] = _deleted_stick(g1, v)
-            else:
-                emb = vertex_neighbourhood(g1, v)
-                piece = emb.underlying.source
-                boundary = {lab: emb.underlying.half_map[("h", lab)]
-                            for lab in piece.ports}
-                pieces[v] = (piece, boundary)
-        sub = substitute(GraphOfGraphs(g1, pieces))
+        kept = [v for v in g1.vertices if v not in bivalent]
+        sub = substitute(GraphOfGraphs(g1, {
+            v: _deleted_stick(g1, v) if v in bivalent
+            else identity_piece(g1, v) for v in g1.vertices}))
         target = sub.colimit
         edge_corr = dict(sub.edge_class)
-        vmap = {v: ("p", v, "*") for v in g1.vertices if v not in bivalent}
-        hmap = {}
-        for v in g1.vertices:
-            if v in bivalent:
-                continue
-            for h in g1.halves_at(v):
-                hmap[h] = ("p", v, ("h", ("p", repr(h))))
+        vmap = {v: ("p", v, "*") for v in kept}
+        hmap = {h: identity_half(v, h) for v in kept for h in g1.halves_at(v)}
     else:
         target = g1
         edge_corr = {e: e for e in g1.edges}
@@ -844,77 +833,79 @@ _ILL_FORMED = (ColourMismatch, FormatError, InvalidGraphOfGraphs,
                GraphInvariantError)
 
 
+def _unit_laws(a: str, monad: tuple, S: SpeciesOps) -> list:
+    """A's two unit laws on A S, by key: flattening eta_A A x (left) and
+    A eta_A x (right) gives back x."""
+    A, eta, mu, fmap = monad
+    AS = A(S)
+
+    def left(n, x):
+        if AS.key(mu(AS, eta(AS, x))) != AS.key(x):
+            return (AS.key(x),)
+
+    def right(n, x):
+        if AS.key(mu(AS, fmap(lambda y: eta(S, y), x))) != AS.key(x):
+            return (AS.key(x),)
+
+    return [(f"{a}-left-unit", AS, left), (f"{a}-right-unit", AS, right)]
+
+
+def _assoc_law(a: str, monad: tuple, S: SpeciesOps) -> tuple:
+    """A's associativity on A(A(A S)), by key: flattening the two outer
+    layers first equals flattening each factor first."""
+    A, _, mu, fmap = monad
+    AS = A(S)
+    AAS = A(AS)
+
+    def assoc(n, x):
+        lhs = AS.key(mu(AS, mu(AAS, x)))
+        rhs = AS.key(mu(AS, fmap(lambda y: mu(AS, y), x)))
+        if lhs != rhs:
+            return (lhs, rhs)
+
+    return (f"{a}-assoc", A(AAS), assoc)
+
+
+def _sweep(max_arity: int, axioms) -> dict:
+    """The report of every (name, domain, axiom) on every element of its
+    domain up to max_arity: one instance each, noted under name with the
+    witnesses that axiom(n, x) returns.  An instance whose law gives
+    ill-formed output is noted with the error, and the sweep goes on, so
+    that every other violation is reported."""
+    violations, checked = _Violations(), 0
+    for n in range(max_arity + 1):
+        for name, domain, axiom in axioms:
+            for x in domain.elements(n):
+                checked += 1
+                try:
+                    witnesses = axiom(n, x)
+                except _ILL_FORMED as e:
+                    violations.failed(name, e, n)
+                    continue
+                if witnesses:
+                    violations.note(name, *witnesses)
+    return violations.report(checked)
+
+
 def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
                      max_vertices: int = 2, max_valency: int = 3) -> dict:
-    """Unit triangles for the bounded T (substitution), D and L monads
-    over S, and associativity of D and L on D(D(D S)) and L(L(L S)), by
-    key.  T's associativity is checked by check_t_associativity."""
-    violations, checked = _Violations(), 0
-    TS = TSpecies(S, max_vertices, max_valency)
-    DS, LS = DSpecies(S), LSpecies(S, 4)
-    DDS, LLS = DSpecies(DS), LSpecies(LSpecies(S, 2), 2)
-
-    for n in range(max_arity + 1):
-        for t in TS.elements(n):
-            checked += 2
-            # left unit: decorate the corolla on t with t
-            lt = mu_T(TS, eta_T(TS, t))
-            if TS.key(lt) != TS.key(t):
-                violations.note("T-left-unit", TS.key(t))
-            # right unit: decorate each vertex of t with its corolla
-            rt = mu_T(TS, _fmap_T(lambda x: eta_T(S, x), t))
-            if TS.key(rt) != TS.key(t):
-                violations.note("T-right-unit", TS.key(t))
-        # D and L associativity: on A(A(A S)), flattening the two outer
-        # layers first equals flattening each factor first
-        for ddd in DSpecies(DDS).elements(n):
-            checked += 1
-            lhs = mu_D(mu_D(ddd))
-            rhs = mu_D(_fmap_D(mu_D, ddd))
-            if DS.key(lhs) != DS.key(rhs):
-                violations.note("D-assoc", DS.key(lhs), DS.key(rhs))
-        for lll in LSpecies(LLS, 2).elements(n):
-            checked += 1
-            lhs = mu_L(LS, mu_L(LLS, lll))
-            rhs = mu_L(LS, _fmap_L(lambda ll: mu_L(LS, ll), lll))
-            if LS.key(lhs) != LS.key(rhs):
-                violations.note("L-assoc", LS.key(lhs), LS.key(rhs))
-    # D and L unit laws
-    for n in range(max_arity + 1):
-        for d in DS.elements(n):
-            checked += 2
-            if mu_D(eta_D(d)) != d:
-                violations.note("D-left-unit", DS.key(d))
-            if mu_D(_fmap_D(eta_D, d)) != d:
-                violations.note("D-right-unit", DS.key(d))
-        for x in LS.elements(n):
-            checked += 2
-            if LS.key(mu_L(LS, eta_L(LS, x))) != LS.key(x):
-                violations.note("L-left-unit", LS.key(x))
-            if LS.key(mu_L(LS, _fmap_L(lambda y: eta_L(S, y), x))) != \
-                    LS.key(x):
-                violations.note("L-right-unit", LS.key(x))
-    return violations.report(checked)
+    """The unit laws of the bounded T (substitution), D and L monads over
+    S, on T S, D S and L S with up to 4 factors, and the associativity of
+    D and L on D(D(D S)) and L(L(L S)) with 2 factors a layer, by key.
+    T's associativity is checked by check_t_associativity."""
+    units = _monads(max_vertices, max_valency, 4)
+    layered = _monads(max_vertices, max_valency, 2)
+    return _sweep(max_arity,
+                  [law for a in "TDL" for law in _unit_laws(a, units[a], S)]
+                  + [_assoc_law(a, layered[a], S) for a in "DL"])
 
 
 def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
                           max_vertices: int = 2, max_valency: int = 2) -> dict:
     """Substitution associativity: for elements of T(T(T S)) built within
     bounds, flattening inner-first equals outer-first."""
-    violations, checked = _Violations(), 0
-    TS = TSpecies(S, max_vertices, max_valency)
-    TTS = TSpecies(TS, max_vertices, max_valency)
-    T3 = TSpecies(TTS, max_vertices, max_valency)
-    for n in range(max_arity + 1):
-        for t3 in T3.elements(n):
-            checked += 1
-            # outer-first: flatten the two outer layers, then the inner
-            lhs = mu_T(TS, mu_T(TTS, t3))
-            # inner-first: flatten each decoration, then the outer layer
-            rhs = mu_T(TS, _fmap_T(lambda tt: mu_T(TS, tt), t3))
-            if TS.key(lhs) != TS.key(rhs):
-                violations.note("T-assoc", TS.key(lhs), TS.key(rhs))
-    return violations.report(checked)
+    T = _monads(max_vertices, max_valency, 0)["T"]
+    return _sweep(max_arity, [_assoc_law("T", T, S)])
 
 
 def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
@@ -939,7 +930,6 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
     (A, eta_A, mu_A, map_A), (B, eta_B, mu_B, map_B) = monads[a], monads[b]
     AS, BS = A(S), B(S)
     ABS, BAS = A(BS), B(AS)
-    violations, checked = _Violations(), 0
 
     def unit_b(n, x):
         lhs = law(S, map_A(lambda y: eta_B(S, y), x))
@@ -964,23 +954,10 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
         if lhs != rhs:
             return (n, lhs, rhs)
 
-    for n in range(max_arity + 1):
-        for name, domain, axiom in ((f"{which}-unit-{b}", AS, unit_b),
-                                    (f"{which}-unit-{a}", BS, unit_a),
-                                    (f"{which}-mu-{a}", A(ABS), mu_a),
-                                    (f"{which}-mu-{b}", A(B(BS)), mu_b)):
-            for x in domain.elements(n):
-                checked += 1
-                # a law whose output is ill-formed violates the axiom; the
-                # sweep goes on so that every other violation is reported
-                try:
-                    witnesses = axiom(n, x)
-                except _ILL_FORMED as e:
-                    violations.failed(name, e, n)
-                    continue
-                if witnesses:
-                    violations.note(name, *witnesses)
-    return violations.report(checked)
+    return _sweep(max_arity, [(f"{which}-unit-{b}", AS, unit_b),
+                              (f"{which}-unit-{a}", BS, unit_a),
+                              (f"{which}-mu-{a}", A(ABS), mu_a),
+                              (f"{which}-mu-{b}", A(B(BS)), mu_b)])
 
 
 # -- Yang-Baxter ---------------------------------------------------------------------
@@ -1073,11 +1050,11 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
     """The free (unital) circuit algebra on a species S, restricted to the
     finite carrier L(D(T S)) within bounds.
 
-    box is the free monoid product, eps the formal unit, and zeta acts by
-    port gluing inside a connected factor, factor merging across two
-    factors, renaming through formal units, and contracted units on a
-    formal unit's own ports.  Applications leaving the carrier bounds
-    return None."""
+    box is mu_L on the two-factor product, eps is eta_L on the formal
+    unit, and zeta acts by port gluing inside a connected factor, factor
+    merging across two factors, renaming through formal units, and
+    contracted units on a formal unit's own ports.  Applications leaving
+    the carrier bounds return None."""
 
     def __init__(self, S: SpeciesOps, max_vertices: int = 2,
                  max_valency: int = 3, max_factors: int = 2):
@@ -1096,16 +1073,16 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
     def box(self, a, b):
         if len(a) + len(b) > self.max_factors:
             return None
-        n = self._arity(a)
-        if n + self._arity(b) > self.species.n_max:
+        n, m = self._arity(a), self._arity(b)
+        if n + m > self.species.n_max:
             return None
-        shifted = tuple((tuple(p + n for p in blk), x) for blk, x in b)
-        return self.species.norm(a + shifted)
+        return mu_L(self.species, ((tuple(range(n)), a),
+                                   (tuple(range(n, n + m)), b)))
 
     def eps(self, c):
         if c not in self.base.palette.colours:
             raise ColourMismatch(f"unknown colour {c!r}")
-        return self.species.norm((((0, 1), ("eps", c)),))
+        return eta_L(self.DS, ("eps", c))
 
     def unit0(self):
         return ()

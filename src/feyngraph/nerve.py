@@ -49,7 +49,7 @@ from .monads import (PointedMorphism, VertexDeletion, _deleted_stick,
                      delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
-                           max_search_cap, substitute)
+                           identity_half, max_search_cap, substitute)
 
 __all__ = [
     "KleisliMorphism", "FinitePresheaf",
@@ -277,7 +277,7 @@ def _kleisli_record(g: FeynmanGraph) -> tuple:
         for v in g.vertices:
             vm[("p", v, "*")] = v
             for h in g.halves_at(v):
-                hm[("p", v, ("h", ("p", repr(h))))] = h
+                hm[identity_half(v, h)] = h
         g._kleisli = sub, em, hm, vm
     return g._kleisli
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import BadParameter, BoundsTooLarge, InvalidGraphOfGraphs
-from .graphs import FeynmanGraph, _UF, canonical_labelings
+from .graphs import FeynmanGraph, _UF, canonical_labelings, corolla
 
 DEFAULT_MAX_SEARCH = 10 ** 7
 
@@ -105,19 +105,25 @@ class GraphOfGraphs:
     @classmethod
     def identity(cls, base: FeynmanGraph) -> "GraphOfGraphs":
         """Each vertex maps to its own neighbourhood corolla."""
-        from .etale import vertex_neighbourhood
-        pieces = {}
-        for v in base.vertices:
-            emb = vertex_neighbourhood(base, v)
-            c = emb.underlying.source
-            boundary = {}
-            for lab in c.ports:
-                boundary[lab] = emb.underlying.half_map[("h", lab)]
-            pieces[v] = (c, boundary)
-        return cls(base, pieces)
+        return cls(base, {v: identity_piece(base, v) for v in base.vertices})
 
     def is_nondegenerate(self) -> bool:
         return all(not piece.stick_components() for piece, _ in self.pieces.values())
+
+
+def identity_piece(g: FeynmanGraph, v) -> tuple:
+    """The piece of v in the identity refinement of g, with its boundary:
+    the corolla with one port ("p", repr(h)) for each half h at v, in
+    halves_at order, that goes to h."""
+    halves = g.halves_at(v)
+    labels = [("p", repr(h)) for h in halves]
+    return corolla(labels), dict(zip(labels, halves))
+
+
+def identity_half(v, h):
+    """The colimit id of the half of identity_piece(g, v) that goes to the
+    half h of g at v."""
+    return ("p", v, ("h", ("p", repr(h))))
 
 
 @dataclass

@@ -759,6 +759,86 @@ def brute_kleisli_from_pointed(pm):
     return brute_make_kleisli(sub, pm.target, w, em2, hm2, vm2, fresh)
 
 
+# -- monad laws ----------------------------------------------------------------------
+#
+# Each law written out for each monad, with a loop of its own.  The units
+# and multiplications are looked up on feyngraph.monads at every use, so
+# that a monkeypatched one is checked here as in the library.
+
+
+def brute_monad_laws(S, max_arity=2, max_vertices=2, max_valency=3) -> dict:
+    """The unit laws of T, D and L and the associativity of D and L, as
+    check_monad_laws states them."""
+    from feyngraph import monads as m
+    violations, checked = [], 0
+    TS = m.TSpecies(S, max_vertices, max_valency)
+    DS, LS = m.DSpecies(S), m.LSpecies(S, 4)
+    DDS, LLS = m.DSpecies(DS), m.LSpecies(m.LSpecies(S, 2), 2)
+
+    for n in range(max_arity + 1):
+        for t in TS.elements(n):
+            checked += 2
+            # left unit: decorate the corolla on t with t
+            lt = m.mu_T(TS, m.eta_T(TS, t))
+            if TS.key(lt) != TS.key(t):
+                _brute_note(violations, "T-left-unit", TS.key(t))
+            # right unit: decorate each vertex of t with its corolla
+            rt = m.mu_T(TS, m._fmap_T(lambda x: m.eta_T(S, x), t))
+            if TS.key(rt) != TS.key(t):
+                _brute_note(violations, "T-right-unit", TS.key(t))
+        # D and L associativity: on A(A(A S)), flattening the two outer
+        # layers first equals flattening each factor first
+        for ddd in m.DSpecies(DDS).elements(n):
+            checked += 1
+            lhs = m.mu_D(m.mu_D(ddd))
+            rhs = m.mu_D(m._fmap_D(m.mu_D, ddd))
+            if DS.key(lhs) != DS.key(rhs):
+                _brute_note(violations, "D-assoc", DS.key(lhs), DS.key(rhs))
+        for lll in m.LSpecies(LLS, 2).elements(n):
+            checked += 1
+            lhs = m.mu_L(LS, m.mu_L(LLS, lll))
+            rhs = m.mu_L(LS, m._fmap_L(lambda ll: m.mu_L(LS, ll), lll))
+            if LS.key(lhs) != LS.key(rhs):
+                _brute_note(violations, "L-assoc", LS.key(lhs), LS.key(rhs))
+    # D and L unit laws
+    for n in range(max_arity + 1):
+        for d in DS.elements(n):
+            checked += 2
+            if m.mu_D(m.eta_D(d)) != d:
+                _brute_note(violations, "D-left-unit", DS.key(d))
+            if m.mu_D(m._fmap_D(m.eta_D, d)) != d:
+                _brute_note(violations, "D-right-unit", DS.key(d))
+        for x in LS.elements(n):
+            checked += 2
+            if LS.key(m.mu_L(LS, m.eta_L(LS, x))) != LS.key(x):
+                _brute_note(violations, "L-left-unit", LS.key(x))
+            if LS.key(m.mu_L(LS, m._fmap_L(lambda y: m.eta_L(S, y), x))) != \
+                    LS.key(x):
+                _brute_note(violations, "L-right-unit", LS.key(x))
+    return _brute_report(violations, checked)
+
+
+def brute_t_associativity(S, max_arity=1, max_vertices=2,
+                          max_valency=2) -> dict:
+    """Substitution associativity on T(T(T S)), as check_t_associativity
+    states it."""
+    from feyngraph import monads as m
+    violations, checked = [], 0
+    TS = m.TSpecies(S, max_vertices, max_valency)
+    TTS = m.TSpecies(TS, max_vertices, max_valency)
+    T3 = m.TSpecies(TTS, max_vertices, max_valency)
+    for n in range(max_arity + 1):
+        for t3 in T3.elements(n):
+            checked += 1
+            # outer-first: flatten the two outer layers, then the inner
+            lhs = m.mu_T(TS, m.mu_T(TTS, t3))
+            # inner-first: flatten each decoration, then the outer layer
+            rhs = m.mu_T(TS, m._fmap_T(lambda tt: m.mu_T(TS, tt), t3))
+            if TS.key(lhs) != TS.key(rhs):
+                _brute_note(violations, "T-assoc", TS.key(lhs), TS.key(rhs))
+    return _brute_report(violations, checked)
+
+
 # -- distributive laws ---------------------------------------------------------------
 
 def brute_law_LT(S, t):

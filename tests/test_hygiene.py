@@ -95,6 +95,25 @@ def test_one_union_find():
     assert not found, f"union-find outside graphs._UF: {found}"
 
 
+def test_only_the_sweeps_catch_ill_formed_output():
+    """Every law checker of monads.py runs its instances through _sweep,
+    or yang_baxter_sweep, which report an instance whose law gives
+    ill-formed output and go on: no other function there catches
+    _ILL_FORMED, so a new checker cannot grow a loop of its own that
+    aborts or skips."""
+    catchers = {}
+    for where, scope, node in _scoped_nodes():
+        if where.startswith("monads.py:") and \
+                isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == "_ILL_FORMED"
+                   for t in types):
+                catchers[where] = scope[-1]
+    assert sorted(catchers.values()) == ["_sweep", "yang_baxter_sweep"], \
+        f"handlers of _ILL_FORMED: {catchers}"
+
+
 def test_bench_hooks_resolve_and_fire():
     """Every hook of the benchmark's recorder names a function of the
     library, and the distributive-law, axiom-checker and nerve hooks

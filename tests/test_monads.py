@@ -25,6 +25,7 @@ from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
 from helpers_species import TWO, tuple_algebra
 from helpers_nerve import corpus14
 from oracles import (brute_etale_homs, brute_hom_pointed,
+                     brute_monad_laws, brute_t_associativity,
                      corolla_like_class_count)
 
 K = TerminalSpecies(n_max=4)
@@ -245,7 +246,7 @@ def test_monad_laws_two_colour():
     assert r["ok"], r["violations"]
 
 
-MU_D, MU_L = monads.mu_D, monads.mu_L
+MU_D, MU_L, MU_T = monads.mu_D, monads.mu_L, monads.mu_T
 
 
 def mu_D_swapping_nested_units(dd):
@@ -331,6 +332,54 @@ def test_L_unit_laws_are_checked_on_every_element():
     # on eta_L images became 16 left- and 16 right-unit checks
     r = check_monad_laws(K, max_arity=2, max_vertices=2, max_valency=3)
     assert r["ok"] and r["checked"] == 479
+
+
+@pytest.mark.parametrize("check, oracle, S, bounds, checked", [
+    (check_monad_laws, brute_monad_laws, K, (2, 2, 3), 479),
+    (check_monad_laws, brute_monad_laws, S2, (1, 1, 2), 290),
+    (check_monad_laws, brute_monad_laws, S2, (2, 1, 2), 1336),
+    (check_t_associativity, brute_t_associativity, K, (1, 2, 2), 96),
+    (check_t_associativity, brute_t_associativity, S2, (1, 1, 2), 6),
+], ids=["laws-K", "laws-S2-1", "laws-S2-2", "t-assoc-K", "t-assoc-S2"])
+def test_monad_law_reports_match_the_oracle(check, oracle, S, bounds,
+                                            checked):
+    r = check(S, *bounds)
+    assert r == oracle(S, *bounds)
+    assert r["ok"] and r["checked"] == checked
+
+
+@pytest.mark.parametrize("name, broken, violations", [
+    ("mu_D", mu_D_swapping_nested_units, 2),
+    ("mu_L", mu_L_reversing_inner_factors, 30),
+    ("mu_L", mu_L_swapping_two_units, 6),
+])
+def test_wrong_multiplication_reports_match_the_oracle(monkeypatch, name,
+                                                       broken, violations):
+    monkeypatch.setattr(monads, name, broken)
+    r = check_monad_laws(S2, 2, 1, 2)
+    assert r == brute_monad_laws(S2, 2, 1, 2)
+    assert r["checked"] == 1336 and len(r["violations"]) == violations
+
+
+def test_ill_formed_monad_law_output_is_reported(monkeypatch):
+    """A substitution that raises on its output is a violation of each
+    law it serves, and the sweep goes on: every instance still counts."""
+    def mu_T_failing_on_two_vertices(TS, t):
+        out = MU_T(TS, t)
+        if len(out.graph.vertices) == 2:
+            raise ColourMismatch("mutant")
+        return out
+
+    monkeypatch.setattr(monads, "mu_T", mu_T_failing_on_two_vertices)
+    laws = check_monad_laws(K, 2, 2, 3)
+    assoc = check_t_associativity(K, 1, 2, 2)
+    assert (laws["ok"], laws["checked"]) == (False, 479)
+    assert (assoc["ok"], assoc["checked"]) == (False, 96)
+    assert sorted(v[0] for v in laws["violations"]) == \
+        ["T-left-unit"] * 3 + ["T-right-unit"] * 3
+    assert [v[0] for v in assoc["violations"]] == ["T-assoc"] * 2
+    assert all(v[-1] == "'ColourMismatch: mutant'"
+               for v in laws["violations"] + assoc["violations"])
 
 
 # -- free constructions vs oracle ----------------------------------------------------
