@@ -7,10 +7,12 @@ free graded commutative monoids (disjoint unions).  Each is described
 once: a species constructor, a unit eta_*, a multiplication mu_* and a
 functor map _fmap_*.  Each monad law is stated once over that
 description, and check_beck states Beck's four axioms once, for any law
-lambda: A B => B A; check_monad_laws, check_t_associativity and
-check_beck run their instances through one sweep.  An L element's key
-ignores the order of its factors, so L values are normed only where they
-are built, not to be compared.  The composite L.D.T carries a
+lambda: A B => B A.  check_monad_laws, check_t_associativity,
+check_beck and yang_baxter_sweep run their instances, the elements of
+each law's domain arity by arity, through species._sweep, the one sweep
+of every axiom checker.  An L element's key ignores the order of its
+factors, so L values are normed only where they are built, not to be
+compared.  The composite L.D.T carries a
 circuit-algebra structure; see FreeCircuitAlgebra.
 """
 from __future__ import annotations
@@ -20,13 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import (ColourMismatch, FormatError, GraphInvariantError,
-                     InvalidGraphOfGraphs, Mismatch, NotCommuting,
-                     NotDeletable, NotLocallyBijective, OutOfBounds)
+from .errors import (ColourMismatch, FormatError, InvalidGraphOfGraphs,
+                     Mismatch, NotCommuting, NotDeletable,
+                     NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports
 from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
                      idkey, idstr, read_only, sort_ids, stick, tagged_union)
-from .species import (CircuitAlgebraOps, SpeciesOps, _Violations,
+from .species import (CircuitAlgebraOps, SpeciesOps, _sweep,
                       evaluate_species, half_order)
 from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
                            identity_half, identity_piece, substitute)
@@ -827,12 +829,6 @@ def law_LD(S: SpeciesOps, d):
 
 # -- monad law and distributive law checkers ----------------------------------------
 
-# the errors by which a law shows that its output is ill-formed: a sweep
-# reports the instance as a violation and goes on
-_ILL_FORMED = (ColourMismatch, FormatError, InvalidGraphOfGraphs,
-               GraphInvariantError)
-
-
 def _unit_laws(a: str, monad: tuple, S: SpeciesOps) -> list:
     """A's two unit laws on A S, by key: flattening eta_A A x (left) and
     A eta_A x (right) gives back x."""
@@ -840,12 +836,11 @@ def _unit_laws(a: str, monad: tuple, S: SpeciesOps) -> list:
     AS = A(S)
 
     def left(n, x):
-        if AS.key(mu(AS, eta(AS, x))) != AS.key(x):
-            return (AS.key(x),)
+        return AS.key(mu(AS, eta(AS, x))) == AS.key(x) or (AS.key(x),)
 
     def right(n, x):
-        if AS.key(mu(AS, fmap(lambda y: eta(S, y), x))) != AS.key(x):
-            return (AS.key(x),)
+        return AS.key(mu(AS, fmap(lambda y: eta(S, y), x))) == AS.key(x) \
+            or (AS.key(x),)
 
     return [(f"{a}-left-unit", AS, left), (f"{a}-right-unit", AS, right)]
 
@@ -860,31 +855,22 @@ def _assoc_law(a: str, monad: tuple, S: SpeciesOps) -> tuple:
     def assoc(n, x):
         lhs = AS.key(mu(AS, mu(AAS, x)))
         rhs = AS.key(mu(AS, fmap(lambda y: mu(AS, y), x)))
-        if lhs != rhs:
-            return (lhs, rhs)
+        return lhs == rhs or (lhs, rhs)
 
     return (f"{a}-assoc", A(AAS), assoc)
 
 
-def _sweep(max_arity: int, axioms) -> dict:
-    """The report of every (name, domain, axiom) on every element of its
-    domain up to max_arity: one instance each, noted under name with the
-    witnesses that axiom(n, x) returns.  An instance whose law gives
-    ill-formed output is noted with the error, and the sweep goes on, so
-    that every other violation is reported."""
-    violations, checked = _Violations(), 0
-    for n in range(max_arity + 1):
-        for name, domain, axiom in axioms:
+def _graded(max_arity: int, axioms) -> dict:
+    """The sweep of every (name, domain, law) on each element x of its
+    domain up to max_arity, judged by law(n, x) for x of arity n, with
+    the arity n as the witness of a failing instance."""
+    def instances(domain):
+        for n in range(max_arity + 1):
             for x in domain.elements(n):
-                checked += 1
-                try:
-                    witnesses = axiom(n, x)
-                except _ILL_FORMED as e:
-                    violations.failed(name, e, n)
-                    continue
-                if witnesses:
-                    violations.note(name, *witnesses)
-    return violations.report(checked)
+                yield n, x
+
+    return _sweep([(name, instances(domain), law)
+                   for name, domain, law in axioms], lambda n, x: (n,))
 
 
 def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
@@ -895,9 +881,9 @@ def check_monad_laws(S: SpeciesOps, max_arity: int = 2,
     T's associativity is checked by check_t_associativity."""
     units = _monads(max_vertices, max_valency, 4)
     layered = _monads(max_vertices, max_valency, 2)
-    return _sweep(max_arity,
-                  [law for a in "TDL" for law in _unit_laws(a, units[a], S)]
-                  + [_assoc_law(a, layered[a], S) for a in "DL"])
+    return _graded(max_arity,
+                   [law for a in "TDL" for law in _unit_laws(a, units[a], S)]
+                   + [_assoc_law(a, layered[a], S) for a in "DL"])
 
 
 def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
@@ -905,7 +891,7 @@ def check_t_associativity(S: SpeciesOps, max_arity: int = 1,
     """Substitution associativity: for elements of T(T(T S)) built within
     bounds, flattening inner-first equals outer-first."""
     T = _monads(max_vertices, max_valency, 0)["T"]
-    return _sweep(max_arity, [_assoc_law("T", T, S)])
+    return _graded(max_arity, [_assoc_law("T", T, S)])
 
 
 def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
@@ -933,31 +919,28 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
 
     def unit_b(n, x):
         lhs = law(S, map_A(lambda y: eta_B(S, y), x))
-        if BAS.key(lhs) != BAS.key(eta_B(AS, x)):
-            return (AS.key(x),)
+        return BAS.key(lhs) == BAS.key(eta_B(AS, x)) or (AS.key(x),)
 
     def unit_a(n, x):
         lhs = law(S, eta_A(BS, x))
-        if BAS.key(lhs) != BAS.key(map_B(lambda y: eta_A(S, y), x)):
-            return (BS.key(x),)
+        return BAS.key(lhs) == BAS.key(map_B(lambda y: eta_A(S, y), x)) \
+            or (BS.key(x),)
 
     def mu_a(n, x):
         lhs = BAS.key(law(S, mu_A(ABS, x)))
         mid = law(AS, map_A(lambda y: law(S, y), x))
         rhs = BAS.key(map_B(lambda y: mu_A(AS, y), mid))
-        if lhs != rhs:
-            return (n, lhs, rhs)
+        return lhs == rhs or (n, lhs, rhs)
 
     def mu_b(n, x):
         lhs = BAS.key(law(S, map_A(lambda y: mu_B(BS, y), x)))
         rhs = BAS.key(mu_B(BAS, map_B(lambda y: law(S, y), law(BS, x))))
-        if lhs != rhs:
-            return (n, lhs, rhs)
+        return lhs == rhs or (n, lhs, rhs)
 
-    return _sweep(max_arity, [(f"{which}-unit-{b}", AS, unit_b),
-                              (f"{which}-unit-{a}", BS, unit_a),
-                              (f"{which}-mu-{a}", A(ABS), mu_a),
-                              (f"{which}-mu-{b}", A(B(BS)), mu_b)])
+    return _graded(max_arity, [(f"{which}-unit-{b}", AS, unit_b),
+                               (f"{which}-unit-{a}", BS, unit_a),
+                               (f"{which}-mu-{a}", A(ABS), mu_a),
+                               (f"{which}-mu-{b}", A(B(BS)), mu_b)])
 
 
 # -- Yang-Baxter ---------------------------------------------------------------------
@@ -993,22 +976,18 @@ def yang_baxter_sweep(S: SpeciesOps, max_arity: int = 2,
                       max_vertices: int = 2, max_valency: int = 3,
                       max_factors: int = 2) -> dict:
     """The Yang-Baxter hexagon on every instance of T(D(L S)) within
-    the bounds.  An instance whose laws give ill-formed output is
-    reported with the error, and the sweep goes on."""
-    violations, checked = _Violations(), 0
+    the bounds.  A failing instance is noted with its arity and the
+    transcript of check_yang_baxter; an instance whose laws give
+    ill-formed output is noted with its arity and the error, and the
+    sweep goes on."""
     domain = TSpecies(DSpecies(LSpecies(S, max_factors)),
                       max_vertices, max_valency)
-    for n in range(max_arity + 1):
-        for inst in domain.elements(n):
-            checked += 1
-            try:
-                ok, transcript = check_yang_baxter(S, inst)
-            except _ILL_FORMED as e:
-                violations.failed("yang-baxter", e, n)
-                continue
-            if not ok:
-                violations.append(("yang-baxter", n, repr(transcript)))
-    return violations.report(checked)
+
+    def hexagon(n, x):
+        ok, transcript = check_yang_baxter(S, x)
+        return ok or (n, transcript)
+
+    return _graded(max_arity, [("yang-baxter", domain, hexagon)])
 
 
 # -- free elements -------------------------------------------------------------------

@@ -7,7 +7,11 @@ decorations: an edge colouring compatible with the palette involution and
 an element at each vertex whose colours match the incident edges.
 
 Axiom checking works with labeled elements (positions named by arbitrary
-ids) so that all index bookkeeping lives in one place.
+ids) so that all index bookkeeping lives in one place.  Every axiom and
+law checker of the library, here and in monads.py, runs its instances
+through one sweep, _sweep: each axiom is a law over a stream of
+instances, and the sweep counts them, notes the failures and reports an
+instance whose output is ill-formed (_ILL_FORMED) without aborting.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from .errors import (
     ColourMismatch,
     FormatError,
+    GraphInvariantError,
+    InvalidGraphOfGraphs,
     OutOfBounds,
     ValencyOutOfRange,
 )
@@ -404,9 +410,12 @@ class FiniteCircuitAlgebra(CircuitAlgebraOps):
 
 # -- axiom checkers ---------------------------------------------------------------
 
-# an instance whose operations give an ill-coloured or undefined result
-# violates its axiom; the check records it and goes on
-_ILL_FORMED = (ColourMismatch, FormatError)
+# the errors by which an operation or a law shows that its output is
+# ill-formed: ill-coloured, undefined, an invalid graph of graphs or a
+# broken graph invariant.  An instance that meets one violates its axiom;
+# the sweep records it and goes on
+_ILL_FORMED = (ColourMismatch, FormatError, InvalidGraphOfGraphs,
+               GraphInvariantError)
 
 
 def _attempt(op, *args) -> tuple:
@@ -417,32 +426,45 @@ def _attempt(op, *args) -> tuple:
         return None, exc
 
 
-class _Violations(list):
-    """The violations an exhaustive check found, and its report."""
+def _sweep(axioms, witnesses: Callable) -> dict:
+    """The report of every axiom (name, instances, law) of an exhaustive
+    check: {"ok": bool, "violations": [...], "checked": int}.
 
-    def note(self, kind, *witnesses):
-        self.append((kind,) + tuple(map(repr, witnesses)))
+    law(*args) judges the instance args, for each args of instances.  It
+    returns True when the instance holds, None when a side is undefined,
+    so that the instance is not counted, and False or a tuple of
+    witnesses when it fails.  A failing instance is noted under name with
+    that tuple, or with witnesses(*args) for False, each witness written
+    by repr.  An instance whose law raises one of _ILL_FORMED is counted
+    and noted with witnesses(*args) and the error, and the sweep goes on,
+    so that every violation is reported."""
+    violations, checked = set(), 0
+    for name, instances, law in axioms:
+        for args in instances:
+            try:
+                verdict = law(*args)
+            except _ILL_FORMED as exc:
+                verdict = witnesses(*args) + (f"{type(exc).__name__}: {exc}",)
+            if verdict is None:
+                continue
+            checked += 1
+            if verdict is not True:
+                if verdict is False:
+                    verdict = witnesses(*args)
+                violations.add((name,) + tuple(map(repr, verdict)))
+    return {"ok": not violations, "violations": sorted(violations),
+            "checked": checked}
 
-    def failed(self, kind, exc, *witnesses):
-        """An instance that raised exc: its witnesses plus the error."""
-        self.note(kind, *witnesses, f"{type(exc).__name__}: {exc}")
 
-    def judge(self, kind, exc, lhs, rhs, eq, *witnesses) -> int:
-        """One candidate instance of an axiom, lhs = rhs under eq, whose
-        computation raised exc (or None).  It counts, and is noted when
-        it raised or its sides differ, unless a side is undefined (None).
-        Returns the number of instances checked, 1 or 0."""
-        if exc is not None:
-            self.failed(kind, exc, *witnesses)
-        elif lhs is None or rhs is None:
-            return 0
-        elif not eq(lhs, rhs):
-            self.note(kind, *witnesses)
-        return 1
+def _pool_witnesses(*args) -> tuple:
+    """The witnesses of an axiom instance: a pool element is written as its
+    element, any other argument as it is."""
+    return tuple(a.elem if isinstance(a, Labeled) else a for a in args)
 
-    def report(self, checked: int) -> dict:
-        return {"ok": not self, "violations": sorted(set(self)),
-                "checked": checked}
+
+def _verdict(A: CircuitAlgebraOps, lhs, rhs) -> Optional[bool]:
+    """lhs = rhs as labelled elements, or None where a side is undefined."""
+    return None if lhs is None or rhs is None else A.lab_eq(lhs, rhs)
 
 
 def _pools(A: CircuitAlgebraOps, max_arity: Optional[int]):
@@ -483,6 +505,12 @@ class _PoolOps:
         return r
 
     def box(self, a: Labeled, b: Labeled) -> Optional[Labeled]:
+        # most calls are hits: read them without the call to _once
+        memo = self._memo.get(id(a))
+        if memo is not None:
+            r = memo.get(id(b), _UNSET)
+            if r is not _UNSET:
+                return r
         return self._once(a, id(b), self.A.lab_box, a, b)
 
     def zeta(self, a: Labeled, x, y) -> Optional[Labeled]:
@@ -511,133 +539,113 @@ def _contractible_pairs(A, a: Labeled) -> list:
             if col[i] == om[col[j]]]
 
 
+def _contractions_commute(ops: _PoolOps, pool, prs: dict) -> tuple:
+    """C2 and M2, two disjoint contractions of an element commute: the
+    instances (a, pair, pair) and the law.  prs holds the contractible
+    pairs of each element of pool, by id."""
+    A = ops.A
+
+    def law(a, p, q):
+        first = ops.zeta(a, *p)
+        if first is None:
+            return None
+        second = A.lab_zeta(first, *q) \
+            if _still_contractible(A, first, *q) else None
+        other = ops.zeta(a, *q)
+        other2 = None if other is None or not _still_contractible(
+            A, other, *p) else A.lab_zeta(other, *p)
+        return _verdict(A, second, other2)
+
+    return ((a, p, q) for a in pool for p in prs[id(a)] for q in prs[id(a)]
+            if not set(p) & set(q)), law
+
+
+def _unit_law(A: CircuitAlgebraOps, product: Callable) -> Callable:
+    """The eps unit law on (a, x) for product(a, e, x, y), which contracts
+    position x of a with position y of e: contracting a stick onto a
+    position is a renaming."""
+    om = A.species.palette.omega
+
+    def law(a, x):
+        e = A.lab(A.eps(om[A.colour_at(a, x)]), (("e", 0), ("e", 1)))
+        got = product(a, e, x, ("e", 0))
+        return None if got is None else \
+            A.lab_eq(got, A.lab_rename(a, {x: ("e", 1)}))
+
+    return law
+
+
 def check_circuit_axioms(A: CircuitAlgebraOps,
                          max_arity: Optional[int] = None) -> dict:
     """Exhaustively verify C1 (box associativity), commutativity, the
     external unit law, C2 (contractions commute), C3 (contraction and box
-    commute), and the eps unit law within the carrier bounds.  An
-    instance whose operations raise ColourMismatch or FormatError is
-    counted and reported as a violation of its axiom, with the error;
-    OutOfBounds propagates.
+    commute), the eps unit law and eps(omega c) = eps(c) swapped, within
+    the carrier bounds.  An instance whose operations give ill-formed
+    output (ColourMismatch, FormatError, InvalidGraphOfGraphs or
+    GraphInvariantError) is counted and reported as a violation of its
+    axiom, with the error; OutOfBounds propagates.
 
     Returns {"ok": bool, "violations": [...], "checked": int}.
     """
     S = A.species
+    om = S.palette.omega
     pool, pool_b, pool_c = _pools(A, max_arity)
     ops = _PoolOps(A)
-    violations = _Violations()
-    checked = 0
-    # C1 associativity + commutativity; an ill-formed a box b fails every
-    # instance that needs it
-    for a in pool:
-        for b in pool_b:
-            ab, failure = _attempt(ops.box, a, b)
-            if ab is None and failure is None:
-                continue
-            ba, exc = (_attempt(A.lab_box, b, a) if failure is None
-                       else (None, failure))
-            checked += violations.judge("commutativity", exc, ab, ba,
-                                        A.lab_eq, a.elem, b.elem)
-            for c in pool_c:
-                exc, abc1, abc2 = failure, None, None
-                if exc is None:
-                    try:
-                        abc1 = A.lab_box(ab, c)
-                        bc = ops.box(b, c)
-                        abc2 = None if bc is None else A.lab_box(a, bc)
-                    except _ILL_FORMED as e:
-                        exc = e
-                checked += violations.judge("C1", exc, abc1, abc2, A.lab_eq,
-                                            a.elem, b.elem, c.elem)
-    # external unit
+    # commutativity, C1 and C3 judge the (a, b) whose box is defined or
+    # raises; an ill-formed a box b fails every instance that needs it
+    pairs = [(a, b) for a in pool for b in pool_b
+             if any(_attempt(ops.box, a, b))]
+    prs = {id(a): _contractible_pairs(A, a) for a in pool}
+
+    def commutativity(a, b):
+        return _verdict(A, ops.box(a, b), A.lab_box(b, a))
+
+    def c1(a, b, c):
+        abc1 = A.lab_box(ops.box(a, b), c)
+        bc = ops.box(b, c)
+        return _verdict(A, abc1, None if bc is None else A.lab_box(a, bc))
+
+    def unit(a):
+        au = A.lab_box(a, u)
+        ua = A.lab_box(u, a)
+        return au is not None and ua is not None and A.lab_eq(au, a) \
+            and A.lab_eq(ua, a)
+
+    def c3(a, b, xy):
+        """zeta(a box b) = zeta(a) box b for a contraction inside a"""
+        lhs = A.lab_zeta(ops.box(a, b), *xy)
+        za = ops.zeta(a, *xy)
+        return _verdict(A, lhs, None if za is None else A.lab_box(za, b))
+
+    def box_then_zeta(a, e, x, y):
+        return _contract(A, A.lab_box(a, e), x, y)
+
+    def eps_omega(c):
+        return S.key(S.act(A.eps(c), (1, 0))) == S.key(A.eps(om[c]))
+
+    axioms = [("commutativity", pairs, commutativity),
+              ("C1", ((a, b, c) for a, b in pairs for c in pool_c), c1)]
     if not A.nonunital:
         u = A.lab(A.unit0(), ())
-        for a in pool:
-            checked += 1
-            try:
-                au = A.lab_box(a, u)
-                ua = A.lab_box(u, a)
-            except _ILL_FORMED as exc:
-                violations.failed("unit", exc, a.elem)
-                continue
-            if au is None or ua is None or not (A.lab_eq(au, a) and A.lab_eq(ua, a)):
-                violations.note("unit", a.elem)
-    checked += _check_contractions_commute(ops, pool, "C2", violations)
-    # C3: zeta(a box b) = zeta(a) box b for a contraction inside a
-    for a in pool:
-        prs = _contractible_pairs(A, a)
-        for b in pool_b:
-            ab, failure = _attempt(ops.box, a, b)
-            if ab is None and failure is None:
-                continue
-            for (x, y) in prs:
-                exc, lhs, rhs = failure, None, None
-                if exc is None:
-                    try:
-                        lhs = A.lab_zeta(ab, x, y)
-                        za = ops.zeta(a, x, y)
-                        rhs = None if za is None else A.lab_box(za, b)
-                    except _ILL_FORMED as e:
-                        exc = e
-                checked += violations.judge("C3", exc, lhs, rhs, A.lab_eq,
-                                            a.elem, b.elem, (x, y))
-    # eps law: contracting a stick onto a position is a renaming
-    om = S.palette.omega
-    for a in pool:
-        col = S.colour_of(a.elem)
-        for i, x in enumerate(a.labels):
-            e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            exc = got = None
-            try:
-                ae = A.lab_box(a, e)
-                got = None if ae is None else A.lab_zeta(ae, x, ("e", 0))
-            except _ILL_FORMED as err:
-                exc = err
-            want = None if got is None else A.lab_rename(a, {x: ("e", 1)})
-            checked += violations.judge("eps", exc, got, want, A.lab_eq,
-                                        a.elem, x)
-    # eps compatibility with omega: eps(omega c) = swap . eps(c)
-    for c in sort_ids(S.palette.colours):
-        checked += 1
-        if S.key(S.act(A.eps(c), (1, 0))) != S.key(A.eps(om[c])):
-            violations.note("eps-omega", c)
-    return violations.report(checked)
-
-
-def _check_contractions_commute(ops: _PoolOps, pool, kind, violations) -> int:
-    """C2 and M2: two disjoint contractions of an element commute.
-    Returns the number of instances checked."""
-    A = ops.A
-    checked = 0
-    for a in pool:
-        prs = _contractible_pairs(A, a)
-        for (x1, y1) in prs:
-            for (x2, y2) in prs:
-                if {x1, y1} & {x2, y2}:
-                    continue
-                exc = second = other2 = None
-                try:
-                    first = ops.zeta(a, x1, y1)
-                    if first is None:
-                        continue
-                    second = A.lab_zeta(first, x2, y2) \
-                        if _still_contractible(A, first, x2, y2) else None
-                    other = ops.zeta(a, x2, y2)
-                    other2 = None if other is None or not _still_contractible(
-                        A, other, x1, y1) else A.lab_zeta(other, x1, y1)
-                except _ILL_FORMED as e:
-                    exc = e
-                checked += violations.judge(kind, exc, second, other2,
-                                            A.lab_eq, a.elem, (x1, y1),
-                                            (x2, y2))
-    return checked
+        axioms.append(("unit", [(a,) for a in pool], unit))
+    axioms += [("C2", *_contractions_commute(ops, pool, prs)),
+               ("C3", ((a, b, xy) for a, b in pairs for xy in prs[id(a)]),
+                c3),
+               ("eps", [(a, x) for a in pool for x in a.labels],
+                _unit_law(A, box_then_zeta)),
+               ("eps-omega", [(c,) for c in sort_ids(S.palette.colours)],
+                eps_omega)]
+    return _sweep(axioms, _pool_witnesses)
 
 
 def _still_contractible(A, a: Labeled, x, y) -> bool:
-    om = A.species.palette.omega
-    cx = A.colour_at(a, x)
-    cy = A.colour_at(a, y)
-    return cx == om[cy]
+    return A.colour_at(a, x) == A.species.palette.omega[A.colour_at(a, y)]
+
+
+def _contract(A: CircuitAlgebraOps, ab: Optional[Labeled], x,
+              y) -> Optional[Labeled]:
+    """zeta_{x,y}(ab), or None where ab is undefined."""
+    return None if ab is None else A.lab_zeta(ab, x, y)
 
 
 def _multiply(A: CircuitAlgebraOps, box: Callable, a: Labeled, b: Labeled,
@@ -646,8 +654,7 @@ def _multiply(A: CircuitAlgebraOps, box: Callable, a: Labeled, b: Labeled,
     at x and y are matched."""
     if A.colour_at(a, x) != A.species.palette.omega[A.colour_at(b, y)]:
         raise ColourMismatch("diamond needs matched colours")
-    ab = box(a, b)
-    return None if ab is None else A.lab_zeta(ab, x, y)
+    return _contract(A, box(a, b), x, y)
 
 
 def derive_multiplication(A: CircuitAlgebraOps) -> Callable:
@@ -664,114 +671,77 @@ def check_modular_axioms(A: CircuitAlgebraOps,
     and the eps unit law for the derived multiplication.  Ill-formed
     instances are reported as in check_circuit_axioms.
     """
-    S = A.species
-    om = S.palette.omega
+    om = A.species.palette.omega
     diamond = derive_multiplication(A)
     pool, pool_b, pool_c = _pools(A, max_arity)
     ops = _PoolOps(A)
-    violations = _Violations()
-    checked = 0
 
     def matched(a, b):
         return [(x, y) for x in a.labels for y in b.labels
                 if A.colour_at(a, x) == om[A.colour_at(b, y)]]
 
+    prs = {id(a): _contractible_pairs(A, a) for a in pool}
+
+    def ms():
+        """(a, b, the matched (x, y) of a and b), for M1, M3 and M4"""
+        return ((a, b, matched(a, b)) for a in pool for b in pool_b)
+
     # M1: (a <>_{x,y} b) <>_{u,v} c = a <>_{x,y} (b <>_{u,v} c).  The
     # matched (c, u, v) of each b do not depend on a, x or y, so they are
-    # listed once, ahead of the loops; a stays the outer loop, so that
+    # listed once, ahead of the instances; a is the outer loop, so that
     # operations are first computed in a, b, c order.  An ill-formed
     # a <>_{x,y} b fails every instance that needs it.  Where it is
     # undefined, only the entries whose b <>_{u,v} c is defined or raises
     # can be judged: those of b's tail, for y, are listed on first use.
-    tails = [[(c, u, v) for c in pool_c for u, v in matched(b, c)]
-             for b in pool_b]
-    live = {}     # (index of b, y) -> the part of b's tail that is judged
+    tails = {id(b): [(c, u, v) for c in pool_c for u, v in matched(b, c)]
+             for b in pool_b}
+    live = {}     # (id of b, y) -> the part of b's tail that is judged
 
-    def live_tail(j, y):
-        got = live.get((j, y))
+    def tail(a, b, x, y):
+        if any(_attempt(ops.diamond, a, b, x, y)):
+            return tails[id(b)]
+        got = live.get((id(b), y))
         if got is None:
             # any(): the product, or the error, is not None
-            got = live[(j, y)] = [
-                (c, u, v) for c, u, v in tails[j]
-                if u != y and any(_attempt(ops.diamond, pool_b[j], c, u, v))]
+            got = live[(id(b), y)] = [
+                (c, u, v) for c, u, v in tails[id(b)]
+                if u != y and any(_attempt(ops.diamond, b, c, u, v))]
         return got
 
-    for a in pool:
-        for j, b in enumerate(pool_b):
-            for (x, y) in matched(a, b):
-                ab, failure = _attempt(ops.diamond, a, b, x, y)
-                tail = tails[j] if ab is not None or failure is not None \
-                    else live_tail(j, y)
-                for c, u, v in tail:
-                    if u == y:
-                        continue
-                    exc, lhs, rhs = failure, None, None
-                    if exc is None:
-                        try:
-                            lhs = None if ab is None \
-                                else ops.product(ab, c, u, v)
-                            bc = ops.diamond(b, c, u, v)
-                            rhs = None if bc is None \
-                                else ops.product(a, bc, x, y)
-                        except _ILL_FORMED as e:
-                            exc = e
-                    if exc is None and (lhs is None or rhs is None):
-                        continue    # most candidates; spare them the call
-                    checked += violations.judge("M1", exc, lhs, rhs,
-                                                A.lab_eq, a.elem, b.elem,
-                                                c.elem, (x, y, u, v))
-    checked += _check_contractions_commute(ops, pool, "M2", violations)
-    # M3: zeta_{u,v}(a <>_{x,y} b) = zeta_{u,v}(a) <>_{x,y} b, u,v in a
-    for a in pool:
-        prs = _contractible_pairs(A, a)
-        for b in pool_b:
-            for (x, y) in matched(a, b):
-                ab, failure = _attempt(ops.diamond, a, b, x, y)
-                for (u, v) in prs:
-                    if {u, v} & {x}:
-                        continue
-                    exc, lhs, rhs = failure, None, None
-                    if exc is None:
-                        try:
-                            lhs = None if ab is None \
-                                else A.lab_zeta(ab, u, v)
-                            za = ops.zeta(a, u, v)
-                            rhs = None if za is None \
-                                else diamond(za, b, x, y)
-                        except _ILL_FORMED as e:
-                            exc = e
-                    checked += violations.judge("M3", exc, lhs, rhs,
-                                                A.lab_eq, a.elem, b.elem,
-                                                (x, y, u, v))
-    # M4: two parallel edges between a and b can be contracted in either order
-    for a in pool:
-        for b in pool_b:
-            ms = matched(a, b)
-            for (x, y) in ms:
-                for (u, v) in ms:
-                    if x == u or y == v:
-                        continue
-                    exc = lhs = rhs = None
-                    try:
-                        ab1 = ops.diamond(a, b, x, y)
-                        lhs = None if ab1 is None else ops.zeta(ab1, u, v)
-                        ab2 = ops.diamond(a, b, u, v)
-                        rhs = None if ab2 is None else ops.zeta(ab2, x, y)
-                    except _ILL_FORMED as e:
-                        exc = e
-                    checked += violations.judge("M4", exc, lhs, rhs,
-                                                A.lab_eq, a.elem, b.elem,
-                                                (x, y, u, v))
-    # unit law for diamond
-    for a in pool:
-        col = S.colour_of(a.elem)
-        for i, x in enumerate(a.labels):
-            e = A.lab(A.eps(om[col[i]]), (("e", 0), ("e", 1)))
-            got, exc = _attempt(diamond, a, e, x, ("e", 0))
-            want = None if got is None else A.lab_rename(a, {x: ("e", 1)})
-            checked += violations.judge("Munit", exc, got, want, A.lab_eq,
-                                        a.elem, x)
-    return violations.report(checked)
+    def m1(a, b, c, xyuv):
+        x, y, u, v = xyuv
+        ab = ops.diamond(a, b, x, y)
+        lhs = None if ab is None else ops.product(ab, c, u, v)
+        bc = ops.diamond(b, c, u, v)
+        return _verdict(A, lhs,
+                        None if bc is None else ops.product(a, bc, x, y))
+
+    def m3(a, b, xyuv):
+        """zeta_{u,v}(a <>_{x,y} b) = zeta_{u,v}(a) <>_{x,y} b, u,v in a"""
+        x, y, u, v = xyuv
+        lhs = _contract(A, ops.diamond(a, b, x, y), u, v)
+        za = ops.zeta(a, u, v)
+        return _verdict(A, lhs, None if za is None else diamond(za, b, x, y))
+
+    def m4(a, b, xyuv):
+        """two parallel edges between a and b can be contracted in either
+        order"""
+        x, y, u, v = xyuv
+        ab1 = ops.diamond(a, b, x, y)
+        lhs = None if ab1 is None else ops.zeta(ab1, u, v)
+        ab2 = ops.diamond(a, b, u, v)
+        return _verdict(A, lhs, None if ab2 is None else ops.zeta(ab2, x, y))
+
+    return _sweep([
+        ("M1", ((a, b, c, (x, y, u, v)) for a, b, xys in ms() for x, y in xys
+                for c, u, v in tail(a, b, x, y) if u != y), m1),
+        ("M2", *_contractions_commute(ops, pool, prs)),
+        ("M3", ((a, b, (x, y, u, v)) for a, b, xys in ms() for x, y in xys
+                for u, v in prs[id(a)] if x not in (u, v)), m3),
+        ("M4", ((a, b, (x, y, u, v)) for a, b, xys in ms() for x, y in xys
+                for u, v in xys if x != u and y != v), m4),
+        ("Munit", [(a, x) for a in pool for x in a.labels],
+         _unit_law(A, diamond))], _pool_witnesses)
 
 
 # -- JSON -------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 and multiplication of their pool elements once per check.  These tests
 compare their reports with the brute-force checkers in oracles.py, which
 recompute every operation where it is used, and count the pool-level
-operations of one check."""
+operations of one check.  An operation or an eps that raises any of the
+ill-formed errors fails the instances that need it, and the check goes
+on."""
 
 import collections
 import hashlib
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feyngraph.cli import main
-from feyngraph.errors import FeynGraphError
+from feyngraph.errors import (FeynGraphError, FormatError,
+                              InvalidGraphOfGraphs)
 from feyngraph.monads import FreeCircuitAlgebra
 from feyngraph.species import (TerminalSpecies, algebra_from_json,
                                check_circuit_axioms, check_modular_axioms)
@@ -197,6 +200,59 @@ def test_raising_products_are_judged_where_a_diamond_b_is_undefined():
     assert len(undefined_head) == 16
     assert all(v[-1] == repr("FormatError: box undefined on "
                              "('t:+,-', 't:-')") for v in undefined_head)
+
+
+class EpsRaises(FreeCircuitAlgebra):
+    """A free algebra whose eps is undefined on every colour."""
+
+    def eps(self, c):
+        raise FormatError(f"no stick of colour {c!r}")
+
+
+class ZetaRaisesAcrossFactors(FreeCircuitAlgebra):
+    """A free algebra whose contraction of a two-factor element reports a
+    graph of graphs it cannot build."""
+
+    def zeta(self, a, i, j):
+        if len(a) == 2:
+            raise InvalidGraphOfGraphs("cannot glue across two factors")
+        return super().zeta(a, i, j)
+
+
+def kinds(report) -> dict:
+    return dict(collections.Counter(v[0] for v in report["violations"]))
+
+
+def test_an_eps_that_raises_is_reported_not_raised():
+    """Every instance of the eps law, of eps-omega and of Munit needs eps:
+    each is counted and fails with the error, and the other axioms are
+    judged as on the sound algebra (785 and 146 instances)."""
+    A = free_terminal(EpsRaises)
+    circuit = check_circuit_axioms(A, max_arity=2)
+    assert not circuit["ok"] and circuit["checked"] == 833
+    assert kinds(circuit) == {"eps": 40, "eps-omega": 1}
+    modular = check_modular_axioms(A, max_arity=2)
+    assert not modular["ok"] and modular["checked"] == 194
+    assert kinds(modular) == {"Munit": 40}
+    message = repr("FormatError: no stick of colour '*'")
+    assert all(v[-1] == message
+               for r in (circuit, modular) for v in r["violations"])
+
+
+def test_an_invalid_graph_of_graphs_is_reported_not_raised():
+    """InvalidGraphOfGraphs is ill-formed output, as ColourMismatch and
+    FormatError are: a contraction that raises it fails the instances
+    that need it, and the sweep goes on."""
+    A = free_terminal(ZetaRaisesAcrossFactors)
+    circuit = check_circuit_axioms(A, max_arity=2)
+    assert not circuit["ok"] and circuit["checked"] == 788
+    assert kinds(circuit) == {"C3": 37, "eps": 8}
+    modular = check_modular_axioms(A, max_arity=2)
+    assert not modular["ok"] and modular["checked"] == 5036
+    assert kinds(modular) == {"M1": 3456, "M4": 36, "Munit": 8}
+    message = repr("InvalidGraphOfGraphs: cannot glue across two factors")
+    assert all(v[-1] == message
+               for r in (circuit, modular) for v in r["violations"])
 
 
 SMALL = [tuple_algebra(TWO, 3), parity_algebra(4)]

@@ -96,22 +96,45 @@ def test_one_union_find():
 
 
 def test_only_the_sweeps_catch_ill_formed_output():
-    """Every law checker of monads.py runs its instances through _sweep,
-    or yang_baxter_sweep, which report an instance whose law gives
-    ill-formed output and go on: no other function there catches
-    _ILL_FORMED, so a new checker cannot grow a loop of its own that
-    aborts or skips."""
-    catchers = {}
+    """Every axiom and law checker runs its instances through one sweep,
+    species._sweep, which counts each instance, reports one whose output
+    is ill-formed and goes on.  So _ILL_FORMED is defined once, in
+    species.py; only _sweep and _attempt, the pair filters' probe, catch
+    it; and no other function of species.py or monads.py keeps a count of
+    checked instances.  A new checker cannot grow a loop of its own that
+    aborts, skips or counts in its own way."""
+    def names(targets):
+        return {n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+
+    def is_ill_formed(t):
+        return (isinstance(t, ast.Name) and t.id == "_ILL_FORMED") or \
+            (isinstance(t, ast.Attribute) and t.attr == "_ILL_FORMED")
+
+    defined, catchers, counters = [], [], []
     for where, scope, node in _scoped_nodes():
-        if where.startswith("monads.py:") and \
-                isinstance(node, ast.ExceptHandler) and node.type is not None:
+        module = where.split(":")[0]
+        if isinstance(node, ast.Assign):
+            assigned = names(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+            assigned = names([node.target])
+        else:
+            assigned = set()
+        if "_ILL_FORMED" in assigned:
+            defined.append(module)
+        if "checked" in assigned and scope[-1:] != ("_sweep",) and \
+                module in ("species.py", "monads.py"):
+            counters.append(where)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
             types = node.type.elts if isinstance(node.type, ast.Tuple) \
                 else [node.type]
-            if any(isinstance(t, ast.Name) and t.id == "_ILL_FORMED"
-                   for t in types):
-                catchers[where] = scope[-1]
-    assert sorted(catchers.values()) == ["_sweep", "yang_baxter_sweep"], \
+            if any(map(is_ill_formed, types)):
+                catchers.append((module, scope[-1] if scope else None))
+    assert defined == ["species.py"], f"_ILL_FORMED defined in {defined}"
+    assert sorted(catchers) == [("species.py", "_attempt"),
+                                ("species.py", "_sweep")], \
         f"handlers of _ILL_FORMED: {catchers}"
+    assert not counters, f"checked counted outside _sweep: {counters}"
 
 
 def test_bench_hooks_resolve_and_fire():

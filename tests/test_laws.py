@@ -95,13 +95,13 @@ PINNED = {
         "ld": (["ld-unit-L"],
                "6a0d8c37fa00c95e7d47b3b616f23d0b9d0ca5ba62a113fc6c8d0893bdb28a77"),
         "yb": (["yang-baxter"],
-               "05322123be8b9f47271bef61e4e4c59504a147e05e7b89ac8fbee3fe11a7806f"),
+               "5706bfa79cd072db056fc87f5fe14ea7bed6b236335c219de9f0c488eefbd2e6"),
     },
     ("contracted_unit_dropped", "S2"): {
         "ld": (["ld-unit-L"],
                "2e3f9d12d70e87e77b102ddd9d5488db52fbbb99f51cd1ce3ad3bd6aa60c0d50"),
         "yb": (["yang-baxter"],
-               "723d8c2d787a0a3d5319e65cc4c1dfd3cfe4a76be5e701c926509aebd69b4994"),
+               "cc283cff3aa73d75b2e6aab1eddb49e38d413b966a48145ca4abe14af9491c0a"),
     },
     ("eps_recoloured", "S2"): {
         "dt": (["dt-unit-T"],
@@ -111,13 +111,13 @@ PINNED = {
         "lt": (["lt-unit-L", "lt-unit-T"],
                "16c5704e6529895827442df9b548f372c7c47de1da5ccd50748891a4bc41160c"),
         "yb": (["yang-baxter"],
-               "4ffe2c987a20a287697fc64bfad252e165de0918592bcc28751473d909b7f92f"),
+               "78f44f717fde7d7f012d1c962977f6c4011a01b238c5a66472433650b86b25c2"),
     },
     ("zero_factors_dropped", "S2"): {
         "lt": (["lt-unit-L", "lt-unit-T"],
                "3aab2b35702b979169f9ebc8d74ecde05781d01f76aacba9c7147a1bbe6fb1bc"),
         "yb": (["yang-baxter"],
-               "334e6c9e6dd132a867a5ffd1076cc1010b30f9f7f0823e542271ffbf0f72d107"),
+               "e697d153104eb138a31194e88d35e39d029f1a7e4d90b9c13e87bd002e34a038"),
     },
     ("zero_factors_dropped_from_several", "K"): {
         "lt": (["lt-mu-L", "lt-mu-T", "lt-unit-T"],
@@ -131,13 +131,13 @@ PINNED = {
         "ld": (["ld-mu-D", "ld-unit-D", "ld-unit-L"],
                "9e2a259ab0a0e8c533af65a92742ad11e50f892d12bcd5e9f058a2b1e233c1e0"),
         "yb": (["yang-baxter"],
-               "0beb7f63e103ab746bb6af4be1acff6df7c08718a01fdb00c3f4cd297133a1e4"),
+               "bd277130441ccc06e9ddc6cd260e10da16b7cdf04fc5f75fd0e02c73cc2c8d3a"),
     },
     ("zero_factors_of_plain_dropped", "S2"): {
         "ld": (["ld-mu-D", "ld-unit-D", "ld-unit-L"],
                "08ff9fe683b3a799c591bf1557b4833ff5360f5e3f936a6138ae2c7df6d2fb10"),
         "yb": (["yang-baxter"],
-               "af5172c4fbdc52b2786ce07f62f7993a3df509da60214bd82152ca211053357d"),
+               "3247ae75ddcbe0e78521358aa59b21319c8f3ed10448c94af037e7fc6fe9bb75"),
     },
 }
 
@@ -210,6 +210,31 @@ def test_ill_formed_law_output_is_reported_by_the_yang_baxter_sweep(
     assert not r["ok"] and r["checked"] == sound["checked"]
     message = repr("ColourMismatch: no colour for a formal unit")
     assert r["violations"] == [("yang-baxter", "0", message)]
+
+
+def test_a_failed_hexagon_and_an_ill_formed_instance_are_reported_together(
+        monkeypatch):
+    # the first instance raises and the second fails the hexagon: both
+    # are noted, each with its arity written as text, and every instance
+    # is checked
+    check = monads.check_yang_baxter
+    calls = []
+
+    def flaky(S, instance):
+        calls.append(instance)
+        if len(calls) == 1:
+            raise ColourMismatch("no colour for a formal unit")
+        ok, transcript = check(S, instance)
+        return (len(calls) > 2 and ok), transcript
+
+    monkeypatch.setattr(monads, "check_yang_baxter", flaky)
+    r = yang_baxter_sweep(SPECIES["K"], **YB_BOUNDS)
+    assert not r["ok"] and r["checked"] == 10 == len(calls)
+    assert len(r["violations"]) == 2
+    assert all(v[0] == "yang-baxter" and isinstance(v[1], str)
+               for v in r["violations"])
+    assert sum(v[-1] == repr("ColourMismatch: no colour for a formal unit")
+               for v in r["violations"]) == 1
 
 def test_reports_do_not_depend_on_what_the_process_memoised():
     """Sort keys and labelings are memoised for the whole process: a
