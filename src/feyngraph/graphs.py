@@ -10,7 +10,8 @@ free monads) is built on this one class.
 A graph is an immutable value: its id-sets are frozensets and its maps are
 read-only.  So what is derived from it alone (the sorted id orders, the
 canonical labelings for given tokens, the nerve's Kleisli record, its
-vertex deletions) is computed once and kept on the graph.
+vertex deletions, connected components and id texts) is computed once
+and kept on the graph.
 
 Ids are strs, ints, or tuples or frozensets of ids (strings in files;
 tuples appear as tags after disjoint unions and quotients, frozensets as
@@ -46,8 +47,34 @@ from .errors import (
 
 Id = Any  # a str, an int, or a tuple or frozenset of ids
 
-_IDKEYS: dict = {}   # id -> (its repr, its idkey)
-_IDSTRS: dict = {}   # tuple or frozenset id -> (its repr, its idstr)
+_IDKEYS: dict = {}   # marshal bytes of an id -> its idkey
+_IDSTRS: dict = {}   # marshal bytes of a tuple or frozenset id -> its idstr
+
+
+def _memo_key(x: Id):
+    """The key of x in the id memos: its marshal bytes, which carry the
+    type of every member, so that 1, True and 1.0 get different keys at
+    any depth.  Version 2 writes no back-references, so equal values of
+    equal types give equal bytes, except that a frozenset's bytes follow
+    its iteration order: such a key can miss, never hit the wrong entry.
+    None, which is never stored, for a value marshal cannot write: no
+    valid id is one."""
+    try:
+        return marshal.dumps(x, 2)
+    except ValueError:
+        return None
+
+
+def _not_an_id(x: Id) -> BadParameter:
+    return BadParameter(f"id {x!r} is not a str, an int, or a tuple or "
+                        "frozenset of ids")
+
+
+def _check_hashable(x: Id) -> None:
+    try:
+        hash(x)
+    except TypeError:
+        raise BadParameter(f"id {x!r} is not hashable") from None
 
 
 def idkey(x: Id) -> tuple:
@@ -57,26 +84,22 @@ def idkey(x: Id) -> tuple:
     keys.  A frozenset (the edge ids of a colimit) is keyed by the sorted
     keys of its members: its repr follows hash order, which changes from
     one process to the next.  An atom that is not a str or an int raises
-    BadParameter.  A hit on the memo is trusted only when the reprs agree
-    too: 1, True and 1.0 are equal and hash alike."""
-    try:
-        hit = _IDKEYS.get(x)
-    except TypeError:
-        raise BadParameter(f"id {x!r} is not hashable") from None
-    r = repr(x)
-    if hit is not None and hit[0] == r:
-        return hit[1]
+    BadParameter.  A hit on the memo builds no repr."""
+    m = _memo_key(x)
+    hit = _IDKEYS.get(m)
+    if hit is not None:
+        return hit
+    _check_hashable(x)
     t = type(x)
     if t is tuple:
         key = (1, tuple([idkey(y) for y in x]))
     elif t is frozenset:
         key = (0, "frozenset", tuple(sorted([idkey(y) for y in x])))
     elif t is str or t is int:
-        key = (0, t.__name__, r)
+        key = (0, t.__name__, repr(x))
     else:
-        raise BadParameter(f"id {r} is not a str, an int, or a tuple or "
-                           "frozenset of ids")
-    _IDKEYS[x] = (r, key)
+        raise _not_an_id(x)
+    _IDKEYS[m] = key
     return key
 
 
@@ -88,18 +111,15 @@ def idstr(x: Id) -> str:
     """The text of an id in keys, computed once for each id: its repr,
     except that a frozenset lists its members in idkey order, so that the
     text does not follow hash order.  The text of a str, an int or a
-    tuple of them is its repr.  A hit on the memo is trusted only when
-    the reprs agree, as in idkey."""
+    tuple of them is its repr.  The memo is keyed as idkey's."""
     t = type(x)
     if t is str or t is int:
         return repr(x)
-    try:
-        hit = _IDSTRS.get(x)
-    except TypeError:
-        raise BadParameter(f"id {x!r} is not hashable") from None
-    r = repr(x)
-    if hit is not None and hit[0] == r:
-        return hit[1]
+    m = _memo_key(x)
+    hit = _IDSTRS.get(m)
+    if hit is not None:
+        return hit
+    _check_hashable(x)
     if t is tuple:
         parts = [idstr(y) for y in x]
         text = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
@@ -107,9 +127,8 @@ def idstr(x: Id) -> str:
         text = ("frozenset({" + ", ".join(map(idstr, sort_ids(x))) + "})"
                 if x else "frozenset()")
     else:
-        raise BadParameter(f"id {r} is not a str, an int, or a tuple or "
-                           "frozenset of ids")
-    _IDSTRS[x] = (r, text)
+        raise _not_an_id(x)
+    _IDSTRS[m] = text
     return text
 
 
@@ -167,7 +186,7 @@ class FeynmanGraph:
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
                  "_s_inv", "_halves_at", "_ports",
                  "_sorted_edges", "_sorted_vertices", "_labelings", "_kleisli",
-                 "_deletions")
+                 "_deletions", "_components", "_texts")
 
     def __init__(self, edges: Iterable[Id], tau: Mapping[Id, Id],
                  half_edges: Iterable[Id] = (), s: Optional[Mapping[Id, Id]] = None,
@@ -188,7 +207,9 @@ class FeynmanGraph:
         """A graph whose builder guarantees every invariant, taken as
         given: the frozensets and dicts are kept, not copied, and nothing
         is validated.  Only for constructions that are valid by design;
-        the tests check each against the validating constructor."""
+        the tests check each against the validating constructor.  A
+        builder that knows the idkey order of the edges sets
+        _sorted_edges, which is then not sorted again."""
         g = cls.__new__(cls)
         g.edges, g.half_edges, g.vertices = edges, half_edges, vertices
         g._index(s, t, tau)
@@ -208,6 +229,8 @@ class FeynmanGraph:
         self._labelings: Optional[dict] = None   # token key -> labelings
         self._kleisli = None   # filled by nerve._kleisli_record
         self._deletions = None   # filled by monads._deletion
+        self._components = None   # filled by monads._components
+        self._texts = None   # filled by monads._texts
 
     def _validate(self) -> None:
         if set(self.tau) != self.edges:

@@ -5,14 +5,16 @@ T builds connected decorated graphs (substitution is its multiplication),
 D adjoins formal units/contracted units at arities 2 and 0, and L builds
 free graded commutative monoids (disjoint unions).  Each is described
 once: a species constructor, a unit eta_*, a multiplication mu_* and a
-functor map _fmap_*.  Each monad law is stated once over that
-description, and check_beck states Beck's four axioms once, for any law
-lambda: A B => B A.  check_monad_laws, check_t_associativity,
-check_beck and yang_baxter_sweep run their instances, the elements of
-each law's domain arity by arity, through species._sweep, the one sweep
-of every axiom checker.  An L element's key ignores the order of its
-factors, so L values are normed only where they are built, not to be
-compared.  The composite L.D.T carries a
+functor map _fmap_*.  Each species object builds its elements of an
+arity once.  mu_T, delete_vertices and law_LT write their substitution
+colimits down directly, with the ids that substitute gives.  Each monad
+law is stated once over that description, and check_beck states Beck's
+four axioms once, for any law lambda: A B => B A.  check_monad_laws,
+check_t_associativity, check_beck and yang_baxter_sweep run their
+instances, the elements of each law's domain arity by arity, through
+species._sweep, the one sweep of every axiom checker.  An L element's
+key ignores the order of its factors, so L values are normed only where
+they are built, not to be compared.  The composite L.D.T carries a
 circuit-algebra structure; see FreeCircuitAlgebra.
 """
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
                      idkey, idstr, read_only, sort_ids, stick, tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _sweep,
                       evaluate_species, half_order)
-from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
-                           identity_half, identity_piece, substitute)
+from .substitution import SearchBudget, check_pieces, enumerate_x_graphs
 
 __all__ = [
     "VertexDeletion", "PointedMorphism", "FreeElement", "TElem",
@@ -71,7 +72,43 @@ def _deleted_stick(g: FeynmanGraph, v) -> tuple:
     return piece, {(("del", v), "1"): h1, (("del", v), "2"): h2}
 
 
+def _edge_classes(members: dict, ties: list) -> dict:
+    """The edge classes of a substitution colimit on a base graph, built
+    directly: each base edge e -> the frozenset of members[e], which holds
+    ("b", e) and the piece edges that meet it, merged with the class of f
+    for each tie (e, f) through one _UF pass.  In the order of members.
+
+    A class sorts by its least base edge: ("b", e) sorts before every
+    ("p", ...) member, so the classes in the order in which the base's
+    sorted edges first meet them are in idkey order, and the colimit
+    takes that order as its sorted_edges (_in_base_order)."""
+    if not ties:
+        return {e: frozenset(m) for e, m in members.items()}
+    uf = _UF()
+    for e in members:
+        uf.add(e)
+    for e, f in ties:
+        uf.union(e, f)
+    merged = {r: frozenset(x for e in group for x in members[e])
+              for r, group in uf.classes().items()}
+    return {e: merged[uf.find(e)] for e in members}
+
+
+def _in_base_order(base: FeynmanGraph, edge_class: dict) -> tuple:
+    """The classes of _edge_classes in idkey order."""
+    return tuple(dict.fromkeys(edge_class[e] for e in base.sorted_edges))
+
+
 def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
+    """Delete the bivalent and isolated vertices w of g.
+
+    The colimit of substituting _deleted_stick at each deleted bivalent
+    vertex and identity_piece at every other vertex is built directly,
+    with the ids of substitute and of those pieces, written out here.
+    Each edge e of g gives one class: ("b", e) and the corolla edges that
+    meet it.  The stick at a deleted vertex faces its first edge on its
+    second end and its second edge on its first end, so it joins the
+    class of each edge with that of the tau of the other."""
     w = frozenset(w)
     for v in w:
         if v not in g.vertices:
@@ -86,14 +123,33 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
         g.edges, g.tau, g.half_edges, g.s, g.t,
         [v for v in g.vertices if v not in isolated])
     if bivalent:
-        kept = [v for v in g1.vertices if v not in bivalent]
-        sub = substitute(GraphOfGraphs(g1, {
-            v: _deleted_stick(g1, v) if v in bivalent
-            else identity_piece(g1, v) for v in g1.vertices}))
-        target = sub.colimit
-        edge_corr = dict(sub.edge_class)
-        vmap = {v: ("p", v, "*") for v in kept}
-        hmap = {h: identity_half(v, h) for v in kept for h in g1.halves_at(v)}
+        s, tau = g1.s, g1.tau
+        members = {e: [("b", e)] for e in g1.edges}
+        ties, vmap, hmap = [], {}, {}
+        for v in g1.vertices:
+            if v in bivalent:
+                (h1, h2), tag = half_order(g1, v), ("del", v)
+                e1, e2 = s[h1], s[h2]
+                members[e1].append(("p", v, (tag, "2")))
+                members[tau[e1]].append(("p", v, (tag, "1")))
+                ties += [(e2, tau[e1]), (tau[e2], e1)]
+                continue
+            vmap[v] = ("p", v, "*")
+            for h in g1.halves_at(v):
+                x = ("p", repr(h))
+                e = s[h]
+                members[e].append(("p", v, ("in", x)))
+                members[tau[e]].append(("p", v, x))
+                hmap[h] = ("p", v, ("h", x))
+        edge_corr = _edge_classes(members, ties)
+        target = FeynmanGraph._trusted(
+            frozenset(edge_corr.values()),
+            {c: edge_corr[tau[e]] for e, c in edge_corr.items()},
+            frozenset(hmap.values()),
+            {hh: edge_corr[s[h]] for h, hh in hmap.items()},
+            {hh: vmap[g1.t[h]] for h, hh in hmap.items()},
+            frozenset(vmap.values()))
+        target._sorted_edges = _in_base_order(g1, edge_corr)
     else:
         target = g1
         edge_corr = {e: e for e in g1.edges}
@@ -177,12 +233,20 @@ def _component_homs(sub: FeynmanGraph, h: FeynmanGraph) -> list:
     return out
 
 
+def _components(g: FeynmanGraph) -> list:
+    """g.connected_components(), kept on g: hom_etale splits each source
+    once, for any target."""
+    if g._components is None:
+        g._components = g.connected_components()
+    return g._components
+
+
 def hom_etale(g: FeynmanGraph, h: FeynmanGraph) -> list:
     """All etale morphisms g -> h.  Their number, the product of the hom
     counts of g's components, is charged to FEYNGRAPH_MAX_SEARCH before
     any of them is built."""
     per = []
-    for sub in g.connected_components():
+    for sub in _components(g):
         homs = _component_homs(sub, h)
         if not homs:
             return []
@@ -200,6 +264,14 @@ def hom_etale(g: FeynmanGraph, h: FeynmanGraph) -> list:
 
 
 # -- pointed morphisms --------------------------------------------------------------
+
+def _texts(g: FeynmanGraph) -> dict:
+    """The idstr of each edge and vertex of g, kept on g, for the keys of
+    the pointed morphisms into and out of it."""
+    if g._texts is None:
+        g._texts = {x: idstr(x) for x in itertools.chain(g.edges, g.vertices)}
+    return g._texts
+
 
 @dataclass
 class PointedMorphism:
@@ -222,17 +294,18 @@ class PointedMorphism:
     def key(self):
         if self._key is None:
             d = self.similarity_part
-            # ids are written by idstr: the repr of a colimit edge follows
-            # hash order
-            em = tuple(sorted((idstr(x), idstr(self.edge_image(x)))
+            # ids are written by idstr (the repr of a colimit edge follows
+            # hash order), read from the tables of the source and target
+            src, tgt = _texts(self.source), _texts(self.target)
+            em = tuple(sorted((src[x], tgt[self.edge_image(x)])
                               for x in self.source.edges))
-            vm = tuple(sorted((idstr(v), idstr(self.vertex_image(v)))
+            vm = tuple(sorted((src[v], tgt[self.vertex_image(v)])
                               for v in d.vertex_map))
             fr = []
             for v in sort_ids(d.fresh_sticks):
-                ia, ib = sorted(map(idstr, self.fresh_images(v)))
-                fr.append((idstr(v), ia, ib))
-            self._key = (tuple(sorted(map(idstr, d.deleted))), em, vm,
+                ia, ib = sorted(tgt[x] for x in self.fresh_images(v))
+                fr.append((src[v], ia, ib))
+            self._key = (tuple(sorted(src[v] for v in d.deleted)), em, vm,
                          tuple(fr))
         return self._key
 
@@ -360,14 +433,16 @@ class TElem:
     colouring and a vertex decoration (element plus explicit half order).
 
     Immutable: colours and vdec are read-only, so a key computed once
-    stays valid; telem_key keeps it on the element, and TSpecies.act
-    keeps each permuted element on the element it permutes, so that a
-    permuted element is built, and keyed, once."""
+    stays valid; telem_key keeps it on the element, _kstr keeps its text
+    beside it, and TSpecies.act keeps each permuted element on the
+    element it permutes, so that a permuted element is built, keyed and
+    written once."""
     graph: FeynmanGraph
     ports: tuple                # position -> port edge
     colours: Mapping            # edge -> colour
     vdec: Mapping               # vertex -> (element, half order tuple)
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
+    _str: Optional[tuple] = field(default=None, init=False, repr=False)
     _acted: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -380,7 +455,21 @@ class TElem:
 
 
 def _kstr(S: SpeciesOps, elem) -> str:
-    return repr(S.key(elem))
+    """The text of S.key(elem).  A T-element keeps it beside its key, for
+    the inner species it was computed with: the key of a T S element
+    depends on S alone."""
+    if type(S) is not TSpecies:
+        return repr(S.key(elem))
+    memo = elem._str
+    if memo is not None and memo[0] is S.inner:
+        return memo[1]
+    text = repr(S.key(elem))
+    object.__setattr__(elem, "_str", (S.inner, text))
+    return text
+
+
+# certificate -> its repr, for the whole process: written once a shape
+_CERT_TEXTS: dict = {}
 
 
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
@@ -393,6 +482,9 @@ def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     tokens = {e: (repr(t.colours[e]), port_pos.get(e, -1))
               for e in t.graph.edges}
     cert, labs = canonical_labelings(t.graph, edge_tokens=tokens)
+    text = _CERT_TEXTS.get(cert)
+    if text is None:
+        text = _CERT_TEXTS[cert] = repr(cert)
     best = None
     for eidx, vidx in labs:
         vser = []
@@ -401,16 +493,27 @@ def telem_key(S: SpeciesOps, t: TElem) -> tuple:
             new_order = sorted(order, key=lambda hh: eidx[t.graph.s[hh]])
             perm = tuple(order.index(hh) for hh in new_order)
             vser.append((vidx[v], _kstr(S, S.act(elem, perm))))
-        cand = (repr(cert), tuple(sorted(vser)))
+        cand = (text, tuple(sorted(vser)))
         if best is None or cand < best:
             best = cand
     object.__setattr__(t, "_key", (S, best))
     return best
 
 
+def _built_once(S: SpeciesOps, n: int, build) -> list:
+    """S's elements of arity n, made by build(n) on the first call for S
+    and n: a later call runs no search, so spends no budget.  Each call
+    gets a list of its own."""
+    got = S._built.get(n)
+    if got is None:
+        got = S._built[n] = build(n)
+    return list(got)
+
+
 class TSpecies(SpeciesOps):
     """T S: connected admissible decorated graphs with ports as boundary,
-    bounded by vertex count and valency."""
+    bounded by vertex count and valency.  Like DSpecies and LSpecies, it
+    builds its elements of each arity once."""
 
     def __init__(self, inner: SpeciesOps, max_vertices: int = 2,
                  max_valency: int = 3):
@@ -419,8 +522,12 @@ class TSpecies(SpeciesOps):
         self.max_vertices = max_vertices
         self.max_valency = min(max_valency, inner.n_max)
         self.n_max = self.max_vertices * self.max_valency
+        self._built: dict = {}   # arity -> elements
 
     def elements(self, n):
+        return _built_once(self, n, self._build)
+
+    def _build(self, n):
         out, seen = [], set()
         for xg in enumerate_x_graphs(list(range(n)), self.max_vertices,
                                      self.max_valency):
@@ -467,6 +574,7 @@ class DSpecies(SpeciesOps):
         self.n_max = max(inner.n_max, 2)
         self.omega_fixed = sort_ids(
             [c for c in inner.palette.colours if inner.palette.omega[c] == c])
+        self._built: dict = {}   # arity -> elements
 
     def _orbit_classes(self):
         om = self.palette.omega
@@ -474,6 +582,9 @@ class DSpecies(SpeciesOps):
                       key=lambda s: sorted(map(repr, s)))
 
     def elements(self, n):
+        return _built_once(self, n, self._build)
+
+    def _build(self, n):
         out = [("b", x) for x in self.inner.elements(n)]
         if n == 2:
             out += [("eps", c) for c in sort_ids(self.palette.colours)]
@@ -516,6 +627,7 @@ class LSpecies(SpeciesOps):
         self.palette = inner.palette
         self.max_factors = max_factors
         self.n_max = n_max if n_max is not None else max_factors * inner.n_max
+        self._built: dict = {}   # arity -> elements
 
     def norm(self, factors):
         """The factors sorted by (block, key string of the element).  The
@@ -535,6 +647,9 @@ class LSpecies(SpeciesOps):
         return tuple(out)
 
     def elements(self, n):
+        return _built_once(self, n, self._build)
+
+    def _build(self, n):
         out, seen = [], set()
         for blocks in _set_partitions(list(range(n))):
             if len(blocks) > self.max_factors:
@@ -615,15 +730,70 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     return TElem(g, tuple(range(n)), colours, {"*": (x, order)})
 
 
+def _glue_pieces(g: FeynmanGraph, pieces: dict) -> tuple:
+    """The substitution colimit of pieces {v: (piece, boundary)} into g,
+    built directly, with the ids of substitute: (colimit, edge_class,
+    piece_edge), as in its Substitution.
+
+    Each edge e of g gives one class: ("b", e), the piece edge facing the
+    port whose half lies on e, and the port whose half lies on tau e.  A
+    port that faces another port of its piece joins two such classes;
+    every other piece edge is a class of its own.  Pieces that
+    GraphOfGraphs rejects raise its InvalidGraphOfGraphs."""
+    check_pieces(g, pieces)
+    s, tau = g.s, g.tau
+    members = {e: [("b", e)] for e in g.edges}
+    home = {}   # piece edge that meets an edge of g -> that edge
+    ties = []
+    for v, (piece, boundary) in pieces.items():
+        for p, h in boundary.items():
+            e = s[h]
+            for x, f in ((("p", v, piece.tau[p]), e), (("p", v, p), tau[e])):
+                if x in home:
+                    ties.append((home[x], f))
+                else:
+                    home[x] = f
+                    members[f].append(x)
+    edge_class = _edge_classes(members, ties)
+    ctau = {c: edge_class[tau[e]] for e, c in edge_class.items()}
+    piece_edge, alone, halves, hs, ht, verts = {}, [], [], {}, {}, []
+    for v, (piece, _) in pieces.items():
+        for pe in piece.edges:
+            f = home.get(("p", v, pe))
+            if f is None:
+                c = piece_edge[(v, pe)] = frozenset({("p", v, pe)})
+                alone.append((("p", v, pe), c))
+            else:
+                piece_edge[(v, pe)] = edge_class[f]
+        # a piece edge that meets no edge of g faces one that meets none
+        for pe in piece.edges:
+            if ("p", v, pe) not in home:
+                ctau[piece_edge[(v, pe)]] = piece_edge[(v, piece.tau[pe])]
+        for h in piece.half_edges:
+            hh = ("p", v, h)
+            halves.append(hh)
+            hs[hh] = piece_edge[(v, piece.s[h])]
+            ht[hh] = ("p", v, piece.t[h])
+        verts += [("p", v, w) for w in piece.vertices]
+    colimit = FeynmanGraph._trusted(frozenset(ctau), ctau, frozenset(halves),
+                                    hs, ht, frozenset(verts))
+    # a class of one piece edge sorts after every class with a base edge
+    alone.sort(key=lambda xc: idkey(xc[0]))
+    colimit._sorted_edges = _in_base_order(g, edge_class) + tuple(
+        c for _, c in alone)
+    return colimit, edge_class, piece_edge
+
+
 def mu_T(TS: TSpecies, t: TElem) -> TElem:
     """Substitution: t is decorated by TS elements; glue the piece graphs
-    into the base."""
+    into the base (_glue_pieces)."""
+    g = t.graph
     pieces = {}
-    for v in t.graph.vertices:
+    for v in g.vertices:
         tv, order = t.vdec[v]
         pieces[v] = (tv.graph, {tv.ports[i]: order[i]
                                 for i in range(len(order))})
-    sub = substitute(GraphOfGraphs(t.graph, pieces))
+    colimit, edge_class, piece_edge = _glue_pieces(g, pieces)
     colours = {}
 
     def put(e, c):
@@ -632,17 +802,17 @@ def mu_T(TS: TSpecies, t: TElem) -> TElem:
         colours[e] = c
 
     for e, c in t.colours.items():
-        put(sub.edge_class[e], c)
+        put(edge_class[e], c)
     vdec = {}
-    for v in t.graph.vertices:
+    for v in g.vertices:
         tv, _ = t.vdec[v]
         for pe, c in tv.colours.items():
-            put(sub.piece_edge[(v, pe)], c)
+            put(piece_edge[(v, pe)], c)
         for wv in tv.graph.vertices:
             elem, order = tv.vdec[wv]
             vdec[("p", v, wv)] = (elem, tuple(("p", v, hh) for hh in order))
-    ports = tuple(sub.edge_class[e] for e in t.ports)
-    return TElem(sub.colimit, ports, colours, vdec)
+    ports = tuple(edge_class[e] for e in t.ports)
+    return TElem(colimit, ports, colours, vdec)
 
 
 def eta_D(x):
@@ -811,6 +981,7 @@ def law_LT(S: SpeciesOps, t: TElem):
             edges, {c: ctau[c] for c in cs},
             frozenset(hh for hh, _, _ in hs), {hh: c for hh, c, _ in hs},
             {hh: fv for hh, _, fv in hs}, frozenset(fvs))
+        comp._sorted_edges = tuple(cs)   # in idkey order, as said above
         block = tuple(i for i, c in enumerate(port_class) if c in edges)
         factors.append((block, TElem(
             comp, tuple(port_class[i] for i in block),

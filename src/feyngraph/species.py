@@ -22,6 +22,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import (
     ColourMismatch,
+    FeynGraphError,
     FormatError,
     GraphInvariantError,
     InvalidGraphOfGraphs,
@@ -480,14 +481,24 @@ def _pools(A: CircuitAlgebraOps, max_arity: Optional[int]):
 _UNSET = object()
 
 
+class _Raised:
+    """What an operation raised, kept in a _PoolOps memo."""
+    __slots__ = ("error",)
+
+    def __init__(self, error: FeynGraphError):
+        self.error = error
+
+
 class _PoolOps:
     """lab_box, lab_zeta and the derived multiplication on one check's pool
     elements and on their results, each computed once for the check.
 
     Pool elements live for the whole check, and so do the results kept
     here, so both are keyed by identity; only pool elements and results
-    returned by this object may be passed.  An operation that raises is
-    not stored, so it raises again at every instance that needs it."""
+    returned by this object may be passed.  An operation that raises a
+    library error is run once too: its error is kept, and each later
+    call raises a fresh error of the same type and args, so that no
+    traceback grows from one instance to the next."""
 
     def __init__(self, A: CircuitAlgebraOps):
         self.A = A
@@ -501,7 +512,13 @@ class _PoolOps:
             memo = self._memo[id(a)] = {}
         r = memo.get(key, _UNSET)
         if r is _UNSET:
-            r = memo[key] = fn(*args)
+            try:
+                r = memo[key] = fn(*args)
+            except FeynGraphError as exc:
+                memo[key] = _Raised(exc)
+                raise
+        elif type(r) is _Raised:
+            raise type(r.error)(*r.error.args)
         return r
 
     def box(self, a: Labeled, b: Labeled) -> Optional[Labeled]:
@@ -509,7 +526,7 @@ class _PoolOps:
         memo = self._memo.get(id(a))
         if memo is not None:
             r = memo.get(id(b), _UNSET)
-            if r is not _UNSET:
+            if r is not _UNSET and type(r) is not _Raised:
                 return r
         return self._once(a, id(b), self.A.lab_box, a, b)
 

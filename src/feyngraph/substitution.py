@@ -90,17 +90,7 @@ class GraphOfGraphs:
         # nerve.restrict_kleisli's piece programs by vertex; not part of
         # the value
         self.programs = {}
-        if set(self.pieces) != set(base.vertices):
-            raise InvalidGraphOfGraphs("need exactly one piece per base vertex")
-        for v in base.vertices:
-            piece, boundary = self.pieces[v]
-            halves = set(base.halves_at(v))
-            if set(boundary) != set(piece.ports):
-                raise InvalidGraphOfGraphs(f"boundary at {v!r} must cover the piece ports")
-            if set(boundary.values()) != halves or len(boundary) != len(halves):
-                raise InvalidGraphOfGraphs(f"boundary at {v!r} must biject onto H_v")
-            if not piece.edges and not piece.vertices and halves:
-                raise InvalidGraphOfGraphs("empty piece only allowed at an isolated vertex")
+        check_pieces(base, self.pieces)
 
     @classmethod
     def identity(cls, base: FeynmanGraph) -> "GraphOfGraphs":
@@ -109,6 +99,23 @@ class GraphOfGraphs:
 
     def is_nondegenerate(self) -> bool:
         return all(not piece.stick_components() for piece, _ in self.pieces.values())
+
+
+def check_pieces(base: FeynmanGraph, pieces: Mapping[Any, tuple]) -> None:
+    """Raise InvalidGraphOfGraphs unless pieces holds one piece per vertex
+    of base whose boundary maps its ports bijectively onto the halves at
+    that vertex, and only an isolated vertex has an empty piece."""
+    if set(pieces) != set(base.vertices):
+        raise InvalidGraphOfGraphs("need exactly one piece per base vertex")
+    for v in base.vertices:
+        piece, boundary = pieces[v]
+        halves = set(base.halves_at(v))
+        if set(boundary) != set(piece.ports):
+            raise InvalidGraphOfGraphs(f"boundary at {v!r} must cover the piece ports")
+        if set(boundary.values()) != halves or len(boundary) != len(halves):
+            raise InvalidGraphOfGraphs(f"boundary at {v!r} must biject onto H_v")
+        if not piece.edges and not piece.vertices and halves:
+            raise InvalidGraphOfGraphs("empty piece only allowed at an isolated vertex")
 
 
 def identity_piece(g: FeynmanGraph, v) -> tuple:

@@ -9,18 +9,43 @@ from __future__ import annotations
 import itertools
 import math
 
-from feyngraph.errors import ColourMismatch, FormatError, OutOfBounds
+from feyngraph.errors import (BadParameter, ColourMismatch, FormatError,
+                              OutOfBounds)
 from feyngraph.graphs import FeynmanGraph, idkey, sort_ids
 from feyngraph.species import Decoration, half_order
 
 
+def _brute_not_an_id(x) -> BadParameter:
+    return BadParameter(f"id {x!r} is not a str, an int, or a tuple or "
+                        "frozenset of ids")
+
+
 def brute_idkey(x) -> tuple:
-    """The sort key of an id, recomputed from its members on every call."""
-    if isinstance(x, tuple):
+    """The sort key of an id, recomputed from its members on every call;
+    BadParameter for an atom that is not a str or an int."""
+    if type(x) is tuple:
         return (1, tuple(brute_idkey(y) for y in x))
-    if isinstance(x, frozenset):
+    if type(x) is frozenset:
         return (0, "frozenset", tuple(sorted(brute_idkey(y) for y in x)))
-    return (0, type(x).__name__, repr(x))
+    if type(x) in (str, int):
+        return (0, type(x).__name__, repr(x))
+    raise _brute_not_an_id(x)
+
+
+def brute_idstr(x) -> str:
+    """The key text of an id, recomputed from its members on every call:
+    its repr, with a frozenset's members in brute_idkey order."""
+    if type(x) in (str, int):
+        return repr(x)
+    if type(x) is tuple:
+        parts = [brute_idstr(y) for y in x]
+        return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+    if type(x) is frozenset:
+        if not x:
+            return "frozenset()"
+        return "frozenset({" + ", ".join(
+            brute_idstr(y) for y in sorted(x, key=brute_idkey)) + "})"
+    raise _brute_not_an_id(x)
 
 
 def brute_isomorphic(g: FeynmanGraph, h: FeynmanGraph,
@@ -837,6 +862,92 @@ def brute_t_associativity(S, max_arity=1, max_vertices=2,
             if TS.key(lhs) != TS.key(rhs):
                 _brute_note(violations, "T-assoc", TS.key(lhs), TS.key(rhs))
     return _brute_report(violations, checked)
+
+
+# -- substitution colimits -----------------------------------------------------------
+#
+# mu_T and delete_vertices as they were before they built their colimits
+# directly: a graph of graphs, substituted by the general union-find
+# colimit.  Each returns the substitution with its result, so that the
+# edge classes can be compared too.
+
+
+def brute_mu_T(TS, t):
+    """(mu_T(TS, t), the substitution it is the colimit of)."""
+    from feyngraph.errors import ColourMismatch
+    from feyngraph.monads import TElem
+    from feyngraph.substitution import GraphOfGraphs, substitute
+
+    pieces = {}
+    for v in t.graph.vertices:
+        tv, order = t.vdec[v]
+        pieces[v] = (tv.graph, {tv.ports[i]: order[i]
+                                for i in range(len(order))})
+    sub = substitute(GraphOfGraphs(t.graph, pieces))
+    colours = {}
+
+    def put(e, c):
+        if e in colours and colours[e] != c:
+            raise ColourMismatch("inconsistent colours in substitution")
+        colours[e] = c
+
+    for e, c in t.colours.items():
+        put(sub.edge_class[e], c)
+    vdec = {}
+    for v in t.graph.vertices:
+        tv, _ = t.vdec[v]
+        for pe, c in tv.colours.items():
+            put(sub.piece_edge[(v, pe)], c)
+        for wv in tv.graph.vertices:
+            elem, order = tv.vdec[wv]
+            vdec[("p", v, wv)] = (elem, tuple(("p", v, hh) for hh in order))
+    ports = tuple(sub.edge_class[e] for e in t.ports)
+    return TElem(sub.colimit, ports, colours, vdec), sub
+
+
+def brute_delete_vertices(g: FeynmanGraph, w):
+    """delete_vertices(g, w) through substitute: a stick at each deleted
+    bivalent vertex, the identity corolla at every other vertex."""
+    from feyngraph.errors import NotDeletable
+    from feyngraph.monads import VertexDeletion, _deleted_stick
+    from feyngraph.substitution import (GraphOfGraphs, identity_half,
+                                        identity_piece, substitute)
+
+    w = frozenset(w)
+    for v in w:
+        if v not in g.vertices:
+            raise NotDeletable(f"unknown vertex {v!r}")
+        if g.valency(v) not in (0, 2):
+            raise NotDeletable(f"vertex {v!r} has valency {g.valency(v)}")
+    isolated = {v for v in w if g.valency(v) == 0}
+    bivalent = w - isolated
+    g1 = g if not isolated else FeynmanGraph(
+        g.edges, g.tau, g.half_edges, g.s, g.t,
+        [v for v in g.vertices if v not in isolated])
+    if bivalent:
+        kept = [v for v in g1.vertices if v not in bivalent]
+        sub = substitute(GraphOfGraphs(g1, {
+            v: _deleted_stick(g1, v) if v in bivalent
+            else identity_piece(g1, v) for v in g1.vertices}))
+        target = sub.colimit
+        edge_corr = dict(sub.edge_class)
+        vmap = {v: ("p", v, "*") for v in kept}
+        hmap = {h: identity_half(v, h) for v in kept for h in g1.halves_at(v)}
+    else:
+        target = g1
+        edge_corr = {e: e for e in g1.edges}
+        vmap = {v: v for v in g1.vertices}
+        hmap = {h: h for h in g1.half_edges}
+    fresh = {}
+    for v in sort_ids(isolated):
+        e1, e2 = (("z", v), "1"), (("z", v), "2")
+        tau = target.tau.copy()
+        tau[e1], tau[e2] = e2, e1
+        target = FeynmanGraph(target.edges | {e1, e2}, tau,
+                              target.half_edges, target.s, target.t,
+                              target.vertices)
+        fresh[v] = (e1, e2)
+    return VertexDeletion(g, w, target, edge_corr, hmap, vmap, fresh)
 
 
 # -- distributive laws ---------------------------------------------------------------

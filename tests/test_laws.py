@@ -328,6 +328,7 @@ def test_law_lt_components_equal_validated_graphs(species):
                 (h.edges, h.half_edges, h.vertices, h.ports)
             assert (dict(g.tau), dict(g.s), dict(g.t)) == \
                 (dict(h.tau), dict(h.s), dict(h.t))
+            assert g.sorted_edges == h.sorted_edges
             assert all(g.halves_at(v) == h.halves_at(v) for v in g.vertices)
             assert all(g.half_of_edge(e) == h.half_of_edge(e)
                        for e in g.edges)
@@ -356,7 +357,6 @@ def test_law_lt_builds_no_colimit_and_validates_no_component(monkeypatch):
         validate(g)
 
     monkeypatch.setattr(monads, "law_LT", watched)
-    monkeypatch.setattr(monads, "substitute", counting)
     monkeypatch.setattr(substitution, "substitute", counting)
     monkeypatch.setattr(FeynmanGraph, "_validate", recording)
     check_beck("lt", SPECIES["K"], **BOUNDS["lt"])

@@ -9,6 +9,10 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +21,8 @@ from hypothesis import strategies as st
 from feyngraph.errors import BadParameter, FormatError
 from feyngraph.graphs import (FeynmanGraph, canonical_form,
                               canonical_labelings, corolla, disjoint_union,
-                              idkey, is_isomorphic, line, sort_ids, stick,
-                              validate_graph, wheel)
+                              idkey, idstr, is_isomorphic, line, sort_ids,
+                              stick, validate_graph, wheel)
 from feyngraph.io import graph_from_json
 from feyngraph.monads import TElem, TSpecies, telem_key
 from feyngraph.species import Labeled, SpeciesOps
@@ -26,7 +30,7 @@ from feyngraph.substitution import enumerate_x_graphs
 
 from helpers_nerve import theta
 from helpers_species import TWO, tuple_algebra
-from oracles import brute_idkey, brute_isomorphic
+from oracles import brute_idkey, brute_idstr, brute_isomorphic
 
 graphs = importlib.import_module("feyngraph.graphs")
 
@@ -163,6 +167,76 @@ def test_memoised_idkey_equals_idkey_from_scratch(ids, data):
     for x in data.draw(st.permutations(ids)):
         assert idkey(x) == brute_idkey(x)
     assert sort_ids(ids) == sorted(ids, key=brute_idkey)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(IDS, max_size=12), data=st.data())
+def test_memoised_idstr_equals_idstr_from_scratch(ids, data):
+    for x in data.draw(st.permutations(ids)):
+        assert idstr(x) == brute_idstr(x)
+        assert idkey(x) == brute_idkey(x)
+
+
+@st.composite
+def twins(draw):
+    """An id with an atom 0 or 1 at some depth, and the same id with that
+    atom replaced by an equal bool or float: the two are equal and hash
+    alike, but only the first is an id."""
+    n = draw(st.sampled_from([0, 1]))
+    good, bad = n, draw(st.sampled_from([x for x in (True, False, 1.0, 0.0)
+                                         if x == n]))
+    for _ in range(draw(st.integers(0, 3))):
+        # no other member may equal the atom's layer, or a frozenset
+        # would keep only one of the two
+        others = [x for x in draw(st.lists(IDS, max_size=2)) if x != good]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(others)))
+            good = tuple(others[:i] + [good] + others[i:])
+            bad = tuple(others[:i] + [bad] + others[i:])
+        else:
+            good, bad = frozenset(others + [good]), frozenset(others + [bad])
+    return good, bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=twins(), good_first=st.booleans())
+def test_a_hit_tells_ints_from_bools_and_floats(pair, good_first):
+    """Whichever of the two the memos see first, the id gets its own key
+    and text and its twin raises BadParameter."""
+    good, bad = pair
+    assert good == bad and hash(good) == hash(bad)
+    for x in ([good, bad] if good_first else [bad, good]):
+        if x is good:
+            assert idkey(x) == brute_idkey(x)
+            assert idstr(x) == brute_idstr(x)
+            continue
+        for fn in (idkey, idstr, brute_idkey, brute_idstr):
+            with pytest.raises(BadParameter):
+                fn(x)
+
+
+IDSTR_SCRIPT = ("import sys; from feyngraph.graphs import idstr; "
+                "print(repr([idstr(x) for x in eval(sys.stdin.read())]))")
+
+
+@settings(max_examples=5, deadline=None)
+@given(ids=st.lists(IDS | st.frozensets(IDS, min_size=2, max_size=4),
+                    min_size=1, max_size=20))
+def test_idstr_does_not_depend_on_the_hash_seed(ids):
+    """The text of a frozenset lists its members in idkey order, not in
+    the hash order of the process: two fresh processes under different
+    PYTHONHASHSEEDs write every id as the oracle does."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    texts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-c", IDSTR_SCRIPT],
+                             input=repr(ids), env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        texts.append(run.stdout)
+    assert texts[0] == texts[1] == repr([brute_idstr(x) for x in ids]) + "\n"
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, None, ("a", (True,))])

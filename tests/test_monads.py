@@ -2,6 +2,7 @@
 and the free circuit algebra."""
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from feyngraph import monads
 from feyngraph.errors import ColourMismatch, NotDeletable, OutOfBounds
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union,
-                              disjoint_union_all, is_isomorphic,
+                              disjoint_union_all, idstr, is_isomorphic,
                               isolated_vertex, line, stick, wheel)
 from feyngraph.monads import (FreeCircuitAlgebra, TSpecies, DSpecies,
                               LSpecies, VertexDeletion, check_beck,
@@ -200,6 +201,41 @@ def test_pointed_homs_match_the_chain_oracle():
             assert got == brute_hom_pointed(g, h)
             morphisms += len(got)
     assert morphisms > 1000
+
+
+# sha256 of the keys and etale edge maps of every hom_pointed(g, h) over
+# _pointed_graphs, computed when hom_etale split its source and key()
+# wrote every id afresh on each call
+POINTED_SHA256 = \
+    "6a3d4860bb341a78e71f3b0d124b7520b115aaeb8fd4ecc971e8f3ae3b8873f0"
+
+
+def test_pointed_homs_split_each_graph_once(monkeypatch):
+    """hom_etale keeps a graph's components on it, and the keys read the
+    id texts of each graph from one table: connected_components runs once
+    for each distinct graph split (3,840 times on 120 deletion targets
+    when it ran on every call), and the morphisms are unchanged."""
+    split, calls, kept = FeynmanGraph.connected_components, {}, []
+
+    def counting(g):
+        calls[id(g)] = calls.get(id(g), 0) + 1
+        kept.append(g)   # no id is reused
+        return split(g)
+
+    monkeypatch.setattr(FeynmanGraph, "connected_components", counting)
+    graphs = _pointed_graphs()
+    lines = []
+    for g in graphs:
+        for h in graphs:
+            for pm in hom_pointed(g, h):
+                lines.append(repr(pm.key()))
+                lines.append(repr(sorted(
+                    (idstr(a), idstr(b))
+                    for a, b in pm.etale_part.edge_map.items())))
+    assert len(lines) == 26288
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        POINTED_SHA256
+    assert set(calls.values()) == {1}
 
 
 @settings(max_examples=25, deadline=None)
