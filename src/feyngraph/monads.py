@@ -6,16 +6,15 @@ D adjoins formal units/contracted units at arities 2 and 0, and L builds
 free graded commutative monoids (disjoint unions).  Each is described
 once: a species constructor, a unit eta_*, a multiplication mu_* and a
 functor map _fmap_*.  Each species object builds its elements of an
-arity once.  mu_T, delete_vertices and law_LT write their substitution
-colimits down directly, with the ids that substitute gives.  Each monad
-law is stated once over that description, and check_beck states Beck's
-four axioms once, for any law lambda: A B => B A.  check_monad_laws,
-check_t_associativity, check_beck and yang_baxter_sweep run their
-instances, the elements of each law's domain arity by arity, through
-species._sweep, the one sweep of every axiom checker.  An L element's
-key ignores the order of its factors, so L values are normed only where
-they are built, not to be compared.  The composite L.D.T carries a
-circuit-algebra structure; see FreeCircuitAlgebra.
+arity once.  Each monad law is stated once over that description, and
+check_beck states Beck's four axioms once, for any law lambda: A B =>
+B A.  check_monad_laws, check_t_associativity, check_beck and
+yang_baxter_sweep run their instances, the elements of each law's domain
+arity by arity, through species._sweep, the one sweep of every axiom
+checker.  An L element's key ignores the order of its factors, so L
+values are normed only where they are built, not to be compared.  The
+composite L.D.T carries a circuit-algebra structure; see
+FreeCircuitAlgebra.
 """
 from __future__ import annotations
 
@@ -32,7 +31,8 @@ from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
                      idkey, idstr, read_only, sort_ids, stick, tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _sweep,
                       evaluate_species, half_order)
-from .substitution import SearchBudget, check_pieces, enumerate_x_graphs
+from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
+                           identity_half, identity_piece, substitute)
 
 __all__ = [
     "VertexDeletion", "PointedMorphism", "FreeElement", "TElem",
@@ -72,43 +72,10 @@ def _deleted_stick(g: FeynmanGraph, v) -> tuple:
     return piece, {(("del", v), "1"): h1, (("del", v), "2"): h2}
 
 
-def _edge_classes(members: dict, ties: list) -> dict:
-    """The edge classes of a substitution colimit on a base graph, built
-    directly: each base edge e -> the frozenset of members[e], which holds
-    ("b", e) and the piece edges that meet it, merged with the class of f
-    for each tie (e, f) through one _UF pass.  In the order of members.
-
-    A class sorts by its least base edge: ("b", e) sorts before every
-    ("p", ...) member, so the classes in the order in which the base's
-    sorted edges first meet them are in idkey order, and the colimit
-    takes that order as its sorted_edges (_in_base_order)."""
-    if not ties:
-        return {e: frozenset(m) for e, m in members.items()}
-    uf = _UF()
-    for e in members:
-        uf.add(e)
-    for e, f in ties:
-        uf.union(e, f)
-    merged = {r: frozenset(x for e in group for x in members[e])
-              for r, group in uf.classes().items()}
-    return {e: merged[uf.find(e)] for e in members}
-
-
-def _in_base_order(base: FeynmanGraph, edge_class: dict) -> tuple:
-    """The classes of _edge_classes in idkey order."""
-    return tuple(dict.fromkeys(edge_class[e] for e in base.sorted_edges))
-
-
 def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
-    """Delete the bivalent and isolated vertices w of g.
-
-    The colimit of substituting _deleted_stick at each deleted bivalent
-    vertex and identity_piece at every other vertex is built directly,
-    with the ids of substitute and of those pieces, written out here.
-    Each edge e of g gives one class: ("b", e) and the corolla edges that
-    meet it.  The stick at a deleted vertex faces its first edge on its
-    second end and its second edge on its first end, so it joins the
-    class of each edge with that of the tau of the other."""
+    """Delete the bivalent and isolated vertices w of g: substitute
+    _deleted_stick at each deleted bivalent vertex and identity_piece at
+    every other vertex."""
     w = frozenset(w)
     for v in w:
         if v not in g.vertices:
@@ -123,33 +90,14 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
         g.edges, g.tau, g.half_edges, g.s, g.t,
         [v for v in g.vertices if v not in isolated])
     if bivalent:
-        s, tau = g1.s, g1.tau
-        members = {e: [("b", e)] for e in g1.edges}
-        ties, vmap, hmap = [], {}, {}
-        for v in g1.vertices:
-            if v in bivalent:
-                (h1, h2), tag = half_order(g1, v), ("del", v)
-                e1, e2 = s[h1], s[h2]
-                members[e1].append(("p", v, (tag, "2")))
-                members[tau[e1]].append(("p", v, (tag, "1")))
-                ties += [(e2, tau[e1]), (tau[e2], e1)]
-                continue
-            vmap[v] = ("p", v, "*")
-            for h in g1.halves_at(v):
-                x = ("p", repr(h))
-                e = s[h]
-                members[e].append(("p", v, ("in", x)))
-                members[tau[e]].append(("p", v, x))
-                hmap[h] = ("p", v, ("h", x))
-        edge_corr = _edge_classes(members, ties)
-        target = FeynmanGraph._trusted(
-            frozenset(edge_corr.values()),
-            {c: edge_corr[tau[e]] for e, c in edge_corr.items()},
-            frozenset(hmap.values()),
-            {hh: edge_corr[s[h]] for h, hh in hmap.items()},
-            {hh: vmap[g1.t[h]] for h, hh in hmap.items()},
-            frozenset(vmap.values()))
-        target._sorted_edges = _in_base_order(g1, edge_corr)
+        kept = [v for v in g1.vertices if v not in bivalent]
+        sub = substitute(GraphOfGraphs(g1, {
+            v: _deleted_stick(g1, v) if v in bivalent
+            else identity_piece(g1, v) for v in g1.vertices}))
+        target = sub.colimit
+        edge_corr = sub.edge_class
+        vmap = {v: ("p", v, "*") for v in kept}
+        hmap = {h: identity_half(v, h) for v in kept for h in g1.halves_at(v)}
     else:
         target = g1
         edge_corr = {e: e for e in g1.edges}
@@ -468,10 +416,6 @@ def _kstr(S: SpeciesOps, elem) -> str:
     return text
 
 
-# certificate -> its repr, for the whole process: written once a shape
-_CERT_TEXTS: dict = {}
-
-
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     """Canonical key of a decorated graph: minimum over all colour- and
     port-preserving canonical labelings of the transported decoration.
@@ -482,9 +426,7 @@ def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     tokens = {e: (repr(t.colours[e]), port_pos.get(e, -1))
               for e in t.graph.edges}
     cert, labs = canonical_labelings(t.graph, edge_tokens=tokens)
-    text = _CERT_TEXTS.get(cert)
-    if text is None:
-        text = _CERT_TEXTS[cert] = repr(cert)
+    text = repr(cert)   # once, not once per labelling
     best = None
     for eidx, vidx in labs:
         vser = []
@@ -730,70 +672,17 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     return TElem(g, tuple(range(n)), colours, {"*": (x, order)})
 
 
-def _glue_pieces(g: FeynmanGraph, pieces: dict) -> tuple:
-    """The substitution colimit of pieces {v: (piece, boundary)} into g,
-    built directly, with the ids of substitute: (colimit, edge_class,
-    piece_edge), as in its Substitution.
-
-    Each edge e of g gives one class: ("b", e), the piece edge facing the
-    port whose half lies on e, and the port whose half lies on tau e.  A
-    port that faces another port of its piece joins two such classes;
-    every other piece edge is a class of its own.  Pieces that
-    GraphOfGraphs rejects raise its InvalidGraphOfGraphs."""
-    check_pieces(g, pieces)
-    s, tau = g.s, g.tau
-    members = {e: [("b", e)] for e in g.edges}
-    home = {}   # piece edge that meets an edge of g -> that edge
-    ties = []
-    for v, (piece, boundary) in pieces.items():
-        for p, h in boundary.items():
-            e = s[h]
-            for x, f in ((("p", v, piece.tau[p]), e), (("p", v, p), tau[e])):
-                if x in home:
-                    ties.append((home[x], f))
-                else:
-                    home[x] = f
-                    members[f].append(x)
-    edge_class = _edge_classes(members, ties)
-    ctau = {c: edge_class[tau[e]] for e, c in edge_class.items()}
-    piece_edge, alone, halves, hs, ht, verts = {}, [], [], {}, {}, []
-    for v, (piece, _) in pieces.items():
-        for pe in piece.edges:
-            f = home.get(("p", v, pe))
-            if f is None:
-                c = piece_edge[(v, pe)] = frozenset({("p", v, pe)})
-                alone.append((("p", v, pe), c))
-            else:
-                piece_edge[(v, pe)] = edge_class[f]
-        # a piece edge that meets no edge of g faces one that meets none
-        for pe in piece.edges:
-            if ("p", v, pe) not in home:
-                ctau[piece_edge[(v, pe)]] = piece_edge[(v, piece.tau[pe])]
-        for h in piece.half_edges:
-            hh = ("p", v, h)
-            halves.append(hh)
-            hs[hh] = piece_edge[(v, piece.s[h])]
-            ht[hh] = ("p", v, piece.t[h])
-        verts += [("p", v, w) for w in piece.vertices]
-    colimit = FeynmanGraph._trusted(frozenset(ctau), ctau, frozenset(halves),
-                                    hs, ht, frozenset(verts))
-    # a class of one piece edge sorts after every class with a base edge
-    alone.sort(key=lambda xc: idkey(xc[0]))
-    colimit._sorted_edges = _in_base_order(g, edge_class) + tuple(
-        c for _, c in alone)
-    return colimit, edge_class, piece_edge
-
-
 def mu_T(TS: TSpecies, t: TElem) -> TElem:
     """Substitution: t is decorated by TS elements; glue the piece graphs
-    into the base (_glue_pieces)."""
+    into the base."""
     g = t.graph
     pieces = {}
     for v in g.vertices:
         tv, order = t.vdec[v]
         pieces[v] = (tv.graph, {tv.ports[i]: order[i]
                                 for i in range(len(order))})
-    colimit, edge_class, piece_edge = _glue_pieces(g, pieces)
+    sub = substitute(GraphOfGraphs(g, pieces))
+    edge_class, piece_edge = sub.edge_class, sub.piece_edge
     colours = {}
 
     def put(e, c):
@@ -812,7 +701,7 @@ def mu_T(TS: TSpecies, t: TElem) -> TElem:
             elem, order = tv.vdec[wv]
             vdec[("p", v, wv)] = (elem, tuple(("p", v, hh) for hh in order))
     ports = tuple(edge_class[e] for e in t.ports)
-    return TElem(colimit, ports, colours, vdec)
+    return TElem(sub.colimit, ports, colours, vdec)
 
 
 def eta_D(x):

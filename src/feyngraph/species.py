@@ -482,11 +482,22 @@ _UNSET = object()
 
 
 class _Raised:
-    """What an operation raised, kept in a _PoolOps memo."""
-    __slots__ = ("error",)
+    """What an operation raised, kept in a _PoolOps memo: the type, args
+    and text of the error, not the error, whose traceback holds the
+    frames it passed through."""
+    __slots__ = ("type", "args", "text")
 
     def __init__(self, error: FeynGraphError):
-        self.error = error
+        self.type, self.args, self.text = type(error), error.args, str(error)
+
+    def rebuilt(self) -> Optional[FeynGraphError]:
+        """A fresh error of the kept type and text, built from the kept
+        args; None for an error type that its args do not rebuild."""
+        try:
+            error = self.type(*self.args)
+        except TypeError:
+            return None
+        return error if str(error) == self.text else None
 
 
 class _PoolOps:
@@ -496,9 +507,12 @@ class _PoolOps:
     Pool elements live for the whole check, and so do the results kept
     here, so both are keyed by identity; only pool elements and results
     returned by this object may be passed.  An operation that raises a
-    library error is run once too: its error is kept, and each later
-    call raises a fresh error of the same type and args, so that no
-    traceback grows from one instance to the next."""
+    library error is run once too: the error's type, args and text are
+    kept, and each later call raises a fresh error rebuilt from its
+    args, so that no traceback is kept or grows from one instance to the
+    next.  An error type that its args do not rebuild (its __init__
+    takes other arguments, or writes its text from them) runs the
+    operation again instead."""
 
     def __init__(self, A: CircuitAlgebraOps):
         self.A = A
@@ -518,7 +532,10 @@ class _PoolOps:
                 memo[key] = _Raised(exc)
                 raise
         elif type(r) is _Raised:
-            raise type(r.error)(*r.error.args)
+            error = r.rebuilt()
+            if error is None:
+                return fn(*args)
+            raise error
         return r
 
     def box(self, a: Labeled, b: Labeled) -> Optional[Labeled]:

@@ -3,9 +3,8 @@ enumeration of X-graphs up to labeled isomorphism.
 
 A graph of graphs assigns a boundary-matched piece to each vertex of a
 base graph (sticks go to sticks).  Its colimit performs substitution:
-the union-find identifies each base edge copy with the matching piece
-port, so base edges survive and piece inner structure is inserted at the
-vertices.
+each base edge is identified with the matching piece port, so base edges
+survive and piece inner structure is inserted at the vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import BadParameter, BoundsTooLarge, InvalidGraphOfGraphs
-from .graphs import FeynmanGraph, _UF, canonical_labelings, corolla
+from .graphs import FeynmanGraph, _UF, canonical_labelings, corolla, idkey
 
 DEFAULT_MAX_SEARCH = 10 ** 7
 
@@ -90,7 +89,17 @@ class GraphOfGraphs:
         # nerve.restrict_kleisli's piece programs by vertex; not part of
         # the value
         self.programs = {}
-        check_pieces(base, self.pieces)
+        if set(self.pieces) != set(base.vertices):
+            raise InvalidGraphOfGraphs("need exactly one piece per base vertex")
+        for v in base.vertices:
+            piece, boundary = self.pieces[v]
+            halves = set(base.halves_at(v))
+            if set(boundary) != set(piece.ports):
+                raise InvalidGraphOfGraphs(f"boundary at {v!r} must cover the piece ports")
+            if set(boundary.values()) != halves or len(boundary) != len(halves):
+                raise InvalidGraphOfGraphs(f"boundary at {v!r} must biject onto H_v")
+            if not piece.edges and not piece.vertices and halves:
+                raise InvalidGraphOfGraphs("empty piece only allowed at an isolated vertex")
 
     @classmethod
     def identity(cls, base: FeynmanGraph) -> "GraphOfGraphs":
@@ -99,23 +108,6 @@ class GraphOfGraphs:
 
     def is_nondegenerate(self) -> bool:
         return all(not piece.stick_components() for piece, _ in self.pieces.values())
-
-
-def check_pieces(base: FeynmanGraph, pieces: Mapping[Any, tuple]) -> None:
-    """Raise InvalidGraphOfGraphs unless pieces holds one piece per vertex
-    of base whose boundary maps its ports bijectively onto the halves at
-    that vertex, and only an isolated vertex has an empty piece."""
-    if set(pieces) != set(base.vertices):
-        raise InvalidGraphOfGraphs("need exactly one piece per base vertex")
-    for v in base.vertices:
-        piece, boundary = pieces[v]
-        halves = set(base.halves_at(v))
-        if set(boundary) != set(piece.ports):
-            raise InvalidGraphOfGraphs(f"boundary at {v!r} must cover the piece ports")
-        if set(boundary.values()) != halves or len(boundary) != len(halves):
-            raise InvalidGraphOfGraphs(f"boundary at {v!r} must biject onto H_v")
-        if not piece.edges and not piece.vertices and halves:
-            raise InvalidGraphOfGraphs("empty piece only allowed at an isolated vertex")
 
 
 def identity_piece(g: FeynmanGraph, v) -> tuple:
@@ -151,48 +143,79 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
     colimit's edges are the base edges plus all piece inner edges, ports
     are the base ports identically, and the vertex set fibers over the
     base vertices.
+
+    The colimit is written down directly.  Each base edge e gives one
+    class: ("b", e), the piece edge facing the port whose half lies on e,
+    and the port whose half lies on tau e.  A port that faces another
+    port of its piece joins two such classes; every other piece edge is a
+    class of its own.  The pieces passed GraphOfGraphs, so the classes
+    are closed under tau and the graph is built with
+    FeynmanGraph._trusted.
     """
-    base = gog.base
-    uf = _UF()
-    for e in base.edges:
-        uf.add(("b", e))
-    for v, (piece, _) in gog.pieces.items():
+    base, pieces = gog.base, gog.pieces
+    s, tau = base.s, base.tau
+    members = {e: [("b", e)] for e in base.edges}
+    home = {}   # piece edge that meets an edge of base -> that edge
+    ties = []
+    for v, (piece, boundary) in pieces.items():
+        for p, h in boundary.items():
+            e = s[h]
+            for x, f in ((("p", v, piece.tau[p]), e), (("p", v, p), tau[e])):
+                if x in home:
+                    ties.append((home[x], f))
+                else:
+                    home[x] = f
+                    members[f].append(x)
+    edge_class = _edge_classes(members, ties)
+    ctau = {c: edge_class[tau[e]] for e, c in edge_class.items()}
+    piece_edge, alone, halves, hs, ht, verts = {}, [], [], {}, {}, []
+    for v, (piece, _) in pieces.items():
         for pe in piece.edges:
-            uf.add(("p", v, pe))
-    for v, (piece, boundary) in gog.pieces.items():
-        for p_port, h in boundary.items():
-            e = base.s[h]
-            uf.union(("b", base.tau[e]), ("p", v, p_port))
-            uf.union(("b", e), ("p", v, piece.tau[p_port]))
-    # one frozenset per class, shared by its members
-    cls = {r: frozenset(xs) for r, xs in uf.classes().items()}
-    edge_of = {x: cls[uf.find(x)] for x in uf.parent}
-    new_edges = set(edge_of.values())
-    new_tau = {}
-    for c in new_edges:
-        imgs = set()
-        for item in c:
-            if item[0] == "b":
-                imgs.add(edge_of[("b", base.tau[item[1]])])
+            f = home.get(("p", v, pe))
+            if f is None:
+                c = piece_edge[(v, pe)] = frozenset({("p", v, pe)})
+                alone.append((("p", v, pe), c))
             else:
-                _, v, pe = item
-                imgs.add(edge_of[("p", v, gog.pieces[v][0].tau[pe])])
-        if len(imgs) != 1:
-            raise InvalidGraphOfGraphs("piece boundaries are inconsistent with tau")
-        new_tau[c] = imgs.pop()
-    halves, s, t, verts = set(), {}, {}, set()
-    for v, (piece, _) in gog.pieces.items():
+                piece_edge[(v, pe)] = edge_class[f]
+        # a piece edge that meets no base edge faces one that meets none
+        for pe in piece.edges:
+            if ("p", v, pe) not in home:
+                ctau[piece_edge[(v, pe)]] = piece_edge[(v, piece.tau[pe])]
         for h in piece.half_edges:
             hh = ("p", v, h)
-            halves.add(hh)
-            s[hh] = edge_of[("p", v, piece.s[h])]
-            t[hh] = ("p", v, piece.t[h])
-        verts.update(("p", v, w) for w in piece.vertices)
-    colimit = FeynmanGraph(new_edges, new_tau, halves, s, t, verts)
-    edge_class = {e: edge_of[("b", e)] for e in base.edges}
-    piece_edge = {(v, pe): edge_of[("p", v, pe)]
-                  for v, (piece, _) in gog.pieces.items() for pe in piece.edges}
+            halves.append(hh)
+            hs[hh] = piece_edge[(v, piece.s[h])]
+            ht[hh] = ("p", v, piece.t[h])
+        verts += [("p", v, w) for w in piece.vertices]
+    colimit = FeynmanGraph._trusted(frozenset(ctau), ctau, frozenset(halves),
+                                    hs, ht, frozenset(verts))
+    # a class of one piece edge sorts after every class with a base edge
+    alone.sort(key=lambda xc: idkey(xc[0]))
+    colimit._sorted_edges = tuple(dict.fromkeys(
+        edge_class[e] for e in base.sorted_edges)) + tuple(
+        c for _, c in alone)
     return Substitution(gog, colimit, edge_class, piece_edge)
+
+
+def _edge_classes(members: dict, ties: list) -> dict:
+    """The edge classes of a substitution colimit: each base edge e -> the
+    frozenset of members[e], which holds ("b", e) and the piece edges
+    that meet it, merged with the class of f for each tie (e, f) through
+    one _UF pass.
+
+    A class sorts by its least base edge: ("b", e) sorts before every
+    ("p", ...) member, so the classes in the order in which the base's
+    sorted edges first meet them are in idkey order."""
+    if not ties:
+        return {e: frozenset(m) for e, m in members.items()}
+    uf = _UF()
+    for e in members:
+        uf.add(e)
+    for e, f in ties:
+        uf.union(e, f)
+    merged = {r: frozenset(x for e in group for x in members[e])
+              for r, group in uf.classes().items()}
+    return {e: merged[uf.find(e)] for e in members}
 
 
 def compose_gogs(outer: GraphOfGraphs, sub: Substitution,

@@ -866,24 +866,74 @@ def brute_t_associativity(S, max_arity=1, max_vertices=2,
 
 # -- substitution colimits -----------------------------------------------------------
 #
-# mu_T and delete_vertices as they were before they built their colimits
-# directly: a graph of graphs, substituted by the general union-find
-# colimit.  Each returns the substitution with its result, so that the
-# edge classes can be compared too.
+# The substitution colimit by the general union-find, and mu_T and
+# delete_vertices through it.  Each of the latter returns the
+# substitution with its result, so that the edge classes can be compared
+# too.
+
+
+def brute_substitute(gog):
+    """substitute(gog) by union-find over every base and piece edge, with
+    each class's tau checked and the graph built by the validating
+    constructor."""
+    from feyngraph.errors import InvalidGraphOfGraphs
+    from feyngraph.graphs import _UF
+    from feyngraph.substitution import Substitution
+
+    base = gog.base
+    uf = _UF()
+    for e in base.edges:
+        uf.add(("b", e))
+    for v, (piece, _) in gog.pieces.items():
+        for pe in piece.edges:
+            uf.add(("p", v, pe))
+    for v, (piece, boundary) in gog.pieces.items():
+        for p_port, h in boundary.items():
+            e = base.s[h]
+            uf.union(("b", base.tau[e]), ("p", v, p_port))
+            uf.union(("b", e), ("p", v, piece.tau[p_port]))
+    cls = {r: frozenset(xs) for r, xs in uf.classes().items()}
+    edge_of = {x: cls[uf.find(x)] for x in uf.parent}
+    new_edges = set(edge_of.values())
+    new_tau = {}
+    for c in new_edges:
+        imgs = set()
+        for item in c:
+            if item[0] == "b":
+                imgs.add(edge_of[("b", base.tau[item[1]])])
+            else:
+                _, v, pe = item
+                imgs.add(edge_of[("p", v, gog.pieces[v][0].tau[pe])])
+        if len(imgs) != 1:
+            raise InvalidGraphOfGraphs("piece boundaries are inconsistent with tau")
+        new_tau[c] = imgs.pop()
+    halves, s, t, verts = set(), {}, {}, set()
+    for v, (piece, _) in gog.pieces.items():
+        for h in piece.half_edges:
+            hh = ("p", v, h)
+            halves.add(hh)
+            s[hh] = edge_of[("p", v, piece.s[h])]
+            t[hh] = ("p", v, piece.t[h])
+        verts.update(("p", v, w) for w in piece.vertices)
+    colimit = FeynmanGraph(new_edges, new_tau, halves, s, t, verts)
+    edge_class = {e: edge_of[("b", e)] for e in base.edges}
+    piece_edge = {(v, pe): edge_of[("p", v, pe)]
+                  for v, (piece, _) in gog.pieces.items() for pe in piece.edges}
+    return Substitution(gog, colimit, edge_class, piece_edge)
 
 
 def brute_mu_T(TS, t):
     """(mu_T(TS, t), the substitution it is the colimit of)."""
     from feyngraph.errors import ColourMismatch
     from feyngraph.monads import TElem
-    from feyngraph.substitution import GraphOfGraphs, substitute
+    from feyngraph.substitution import GraphOfGraphs
 
     pieces = {}
     for v in t.graph.vertices:
         tv, order = t.vdec[v]
         pieces[v] = (tv.graph, {tv.ports[i]: order[i]
                                 for i in range(len(order))})
-    sub = substitute(GraphOfGraphs(t.graph, pieces))
+    sub = brute_substitute(GraphOfGraphs(t.graph, pieces))
     colours = {}
 
     def put(e, c):
@@ -906,12 +956,12 @@ def brute_mu_T(TS, t):
 
 
 def brute_delete_vertices(g: FeynmanGraph, w):
-    """delete_vertices(g, w) through substitute: a stick at each deleted
-    bivalent vertex, the identity corolla at every other vertex."""
+    """delete_vertices(g, w) through brute_substitute: a stick at each
+    deleted bivalent vertex, the identity corolla at every other vertex."""
     from feyngraph.errors import NotDeletable
     from feyngraph.monads import VertexDeletion, _deleted_stick
     from feyngraph.substitution import (GraphOfGraphs, identity_half,
-                                        identity_piece, substitute)
+                                        identity_piece)
 
     w = frozenset(w)
     for v in w:
@@ -926,7 +976,7 @@ def brute_delete_vertices(g: FeynmanGraph, w):
         [v for v in g.vertices if v not in isolated])
     if bivalent:
         kept = [v for v in g1.vertices if v not in bivalent]
-        sub = substitute(GraphOfGraphs(g1, {
+        sub = brute_substitute(GraphOfGraphs(g1, {
             v: _deleted_stick(g1, v) if v in bivalent
             else identity_piece(g1, v) for v in g1.vertices}))
         target = sub.colimit
@@ -953,13 +1003,14 @@ def brute_delete_vertices(g: FeynmanGraph, w):
 # -- distributive laws ---------------------------------------------------------------
 
 def brute_law_LT(S, t):
-    """lambda_LT through the general machinery: substitute the disjoint
-    union of the factors' corollas at every vertex, then split the
+    """lambda_LT through the general machinery: substitute (by
+    brute_substitute) the disjoint union of the factors' corollas at
+    every vertex, then split the
     colimit into connected components."""
     from feyngraph.graphs import (corolla, isolated_vertex, sort_ids,
                                   tagged_union)
     from feyngraph.monads import LSpecies, TElem, TSpecies
-    from feyngraph.substitution import GraphOfGraphs, substitute
+    from feyngraph.substitution import GraphOfGraphs
 
     om = S.palette.omega
     pieces = {}
@@ -981,7 +1032,7 @@ def brute_law_LT(S, t):
                 fdec[("p", v, (tag, "*"))] = (elem, ())
         # the empty product deletes the (isolated) vertex outright
         pieces[v] = (tagged_union(graphs), boundary)
-    sub = substitute(GraphOfGraphs(t.graph, pieces))
+    sub = brute_substitute(GraphOfGraphs(t.graph, pieces))
     colours = {}
     for e, c in t.colours.items():
         colours[sub.edge_class[e]] = c

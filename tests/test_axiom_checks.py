@@ -281,6 +281,47 @@ def test_an_operation_that_raises_is_computed_once():
                          "c5f7ebfa0287a958ab5f7889a4f263b7")
 
 
+class GlueError(InvalidGraphOfGraphs):
+    """An error whose text is written from an argument other than it."""
+
+    def __init__(self, a):
+        super().__init__(f"cannot glue across {len(a)} factors")
+
+
+class PairError(InvalidGraphOfGraphs):
+    """An error whose __init__ takes two arguments."""
+
+    def __init__(self, i, j):
+        super().__init__(f"cannot glue {i} to {j} across factors")
+
+
+class ZetaRaisesUnrebuildable(CountingZetaRaises):
+    """CountingZetaRaises, raising an error that its args do not rebuild:
+    GlueError, or PairError for the contraction of ports 0 and 1."""
+
+    def zeta(self, a, i, j):
+        self.zeta_calls += 1
+        if len(a) == 2:
+            raise PairError(i, j) if (i, j) == (0, 1) else GlueError(a)
+        return FreeCircuitAlgebra.zeta(self, a, i, j)
+
+
+def test_an_error_its_args_do_not_rebuild_runs_again():
+    """A kept error is raised again rebuilt from its args.  Where that
+    would raise TypeError or change its text, the contraction runs again:
+    the sweep is not aborted, and each instance reports the error that
+    its contraction raised."""
+    A = free_terminal(ZetaRaisesUnrebuildable)
+    report = check_modular_axioms(A, max_arity=2)
+    assert A.zeta_calls > 120
+    assert report["checked"] == 5036
+    assert kinds(report) == {"M1": 3456, "M4": 36, "Munit": 8}
+    texts = {v[-1] for v in report["violations"]}
+    assert repr("GlueError: cannot glue across 2 factors") in texts
+    assert texts <= {repr("GlueError: cannot glue across 2 factors"),
+                     repr("PairError: cannot glue 0 to 1 across factors")}
+
+
 SMALL = [tuple_algebra(TWO, 3), parity_algebra(4)]
 
 

@@ -1,10 +1,13 @@
-"""mu_T and delete_vertices build their substitution colimits directly.
-These tests compare every map they build with the substitution routes
-kept in oracles.py (brute_mu_T, brute_delete_vertices): on every element
-of T(T S) and T(T(D S)) at criterion 6's dt bounds, for both of its
-species; on every deletable vertex set of the pointed graphs; and on
-malformed pieces, which must raise the error that substitute raises."""
+"""substitute writes its colimit down directly, and mu_T and
+delete_vertices go through it.  These tests compare every map they build
+with the union-find routes kept in oracles.py (brute_substitute,
+brute_mu_T, brute_delete_vertices): on every element of T(T S) and
+T(T(D S)) at criterion 6's dt bounds, for both of its species; on every
+deletable vertex set of the pointed graphs; on every substitution of a
+corpus14 nerve pass; and on malformed pieces, which must raise the error
+that the union-find route raises."""
 
+import importlib
 import itertools
 
 import pytest
@@ -12,11 +15,14 @@ import pytest
 from feyngraph.errors import FeynGraphError
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union, line,
                               stick, wheel)
-from feyngraph.monads import (DSpecies, TElem, TSpecies, _glue_pieces,
-                              deletable_vertices, delete_vertices, mu_T)
+from feyngraph.monads import (DSpecies, TElem, TSpecies, deletable_vertices,
+                              delete_vertices, mu_T)
+from feyngraph.nerve import corpus_morphisms, nerve
 from feyngraph.species import TerminalSpecies
+from feyngraph.substitution import GraphOfGraphs, compose_gogs, substitute
 
-from oracles import brute_delete_vertices, brute_mu_T
+from helpers_nerve import corpus14, parity_algebra
+from oracles import brute_delete_vertices, brute_mu_T, brute_substitute
 from test_acceptance import two_colour_species
 from test_monads import _pointed_graphs
 
@@ -44,14 +50,18 @@ def pieces_of(t: TElem) -> dict:
     return out
 
 
+def same_substitution(got, want) -> None:
+    """Two substitutions of one graph of graphs agree map by map."""
+    assert graph_maps(got.colimit) == graph_maps(want.colimit)
+    assert dict(got.edge_class) == dict(want.edge_class)
+    assert dict(got.piece_edge) == dict(want.piece_edge)
+
+
 def same_as_substitution(t: TElem, TS) -> None:
-    """The direct colimit and mu_T of t equal the substitution's, map by
+    """The direct colimit and mu_T of t equal the union-find's, map by
     map."""
     want, sub = brute_mu_T(TS, t)
-    colimit, edge_class, piece_edge = _glue_pieces(t.graph, pieces_of(t))
-    assert graph_maps(colimit) == graph_maps(sub.colimit)
-    assert edge_class == dict(sub.edge_class)
-    assert piece_edge == dict(sub.piece_edge)
+    same_substitution(substitute(GraphOfGraphs(t.graph, pieces_of(t))), sub)
     got = mu_T(TS, t)
     assert graph_maps(got.graph) == graph_maps(want.graph)
     assert got.ports == want.ports
@@ -70,6 +80,29 @@ def test_mu_T_equals_substitution(name, with_units):
     assert len(elements) > 100
     for t in elements:
         same_as_substitution(t, TS)
+
+
+def test_nerve_substitutions_equal_the_union_find(monkeypatch):
+    """Every substitution of a corpus14 pass and of the parity algebra's
+    nerve on it, including those of compose_gogs and the deletions, equals
+    brute_substitute's."""
+    calls = []
+
+    def checked(gog):
+        got = substitute(gog)
+        same_substitution(got, brute_substitute(gog))
+        calls.append(gog)
+        return got
+
+    for name in ("nerve", "substitution", "monads"):
+        monkeypatch.setattr(importlib.import_module(f"feyngraph.{name}"),
+                            "substitute", checked)
+    assert len(list(corpus_morphisms(corpus14()))) == 309
+    nerve(parity_algebra(6), corpus14())
+    outer = GraphOfGraphs.identity(wheel(2))
+    sub = checked(outer)
+    compose_gogs(outer, sub, GraphOfGraphs.identity(sub.colimit))
+    assert len(calls) > 300
 
 
 def stick_element() -> TElem:
@@ -129,7 +162,7 @@ def malformed() -> tuple:
     return TS, out
 
 
-def test_malformed_pieces_raise_as_substitution_does():
+def test_malformed_pieces_raise_as_the_union_find_does():
     TS, cases = malformed()
     seen = set()
     for t in cases:
@@ -159,7 +192,7 @@ def test_deletions_equal_substitution():
     assert n > 100
 
 
-def test_undeletable_vertices_raise_as_substitution_does():
+def test_undeletable_vertices_raise_as_the_union_find_does():
     g = disjoint_union(corolla([0, 1, 2]), wheel(1))
     for w in ([("no", "such")], list(g.vertices)):
         assert outcome(delete_vertices, g, w) == \

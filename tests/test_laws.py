@@ -357,6 +357,7 @@ def test_law_lt_builds_no_colimit_and_validates_no_component(monkeypatch):
         validate(g)
 
     monkeypatch.setattr(monads, "law_LT", watched)
+    monkeypatch.setattr(monads, "substitute", counting)
     monkeypatch.setattr(substitution, "substitute", counting)
     monkeypatch.setattr(FeynmanGraph, "_validate", recording)
     check_beck("lt", SPECIES["K"], **BOUNDS["lt"])

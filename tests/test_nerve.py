@@ -213,7 +213,8 @@ def test_kleisli_identity_substitutes_twice(monkeypatch):
         calls.append(gog)
         return substitute(gog)
 
-    monkeypatch.setattr(nerve_module, "substitute", counting)
+    for module in (nerve_module, monads_module):
+        monkeypatch.setattr(module, "substitute", counting)
     for name, g in corpus14().items():
         calls.clear()
         kleisli_identity(g)
@@ -505,7 +506,8 @@ def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):
         calls.append(gog)
         return substitute(gog)
 
-    monkeypatch.setattr(nerve_module, "substitute", counting)
+    for module in (nerve_module, monads_module):
+        monkeypatch.setattr(module, "substitute", counting)
     assert len(list(corpus_morphisms(corpus14()))) == 309
     assert len(calls) <= 400
 
@@ -1124,8 +1126,7 @@ def test_fullness_probe_builds_each_kleisli_morphism_once(monkeypatch):
 
 def _count_builds(monkeypatch):
     """Count make_kleisli and substitute calls made from the nerve module
-    and delete_vertices calls made from the nerve and monads modules (a
-    deletion builds its colimit without substitute) from now on."""
+    (and substitute calls from the monads module) from now on."""
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -1136,11 +1137,9 @@ def _count_builds(monkeypatch):
 
     monkeypatch.setattr(nerve_module, "make_kleisli",
                         counting("make_kleisli", nerve_module.make_kleisli))
-    monkeypatch.setattr(nerve_module, "substitute",
-                        counting("substitute", substitute))
     for module in (nerve_module, monads_module):
-        monkeypatch.setattr(module, "delete_vertices",
-                            counting("delete_vertices", delete_vertices))
+        monkeypatch.setattr(module, "substitute",
+                            counting("substitute", substitute))
     return calls
 
 
