@@ -1,9 +1,11 @@
-"""Etale morphisms, embeddings, graph elements, and port gluing.
+"""Etale morphisms, the category of elements of a graph, and port gluing.
 
 An etale morphism commutes with s, t, tau and restricts to a bijection on
-the edges at each vertex (the pullback condition).  Port gluing computes
-the colimit that identifies chosen boundary ports pairwise; a glue pair
-(e, tau e) names a stick component and acts as the identity.
+the edges at each vertex (the pullback condition).  el(G) has one
+element per vertex and per edge, each with its etale map (elements).
+Port gluing computes the colimit that identifies chosen boundary ports
+pairwise; a glue pair (e, tau e) names a stick component and acts as the
+identity.
 """
 
 from __future__ import annotations
@@ -11,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import (
-    NotAPort,
-    NotCommuting,
-    NotLocallyBijective,
-    RepeatedPort,
-    UnknownEdge,
-    UnknownVertex,
-)
-from .graphs import FeynmanGraph, _UF, corolla, idstr, sort_ids, stick
+from .errors import NotAPort, NotCommuting, NotLocallyBijective, RepeatedPort
+from .graphs import FeynmanGraph, _UF, idstr, sort_ids
 
 
 @dataclass(frozen=True)
@@ -82,83 +77,27 @@ def check_etale(edge_map, half_map, vertex_map,
             raise NotLocallyBijective(f"edges at {v!r} do not biject onto its image")
 
 
-@dataclass(frozen=True)
-class Embedding:
-    underlying: EtaleMorphism
-    glued_pairs: tuple  # port pairs of the source identified by the map
-    injective_tail: bool
-
-
-@dataclass(frozen=True)
-class GraphElement:
-    """An element of el(G): a stick choosing an edge or a corolla
-    neighbourhood of a vertex."""
-    shape: str                 # "stick" | "corolla"
-    anchor: Any                # the edge (stick) or vertex (corolla)
-    map: EtaleMorphism
-
-
-def ch_edge(g: FeynmanGraph, e) -> EtaleMorphism:
-    """ch_e: the stick morphism choosing edge e (1 -> e, 2 -> tau e)."""
-    if e not in g.edges:
-        raise UnknownEdge(repr(e))
-    return EtaleMorphism(stick(), g, {"1": e, "2": g.tau[e]}, {}, {})
-
-
-def vertex_neighbourhood(g: FeynmanGraph, v) -> Embedding:
-    """The embedding of the corolla on E_v into G at vertex v.
-
-    Not edge-injective exactly when v carries a loop; the loop pairs are
-    recorded as glued port pairs.
-    """
-    if v not in g.vertices:
-        raise UnknownVertex(repr(v))
-    halves = g.halves_at(v)
-    labels = [("p", repr(h)) for h in halves]
-    c = corolla(labels)
-    edge_map = {}
-    half_map = {}
-    for lab, h in zip(labels, halves):
-        edge_map[("in", lab)] = g.s[h]
-        edge_map[lab] = g.tau[g.s[h]]
-        half_map[("h", lab)] = h
-    glued = []
-    for i, (lab, h) in enumerate(zip(labels, halves)):
-        for lab2, h2 in zip(labels[:i], halves[:i]):
-            if g.tau[g.s[h]] == g.s[h2]:
-                glued.append((lab, lab2))
-    m = EtaleMorphism(c, g, edge_map, half_map, {"*": v})
-    return Embedding(m, tuple(glued), injective_tail=not glued)
-
-
-def elements_category(g: FeynmanGraph):
-    """All elements of G plus the connecting morphisms among them.
-
-    Returns (elements, arrows).  Elements: one stick element per edge, one
-    corolla element per vertex.  Arrows: for each vertex element and each
-    of its ports, the ch morphism from the stick element it restricts to,
-    plus the tau automorphisms of stick elements.  (Identities are left
-    implicit; no richer morphism structure is needed downstream.)
-    """
-    elements = []
-    by_edge = {}
-    for e in sort_ids(g.edges):
-        el = GraphElement("stick", e, ch_edge(g, e))
-        by_edge[e] = el
-        elements.append(el)
-    arrows = []
-    for e in sort_ids(g.edges):
-        # tau: ch_{tau e} = ch_e . tau
-        arrows.append(("tau", by_edge[e], by_edge[g.tau[e]]))
+def elements(g: FeynmanGraph, elementary) -> list:
+    """el(G) as (anchor, etale map) pairs.  First each vertex v in idkey
+    order, from the k-corolla elementary(k) on ports 0..k-1: port i goes
+    to tau s(h_i), ("in", i) to s(h_i), ("h", i) to h_i and "*" to v, for
+    h_i the i-th half of v.  Then each edge e in idkey order, from the
+    stick elementary(None): 1 -> e, 2 -> tau e.  A pair is a vertex
+    element exactly when its map's source has a vertex."""
+    out = []
     for v in sort_ids(g.vertices):
-        emb = vertex_neighbourhood(g, v)
-        el = GraphElement("corolla", v, emb.underlying)
-        elements.append(el)
-        for lab in emb.underlying.source.ports:
-            # b_v . ch_lab = ch_{b_v(lab)} in el(G)
-            target_edge = emb.underlying.edge_map[lab]
-            arrows.append(("ch", by_edge[target_edge], el, lab))
-    return elements, arrows
+        halves = g.halves_at(v)
+        em, hm = {}, {}
+        for i, h in enumerate(halves):
+            em[i] = g.tau[g.s[h]]
+            em[("in", i)] = g.s[h]
+            hm[("h", i)] = h
+        out.append((v, EtaleMorphism(elementary(len(halves)), g, em, hm,
+                                     {"*": v})))
+    for e in sort_ids(g.edges):
+        out.append((e, EtaleMorphism(elementary(None), g,
+                                     {"1": e, "2": g.tau[e]}, {}, {})))
+    return out
 
 
 def glue_ports(g: FeynmanGraph, pairs):

@@ -104,14 +104,15 @@ def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:
         vmap = {v: v for v in g1.vertices}
         hmap = {h: h for h in g1.half_edges}
     fresh = {}
-    for v in sort_ids(isolated):
-        e1, e2 = (("z", v), "1"), (("z", v), "2")
+    if isolated:
+        # a fresh stick per deleted isolated vertex, all in one build
         tau = target.tau.copy()
-        tau[e1], tau[e2] = e2, e1
-        target = FeynmanGraph(target.edges | {e1, e2}, tau,
-                              target.half_edges, target.s, target.t,
-                              target.vertices)
-        fresh[v] = (e1, e2)
+        for v in sort_ids(isolated):
+            e1, e2 = (("z", v), "1"), (("z", v), "2")
+            tau[e1], tau[e2] = e2, e1
+            fresh[v] = (e1, e2)
+        target = FeynmanGraph(tau.keys(), tau, target.half_edges, target.s,
+                              target.t, target.vertices)
     return VertexDeletion(g, w, target, edge_corr, hmap, vmap, fresh)
 
 

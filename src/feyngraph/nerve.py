@@ -26,11 +26,11 @@ morphism, and the program that evaluates each piece is kept on the
 refinement (restrict_kleisli), so each restriction only looks up colours
 and calls the algebra's operations.
 
-The morphisms of a corpus do not depend on an algebra.  nerves keeps the
-last complete pass of corpus_morphisms for the whole process, keyed by
-the identities of the corpus graphs and refinements and the search
-budget, so the nerves and fullness probes of one corpus build its
-morphisms once.
+The morphisms of a corpus do not depend on an algebra; its ch morphisms
+are the maps of etale.elements.  nerves keeps the last complete pass of
+corpus_morphisms for the whole process, keyed by the identities of the
+corpus graphs and refinements and the search budget, so the nerves and
+fullness probes of one corpus build its morphisms once.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import Optional
 
 from .errors import (BoundsTooLarge, ColourMismatch, CorpusNotElementClosed,
                      FormatError, Mismatch, NotACorolla, OutOfBounds)
-from .etale import EtaleMorphism
+from .etale import EtaleMorphism, elements
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
 from .monads import (PointedMorphism, VertexDeletion, _deleted_stick,
@@ -685,9 +685,10 @@ def _is_corolla(g: FeynmanGraph) -> bool:
 
 def corpus_morphisms(corpus: dict, refinements=None):
     """The declared morphisms of the graphical category on a named corpus,
-    built one at a time: the element morphisms ch_x, all isomorphisms,
-    pointed deletions between corpus graphs, and the given refinements
-    (by default one per corolla, corpus graph and port bijection).
+    built one at a time: the element morphisms ch_x, the etale
+    endomorphisms ("iso"), pointed deletions between corpus graphs, and
+    the given refinements (by default one per corolla, corpus graph and
+    port bijection).
 
     Yields (name, kind, kl, from_name, to_name, meta): `from_name` names
     the codomain of the Kleisli morphism kl, because restriction goes
@@ -696,45 +697,37 @@ def corpus_morphisms(corpus: dict, refinements=None):
 
     The morphisms out of one graph object share its identity refinement,
     its deletions and one Kleisli frame per deleted set, which are kept
-    on the graph (see make_kleisli).  The pass builds each k-corolla and
-    the stick once, so that the ch morphisms out of them share too; the
-    frames of the corpus graphs live as long as those graphs."""
-    corollas, st = {}, stick()
+    on the graph (see make_kleisli).  The ch morphisms map out of the
+    corpus's own corollas and stick (etale.elements), so they share those
+    graphs' records with their iso morphisms.  The "iso" records are
+    hom_etale(g, g), not all isomorphisms: 2 of cc1's 4 fold its two
+    1-corollas onto one."""
+    found = {}   # arity, None for the stick -> its name in the corpus
+
+    def lookup(k):
+        if k not in found:
+            want = stick() if k is None else corolla(range(k))
+            ename = _find_corpus_name(corpus, want)
+            if ename is None:
+                raise CorpusNotElementClosed(
+                    "corpus must contain the stick" if k is None
+                    else f"{name} needs a {k}-corolla in the corpus")
+            found[k] = ename
+        return corpus[found[k]]
+
     for name in sorted(corpus):
         g = corpus[name]
-        # vertex elements
-        for v in sort_ids(g.vertices):
-            halves = half_order(g, v)
-            k = len(halves)
-            if k not in corollas:
-                corollas[k] = corolla(list(range(k)))
-            c = corollas[k]
-            cname = _find_corpus_name(corpus, c)
-            if cname is None:
-                raise CorpusNotElementClosed(
-                    f"{name} needs a {k}-corolla in the corpus")
-            em = {}
-            for i, h in enumerate(halves):
-                em[i] = g.tau[g.s[h]]
-                em[("in", i)] = g.s[h]
-            phi = EtaleMorphism(c, g, em,
-                                {("h", i): halves[i] for i in range(k)},
-                                {"*": v})
-            yield (f"ch:{name}:v:{idstr(v)}", "ch",
-                   kleisli_from_etale(phi), name, cname,
-                   {"vertex": idstr(v),
-                    "edge_images": {idstr(ce): idstr(em[ce])
-                                    for ce in c.edges}})
-        # edge elements
-        for e in sort_ids(g.edges):
-            sname = _find_corpus_name(corpus, st)
-            if sname is None:
-                raise CorpusNotElementClosed("corpus must contain the stick")
-            phi = EtaleMorphism(st, g, {"1": e, "2": g.tau[e]}, {}, {})
-            yield (f"ch:{name}:e:{idstr(e)}", "ch",
-                   kleisli_from_etale(phi), name, sname,
-                   {"edge": idstr(e)})
-        # isomorphisms (etale self-maps of a graph to itself are isos here)
+        for x, phi in elements(g, lookup):
+            c, xs = phi.source, idstr(x)
+            if c.vertices:
+                tag, k, meta = "v", len(c.ports), {
+                    "vertex": xs,
+                    "edge_images": {idstr(ce): idstr(phi.edge_map[ce])
+                                    for ce in c.edges}}
+            else:
+                tag, k, meta = "e", None, {"edge": xs}
+            yield (f"ch:{name}:{tag}:{xs}", "ch",
+                   kleisli_from_etale(phi), name, found[k], meta)
         for idx, psi in enumerate(hom_etale(g, g)):
             yield (f"iso:{name}:{idx}", "iso",
                    kleisli_from_etale(psi), name, name, {})

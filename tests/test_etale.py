@@ -11,13 +11,26 @@ from feyngraph import (
 from feyngraph.errors import NotAPort, NotLocallyBijective, RepeatedPort
 from feyngraph.etale import (
     EtaleMorphism,
-    ch_edge,
+    check_etale,
     compose,
-    elements_category,
+    elements,
     glue_ports,
     identity_morphism,
-    vertex_neighbourhood,
 )
+
+
+def fresh(k):
+    """A new k-corolla on ports 0..k-1, or a new stick for k=None."""
+    return stick() if k is None else corolla(range(k))
+
+
+def vertex_elements(g):
+    return {x: phi for x, phi in elements(g, fresh) if phi.source.vertices}
+
+
+def edge_elements(g):
+    return {x: phi for x, phi in elements(g, fresh)
+            if not phi.source.vertices}
 
 
 class TestCheckEtale:
@@ -42,57 +55,94 @@ class TestCheckEtale:
             EtaleMorphism(c2, c3, em, hm, {"*": "*"})
 
     def test_composition_closed(self):
-        g = wheel(1)
-        for e in g.edges:
-            m = ch_edge(g, e)
-            compose(m, identity_morphism(stick()))  # still etale
+        """Every element map is etale, and composing one with an etale
+        map out of its source, or into its target, stays etale."""
+        for g in [wheel(1), line(2), corolla(["a", "b", "c"])]:
+            for _, phi in elements(g, fresh):
+                check_etale(phi.edge_map, phi.half_map, phi.vertex_map,
+                            phi.source, phi.target)
+                assert compose(phi, identity_morphism(phi.source)) == phi
+                assert compose(identity_morphism(g), phi) == phi
+        # el(corolla) composed with the vertex element of wheel(1) at a
+        # port: a stick element of the corolla lands on an edge of the wheel
+        w = wheel(1)
+        (phi,) = vertex_elements(w).values()
+        for x, psi in edge_elements(phi.source).items():
+            chi = compose(phi, psi)
+            assert chi.edge_map == {"1": phi.edge_map[x],
+                                    "2": w.tau[phi.edge_map[x]]}
 
 
 class TestChEdge:
     def test_count_on_wheel(self):
         g = wheel(1)
-        assert len({ch_edge(g, e).key() for e in g.edges}) == 2
+        edge_maps = edge_elements(g)
+        assert set(edge_maps) == set(g.edges)
+        assert len({phi.key() for phi in edge_maps.values()}) == 2
 
     def test_stick_identity_and_tau(self):
         s = stick()
-        assert ch_edge(s, "1").edge_map == {"1": "1", "2": "2"}
-        assert ch_edge(s, "2").edge_map == {"1": "2", "2": "1"}
+        edge_maps = edge_elements(s)
+        assert edge_maps["1"].edge_map == {"1": "1", "2": "2"}
+        assert edge_maps["2"].edge_map == {"1": "2", "2": "1"}
 
 
 class TestNeighbourhood:
     def test_wheel_loop(self):
+        """The loop of wheel(1) makes the vertex element fold: its two
+        ports go to the two edges of one tau-orbit."""
         w = wheel(1)
-        emb = vertex_neighbourhood(w, ("v", 0))
-        assert not emb.injective_tail and len(emb.glued_pairs) == 1
-        assert len(emb.underlying.source.ports) == 2
+        (phi,) = vertex_elements(w).values()
+        assert phi.source.ports == {0, 1}
+        a, b = phi.edge_map[0], phi.edge_map[1]
+        assert a != b and w.tau[a] == b
 
     def test_corolla_identity_shape(self):
         c = corolla(["a", "b", "c"])
-        emb = vertex_neighbourhood(c, "*")
-        assert emb.injective_tail
-        assert is_isomorphic(emb.underlying.source, c) is not None
+        (phi,) = vertex_elements(c).values()
+        assert is_isomorphic(phi.source, c) is not None
+        assert len(set(phi.edge_map.values())) == len(c.edges)
 
     def test_line_middle_vertex(self):
         g = line(2)
-        emb = vertex_neighbourhood(g, ("v", 1))
-        assert emb.injective_tail
-        assert len(emb.underlying.source.ports) == 2
+        phi = vertex_elements(g)[("v", 1)]
+        assert len(phi.source.ports) == 2
+        assert len(set(phi.edge_map.values())) == len(phi.source.edges)
+        assert [phi.half_map[("h", i)] for i in range(2)] == \
+            g.halves_at(("v", 1))
 
 
 class TestElements:
     def test_counts(self):
-        els, _ = elements_category(stick())
-        assert len(els) == 2 and all(e.shape == "stick" for e in els)
-        els, _ = elements_category(wheel(1))
-        assert len(els) == 3
-        els, _ = elements_category(corolla(["a", "b", "c"]))
+        els = elements(stick(), fresh)
+        assert len(els) == 2 and all(not phi.source.vertices
+                                     for _, phi in els)
+        assert len(elements(wheel(1), fresh)) == 3
+        els = elements(corolla(["a", "b", "c"]), fresh)
         assert len(els) == 7
-        assert sum(1 for e in els if e.shape == "corolla") == 1
+        assert sum(1 for _, phi in els if phi.source.vertices) == 1
+        # vertices first, then edges
+        assert els[0][0] == "*"
 
     def test_count_formula(self):
         for g in [wheel(2), line(2), disjoint_union(stick(), corolla(["a"]))]:
-            els, _ = elements_category(g)
+            els = elements(g, fresh)
             assert len(els) == len(g.edges) + len(g.vertices)
+            assert len(vertex_elements(g)) == len(g.vertices)
+
+    def test_elementary_graph_is_the_source(self):
+        """The maps come out of the graphs that elementary returns."""
+        made = {}
+
+        def once(k):
+            if k not in made:
+                made[k] = fresh(k)
+            return made[k]
+
+        g = wheel(2)
+        for _, phi in elements(g, once):
+            k = len(phi.source.ports) if phi.source.vertices else None
+            assert phi.source is made[k]
 
 
 class TestGluePorts:

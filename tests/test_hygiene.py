@@ -197,3 +197,26 @@ def test_bench_hooks_resolve_and_fire():
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_every_exported_name_resolves_once():
+    """Every name in feyngraph.__all__ and in each module's __all__ is an
+    attribute of its module and is listed once, so removing a function
+    cannot leave its export behind."""
+    import importlib
+
+    problems = []
+    modules = ["feyngraph"] + [f"feyngraph.{p.stem}"
+                               for p in sorted(SRC.glob("*.py"))
+                               if p.stem != "__init__"]
+    for modname in modules:
+        mod = importlib.import_module(modname)
+        names = getattr(mod, "__all__", None)
+        if names is None:
+            continue
+        problems += [f"{modname}.{n} is listed twice"
+                     for n in sorted({n for n in names
+                                      if names.count(n) > 1})]
+        problems += [f"{modname}.{n} does not resolve"
+                     for n in names if not hasattr(mod, n)]
+    assert not problems, problems

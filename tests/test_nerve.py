@@ -512,6 +512,57 @@ def test_one_corpus_pass_substitutes_at_most_400_times(monkeypatch):
     assert len(calls) <= 400
 
 
+def test_ch_morphisms_come_out_of_the_corpus_graphs(monkeypatch):
+    """Each ch morphism maps out of the corpus's own corolla or stick
+    object, so it shares that graph's identity refinement with the iso
+    morphisms out of it: the pass substitutes no more than the 211 times
+    it did when each ch morphism had a corolla of its own."""
+    calls = []
+
+    def counting(gog):
+        calls.append(gog)
+        return substitute(gog)
+
+    for module in (nerve_module, monads_module):
+        monkeypatch.setattr(module, "substitute", counting)
+    corpus = corpus14()
+    chs = [(fn, tn, kl) for _, kind, kl, fn, tn, _ in corpus_morphisms(corpus)
+           if kind == "ch"]
+    assert len(chs) == sum(len(g.edges) + len(g.vertices)
+                           for g in corpus.values())
+    for fn, tn, kl in chs:
+        assert kl.source is corpus[tn]
+        assert kl.target is corpus[fn]
+    assert len(calls) <= 211
+
+
+def test_iso_records_are_the_etale_endomorphisms():
+    """The "iso" records are hom_etale(g, g) in order.  On cc1, two of its
+    four etale endomorphisms fold both 1-corollas onto one, so they are
+    not isomorphisms."""
+    corpus = corpus14()
+    isos = collections.defaultdict(list)
+    for name, kind, kl, fn, tn, _ in corpus_morphisms(corpus):
+        if kind == "iso":
+            assert fn == tn and name == f"iso:{fn}:{len(isos[fn])}"
+            isos[fn].append(kl)
+    assert sum(map(len, isos.values())) == 54
+    for gname, kls in isos.items():
+        g = corpus[gname]
+        maps = hom_etale(g, g)
+        assert [kl.key() for kl in kls] == \
+            [kleisli_from_etale(m).key() for m in maps]
+    folds = [m for m in hom_etale(corpus["cc1"], corpus["cc1"])
+             if len(set(m.vertex_map.values())) < 2]
+    assert len(hom_etale(corpus["cc1"], corpus["cc1"])) == 4
+    assert len(folds) == 2
+    for gname, g in corpus.items():
+        if gname != "cc1":
+            assert all(len(set(m.vertex_map.values())) == len(g.vertices)
+                       and len(set(m.edge_map.values())) == len(g.edges)
+                       for m in hom_etale(g, g))
+
+
 def test_one_corpus_pass_deletes_each_vertex_set_once(monkeypatch):
     """kleisli_deletion_homs keeps each deletion of a corpus graph on the
     graph, for all its targets: 18 distinct (graph, vertex set) pairs,
