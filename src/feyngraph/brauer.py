@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import ArityMismatch, FormatError, InvalidGraphOfGraphs
-from .graphs import FeynmanGraph, disjoint_union_all, wheel
+from .graphs import FeynmanGraph, disjoint_union_all, pairs_text, wheel
 from .substitution import _matchings
 
 
@@ -45,8 +45,7 @@ class BrauerDiagram:
                            _check_matching(self.m, self.n, self.matching))
 
     def key(self):
-        return (self.m, self.n, self.loops,
-                tuple(sorted((repr(a), repr(b)) for a, b in self.matching.items())))
+        return (self.m, self.n, self.loops, pairs_text(self.matching.items()))
 
     def __eq__(self, other):
         return isinstance(other, BrauerDiagram) and self.key() == other.key()

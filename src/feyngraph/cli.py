@@ -20,9 +20,9 @@ from .graphs import idstr, is_isomorphic
 from .io import graph_to_json, id_from_json, parse_graph_arg
 from .monads import (check_beck, free_apply, hom_pointed, yang_baxter_sweep)
 from .nerve import FinitePresheaf, check_segal, nerve
-from .species import (algebra_from_json, check_circuit_axioms,
-                      check_modular_axioms, evaluate_species,
-                      species_from_json, terminal_species)
+from .species import (TerminalSpecies, algebra_from_json,
+                      check_circuit_axioms, check_modular_axioms,
+                      evaluate_species, species_from_json)
 from .substitution import (GraphOfGraphs, enumerate_x_graphs, substitute)
 
 SCHEMAS = {
@@ -71,9 +71,9 @@ class InputProblem(Exception):
 
 def _species_arg(text):
     if text == "terminal":
-        return terminal_species()
+        return TerminalSpecies()
     if text.startswith("terminal:"):
-        return terminal_species(int(text.split(":", 1)[1]))
+        return TerminalSpecies(int(text.split(":", 1)[1]))
     return species_from_json(_load_json(text))
 
 

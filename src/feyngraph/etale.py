@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import NotAPort, NotCommuting, NotLocallyBijective, RepeatedPort
-from .graphs import FeynmanGraph, _UF, idstr, sort_ids
+from .graphs import FeynmanGraph, _UF, pairs_text, sort_ids
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,8 @@ class EtaleMorphism:
                     self.source, self.target)
 
     def key(self) -> tuple:
-        return (tuple(sorted(((idstr(k), idstr(v))
-                              for k, v in self.edge_map.items()))),
-                tuple(sorted(((idstr(k), idstr(v))
-                              for k, v in self.vertex_map.items()))))
+        return (pairs_text(self.edge_map.items()),
+                pairs_text(self.vertex_map.items()))
 
     def __eq__(self, other):
         return isinstance(other, EtaleMorphism) and self.key() == other.key()

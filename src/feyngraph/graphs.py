@@ -9,9 +9,8 @@ free monads) is built on this one class.
 
 A graph is an immutable value: its id-sets are frozensets and its maps are
 read-only.  So what is derived from it alone (the sorted id orders, the
-canonical labelings for given tokens, the nerve's Kleisli record, its
-vertex deletions, connected components and id texts) is computed once
-and kept on the graph.
+nerve's Kleisli record, its vertex deletions and connected components)
+is computed once and kept on the graph.
 
 Ids are strs, ints, or tuples or frozensets of ids (strings in files;
 tuples appear as tags after disjoint unions and quotients, frozensets as
@@ -132,6 +131,12 @@ def idstr(x: Id) -> str:
     return text
 
 
+def pairs_text(pairs: Iterable, text=idstr) -> tuple:
+    """The sorted (idstr(x), text(y)) pairs of a map given as its (x, y)
+    pairs: the text of a map in keys."""
+    return tuple(sorted((idstr(x), text(y)) for x, y in pairs))
+
+
 def _copy(m: Mapping) -> dict:
     """A dict copy of m; a read-only view is copied at dict speed."""
     return m.copy() if type(m) is MappingProxyType else dict(m)
@@ -140,10 +145,9 @@ def _copy(m: Mapping) -> dict:
 def read_only(m: Mapping) -> MappingProxyType:
     """A read-only view of a private copy of m.
 
-    The maps of a graph and of a T-element, and the labelings kept in a
-    graph's memo, are handed out this way: callers read them at dict speed
-    and cannot change a value that others share.  m.copy() gives a
-    mutable dict."""
+    The maps of a graph and of a T-element are handed out this way:
+    callers read them at dict speed and cannot change a value that others
+    share.  m.copy() gives a mutable dict."""
     return MappingProxyType(_copy(m))
 
 
@@ -185,8 +189,8 @@ class FeynmanGraph:
 
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
                  "_s_inv", "_halves_at", "_ports",
-                 "_sorted_edges", "_sorted_vertices", "_labelings", "_kleisli",
-                 "_deletions", "_components", "_texts")
+                 "_sorted_edges", "_sorted_vertices", "_kleisli", "_deletions",
+                 "_components")
 
     def __init__(self, edges: Iterable[Id], tau: Mapping[Id, Id],
                  half_edges: Iterable[Id] = (), s: Optional[Mapping[Id, Id]] = None,
@@ -226,11 +230,9 @@ class FeynmanGraph:
         self.s, self.t, self.tau = (MappingProxyType(s), MappingProxyType(t),
                                     MappingProxyType(tau))
         self._sorted_edges = self._sorted_vertices = None
-        self._labelings: Optional[dict] = None   # token key -> labelings
         self._kleisli = None   # filled by nerve._kleisli_record
         self._deletions = None   # filled by monads._deletion
         self._components = None   # filled by monads._components
-        self._texts = None   # filled by monads._texts
 
     def _validate(self) -> None:
         if set(self.tau) != self.edges:
@@ -612,10 +614,10 @@ def canonical_labelings(g: FeynmanGraph,
     maps, with each id replaced by its position in sorted_edges or
     sorted_vertices.  Graphs of one shape share the certificate and,
     position for position, the labelings, so the search runs once for
-    each shape in the process.  The result is also kept on g.  Both memos
-    key the tokens in marshal form, which is cheap to build and tells
-    equal tokens of different types apart (1 and True, 0 and 0.0); tokens
-    marshal cannot write are keyed by their reprs.
+    each shape in the process.  The memo keys the tokens in marshal form,
+    which is cheap to build and tells equal tokens of different types
+    apart (1 and True, 0 and 0.0); tokens marshal cannot write are keyed
+    by their reprs.
     """
     edges = g.sorted_edges
     verts = g.sorted_vertices
@@ -626,12 +628,6 @@ def canonical_labelings(g: FeynmanGraph,
         token_key = marshal.dumps(e_vals, 2)
     except ValueError:
         token_key = tuple(map(repr, e_vals))
-    if g._labelings is None:
-        g._labelings = {}
-    else:
-        found = g._labelings.get(token_key)
-        if found is not None:
-            return found
     epos = {e: i for i, e in enumerate(edges)}
     vpos = {v: i for i, v in enumerate(verts)}
     tau = g.tau
@@ -647,11 +643,9 @@ def canonical_labelings(g: FeynmanGraph,
         v_tok = tuple(repr(("v", g.valency(v), None)) for v in verts)
         shared = _SHAPES[shape] = _label_shape(e_tok, v_tok, links)
     cert, labs = shared
-    result = (cert, tuple((MappingProxyType(dict(zip(edges, ei))),
-                           MappingProxyType(dict(zip(verts, vi))))
-                          for ei, vi in labs))
-    g._labelings[token_key] = result
-    return result
+    return cert, tuple((MappingProxyType(dict(zip(edges, ei))),
+                        MappingProxyType(dict(zip(verts, vi))))
+                       for ei, vi in labs)
 
 
 def canonical_form(g: FeynmanGraph,

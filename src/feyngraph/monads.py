@@ -6,14 +6,15 @@ D adjoins formal units/contracted units at arities 2 and 0, and L builds
 free graded commutative monoids (disjoint unions).  Each is described
 once: a species constructor, a unit eta_*, a multiplication mu_* and a
 functor map _fmap_*.  Each species object builds its elements of an
-arity once.  Each monad law is stated once over that description, and
-check_beck states Beck's four axioms once, for any law lambda: A B =>
-B A.  check_monad_laws, check_t_associativity, check_beck and
-yang_baxter_sweep run their instances, the elements of each law's domain
-arity by arity, through species._sweep, the one sweep of every axiom
-checker.  An L element's key ignores the order of its factors, so L
-values are normed only where they are built, not to be compared.  The
-composite L.D.T carries a circuit-algebra structure; see
+arity once, and writes an element's key as text through key_text, which
+a T-element keeps beside its key.  Each monad law is stated once over
+that description, and check_beck states Beck's four axioms once, for
+any law lambda: A B => B A.  check_monad_laws, check_t_associativity,
+check_beck and yang_baxter_sweep run their instances, the elements of
+each law's domain arity by arity, through species._sweep, the one sweep
+of every axiom checker.  An L element's key ignores the order of its
+factors, so L values are normed only where they are built, not to be
+compared.  The composite L.D.T carries a circuit-algebra structure; see
 FreeCircuitAlgebra.
 """
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .errors import (ColourMismatch, FormatError, InvalidGraphOfGraphs,
                      NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports
 from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
-                     idkey, idstr, read_only, sort_ids, stick, tagged_union)
+                     idkey, idstr, pairs_text, read_only, sort_ids, stick,
+                     tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _sweep,
                       evaluate_species, half_order)
 from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
@@ -214,14 +216,6 @@ def hom_etale(g: FeynmanGraph, h: FeynmanGraph) -> list:
 
 # -- pointed morphisms --------------------------------------------------------------
 
-def _texts(g: FeynmanGraph) -> dict:
-    """The idstr of each edge and vertex of g, kept on g, for the keys of
-    the pointed morphisms into and out of it."""
-    if g._texts is None:
-        g._texts = {x: idstr(x) for x in itertools.chain(g.edges, g.vertices)}
-    return g._texts
-
-
 @dataclass
 class PointedMorphism:
     """A pointed morphism G -> H: one vertex deletion of the source,
@@ -243,18 +237,15 @@ class PointedMorphism:
     def key(self):
         if self._key is None:
             d = self.similarity_part
-            # ids are written by idstr (the repr of a colimit edge follows
-            # hash order), read from the tables of the source and target
-            src, tgt = _texts(self.source), _texts(self.target)
-            em = tuple(sorted((src[x], tgt[self.edge_image(x)])
-                              for x in self.source.edges))
-            vm = tuple(sorted((src[v], tgt[self.vertex_image(v)])
-                              for v in d.vertex_map))
+            # ids are written by idstr: the repr of a colimit edge follows
+            # hash order
+            em = pairs_text((x, self.edge_image(x)) for x in self.source.edges)
+            vm = pairs_text((v, self.vertex_image(v)) for v in d.vertex_map)
             fr = []
             for v in sort_ids(d.fresh_sticks):
-                ia, ib = sorted(tgt[x] for x in self.fresh_images(v))
-                fr.append((src[v], ia, ib))
-            self._key = (tuple(sorted(src[v] for v in d.deleted)), em, vm,
+                ia, ib = sorted(map(idstr, self.fresh_images(v)))
+                fr.append((idstr(v), ia, ib))
+            self._key = (tuple(sorted(map(idstr, d.deleted))), em, vm,
                          tuple(fr))
         return self._key
 
@@ -382,10 +373,10 @@ class TElem:
     colouring and a vertex decoration (element plus explicit half order).
 
     Immutable: colours and vdec are read-only, so a key computed once
-    stays valid; telem_key keeps it on the element, _kstr keeps its text
-    beside it, and TSpecies.act keeps each permuted element on the
-    element it permutes, so that a permuted element is built, keyed and
-    written once."""
+    stays valid; telem_key keeps it on the element, TSpecies.key_text
+    keeps its text beside it, and TSpecies.act keeps each permuted
+    element on the element it permutes, so that a permuted element is
+    built, keyed and written once."""
     graph: FeynmanGraph
     ports: tuple                # position -> port edge
     colours: Mapping            # edge -> colour
@@ -401,20 +392,6 @@ class TElem:
     def __repr__(self):
         return (f"TElem(|V|={len(self.graph.vertices)}, "
                 f"arity={len(self.ports)})")
-
-
-def _kstr(S: SpeciesOps, elem) -> str:
-    """The text of S.key(elem).  A T-element keeps it beside its key, for
-    the inner species it was computed with: the key of a T S element
-    depends on S alone."""
-    if type(S) is not TSpecies:
-        return repr(S.key(elem))
-    memo = elem._str
-    if memo is not None and memo[0] is S.inner:
-        return memo[1]
-    text = repr(S.key(elem))
-    object.__setattr__(elem, "_str", (S.inner, text))
-    return text
 
 
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
@@ -435,7 +412,7 @@ def telem_key(S: SpeciesOps, t: TElem) -> tuple:
             elem, order = t.vdec[v]
             new_order = sorted(order, key=lambda hh: eidx[t.graph.s[hh]])
             perm = tuple(order.index(hh) for hh in new_order)
-            vser.append((vidx[v], _kstr(S, S.act(elem, perm))))
+            vser.append((vidx[v], S.key_text(S.act(elem, perm))))
         cand = (text, tuple(sorted(vser)))
         if best is None or cand < best:
             best = cand
@@ -506,6 +483,17 @@ class TSpecies(SpeciesOps):
     def key(self, t: TElem):
         return ("T",) + telem_key(self.inner, t)
 
+    def key_text(self, t: TElem) -> str:
+        """The text of key(t), kept on t beside its key for the inner
+        species it was computed with: the key of a T S element depends
+        on S alone."""
+        memo = t._str
+        if memo is not None and memo[0] is self.inner:
+            return memo[1]
+        text = repr(self.key(t))
+        object.__setattr__(t, "_str", (self.inner, text))
+        return text
+
 
 class DSpecies(SpeciesOps):
     """D S: S with a formal unit eps_c at arity 2 for every colour and a
@@ -553,7 +541,7 @@ class DSpecies(SpeciesOps):
 
     def key(self, d):
         if d[0] == "b":
-            return ("D", "b", _kstr(self.inner, d[1]))
+            return ("D", "b", self.inner.key_text(d[1]))
         if d[0] == "eps":
             return ("D", "eps", repr(d[1]))
         return ("D", "o", tuple(sorted(map(repr, d[1]))))
@@ -585,7 +573,7 @@ class LSpecies(SpeciesOps):
                 key=lambda f: f[0]):
             run = list(run)
             if len(run) > 1:
-                run.sort(key=lambda f: _kstr(self.inner, f[1]))
+                run.sort(key=lambda f: self.inner.key_text(f[1]))
             out += run
         return tuple(out)
 
@@ -639,7 +627,7 @@ class LSpecies(SpeciesOps):
     def key(self, le):
         """The sorted (block, factor key) pairs: the key of le equals that
         of norm(le), whatever the order of its factors."""
-        return ("L",) + tuple(sorted((tuple(b), _kstr(self.inner, x))
+        return ("L",) + tuple(sorted((tuple(b), self.inner.key_text(x))
                                      for b, x in le))
 
 
@@ -1024,10 +1012,10 @@ def check_yang_baxter(S: SpeciesOps, instance: TElem) -> tuple:
     bot3 = _fmap_L(lambda t: law_DT(S, t), bot2)            # L(D(T S))
     ok = LDTS.key(top3) == LDTS.key(bot3)
     transcript = {
-        "top": [repr(DSpecies(TSpecies(LS)).key(top1)),
-                repr(LDTS.key(top3))],
-        "bottom": [repr(LSpecies(TSpecies(DS)).key(bot2)),
-                   repr(LDTS.key(bot3))],
+        "top": [DSpecies(TSpecies(LS)).key_text(top1),
+                LDTS.key_text(top3)],
+        "bottom": [LSpecies(TSpecies(DS)).key_text(bot2),
+                   LDTS.key_text(bot3)],
         "ok": ok,
     }
     return ok, transcript
@@ -1080,7 +1068,7 @@ def free_apply(level: str, S: SpeciesOps, arity: int,
     if arity < 0:
         raise OutOfBounds("negative arity")
     sp = free_species(level, S, max_vertices, max_valency, max_factors)
-    return [FreeElement(level, arity, x, repr(sp.key(x)))
+    return [FreeElement(level, arity, x, sp.key_text(x))
             for x in sp.elements(arity)]
 
 

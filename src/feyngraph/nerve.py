@@ -39,14 +39,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (BoundsTooLarge, ColourMismatch, CorpusNotElementClosed,
-                     FormatError, Mismatch, NotACorolla, OutOfBounds)
+from .errors import (BoundsTooLarge, CorpusNotElementClosed, FormatError,
+                     Mismatch, NotACorolla, OutOfBounds)
 from .etale import EtaleMorphism, elements
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
-from .monads import (PointedMorphism, VertexDeletion, _deleted_stick,
-                     _deletion_homs, _normalized_pointed, _push_forward,
-                     delete_vertices, half_order, hom_etale)
+from .monads import (PointedMorphism, VertexDeletion, _deletion_homs,
+                     _push_forward, delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
                            identity_half, max_search_cap, substitute)
@@ -59,7 +58,7 @@ __all__ = [
     "kleisli_equal", "corpus_morphisms", "nerves", "nerve", "check_segal",
     "presheaf_maps",
     "algebra_morphisms", "fullness_probe", "mutated_presheaves",
-    "restrict_kleisli", "algebra_evaluate",
+    "restrict_kleisli",
 ]
 
 
@@ -257,8 +256,7 @@ def make_kleisli(sub: Substitution, target, w, em, hm, vm,
     for sub2, plan, d in frame.combos:
         em2, hm2, vm2, fresh2 = _apply_plan(plan, em, hm, vm, fresh_em)
         etale = _push_forward(d, target, em2, hm2, vm2, fresh2)
-        tail = _normalized_pointed(sub2.colimit, target, d, etale,
-                                   absorb=False)
+        tail = PointedMorphism(sub2.colimit, target, d, etale)
         key = (frame.certs, tail.key())
         if best is None or key < best.key():
             best = KleisliMorphism(sub.gog.base, target, sub2.gog, tail,
@@ -336,11 +334,9 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
         for u in pv.vertices:
             cu = ("p", v, u)
             if cu in t1.deleted:
-                if pv.valency(u) == 0:
-                    inner[u] = (isolated_vertex(), {})
-                    marks[("p", v, ("p", u, "*"))] = ("fresh1", cu)
-                else:
-                    inner[u] = _deleted_stick(pv, u)
+                # a normal form's tail deletes isolated vertices only
+                inner[u] = (isolated_vertex(), {})
+                marks[("p", v, ("p", u, "*"))] = ("fresh1", cu)
             else:
                 w_h = t1.vertex_image(cu)
                 qw, bndq = k2.refinement.pieces[w_h]
@@ -379,10 +375,7 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
                     img = trace1(k1._sub.piece_edge[(v, m2[1])])
                     break
                 _, u, qe = m2
-                cu = ("p", v, u)
-                if cu in t1.deleted:
-                    continue   # stick-piece edge: resolve via a neighbour
-                w_h = t1.vertex_image(cu)
+                w_h = t1.vertex_image(("p", v, u))
                 img = t2.edge_image(k2._sub.piece_edge[(w_h, qe)])
                 break
             if img is not None:
@@ -401,9 +394,7 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
                          t2.edge_image(k2._sub.edge_class[b]))
         elif mark and mark[0] == "del2":
             w.add(cv)
-            c2v = mark[1]
-            if k2._sub.colimit.valency(c2v) == 0:
-                fresh[cv] = t2.fresh_images(c2v)
+            fresh[cv] = t2.fresh_images(mark[1])
         else:
             _, u, q = x
             w_h = t1.vertex_image(("p", v, u))
@@ -489,45 +480,30 @@ def _run_piece_program(A: CircuitAlgebraOps, program: tuple, colours: dict,
     return A.species.act(acc, sigma)
 
 
-def algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
-                     boundary: dict, colours: dict, elems: dict):
-    """Evaluate a decorated piece to a single algebra element whose
-    positions follow the base vertex's sorted half order: box the vertex
-    elements together, contract every internal edge pair, box a formal
-    unit for each stick component, then realign the positions, which now
-    face the piece ports, along the boundary."""
-    return _run_piece_program(A, _piece_program(piece, boundary), colours,
-                              elems)
-
-
 def _restriction_plan(kl: KleisliMorphism) -> tuple:
     """What restricting along kl works out from kl alone: (vertices,
     edges, pieces).
 
     vertices holds, for each colimit vertex cv, (cv, kind, data): a
-    zero-valent deletion ("zero", the target edge of its fresh stick), a
-    unit insertion ("unit", the target edges whose colours it needs) or a
-    kept vertex ("kept", its target vertex and the tail images of its
-    halves).  edges pairs each source edge with its target edge.  pieces
-    holds, for each source vertex v, (v, perms, program, colour edges,
-    half order): perms gives, for each piece vertex, its colimit vertex
-    and the permutation onto the piece's half order; program is the
-    piece program, kept on the refinement, and colour edges pairs each
-    edge its units read with its target edge."""
+    deletion, which a normal form's tail makes of isolated vertices only
+    ("zero", the target edge of its fresh stick), or a kept vertex
+    ("kept", its target vertex and the tail images of its halves).  edges
+    pairs each source edge with its target edge.  pieces holds, for each
+    source vertex v, (v, perms, program, colour edges, half order): perms
+    gives, for each piece vertex, its colimit vertex and the permutation
+    onto the piece's half order; program is the piece program, kept on
+    the refinement, and colour edges pairs each edge its units read with
+    its target edge."""
     tail, sub = kl.pointed_tail, kl._sub
     colim = sub.colimit
     vertices = []
     for cv in colim.vertices:
-        order = half_order(colim, cv)
-        if cv not in tail.deleted:
-            data = (tail.vertex_image(cv),
-                    tuple(tail.half_image(h) for h in order))
-            vertices.append((cv, "kept", data))
-        elif colim.valency(cv) == 0:
+        if cv in tail.deleted:
             vertices.append((cv, "zero", tail.fresh_images(cv)[0]))
         else:
-            vertices.append((cv, "unit", tuple(
-                tail.edge_image(colim.tau[colim.s[h]]) for h in order)))
+            data = (tail.vertex_image(cv),
+                    tuple(tail.half_image(h) for h in half_order(colim, cv)))
+            vertices.append((cv, "kept", data))
     edges = tuple((e, tail.edge_image(sub.edge_class[e]))
                   for e in kl.source.edges)
     pieces, programs = [], kl.refinement.programs
@@ -570,17 +546,11 @@ def restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
             torder = dec.half_orders[tv]
             celems[cv] = S.act(dec.vertex_elems[tv],
                                tuple(torder.index(h) for h in images))
-        elif kind == "zero":
+        else:
             z = A.zeta(A.eps(colours[data]), 0, 1)
             if z is None:
                 raise OutOfBounds("unit insertion exceeds bounds")
             celems[cv] = z
-        else:
-            want = tuple(colours[e] for e in data)
-            cand = A.eps(want[0])
-            if S.colour_of(cand) != want:
-                raise ColourMismatch("unit colour does not match")
-            celems[cv] = cand
     velems, vorders = {}, {}
     for v, perms, program, reads, order in pieces:
         pelems = {u: S.act(celems[cu], sigma) for u, cu, sigma in perms}

@@ -29,7 +29,7 @@ from .errors import (
     OutOfBounds,
     ValencyOutOfRange,
 )
-from .graphs import FeynmanGraph, idkey, idstr, sort_ids
+from .graphs import FeynmanGraph, idkey, pairs_text, sort_ids
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class Palette:
             if om[om[c]] != c:
                 raise FormatError("omega must be an involution")
         object.__setattr__(self, "omega", om)
-
-    def to_json(self):
-        return {"colours": sort_ids(self.colours),
-                "omega": {repr(c): self.omega[c] for c in sort_ids(self.colours)}}
 
 
 MONO = Palette(frozenset({"*"}), {"*": "*"})
@@ -78,6 +74,11 @@ class SpeciesOps:
         """Hashable identity of an element (overridden where elements are
         graph-valued and equality is by canonical form)."""
         return elem
+
+    def key_text(self, elem) -> str:
+        """The text of key(elem), the one way an element is written in
+        keys and transcripts (TSpecies keeps it on the element)."""
+        return repr(self.key(elem))
 
 
 class TableSpecies(SpeciesOps):
@@ -179,10 +180,6 @@ class TerminalSpecies(SpeciesOps):
         return elem
 
 
-def terminal_species(n_max: int = 8) -> TerminalSpecies:
-    return TerminalSpecies(n_max)
-
-
 # -- evaluation ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -196,14 +193,12 @@ class Decoration:
 
     def key(self):
         """Edge colours and vertex elements; an element is told apart by
-        its species key, computed only here.  Kept on the decoration,
-        whose maps no caller changes once it is built."""
+        its species key text.  Kept on the decoration, whose maps no
+        caller changes once it is built."""
         if self._key is None:
-            ec = tuple(sorted(((idstr(e), repr(c))
-                               for e, c in self.edge_colours.items())))
-            ve = tuple(sorted(((idstr(v), repr(self.species.key(x)))
-                               for v, x in self.vertex_elems.items())))
-            object.__setattr__(self, "_key", (ec, ve))
+            object.__setattr__(self, "_key", (
+                pairs_text(self.edge_colours.items(), repr),
+                pairs_text(self.vertex_elems.items(), self.species.key_text)))
         return self._key
 
     def __eq__(self, other):
@@ -218,8 +213,7 @@ def half_order(g: FeynmanGraph, v) -> tuple:
     return tuple(g.halves_at(v))
 
 
-def evaluate_species(S: SpeciesOps, g: FeynmanGraph,
-                     port_colours: Optional[Mapping] = None) -> list:
+def evaluate_species(S: SpeciesOps, g: FeynmanGraph) -> list:
     """All S-decorations of g.
 
     The colour at position i of the element at v is the colour of the
@@ -242,12 +236,6 @@ def evaluate_species(S: SpeciesOps, g: FeynmanGraph,
         for c in sort_ids(S.palette.colours):
             colouring[e] = c
             colouring[g.tau[e]] = omega[c]
-            if port_colours:
-                if e in port_colours and port_colours[e] != c:
-                    continue
-                te = g.tau[e]
-                if te in port_colours and port_colours[te] != omega[c]:
-                    continue
             extend_edges(i + 1, colouring)
 
     extend_edges(0, {})

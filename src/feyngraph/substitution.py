@@ -63,10 +63,6 @@ class XGraph:
         if len(set(self.labeling.values())) != len(self.labeling):
             raise InvalidGraphOfGraphs("labeling must be injective")
 
-    @property
-    def labels(self) -> frozenset:
-        return frozenset(self.labeling.values())
-
     def is_admissible(self) -> bool:
         return not self.graph.stick_components()
 

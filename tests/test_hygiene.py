@@ -1,6 +1,6 @@
 """Source checks: the library's runtime checks must survive python -O,
 no handler may swallow errors it does not name, and every search draws on
-one budget and one union-find."""
+one budget and one union-find; element text comes from key_text."""
 
 import ast
 import os
@@ -93,6 +93,22 @@ def test_one_union_find():
              and node.name in ("find", "union")
              and not (where.startswith("graphs.py:") and scope[:-1] == ("_UF",))]
     assert not found, f"union-find outside graphs._UF: {found}"
+
+
+def test_element_text_is_written_by_key_text():
+    """A species element's key is written as text in one place, a
+    key_text method: no other library function calls repr on the result
+    of a one-argument .key(x).  (A decoration's key() takes no argument.)"""
+    found = [where for where, scope, node in _scoped_nodes()
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "repr"
+             and len(node.args) == 1
+             and isinstance(node.args[0], ast.Call)
+             and isinstance(node.args[0].func, ast.Attribute)
+             and node.args[0].func.attr == "key"
+             and len(node.args[0].args) == 1
+             and scope[-1:] != ("key_text",)]
+    assert not found, f"element text outside key_text: {found}"
 
 
 def test_only_the_sweeps_catch_ill_formed_output():

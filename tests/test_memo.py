@@ -1,9 +1,9 @@
-"""Labelings, T-keys, permuted T-elements and colour maps are computed
-once and kept on the graph, element or labeled element they belong to;
-sort keys and labelings are also shared across the process, by id and by
-shape.  These tests check that what the memos return equals what is
-computed from scratch, that the canonical forms still agree with the
-brute-force oracles, and that nothing a memo hands out can be changed."""
+"""T-keys, permuted T-elements and colour maps are computed once and
+kept on the element or labeled element they belong to; sort keys and
+labelings are shared across the process, by id and by shape.  These
+tests check that what the memos return equals what is computed from
+scratch, that the canonical forms still agree with the brute-force
+oracles, and that nothing a memo hands out can be changed."""
 
 import dataclasses
 import hashlib
@@ -315,13 +315,16 @@ def test_a_second_graph_of_one_shape_runs_no_refinement(monkeypatch):
 
 @pytest.mark.parametrize("token, other", [
     (1, True), (("a", 1), ("a", True)), (0, 0.0), (0.0, -0.0)])
-def test_labelings_memo_tells_equal_tokens_of_other_types_apart(token, other):
+def test_labelings_memo_tells_equal_tokens_of_other_types_apart(
+        token, other, monkeypatch):
+    monkeypatch.setattr(graphs, "_SHAPES", {})
     g = line(2)
     port = min(g.ports)
     first = canonical_labelings(g, {port: token})
-    assert canonical_labelings(g, {port: token}) is first   # a hit
+    again = canonical_labelings(g, {port: token})   # a hit
+    assert _plain(again) == _plain(first) and len(graphs._SHAPES) == 1
     second = canonical_labelings(g, {port: other})
-    assert second is not first
+    assert len(graphs._SHAPES) == 2   # a miss
     assert _plain(second) == _from_scratch(g, {port: other})
     assert _plain(first) == _from_scratch(g, {port: token})
 

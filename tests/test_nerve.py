@@ -19,8 +19,8 @@ from feyngraph.errors import (BoundsTooLarge, ColourMismatch,
                               NotACorolla, NotDeletable, OutOfBounds,
                               ValencyOutOfRange)
 from feyngraph.etale import EtaleMorphism
-from feyngraph.graphs import (corolla, disjoint_union, line, sort_ids, stick,
-                              wheel)
+from feyngraph.graphs import (corolla, disjoint_union, isolated_vertex, line,
+                              sort_ids, stick, wheel)
 from feyngraph.monads import (deletable_vertices, delete_vertices,
                               half_order, hom_etale, hom_pointed)
 from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
@@ -80,6 +80,40 @@ def shadow_oracle(monkeypatch):
 def test_identity_composes_to_itself(g):
     i = kleisli_identity(g)
     assert kleisli_equal(kleisli_compose(i, i), i)
+
+
+def _isolated_deletions():
+    """The Kleisli deletions of an isolated vertex onto a stick, alone
+    (1 morphism) and beside a 1-corolla (2 morphisms)."""
+    iv, st, c1 = isolated_vertex(), stick(), corolla([0])
+    alone = kleisli_deletion_homs(iv, st)
+    beside = kleisli_deletion_homs(disjoint_union(iv, c1),
+                                   disjoint_union(st, c1))
+    assert (len(alone), len(beside)) == (1, 2)
+    return alone + beside
+
+
+@pytest.mark.usefixtures("shadow_oracle")
+def test_identities_are_units_for_an_isolated_deletion():
+    """identity after k composes a vertex deleted by the first tail;
+    k after identity, one deleted by the second tail."""
+    for k in _isolated_deletions():
+        assert kleisli_equal(
+            kleisli_compose(kleisli_identity(k.target), k), k)
+        assert kleisli_equal(
+            kleisli_compose(k, kleisli_identity(k.source)), k)
+
+
+@pytest.mark.usefixtures("shadow_oracle")
+def test_stick_endomorphisms_after_an_isolated_deletion_give_it_back():
+    """A fresh stick counts up to flip, so both etale endomorphisms of
+    the stick, composed after the deletion, give the deletion."""
+    st = stick()
+    [k] = kleisli_deletion_homs(isolated_vertex(), st)
+    endos = hom_etale(st, st)
+    assert len(endos) == 2
+    for e in endos:
+        assert kleisli_equal(kleisli_compose(kleisli_from_etale(e), k), k)
 
 
 def _line_refinement(g, v):
@@ -561,6 +595,15 @@ def test_iso_records_are_the_etale_endomorphisms():
             assert all(len(set(m.vertex_map.values())) == len(g.vertices)
                        and len(set(m.edge_map.values())) == len(g.edges)
                        for m in hom_etale(g, g))
+
+
+def test_every_tail_of_a_corpus_pass_deletes_isolated_vertices_only():
+    """make_kleisli moves every bivalent deletion into the refinement
+    pieces, so a normal form's tail deletes only isolated vertices."""
+    valencies = [kl._sub.colimit.valency(v)
+                 for *_, kl, _, _, _ in corpus_morphisms(corpus14())
+                 for v in kl.pointed_tail.deleted]
+    assert valencies and set(valencies) == {0}
 
 
 def test_one_corpus_pass_deletes_each_vertex_set_once(monkeypatch):
