@@ -21,6 +21,12 @@ from .substitution import _matchings
 def _check_matching(m: int, n: int, matching: Mapping) -> Mapping:
     points = [("src", i) for i in range(1, m + 1)] + \
              [("tgt", j) for j in range(1, n + 1)]
+    # ("src", True) and ("src", 1.0) equal ("src", 1) but key apart
+    for p in (*matching, *matching.values()):
+        if not (type(p) is tuple and len(p) == 2 and p[0] in ("src", "tgt")
+                and type(p[1]) is int):
+            raise FormatError(f"boundary point {p!r} is not "
+                              "('src' | 'tgt', int)")
     if set(matching) != set(points):
         raise FormatError("matching must cover exactly the m + n boundary points")
     for p, q in matching.items():

@@ -21,9 +21,10 @@ Three memos last for the whole process and grow with what it sees: the
 sort key and the key text of each distinct id (idkey, idstr), and the
 canonical labelings of each distinct shape, a graph with its ids
 replaced by their sorted positions (canonical_labelings).  A fourth, in
-the nerve module, does not grow: it holds the Kleisli morphisms of the
-last corpus that nerves saw (nerve._memo_morphisms); Kleisli frames live
-on the graph and substitution they come from, not in a process memo.
+the nerve module, does not grow: nerve._pass, an lru_cache of size one,
+holds the Kleisli morphisms of the last corpus pass (see
+nerve._memo_morphisms); Kleisli frames live on the graph and
+substitution they come from, not in a process memo.
 """
 
 from __future__ import annotations

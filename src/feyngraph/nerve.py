@@ -22,18 +22,19 @@ refinement (_kleisli_record) and its vertex deletions
 graph object share one frame per deleted set, whoever builds them.
 
 Restricting a decoration along a Kleisli morphism runs a plan kept on the
-morphism, and the program that evaluates each piece is kept on the
-refinement (restrict_kleisli), so each restriction only looks up colours
-and calls the algebra's operations.
+morphism, which holds the program that evaluates each piece
+(restrict_kleisli), so each restriction only looks up colours and calls
+the algebra's operations.
 
 The morphisms of a corpus do not depend on an algebra; its ch morphisms
-are the maps of etale.elements.  nerves keeps the last complete pass of
-corpus_morphisms for the whole process, keyed by the identities of the
-corpus graphs and refinements and the search budget, so the nerves and
-fullness probes of one corpus build its morphisms once.
+are the maps of etale.elements.  nerve takes them from one cached pass of
+corpus_morphisms (_memo_morphisms), keyed by the identities of the
+corpus graphs and the search budget, so the nerves and fullness probes
+of one corpus build its morphisms once.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,14 +49,15 @@ from .monads import (PointedMorphism, VertexDeletion, _deletion_homs,
                      _push_forward, delete_vertices, half_order, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
-                           identity_half, max_search_cap, substitute)
+                           compose_gogs, identity_half, max_search_cap,
+                           substitute)
 
 __all__ = [
     "KleisliMorphism", "FinitePresheaf",
     "graphs_equal", "make_kleisli", "kleisli_identity", "kleisli_from_etale",
     "kleisli_from_pointed", "kleisli_refinement", "kleisli_compose",
     "kleisli_deletion_homs", "refinement_of_corolla",
-    "kleisli_equal", "corpus_morphisms", "nerves", "nerve", "check_segal",
+    "kleisli_equal", "corpus_morphisms", "nerve", "check_segal",
     "presheaf_maps",
     "algebra_morphisms", "fullness_probe", "mutated_presheaves",
     "restrict_kleisli",
@@ -325,43 +327,40 @@ def kleisli_compose(k2: KleisliMorphism, k1: KleisliMorphism) -> KleisliMorphism
     """The composite k2 after k1 (k1: G -> H, k2: H -> K)."""
     if not graphs_equal(k1.target, k2.source):
         raise Mismatch("kleisli composition endpoints do not line up")
-    g, k = k1.source, k2.target
+    k = k2.target
     t1, t2 = k1.pointed_tail, k2.pointed_tail
-    pieces, marks = {}, {}   # marks: composite colimit vertex id parts
-    for v in sort_ids(g.vertices):
-        pv, bnd_v = k1.refinement.pieces[v]
-        inner = {}
-        for u in pv.vertices:
-            cu = ("p", v, u)
-            if cu in t1.deleted:
-                # a normal form's tail deletes isolated vertices only
-                inner[u] = (isolated_vertex(), {})
-                marks[("p", v, ("p", u, "*"))] = ("fresh1", cu)
-            else:
-                w_h = t1.vertex_image(cu)
-                qw, bndq = k2.refinement.pieces[w_h]
-                tb = {}
-                for q_port, x_half in bndq.items():
-                    pre = [hh for hh in pv.halves_at(u)
-                           if t1.half_image(("p", v, hh)) == x_half]
-                    if len(pre) != 1:
-                        raise Mismatch("tail is not locally bijective")
-                    tb[q_port] = pre[0]
-                inner[u] = (qw, tb)
-                for q in qw.vertices:
-                    c2v = ("p", w_h, q)
-                    if c2v in t2.deleted:
-                        marks[("p", v, ("p", u, q))] = ("del2", c2v)
-        sub_v = substitute(GraphOfGraphs(pv, inner))
-        nb = {sub_v.edge_class[p]: h for p, h in bnd_v.items()}
-        pieces[v] = (sub_v.colimit, nb)
+    colim1 = k1._sub.colimit
+    # k2's refinement pulled back along t1, over k1's colimit
+    pulled, marks = {}, {}   # marks: composite colimit vertex id parts
+    for cu in colim1.vertices:
+        _, v, u = cu
+        if cu in t1.deleted:
+            # a normal form's tail deletes isolated vertices only
+            pulled[cu] = (isolated_vertex(), {})
+            marks[("p", v, ("p", u, "*"))] = ("fresh1", cu)
+            continue
+        w_h = t1.vertex_image(cu)
+        qw, bndq = k2.refinement.pieces[w_h]
+        tb = {}
+        for q_port, x_half in bndq.items():
+            pre = [hh for hh in colim1.halves_at(cu)
+                   if t1.half_image(hh) == x_half]
+            if len(pre) != 1:
+                raise Mismatch("tail is not locally bijective")
+            tb[q_port] = pre[0]
+        pulled[cu] = (qw, tb)
+        for q in qw.vertices:
+            c2v = ("p", w_h, q)
+            if c2v in t2.deleted:
+                marks[("p", v, ("p", u, q))] = ("del2", c2v)
 
     def trace1(c1_edge):
         """C1 edge -> K edge through the tails and k2's refinement."""
         eh = t1.edge_image(c1_edge)
         return t2.edge_image(k2._sub.edge_class[eh])
 
-    sub = substitute(GraphOfGraphs(g, pieces))
+    sub = substitute(compose_gogs(k1.refinement, k1._sub,
+                                  GraphOfGraphs(colim1, pulled)))
     em, hm, vm, w, fresh = {}, {}, {}, set(), {}
     for c in sub.colimit.edges:
         img = None
@@ -491,9 +490,9 @@ def _restriction_plan(kl: KleisliMorphism) -> tuple:
     pairs each source edge with its target edge.  pieces holds, for each
     source vertex v, (v, perms, program, colour edges, half order): perms
     gives, for each piece vertex, its colimit vertex and the permutation
-    onto the piece's half order; program is the piece program, kept on
-    the refinement, and colour edges pairs each edge its units read with
-    its target edge."""
+    onto the piece's half order; program is the piece program
+    (_piece_program), and colour edges pairs each edge its units read
+    with its target edge."""
     tail, sub = kl.pointed_tail, kl._sub
     colim = sub.colimit
     vertices = []
@@ -506,12 +505,10 @@ def _restriction_plan(kl: KleisliMorphism) -> tuple:
             vertices.append((cv, "kept", data))
     edges = tuple((e, tail.edge_image(sub.edge_class[e]))
                   for e in kl.source.edges)
-    pieces, programs = [], kl.refinement.programs
+    pieces = []
     for v in kl.source.vertices:
         piece, boundary = kl.refinement.pieces[v]
-        program = programs.get(v)
-        if program is None:
-            program = programs[v] = _piece_program(piece, boundary)
+        program = _piece_program(piece, boundary)
         perms = []
         for u in piece.vertices:
             cu = ("p", v, u)
@@ -653,12 +650,12 @@ def _is_corolla(g: FeynmanGraph) -> bool:
     return bool(g.vertices) and _is_elementary(g)
 
 
-def corpus_morphisms(corpus: dict, refinements=None):
+def corpus_morphisms(corpus: dict):
     """The declared morphisms of the graphical category on a named corpus,
     built one at a time: the element morphisms ch_x, the etale
     endomorphisms ("iso"), pointed deletions between corpus graphs, and
-    the given refinements (by default one per corolla, corpus graph and
-    port bijection).
+    the refinements of each corolla by each corpus graph, one per port
+    bijection.
 
     Yields (name, kind, kl, from_name, to_name, meta): `from_name` names
     the codomain of the Kleisli morphism kl, because restriction goes
@@ -707,106 +704,66 @@ def corpus_morphisms(corpus: dict, refinements=None):
         for idx, kl in enumerate(kleisli_deletion_homs(g, h)):
             yield (f"del:{gname}:{hname}:{idx}", "deletion", kl,
                    hname, gname, {})
-    pairs = (_auto_refinements(corpus) if refinements is None
-             else refinements.items())
-    for rname, kl in pairs:
-        fn = _find_corpus_name(corpus, kl.target)
-        tn = _find_corpus_name(corpus, kl.source)
-        if fn is None or tn is None:
-            raise FormatError("refinement endpoints must be in the corpus")
-        yield f"ref:{rname}", "refinement", kl, fn, tn, {}
+    for rname, kl in _auto_refinements(corpus):
+        yield (f"ref:{rname}", "refinement", kl,
+               _find_corpus_name(corpus, kl.target),
+               _find_corpus_name(corpus, kl.source), {})
 
 
-# the last complete pass of corpus_morphisms: (key, the morphisms); see
-# _memo_morphisms
-_LAST_PASS: list = []
+def _memo_morphisms(corpus: dict) -> tuple:
+    """corpus_morphisms(corpus), from the one cached pass (_pass).
 
-
-def _memo_morphisms(corpus: dict, refinements):
-    """corpus_morphisms(corpus, refinements), from a memo that lives for
-    the process and holds one pass.
-
-    The key is made of the (name, graph) pairs of the corpus, the
-    (name, Kleisli morphism) pairs of the refinements and
+    The key is made of the (name, graph) pairs of the corpus and
     FEYNGRAPH_MAX_SEARCH, so a lower budget raises as a first pass
-    would.  Graphs compare by identity, and the key holds the graphs and
-    refinements it names.  A pass is stored once it is complete,
-    replacing the entry before it; a pass that raises, or whose consumer
-    stops early, is not stored.  On a miss the morphisms are yielded as
-    they are built."""
-    key = (tuple(corpus.items()),
-           None if refinements is None else tuple(refinements.items()),
-           max_search_cap())
-    if _LAST_PASS and _LAST_PASS[0][0] == key:
-        yield from _LAST_PASS[0][1]
-        return
-    built = []
-    for m in corpus_morphisms(corpus, refinements):
-        built.append(m)
-        yield m
-    _LAST_PASS[:] = [(key, built)]
+    would.  Graphs compare by identity, and the key holds the graphs it
+    names.  The cache holds the last complete pass; a pass that raises is
+    not stored."""
+    return _pass(tuple(corpus.items()), max_search_cap())
 
 
-def nerves(algebras, corpus: dict, refinements=None) -> list:
-    """The nerves of finite circuit algebras on one named corpus, in one
-    pass: each morphism of corpus_morphisms is restricted for every
-    distinct algebra object, once.  The morphisms come from a memo that
-    holds the last complete pass, so a later call on the same corpus
-    graphs builds none of them (see _memo_morphisms).  Object sets are
-    the decorations of each graph.  An automatically generated refinement
-    whose intermediate arity exceeds an algebra's tables is omitted from
-    that algebra's nerve only.  Each returned presheaf owns its records
-    and their dicts, also where an algebra is given twice."""
-    distinct = list({id(A): A for A in algebras}.values())
-    decs = [{name: {d.key(): d
-                    for d in evaluate_species(A.species, g)}
-             for name, g in corpus.items()}
-            for A in distinct]
-    morphisms = [{} for _ in distinct]
-    for mname, kind, kl, from_name, to_name, meta in _memo_morphisms(
-            corpus, refinements):
-        for A, dec, out in zip(distinct, decs, morphisms):
-            table = {}
-            try:
-                for key, d in dec[from_name].items():
-                    d2 = dec[to_name].get(restrict_kleisli(A, kl, d).key())
-                    if d2 is None:
-                        raise FormatError(
-                            f"restriction left the carrier at {mname}")
-                    # the key object of the carrier, shared by every map
-                    table[key] = d2.key()
-            except BoundsTooLarge:
-                # a search the budget refused is not an arity bound
-                raise
-            except OutOfBounds:
-                if kind != "refinement" or refinements is not None:
-                    raise
-                continue
-            rec = {"kind": kind, "from_graph": from_name,
-                   "to_graph": to_name, "map": table}
-            # each presheaf gets its own copy of the meta dicts
-            rec.update({f: dict(x) if isinstance(x, dict) else x
-                        for f, x in meta.items()})
-            out[mname] = rec
-    built = {id(A): FinitePresheaf(dict(corpus),
-                                   {name: sorted(dec[name])
-                                    for name in corpus}, out)
-             for A, dec, out in zip(distinct, decs, morphisms)}
-    presheaves = []
-    for A in algebras:
-        P = built[id(A)]
-        presheaves.append(P.copy() if any(Q is P for Q in presheaves)
-                          else P)
-    return presheaves
+@functools.lru_cache(maxsize=1)
+def _pass(items: tuple, cap: int) -> tuple:
+    return tuple(corpus_morphisms(dict(items)))
 
 
-def nerve(A: CircuitAlgebraOps, corpus: dict,
-          refinements=None) -> FinitePresheaf:
+def nerve(A: CircuitAlgebraOps, corpus: dict) -> FinitePresheaf:
     """The nerve of a finite circuit algebra on a named corpus: object
     sets are the decorations of each graph; restrictions are generated by
     the element morphisms ch_x, all isomorphisms, pointed deletions
-    between corpus graphs, and any declared refinements."""
-    return nerves((A,), corpus, refinements)[0]
+    between corpus graphs, and the refinements of its corollas by its
+    graphs.  The morphisms come from one cached pass, so a later call on
+    the same corpus graphs builds none of them (see _memo_morphisms).  A
+    refinement whose intermediate arity exceeds A's tables is omitted.
+    The presheaf owns its records and their dicts."""
+    decs = {name: {d.key(): d for d in evaluate_species(A.species, g)}
+            for name, g in corpus.items()}
+    morphisms = {}
+    for mname, kind, kl, from_name, to_name, meta in _memo_morphisms(corpus):
+        table = {}
+        try:
+            for key, d in decs[from_name].items():
+                d2 = decs[to_name].get(restrict_kleisli(A, kl, d).key())
+                if d2 is None:
+                    raise FormatError(
+                        f"restriction left the carrier at {mname}")
+                # the key object of the carrier, shared by every map
+                table[key] = d2.key()
+        except BoundsTooLarge:
+            # a search the budget refused is not an arity bound
+            raise
+        except OutOfBounds:
+            if kind != "refinement":
+                raise
+            continue
+        rec = {"kind": kind, "from_graph": from_name,
+               "to_graph": to_name, "map": table}
+        # the pass is shared, so each presheaf copies its meta dicts
+        rec.update({f: dict(x) if isinstance(x, dict) else x
+                    for f, x in meta.items()})
+        morphisms[mname] = rec
+    return FinitePresheaf(dict(corpus),
+                          {name: sorted(decs[name]) for name in corpus},
+                          morphisms)
 
 
 def refinement_of_corolla(cor: FeynmanGraph, piece: FeynmanGraph,
@@ -1210,7 +1167,8 @@ def fullness_probe(A: CircuitAlgebraOps, B: CircuitAlgebraOps,
                    corpus: dict, max_arity: int) -> dict:
     """Compare natural transformations nerve(A) -> nerve(B) with algebra
     morphisms A -> B found by exhaustive search."""
-    PA, PB = nerves((A, B), corpus)
+    PA = nerve(A, corpus)
+    PB = PA if B is A else nerve(B, corpus)
     nats = presheaf_maps(PA, PB)
     homs = algebra_morphisms(A, B, max_arity)
     return {"ok": len(nats) == len(homs),

@@ -82,9 +82,6 @@ class GraphOfGraphs:
     def __init__(self, base: FeynmanGraph, pieces: Mapping[Any, tuple]):
         self.base = base
         self.pieces = dict(pieces)
-        # nerve.restrict_kleisli's piece programs by vertex; not part of
-        # the value
-        self.programs = {}
         if set(self.pieces) != set(base.vertices):
             raise InvalidGraphOfGraphs("need exactly one piece per base vertex")
         for v in base.vertices:

@@ -90,6 +90,18 @@ def test_downward_examples_and_closure():
 def test_bad_matching_rejected():
     with pytest.raises(FormatError):
         BrauerDiagram(1, 1, {("src", 1): ("src", 1), ("tgt", 1): ("tgt", 1)})
+    # ("src", True) and ("src", 1.0) equal ("src", 1) as dict keys; from_json
+    # converts them
+    for index in (True, 1.0):
+        for p, q in ((("src", index), ("tgt", 1)), (("tgt", index), ("src", 1))):
+            with pytest.raises(FormatError, match="boundary point"):
+                BrauerDiagram(1, 1, {p: q, q: p})
+        with pytest.raises(FormatError, match="boundary point"):
+            BrauerDiagram(1, 1, {("src", 1): ("tgt", index),
+                                 ("tgt", 1): ("src", 1)})
+        assert BrauerDiagram.from_json(
+            {"m": 1, "n": 1, "loops": 0,
+             "matching": [[["src", index], ["tgt", 1]]]}) == identity_brauer(1)
     with pytest.raises(ArityMismatch):
         compose_brauer(cap(), cap())
 

@@ -1,6 +1,7 @@
 """Source checks: the library's runtime checks must survive python -O,
 no handler may swallow errors it does not name, and every search draws on
-one budget and one union-find; element text comes from key_text."""
+one budget and one union-find; element text comes from key_text, and the
+process memos are the documented ones."""
 
 import ast
 import os
@@ -82,6 +83,47 @@ def test_one_search_budget():
                 and not {"SearchBudget", "_memo_morphisms"} & set(scope):
             found.append(f"{where} reads the cap")
     assert not found, f"searches outside the one budget: {found}"
+
+
+def test_process_memos_are_the_documented_ones():
+    """The memos that live for the whole process are the four that the
+    graphs module docstring lists: every module-level name bound to an
+    empty dict, list or set, and every function under functools.lru_cache
+    or functools.cache, is one of them.  A new process memo has to be
+    added here and documented there."""
+    def empty(value):
+        if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+            return not (value.keys if isinstance(value, ast.Dict)
+                        else value.elts)
+        return (isinstance(value, ast.Call) and not value.args
+                and not value.keywords and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set"))
+
+    def caching(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        name = decorator.attr if isinstance(decorator, ast.Attribute) \
+            else getattr(decorator, "id", None)
+        return name in ("lru_cache", "cache")
+
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and empty(node.value):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None \
+                    and empty(node.value):
+                targets = [node.target]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(map(caching, node.decorator_list)):
+                targets = [ast.Name(id=node.name)]
+            else:
+                continue
+            found |= {f"{path.stem}.{n.id}" for t in targets
+                      for n in ast.walk(t) if isinstance(n, ast.Name)}
+    assert found == {"graphs._IDKEYS", "graphs._IDSTRS", "graphs._SHAPES",
+                     "nerve._pass"}, sorted(found)
 
 
 def test_one_union_find():

@@ -30,7 +30,7 @@ from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
                              kleisli_equal, kleisli_from_etale,
                              kleisli_from_pointed, kleisli_identity,
                              kleisli_refinement, make_kleisli,
-                             mutated_presheaves, nerve, nerves,
+                             mutated_presheaves, nerve,
                              presheaf_maps, refinement_of_corolla,
                              restrict_kleisli)
 from feyngraph.species import (FiniteCircuitAlgebra, TableSpecies,
@@ -473,6 +473,11 @@ def _all_corpus_morphisms(corpus):
     return list(corpus_morphisms(corpus))
 
 
+def _two_nerves(corpus):
+    return nerve(tuple_algebra(MONO, 3), corpus), \
+        nerve(parity_algebra(4), corpus)
+
+
 # (search, size, function, arguments): every search charged to
 # FEYNGRAPH_MAX_SEARCH, and a call that spends `size` on it, more than on
 # any other search it makes; the arguments are built at the default cap
@@ -492,8 +497,7 @@ BUDGETED = [
      lambda: (_small_corpus(),)),
     # 8 elementary choices, and the candidates for the other objects
     ("natural-transformation choices", 12, presheaf_maps,
-     lambda: nerves((tuple_algebra(MONO, 3), parity_algebra(4)),
-                    _small_corpus())),
+     lambda: _two_nerves(_small_corpus())),
     ("algebra-morphism candidates", 16, algebra_morphisms,
      lambda: (tuple_algebra(MONO, 3), parity_algebra(4), 3)),
 ]
@@ -515,7 +519,7 @@ def test_every_search_stops_at_the_budget(monkeypatch, search, size, fn,
 
 def test_a_refused_search_in_a_refinement_is_not_an_arity_bound(
         monkeypatch):
-    """nerves leaves out an automatic refinement whose restriction leaves
+    """nerve leaves out an automatic refinement whose restriction leaves
     an algebra's bounds (OutOfBounds), but a search that the budget
     refused there (BoundsTooLarge, an OutOfBounds too) still raises."""
     restrict = nerve_module.restrict_kleisli
@@ -839,9 +843,9 @@ def test_restriction_plan_matches_the_brute_restriction(name):
 
 
 def test_restriction_keeps_one_plan_per_morphism(monkeypatch):
-    """The plan of a morphism is built on the first restriction along it
-    and the program of a piece once for its refinement: a second nerve on
-    the same corpus builds neither."""
+    """The plan of a morphism, with one program per piece, is built on the
+    first restriction along it: a second nerve on the same corpus builds
+    neither."""
     corpus, A = corpus14(), parity_algebra(6)
     plans, programs = [], []
     for name, calls in (("_restriction_plan", plans),
@@ -853,10 +857,8 @@ def test_restriction_keeps_one_plan_per_morphism(monkeypatch):
     first = nerve(A, corpus)
     n_plans, n_programs = len(plans), len(programs)
     assert n_plans == len(first.morphisms)
-    # the ch, iso and deletion morphisms out of a graph share its identity
-    # refinement, and so the programs of its pieces
-    assert n_programs < sum(len(kl.source.vertices)
-                            for _, _, kl, *_ in corpus_morphisms(corpus))
+    assert n_programs == sum(len(kl.source.vertices)
+                             for _, _, kl, *_ in corpus_morphisms(corpus))
     second = nerve(A, corpus)
     assert (len(plans), len(programs)) == (n_plans, n_programs)
     assert second.to_json() == first.to_json()
@@ -950,8 +952,7 @@ def test_nerve_on_a_corpus_with_a_corolla_and_a_stick(name):
 
 
 def test_segal_compares_stick_components_with_their_limit():
-    P = nerve(tuple_algebra(TWO, 6), _with_stick_components(),
-              refinements={})
+    P = nerve(tuple_algebra(TWO, 6), _with_stick_components())
     rep = check_segal(P)
     assert rep["ok"], rep
     # two colourings of a stick, four of corolla([0]) + stick
@@ -965,8 +966,7 @@ def test_segal_compares_stick_components_with_their_limit():
 def test_segal_limit_uses_the_stick_flip():
     # with the stick's orientation reversal replaced by the identity, the
     # limit pairs each colour with itself and the check must fail
-    P = nerve(tuple_algebra(TWO, 6), _with_stick_components(),
-              refinements={})
+    P = nerve(tuple_algebra(TWO, 6), _with_stick_components())
     flip, = [r for r in P.morphisms.values()
              if r["kind"] == "ch" and r["from_graph"] == "stick"
              and r.get("edge") == repr("2")]
@@ -1157,7 +1157,8 @@ def test_presheaf_maps_refuses_before_building_the_search(monkeypatch):
 
 def test_shared_pass_equals_one_nerve_per_algebra():
     A, B = parity_algebra(4), parity_algebra(6)
-    PA, PB = nerves((A, B), corpus14())
+    corpus = corpus14()
+    PA, PB = nerve(A, corpus), nerve(B, corpus)
     for P, alone in ((PA, nerve(A, corpus14())), (PB, nerve(B, corpus14()))):
         assert json.dumps(P.to_json(), sort_keys=True) == \
             json.dumps(alone.to_json(), sort_keys=True)
@@ -1172,8 +1173,8 @@ def test_shared_pass_equals_one_nerve_per_algebra():
 
 
 def test_nerves_restrict_once_for_an_algebra_given_twice(monkeypatch):
-    """An algebra object given twice is restricted once, and each of its
-    presheaves owns its records and their dicts."""
+    """fullness_probe(A, A, ...) restricts for A once, and two nerves of
+    one algebra on one corpus share no record or dict."""
     A, corpus = parity_algebra(6), corpus14()
     calls = []
     restrict = nerve_module.restrict_kleisli
@@ -1183,11 +1184,14 @@ def test_nerves_restrict_once_for_an_algebra_given_twice(monkeypatch):
         return restrict(A, kl, dec)
 
     monkeypatch.setattr(nerve_module, "restrict_kleisli", counting)
-    alone, = nerves((A,), corpus)
+    P = nerve(A, corpus)
     once = len(calls)
-    P, Q = nerves((A, A), corpus)
+    assert once > 0
+    fullness_probe(A, A, corpus, 2)
     assert len(calls) == 2 * once
-    assert _json_text(P) == _json_text(Q) == _json_text(alone)
+    Q = nerve(A, corpus)
+    text = _json_text(Q)
+    assert _json_text(P) == text
     assert P.sets is not Q.sets
     for mn, r in P.morphisms.items():
         r2 = Q.morphisms[mn]
@@ -1196,7 +1200,7 @@ def test_nerves_restrict_once_for_an_algebra_given_twice(monkeypatch):
             assert r["edge_images"] is not r2["edge_images"]
     mn = next(iter(P.morphisms))
     P.morphisms[mn]["map"].clear()
-    assert _json_text(Q) == _json_text(alone)
+    assert _json_text(Q) == text
 
 
 def test_fullness_probe_builds_each_kleisli_morphism_once(monkeypatch):
@@ -1246,7 +1250,7 @@ def test_shared_pass_equals_stored_nerves_on_one_corpus(monkeypatch):
     # after A and B have restricted its morphisms
     monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
     A, B, corpus = parity_algebra(4), parity_algebra(6), corpus14()
-    PA, PB = nerves((A, B), corpus)
+    PA, PB = nerve(A, corpus), nerve(B, corpus)
     calls = _count_builds(monkeypatch)
     stored = nerve(A, corpus), nerve(B, corpus)
     assert calls == {}
@@ -1306,7 +1310,6 @@ def test_a_pass_that_raised_is_not_stored(monkeypatch):
     monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH", raising=False)
     corpus, A = corpus14(), parity_algebra(4)
     nerve(A, corpus)
-    stored = list(nerve_module._LAST_PASS)
     monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "8")
     for _ in range(2):   # no partial pass is served the second time
         with pytest.raises(OutOfBounds):
@@ -1314,7 +1317,6 @@ def test_a_pass_that_raised_is_not_stored(monkeypatch):
     monkeypatch.delenv("FEYNGRAPH_MAX_SEARCH")
     with pytest.raises(CorpusNotElementClosed):
         nerve(tuple_algebra(MONO, 4), {"wheel1": wheel(1), "stick": stick()})
-    assert [e is f for e, f in zip(nerve_module._LAST_PASS, stored)] == [True]
     calls = _count_builds(monkeypatch)
     nerve(A, corpus)
     assert calls == {}
