@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import ArityMismatch, FormatError, InvalidGraphOfGraphs
-from .graphs import FeynmanGraph, disjoint_union_all, pairs_text, wheel
+from .graphs import FeynmanGraph, pairs_text, tagged_union, wheel
 from .substitution import _matchings
 
 
@@ -272,7 +272,7 @@ def wiring_to_graph(wd: WiringDiagram) -> FeynmanGraph:
         offset += arity
     g = FeynmanGraph(edges, tau, halves, s, t, verts)
     pieces = [g] + [wheel(1) for _ in range(b.loops)]
-    return disjoint_union_all(pieces) if b.loops else g
+    return tagged_union(enumerate(pieces)) if b.loops else g
 
 
 def graph_to_wiring(g: FeynmanGraph, vertex_order: Sequence,

@@ -28,7 +28,9 @@ from .substitution import (GraphOfGraphs, enumerate_x_graphs, substitute)
 SCHEMAS = {
     "graph": ('{"edges": [...], "tau": [[e, e\'], ...], '
               '"half_edges": [...], "s": [[h, e], ...], '
-              '"t": [[h, v], ...], "vertices": [...]}  '
+              '"t": [[h, v], ...], "vertices": [...]}, '
+              'each id a str, an int, {"t": [id, ...]} (a tuple) or '
+              '{"fs": [id, ...]} (a frozenset);  '
               "or a named graph: stick | empty | isolated | corolla:N | "
               "wheel:M | line:K"),
     "gog": ('{"base": <graph>, "pieces": [{"vertex": v, "piece": <graph>, '
@@ -42,7 +44,8 @@ SCHEMAS = {
                 "  or: terminal | terminal:N"),
     "algebra": ('<species fields> plus {"box": {"a|b": elem}, '
                 '"zeta": {"e|i|j": elem}, "eps": {colour: elem}, '
-                '"unit0": elem}'),
+                '"external_unit": elem}  or "nonunital": true in place '
+                'of "external_unit"'),
     "presheaf": ('{"corpus": [{"name": ..., "graph": <graph>}], '
                  '"sets": {name: [keys]}, "morphisms": [{"name", "kind", '
                  '"from_graph", "to_graph", "map", ...}]}'),

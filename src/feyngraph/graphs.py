@@ -12,10 +12,15 @@ read-only.  So what is derived from it alone (the sorted id orders, the
 nerve's Kleisli record, its vertex deletions and connected components)
 is computed once and kept on the graph.
 
-Ids are strs, ints, or tuples or frozensets of ids (strings in files;
-tuples appear as tags after disjoint unions and quotients, frozensets as
-the edge classes of a colimit).  Canonical labeling maps them to dense
-integers deterministically.
+Graphs are built by the named constructors (empty_graph, stick,
+isolated_vertex, corolla, line, wheel), by tagged_union, the one
+disjoint union, and by the gluing and substitution modules; io writes
+and reads them as JSON.
+
+Ids are strs, ints, or tuples or frozensets of ids (tuples appear as
+tags after disjoint unions and quotients, frozensets as the edge classes
+of a colimit).  Canonical labeling maps them to dense integers
+deterministically.
 
 Three memos last for the whole process and grow with what it sees: the
 sort key and the key text of each distinct id (idkey, idstr), and the
@@ -363,9 +368,9 @@ class FeynmanGraph:
             [vertex_map[v] for v in self.vertices])
 
     def tagged(self, tag) -> "FeynmanGraph":
-        return self.relabel({e: (tag, e) for e in self.edges},
-                            {h: (tag, h) for h in self.half_edges},
-                            {v: (tag, v) for v in self.vertices})
+        """The graph with every id x written (tag, x): the one-part
+        tagged_union."""
+        return tagged_union([(tag, self)])
 
     def __repr__(self) -> str:
         return (f"FeynmanGraph(|E|={len(self.edges)}, |H|={len(self.half_edges)}, "
@@ -463,45 +468,8 @@ def tagged_union(parts: Iterable[tuple]) -> FeynmanGraph:
 
 
 def disjoint_union(g: FeynmanGraph, h: FeynmanGraph) -> FeynmanGraph:
+    """The tagged_union of g and h with the tags "L" and "R"."""
     return tagged_union([("L", g), ("R", h)])
-
-
-def disjoint_union_all(graphs: Sequence[FeynmanGraph]) -> FeynmanGraph:
-    return tagged_union(enumerate(graphs))
-
-
-def make_named(kind: str, **params) -> FeynmanGraph:
-    if kind == "stick":
-        return stick()
-    if kind == "empty":
-        return empty_graph()
-    if kind == "isolated_vertex":
-        return isolated_vertex()
-    if kind == "corolla":
-        return corolla(params["labels"])
-    if kind == "wheel":
-        return wheel(params["m"])
-    if kind == "line":
-        return line(params["k"])
-    if kind == "disjoint_corollas":
-        return disjoint_union(corolla(params["labels"]), corolla(params["labels2"]))
-    raise BadParameter(f"unknown named graph {kind!r}")
-
-
-def validate_graph(raw: Mapping) -> FeynmanGraph:
-    """Build a graph from the file-format dict, checking all invariants."""
-    try:
-        edges = raw["edges"]
-        tau = raw["tau"]
-        halves = raw.get("half_edges", {})
-        vertices = raw.get("vertices", [])
-    except (KeyError, TypeError) as exc:
-        raise DanglingId(f"missing field: {exc}") from exc
-    s = {h: d["s"] for h, d in halves.items()}
-    t = {h: d["t"] for h, d in halves.items()}
-    for x in [*edges, *vertices]:
-        idkey(x)   # BadParameter on an id no sort could key
-    return FeynmanGraph(edges, tau, list(halves), s, t, vertices)
 
 
 # -- canonical labeling -------------------------------------------------------

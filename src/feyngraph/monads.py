@@ -29,7 +29,7 @@ from .errors import (ColourMismatch, FormatError, InvalidGraphOfGraphs,
                      NotLocallyBijective, OutOfBounds)
 from .etale import EtaleMorphism, glue_ports
 from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
-                     idkey, idstr, pairs_text, read_only, sort_ids, stick,
+                     idkey, idstr, pairs_text, read_only, sort_ids,
                      tagged_union)
 from .species import (CircuitAlgebraOps, SpeciesOps, _sweep,
                       evaluate_species, half_order)
@@ -70,8 +70,9 @@ def _deleted_stick(g: FeynmanGraph, v) -> tuple:
     boundary: a stick tagged ("del", v) whose ends go to v's halves in
     half order."""
     h1, h2 = half_order(g, v)
-    piece = stick().tagged(("del", v))
-    return piece, {(("del", v), "1"): h1, (("del", v), "2"): h2}
+    end1, end2 = (("del", v), "1"), (("del", v), "2")
+    piece = FeynmanGraph((end1, end2), {end1: end2, end2: end1})
+    return piece, {end1: h1, end2: h2}
 
 
 def delete_vertices(g: FeynmanGraph, w) -> VertexDeletion:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import (
+    BadParameter,
     ColourMismatch,
     FeynGraphError,
     FormatError,
@@ -167,6 +168,8 @@ class TerminalSpecies(SpeciesOps):
     """One element per arity, monochrome."""
 
     def __init__(self, n_max: int = 8):
+        if n_max < 0:
+            raise BadParameter(f"TerminalSpecies needs n_max >= 0, not {n_max}")
         self.palette = MONO
         self.n_max = n_max
 
@@ -470,22 +473,11 @@ _UNSET = object()
 
 
 class _Raised:
-    """What an operation raised, kept in a _PoolOps memo: the type, args
-    and text of the error, not the error, whose traceback holds the
-    frames it passed through."""
-    __slots__ = ("type", "args", "text")
+    """What an operation raised, kept in a _PoolOps memo."""
+    __slots__ = ("error",)
 
     def __init__(self, error: FeynGraphError):
-        self.type, self.args, self.text = type(error), error.args, str(error)
-
-    def rebuilt(self) -> Optional[FeynGraphError]:
-        """A fresh error of the kept type and text, built from the kept
-        args; None for an error type that its args do not rebuild."""
-        try:
-            error = self.type(*self.args)
-        except TypeError:
-            return None
-        return error if str(error) == self.text else None
+        self.error = error
 
 
 class _PoolOps:
@@ -495,12 +487,9 @@ class _PoolOps:
     Pool elements live for the whole check, and so do the results kept
     here, so both are keyed by identity; only pool elements and results
     returned by this object may be passed.  An operation that raises a
-    library error is run once too: the error's type, args and text are
-    kept, and each later call raises a fresh error rebuilt from its
-    args, so that no traceback is kept or grows from one instance to the
-    next.  An error type that its args do not rebuild (its __init__
-    takes other arguments, or writes its text from them) runs the
-    operation again instead."""
+    library error is run once too: the error is kept, and each later
+    call raises it again with its traceback cleared, so that the
+    traceback does not grow from one instance to the next."""
 
     def __init__(self, A: CircuitAlgebraOps):
         self.A = A
@@ -520,10 +509,7 @@ class _PoolOps:
                 memo[key] = _Raised(exc)
                 raise
         elif type(r) is _Raised:
-            error = r.rebuilt()
-            if error is None:
-                return fn(*args)
-            raise error
+            raise r.error.with_traceback(None)
         return r
 
     def box(self, a: Labeled, b: Labeled) -> Optional[Labeled]:

@@ -14,8 +14,9 @@ from feyngraph.brauer import (BrauerDiagram, WiringDiagram, cap,
                               identity_brauer, identity_wiring, is_downward,
                               tensor_brauer, wd_compose, wiring_to_graph)
 from feyngraph.etale import glue_ports
-from feyngraph.graphs import (corolla, disjoint_union, is_isomorphic, line,
-                              make_named, stick, wheel)
+from feyngraph.graphs import (corolla, disjoint_union, empty_graph,
+                              is_isomorphic, isolated_vertex, line, stick,
+                              wheel)
 from feyngraph.monads import (FreeCircuitAlgebra, check_beck, free_apply,
                               hom_pointed, yang_baxter_sweep)
 from feyngraph.nerve import (check_segal, fullness_probe, mutated_presheaves,
@@ -243,8 +244,8 @@ def test_criterion_3_wiring_graph_coherence():
 
 
 def _named_bases():
-    out = {"stick": stick(), "empty": make_named("empty"),
-           "isolated": make_named("isolated_vertex")}
+    out = {"stick": stick(), "empty": empty_graph(),
+           "isolated": isolated_vertex()}
     for m in (1, 2, 3):
         out[f"wheel:{m}"] = wheel(m)
         out[f"line:{m}"] = line(m)
@@ -256,7 +257,7 @@ def _named_bases():
 def _piece_candidates(valency):
     """Named nondegenerate pieces with <= 2 vertices and the given number
     of ports."""
-    cands = {0: [make_named("isolated_vertex"), wheel(1), wheel(2)],
+    cands = {0: [isolated_vertex(), wheel(1), wheel(2)],
              1: [corolla([0])],
              2: [corolla([0, 1]), line(1), line(2)],
              3: [corolla([0, 1, 2])]}

@@ -13,11 +13,11 @@ import sys
 
 import pytest
 
-from feyngraph.cli import main
+from feyngraph.cli import SCHEMAS, main
 from feyngraph.io import graph_from_json, graph_to_json, id_to_json
 from feyngraph.brauer import BrauerDiagram, identity_wiring
 from feyngraph.substitution import GraphOfGraphs
-from feyngraph import is_isomorphic, make_named, parse_graph_arg
+from feyngraph import is_isomorphic, parse_graph_arg, wheel
 
 from helpers_species import MONO, TWO, algebra_to_json, tuple_algebra
 
@@ -50,7 +50,7 @@ def test_validate_named_graphs(capsys):
 
 
 def test_validate_file_and_bad_input(tmp_path, capsys):
-    g = make_named("wheel", m=2)
+    g = wheel(2)
     path = tmp_path / "w2.json"
     path.write_text(json.dumps(graph_to_json(g)))
     code, out = run(capsys, "validate", str(path))
@@ -65,6 +65,35 @@ def test_validate_file_and_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("form", [
+    {"named": "wheel", "m": 2},
+    {"edges": ["ab", "cd"], "tau": {"ab": "cd", "cd": "ab"},
+     "half_edges": [], "s": [], "t": [], "vertices": []}])
+def test_a_graph_not_in_the_tagged_format_is_an_input_error(
+        form, tmp_path, capsys):
+    """The {"named": ...} form and a flat graph with a dict-valued tau
+    (whose two-character keys would unpack as pairs) are refused with the
+    graph schema, never misread."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(form))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: FormatError: ")
+    assert "expected: {\"edges\"" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "corolla:-2"],
+    ["law", "dt", "--species", "terminal:-1"],
+    ["free", "--level", "T", "--species", "terminal:-1", "--arity", "0"]])
+def test_a_negative_count_is_an_input_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: BadParameter: ")
+
+
 def test_iso_exit_codes(capsys):
     code, out = run(capsys, "iso", "wheel:1", "wheel:1")
     assert code == 0 and "isomorphic true" in out
@@ -77,7 +106,7 @@ def test_glue_corolla_gives_wheel(capsys):
     code, out = run(capsys, "glue", "corolla:2", "--pair", "0", "1")
     assert code == 0
     glued = graph_from_json(json.loads(out.splitlines()[0]))
-    assert is_isomorphic(glued, make_named("wheel", m=1))
+    assert is_isomorphic(glued, wheel(1))
 
 
 def test_substitute_identity_gog(tmp_path, capsys):
@@ -162,6 +191,29 @@ def test_check_ca_and_mo(algebra_file, capsys):
     assert code == 0 and last_line(out).startswith("RESULT pass")
 
 
+def test_check_ca_reads_an_algebra_written_to_the_schema(tmp_path, capsys):
+    """The algebra schema's keys are the ones algebra_from_json reads: the
+    unit as "external_unit", or "nonunital": true without one."""
+    assert '"external_unit": elem' in SCHEMAS["algebra"]
+    assert '"nonunital": true' in SCHEMAS["algebra"]
+    data = {"palette": {"colours": ["*"], "omega": {"*": "*"}},
+            "arity": {"0": ["u"], "2": ["e"]},
+            "colour_of": {"u": [], "e": ["*", "*"]},
+            "action": {"e|0": "e"},
+            "box": {"u|u": "u", "u|e": "e", "e|u": "e"},
+            "zeta": {"e|0|1": "u"},
+            "eps": {"*": "e"},
+            "external_unit": "u"}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "check-ca", str(path))
+    assert code == 0 and last_line(out).startswith("RESULT pass")
+    del data["external_unit"]
+    path.write_text(json.dumps(dict(data, nonunital=True)))
+    code, out = run(capsys, "check-ca", str(path))
+    assert code == 0 and last_line(out).startswith("RESULT pass")
+
+
 def test_check_ca_bad_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{}")
@@ -230,7 +282,7 @@ def test_segal_rejects_mutant(algebra_file, tmp_path, capsys):
 
 
 def test_round_trip_graph_fixture(tmp_path, capsys):
-    g = make_named("wheel", m=3)
+    g = wheel(3)
     blob = json.dumps(graph_to_json(g), sort_keys=True)
     assert json.dumps(graph_to_json(graph_from_json(json.loads(blob))),
                       sort_keys=True) == blob

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feyngraph import (
     FeynmanGraph,
@@ -12,18 +13,21 @@ from feyngraph import (
     is_isomorphic,
     isolated_vertex,
     line,
-    make_named,
     stick,
-    validate_graph,
+    tagged_union,
     wheel,
 )
 from feyngraph.errors import (
     BadParameter,
     DanglingId,
     FixedPointInTau,
+    FormatError,
     NonInjectiveS,
     TauNotInvolutive,
 )
+from feyngraph.etale import glue_ports
+from feyngraph.io import graph_from_json, graph_to_json
+from feyngraph.substitution import GraphOfGraphs, substitute
 
 
 def relabel_random(g, rng):
@@ -53,7 +57,10 @@ CORPUS = [
 
 class TestValidation:
     def test_stick_from_raw(self):
-        g = validate_graph({"edges": ["1", "2"], "tau": {"1": "2", "2": "1"}})
+        g = graph_from_json({"edges": ["1", "2"],
+                             "tau": [["1", "2"], ["2", "1"]],
+                             "half_edges": [], "s": [], "t": [],
+                             "vertices": []})
         assert len(g.edges) == 2 and not g.vertices and g.ports == g.edges
 
     def test_tau_fixed_point(self):
@@ -97,9 +104,6 @@ class TestNamed:
     def test_wheel0_rejected(self):
         with pytest.raises(BadParameter):
             wheel(0)
-
-    def test_make_named(self):
-        assert is_isomorphic(make_named("wheel", m=2), wheel(2)) is not None
 
 
 class TestQueries:
@@ -223,3 +227,70 @@ class TestCanonical:
                 seen.add(n)
                 stack.extend(adj[n])
             assert (len(seen) == len(nodes)) == g.is_connected()
+
+
+# -- the JSON format ---------------------------------------------------------------
+
+named_graphs = st.one_of(
+    st.builds(stick), st.builds(empty_graph), st.builds(isolated_vertex),
+    st.builds(corolla, st.lists(st.one_of(st.integers(-3, 3),
+                                          st.sampled_from(["a", "b"])),
+                                max_size=3, unique=True)),
+    st.builds(wheel, st.integers(1, 3)), st.builds(line, st.integers(0, 3)))
+tags = st.one_of(st.integers(0, 3), st.sampled_from(["x", "y"]),
+                 st.tuples(st.sampled_from(["t"]), st.integers(0, 1)))
+unions = st.lists(st.tuples(tags, named_graphs), max_size=3,
+                  unique_by=lambda p: p[0]).map(tagged_union)
+
+
+@st.composite
+def glued(draw, graphs):
+    """graphs with a drawn set of disjoint port pairs glued: edge ids are
+    frozensets of the identified edges."""
+    g = draw(graphs)
+    ports = draw(st.permutations(sorted(g.ports, key=repr)))
+    n = draw(st.integers(0, len(ports) // 2))
+    return glue_ports(g, [(ports[2 * i], ports[2 * i + 1])
+                          for i in range(n)])[0]
+
+
+json_graphs = st.one_of(
+    named_graphs, unions,
+    unions.map(lambda g: substitute(GraphOfGraphs.identity(g)).colimit),
+    glued(st.one_of(named_graphs, unions)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_graphs)
+def test_graph_json_round_trip_keeps_every_id(g):
+    back = graph_from_json(graph_to_json(g))
+    assert (back.edges, back.half_edges, back.vertices) == \
+        (g.edges, g.half_edges, g.vertices)
+    assert (dict(back.tau), dict(back.s), dict(back.t)) == \
+        (dict(g.tau), dict(g.s), dict(g.t))
+    # equal ids of one type only: 1 and "1" differ, and no int is a bool
+    assert {type(x) for x in back.edges} == {type(x) for x in g.edges}
+
+
+@pytest.mark.parametrize("data", [
+    {"named": "wheel", "m": 2},
+    {"named": "stick"},
+    {"edges": ["1", "2"], "tau": {"1": "2", "2": "1"}},
+    {"edges": ["ab", "cd"], "tau": {"ab": "cd", "cd": "ab"},
+     "half_edges": {}, "vertices": []},
+    {"edges": ["ab", "cd"], "tau": {"ab": "cd", "cd": "ab"},
+     "half_edges": [], "s": [], "t": [], "vertices": []},
+    dict(graph_to_json(stick()), named="stick"),
+    dict(graph_to_json(stick()), tau=[["1", "2", "1"]]),
+    dict(graph_to_json(stick()), edges=["1", "2", "1"]),
+    dict(graph_to_json(stick()), tau=[["1", "2"], ["2", "1"], ["1", "1"]]),
+    dict(graph_to_json(stick()), edges=[{"t": "12"}, "2"]),
+    dict(graph_to_json(stick()), edges=[{"t": ["1"], "fs": []}, "2"]),
+    [["1", "2"]]])
+def test_graph_from_json_refuses_other_forms(data):
+    """Only what graph_to_json writes is read: the named form, the flat
+    form with a dict-valued tau (whose two-character keys would unpack
+    as pairs), extra keys, pairs that are not pairs, an id listed or
+    mapped twice and a malformed id all raise FormatError."""
+    with pytest.raises(FormatError):
+        graph_from_json(data)

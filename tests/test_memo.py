@@ -22,7 +22,7 @@ from feyngraph.errors import BadParameter, FormatError
 from feyngraph.graphs import (FeynmanGraph, canonical_form,
                               canonical_labelings, corolla, disjoint_union,
                               idkey, idstr, is_isomorphic, line, sort_ids,
-                              stick, validate_graph, wheel)
+                              stick, tagged_union, wheel)
 from feyngraph.io import graph_from_json
 from feyngraph.monads import TElem, TSpecies, telem_key
 from feyngraph.species import Labeled, SpeciesOps
@@ -247,15 +247,6 @@ def test_idkey_rejects_atoms_other_than_str_and_int(bad):
         idkey(bad)
 
 
-@pytest.mark.parametrize("text", [
-    '{"edges": [true, "b"], "tau": {"true": "b", "b": true}}',
-    '{"edges": ["a", "b"], "tau": {"a": "b", "b": "a"},'
-    ' "half_edges": {"h": {"s": "a", "t": true}}, "vertices": [true]}'])
-def test_validate_graph_rejects_boolean_ids(text):
-    with pytest.raises(BadParameter):
-        validate_graph(json.loads(text))
-
-
 def test_graph_from_json_rejects_boolean_ids():
     data = json.loads(
         '{"edges": ["a", "b"], "tau": [["a", "b"], ["b", "a"]],'
@@ -282,14 +273,14 @@ def _plain(result):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_shared_labelings_equal_labelings_from_scratch(data):
-    # g and g.tagged(tag) have one shape and no id in common
+    # g and its one-part tagged union have one shape and no id in common
     if data.draw(st.booleans()):
         g, tokens = data.draw(st.sampled_from(GRAPHS)), None
     else:
         x = data.draw(st.sampled_from(LABELED))
         g, tokens = x.graph, dict(x.labeling)
     tag = data.draw(st.sampled_from(["copy", 7, ("t", 0)]))
-    h = g.tagged(tag)
+    h = tagged_union([(tag, g)])
     h_tokens = None if tokens is None else {
         (tag, e): lab for e, lab in tokens.items()}
     warm_g = _plain(canonical_labelings(g, tokens))
@@ -309,7 +300,7 @@ def test_a_second_graph_of_one_shape_runs_no_refinement(monkeypatch):
     monkeypatch.setattr(graphs, "_SHAPES", {})
     canonical_labelings(theta())
     first = len(calls)
-    canonical_labelings(theta().tagged("copy"))
+    canonical_labelings(tagged_union([("copy", theta())]))
     assert first > 0 and len(calls) == first
 
 

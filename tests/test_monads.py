@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from feyngraph import monads
 from feyngraph.errors import ColourMismatch, NotDeletable, OutOfBounds
-from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union,
-                              disjoint_union_all, idstr, is_isomorphic,
-                              isolated_vertex, line, stick, wheel)
+from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union, idstr,
+                              is_isomorphic, isolated_vertex, line, stick,
+                              tagged_union, wheel)
 from feyngraph.monads import (FreeCircuitAlgebra, TSpecies, DSpecies,
                               LSpecies, VertexDeletion, check_beck,
                               check_monad_laws, check_t_associativity,
@@ -246,7 +246,7 @@ def test_pointed_homs_split_each_graph_once(monkeypatch):
 def test_pointed_homs_match_the_chain_oracle_on_unions(parts, h):
     # two parts at most: the oracle deletes every vertex set afresh, and
     # three wheel(3)s take it seconds for one target
-    g = disjoint_union_all(parts)
+    g = tagged_union(enumerate(parts))
     assert [pm.key() for pm in hom_pointed(g, h)] == brute_hom_pointed(g, h)
 
 
