@@ -18,6 +18,15 @@ from .graphs import FeynmanGraph, pairs_text, tagged_union, wheel
 from .substitution import _matchings
 
 
+def _whole(x) -> int:
+    """A JSON number as an int.  True and 1.0 read as 1; a value that
+    int() would change (1.7, "1") raises ValueError, never truncated."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not a whole number")
+    return n
+
+
 def _check_matching(m: int, n: int, matching: Mapping) -> Mapping:
     points = [("src", i) for i in range(1, m + 1)] + \
              [("tgt", j) for j in range(1, n + 1)]
@@ -70,12 +79,13 @@ class BrauerDiagram:
         try:
             matching = {}
             for a, b in data["matching"]:
-                pa, pb = (a[0], int(a[1])), (b[0], int(b[1]))
+                pa, pb = (a[0], _whole(a[1])), (b[0], _whole(b[1]))
                 matching[pa] = pb
                 matching[pb] = pa
-            return cls(int(data["m"]), int(data["n"]), matching,
-                       int(data.get("loops", 0)))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            return cls(_whole(data["m"]), _whole(data["n"]), matching,
+                       _whole(data.get("loops", 0)))
+        except (KeyError, TypeError, ValueError, IndexError,
+                OverflowError) as exc:
             raise FormatError(f"bad Brauer diagram: {exc}") from exc
 
 
@@ -220,10 +230,10 @@ class WiringDiagram:
     @classmethod
     def from_json(cls, data: dict) -> "WiringDiagram":
         try:
-            return cls(tuple(int(a) for a in data["inner_arities"]),
-                       int(data["outer_arity"]),
+            return cls(tuple(_whole(a) for a in data["inner_arities"]),
+                       _whole(data["outer_arity"]),
                        BrauerDiagram.from_json(data["underlying"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad wiring diagram: {exc}") from exc
 
 

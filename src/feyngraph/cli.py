@@ -14,7 +14,7 @@ import sys
 from .brauer import (BrauerDiagram, WiringDiagram, cap, compose_brauer, cup,
                      identity_brauer, is_downward, tensor_brauer,
                      wiring_to_graph)
-from .errors import FeynGraphError
+from .errors import FeynGraphError, require_nonnegative
 from .etale import glue_ports
 from .graphs import idstr, is_isomorphic
 from .io import graph_to_json, id_from_json, parse_graph_arg
@@ -167,6 +167,7 @@ def cmd_substitute(args):
 
 
 def cmd_enumerate(args):
+    require_nonnegative("enumerate", labels=args.labels)
     labels = [f"x{i}" for i in range(1, args.labels + 1)]
     xs = enumerate_x_graphs(labels, args.max_vertices, args.max_valency,
                             connected_only=not args.disconnected,

@@ -33,6 +33,13 @@ class BadParameter(FeynGraphError):
     pass
 
 
+def require_nonnegative(owner: str, **bounds: int) -> None:
+    """Raise BadParameter for the first negative one of the bounds."""
+    for name, n in bounds.items():
+        if n < 0:
+            raise BadParameter(f"{owner} needs {name} >= 0, not {n}")
+
+
 class UnknownEdge(FeynGraphError):
     pass
 

@@ -231,7 +231,7 @@ class FeynmanGraph:
         halves_at: dict = {v: [] for v in self.vertices}
         for h in sort_ids(self.half_edges):
             halves_at[t[h]].append(h)
-        self._halves_at = halves_at
+        self._halves_at = {v: tuple(hs) for v, hs in halves_at.items()}
         self._ports = frozenset(self.edges - set(self._s_inv))
         self.s, self.t, self.tau = (MappingProxyType(s), MappingProxyType(t),
                                     MappingProxyType(tau))
@@ -300,11 +300,12 @@ class FeynmanGraph:
                 out.append((e, f))
         return out
 
-    def halves_at(self, v: Id) -> list:
-        """The half-edges at v, in idkey order."""
+    def halves_at(self, v: Id) -> tuple:
+        """The half-edges at v in idkey order: the one half order of v,
+        which the graph keeps (the same tuple on every call)."""
         if v not in self.vertices:
             raise UnknownVertex(repr(v))
-        return list(self._halves_at[v])
+        return self._halves_at[v]
 
     def edges_at(self, v: Id) -> list:
         """E_v: edges incident to v, in half-edge order."""

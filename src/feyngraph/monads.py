@@ -26,13 +26,12 @@ from typing import Mapping, Optional
 
 from .errors import (ColourMismatch, FormatError, InvalidGraphOfGraphs,
                      Mismatch, NotCommuting, NotDeletable,
-                     NotLocallyBijective, OutOfBounds)
+                     NotLocallyBijective, OutOfBounds, require_nonnegative)
 from .etale import EtaleMorphism, glue_ports
 from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
                      idkey, idstr, pairs_text, read_only, sort_ids,
                      tagged_union)
-from .species import (CircuitAlgebraOps, SpeciesOps, _sweep,
-                      evaluate_species, half_order)
+from .species import CircuitAlgebraOps, SpeciesOps, _sweep, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
                            identity_half, identity_piece, substitute)
 
@@ -69,7 +68,7 @@ def _deleted_stick(g: FeynmanGraph, v) -> tuple:
     """The piece that replaces a deleted bivalent vertex v of g, with its
     boundary: a stick tagged ("del", v) whose ends go to v's halves in
     half order."""
-    h1, h2 = half_order(g, v)
+    h1, h2 = g.halves_at(v)
     end1, end2 = (("del", v), "1"), (("del", v), "2")
     piece = FeynmanGraph((end1, end2), {end1: end2, end2: end1})
     return piece, {end1: h1, end2: h2}
@@ -438,6 +437,8 @@ class TSpecies(SpeciesOps):
 
     def __init__(self, inner: SpeciesOps, max_vertices: int = 2,
                  max_valency: int = 3):
+        require_nonnegative("TSpecies", max_vertices=max_vertices,
+                            max_valency=max_valency)
         self.inner = inner
         self.palette = inner.palette
         self.max_vertices = max_vertices
@@ -456,7 +457,7 @@ class TSpecies(SpeciesOps):
             ports = tuple(inv[i] for i in range(n))
             for dec in evaluate_species(self.inner, xg.graph):
                 t = TElem(xg.graph, ports, dec.edge_colours,
-                          {v: (dec.vertex_elems[v], dec.half_orders[v])
+                          {v: (dec.vertex_elems[v], xg.graph.halves_at(v))
                            for v in xg.graph.vertices})
                 k = self.key(t)
                 if k not in seen:
@@ -555,6 +556,7 @@ class LSpecies(SpeciesOps):
 
     def __init__(self, inner: SpeciesOps, max_factors: int = 3,
                  n_max: Optional[int] = None):
+        require_nonnegative("LSpecies", max_factors=max_factors)
         self.inner = inner
         self.palette = inner.palette
         self.max_factors = max_factors
@@ -655,7 +657,7 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     for i in range(n):
         colours[i] = cols[i]
         colours[("in", i)] = om[cols[i]]
-    order = half_order(g, "*")
+    order = g.halves_at("*")
     got = tuple(colours[g.tau[g.s[hh]]] for hh in order)
     if got != tuple(cols):
         raise FormatError("corolla half order does not match colour profile")
@@ -914,6 +916,8 @@ def _graded(max_arity: int, axioms) -> dict:
     """The sweep of every (name, domain, law) on each element x of its
     domain up to max_arity, judged by law(n, x) for x of arity n, with
     the arity n as the witness of a failing instance."""
+    require_nonnegative("a law sweep", max_arity=max_arity)
+
     def instances(domain):
         for n in range(max_arity + 1):
             for x in domain.elements(n):

@@ -46,7 +46,7 @@ from .etale import EtaleMorphism, elements
 from .graphs import (FeynmanGraph, canonical_labelings, corolla, idkey,
                      idstr, isolated_vertex, sort_ids, stick)
 from .monads import (PointedMorphism, VertexDeletion, _deletion_homs,
-                     _push_forward, delete_vertices, half_order, hom_etale)
+                     _push_forward, delete_vertices, hom_etale)
 from .species import CircuitAlgebraOps, Decoration, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, Substitution,
                            compose_gogs, identity_half, max_search_cap,
@@ -426,7 +426,7 @@ def _piece_program(piece: FeynmanGraph, boundary: dict) -> tuple:
         ports = sort_ids(piece.ports)
         return (), (), (ports[0],) if len(ports) == 2 else None, ()
     vertices = tuple(sort_ids(piece.vertices))
-    slots = [h for u in vertices for h in half_order(piece, u)]
+    slots = [h for u in vertices for h in piece.halves_at(u)]
     contractions = []
     changed = True
     while changed:
@@ -486,13 +486,14 @@ def _restriction_plan(kl: KleisliMorphism) -> tuple:
     vertices holds, for each colimit vertex cv, (cv, kind, data): a
     deletion, which a normal form's tail makes of isolated vertices only
     ("zero", the target edge of its fresh stick), or a kept vertex
-    ("kept", its target vertex and the tail images of its halves).  edges
-    pairs each source edge with its target edge.  pieces holds, for each
-    source vertex v, (v, perms, program, colour edges, half order): perms
-    gives, for each piece vertex, its colimit vertex and the permutation
-    onto the piece's half order; program is the piece program
+    ("kept", its target vertex tv and, for each half at cv, the position
+    of its tail image in kl.target.halves_at(tv)).  edges pairs each
+    source edge with its target edge.  pieces holds, for each source
+    vertex v, (v, program, colour edges): program is the piece program
     (_piece_program), and colour edges pairs each edge its units read
-    with its target edge."""
+    with its target edge.  A piece vertex u needs no realignment: the
+    halves at its colimit vertex ("p", v, u) are the ("p", v, h) for the
+    halves h at u, in the same idkey order."""
     tail, sub = kl.pointed_tail, kl._sub
     colim = sub.colimit
     vertices = []
@@ -500,25 +501,20 @@ def _restriction_plan(kl: KleisliMorphism) -> tuple:
         if cv in tail.deleted:
             vertices.append((cv, "zero", tail.fresh_images(cv)[0]))
         else:
-            data = (tail.vertex_image(cv),
-                    tuple(tail.half_image(h) for h in half_order(colim, cv)))
-            vertices.append((cv, "kept", data))
+            tv = tail.vertex_image(cv)
+            torder = kl.target.halves_at(tv)
+            sigma = tuple(torder.index(tail.half_image(h))
+                          for h in colim.halves_at(cv))
+            vertices.append((cv, "kept", (tv, sigma)))
     edges = tuple((e, tail.edge_image(sub.edge_class[e]))
                   for e in kl.source.edges)
     pieces = []
     for v in kl.source.vertices:
         piece, boundary = kl.refinement.pieces[v]
         program = _piece_program(piece, boundary)
-        perms = []
-        for u in piece.vertices:
-            cu = ("p", v, u)
-            order = [h[2] for h in half_order(colim, cu)]
-            perms.append((u, cu, tuple(order.index(h)
-                                       for h in half_order(piece, u))))
         reads = tuple((pe, tail.edge_image(sub.piece_edge[(v, pe)]))
                       for pe in program[2] or ())
-        pieces.append((v, tuple(perms), program, reads,
-                       half_order(kl.source, v)))
+        pieces.append((v, program, reads))
     return tuple(vertices), edges, tuple(pieces)
 
 
@@ -539,23 +535,19 @@ def restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
     celems = {}
     for cv, kind, data in vertices:
         if kind == "kept":
-            tv, images = data
-            torder = dec.half_orders[tv]
-            celems[cv] = S.act(dec.vertex_elems[tv],
-                               tuple(torder.index(h) for h in images))
+            tv, sigma = data
+            celems[cv] = S.act(dec.vertex_elems[tv], sigma)
         else:
             z = A.zeta(A.eps(colours[data]), 0, 1)
             if z is None:
                 raise OutOfBounds("unit insertion exceeds bounds")
             celems[cv] = z
-    velems, vorders = {}, {}
-    for v, perms, program, reads, order in pieces:
-        pelems = {u: S.act(celems[cu], sigma) for u, cu, sigma in perms}
+    velems = {}
+    for v, program, reads in pieces:
         velems[v] = _run_piece_program(
-            A, program, {pe: colours[te] for pe, te in reads}, pelems)
-        vorders[v] = order
-    return Decoration({e: colours[te] for e, te in edges}, velems, vorders,
-                      S)
+            A, program, {pe: colours[te] for pe, te in reads},
+            {u: celems[("p", v, u)] for u in program[0]})
+    return Decoration({e: colours[te] for e, te in edges}, velems, S)
 
 
 # -- finite presheaves ---------------------------------------------------------------
@@ -796,7 +788,7 @@ def _auto_refinements(corpus):
         if not _is_corolla(cor):
             continue
         v = next(iter(cor.vertices))
-        halves = half_order(cor, v)
+        halves = cor.halves_at(v)
         for hname in sorted(corpus):
             h = corpus[hname]
             if not h.vertices or len(h.ports) != len(halves):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import (
-    BadParameter,
     ColourMismatch,
     FeynGraphError,
     FormatError,
@@ -29,6 +28,7 @@ from .errors import (
     InvalidGraphOfGraphs,
     OutOfBounds,
     ValencyOutOfRange,
+    require_nonnegative,
 )
 from .graphs import FeynmanGraph, idkey, pairs_text, sort_ids
 
@@ -168,8 +168,7 @@ class TerminalSpecies(SpeciesOps):
     """One element per arity, monochrome."""
 
     def __init__(self, n_max: int = 8):
-        if n_max < 0:
-            raise BadParameter(f"TerminalSpecies needs n_max >= 0, not {n_max}")
+        require_nonnegative("TerminalSpecies", n_max=n_max)
         self.palette = MONO
         self.n_max = n_max
 
@@ -187,9 +186,10 @@ class TerminalSpecies(SpeciesOps):
 
 @dataclass(frozen=True)
 class Decoration:
+    """An S-decoration of a graph g: a colour on each edge and an element
+    at each vertex v, whose positions are read in g.halves_at(v)."""
     edge_colours: Mapping[Any, Any]
     vertex_elems: Mapping[Any, Any]
-    half_orders: Mapping[Any, tuple]
     species: SpeciesOps = field(repr=False)  # of the vertex elements
     _key: Optional[tuple] = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -211,24 +211,18 @@ class Decoration:
         return hash(self.key())
 
 
-def half_order(g: FeynmanGraph, v) -> tuple:
-    """The half-edges at v in idkey order (the order g keeps them in)."""
-    return tuple(g.halves_at(v))
-
-
 def evaluate_species(S: SpeciesOps, g: FeynmanGraph) -> list:
     """All S-decorations of g.
 
     The colour at position i of the element at v is the colour of the
     edge arriving at v through the i-th half-edge, i.e. colour(tau s(h_i))
-    for the sorted half-edge order.
+    for h_i the i-th half of g.halves_at(v).
     """
     for v in g.vertices:
         if g.valency(v) > S.n_max:
             raise ValencyOutOfRange(f"valency of {v!r} exceeds the species bound")
     omega = S.palette.omega
     orbit_reps = [e for e, _ in g.orbits()]   # e precedes tau e in idkey order
-    orders = {v: half_order(g, v) for v in g.vertices}
     results = []
 
     def extend_edges(i, colouring):
@@ -247,7 +241,7 @@ def evaluate_species(S: SpeciesOps, g: FeynmanGraph) -> list:
         choices = []
         ok = True
         for v in sort_ids(g.vertices):
-            want = tuple(colouring[g.tau[g.s[h]]] for h in orders[v])
+            want = tuple(colouring[g.tau[g.s[h]]] for h in g.halves_at(v))
             opts = [x for x in S.elements(len(want)) if S.colour_of(x) == want]
             if not opts:
                 ok = False
@@ -258,8 +252,7 @@ def evaluate_species(S: SpeciesOps, g: FeynmanGraph) -> list:
         for combo in itertools.product(*(opts for _, opts in choices)):
             decorations.append(Decoration(
                 dict(colouring),
-                {v: x for (v, _), x in zip(choices, combo)},
-                dict(orders), S))
+                {v: x for (v, _), x in zip(choices, combo)}, S))
     return decorations
 
 
@@ -463,7 +456,11 @@ def _pools(A: CircuitAlgebraOps, max_arity: Optional[int]):
     """Three copies of every element up to max_arity, with positions
     labelled ("a", ("p", i)), ("b", ("p", i)) and ("c", ("p", i))."""
     S = A.species
-    top = S.n_max if max_arity is None else min(max_arity, S.n_max)
+    if max_arity is None:
+        top = S.n_max
+    else:
+        require_nonnegative("an axiom check", max_arity=max_arity)
+        top = min(max_arity, S.n_max)
     elems = [(e, n) for n in range(top + 1) for e in S.elements(n)]
     return [[Labeled(e, tuple((tag, ("p", i)) for i in range(n)))
              for e, n in elems] for tag in ("a", "b", "c")]

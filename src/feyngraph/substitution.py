@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import BadParameter, BoundsTooLarge, InvalidGraphOfGraphs
+from .errors import (BadParameter, BoundsTooLarge, InvalidGraphOfGraphs,
+                     require_nonnegative)
 from .graphs import FeynmanGraph, _UF, canonical_labelings, corolla, idkey
 
 DEFAULT_MAX_SEARCH = 10 ** 7
@@ -306,6 +307,8 @@ def enumerate_x_graphs(labels, max_vertices: int, max_valency: int,
     so classes are deduplicated by canonical form.  Each generated
     matching is charged to FEYNGRAPH_MAX_SEARCH.
     """
+    require_nonnegative("enumerate_x_graphs", max_vertices=max_vertices,
+                        max_valency=max_valency)
     labels = list(labels)
     budget = SearchBudget("enumerated matchings")
     found = {}

@@ -12,7 +12,7 @@ import math
 from feyngraph.errors import (BadParameter, ColourMismatch, FormatError,
                               OutOfBounds)
 from feyngraph.graphs import FeynmanGraph, idkey, sort_ids
-from feyngraph.species import Decoration, half_order
+from feyngraph.species import Decoration
 
 
 def _brute_not_an_id(x) -> BadParameter:
@@ -1077,7 +1077,7 @@ def brute_algebra_evaluate(A: CircuitAlgebraOps, piece: FeynmanGraph,
     acc = A.unit0()
     slots = []
     for u in sort_ids(piece.vertices):
-        order = half_order(piece, u)
+        order = piece.halves_at(u)
         acc = A.box(acc, elems[u])
         if acc is None:
             raise OutOfBounds("piece evaluation exceeds the algebra bounds")
@@ -1131,7 +1131,7 @@ def brute_restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
     # vertex elements on the colimit
     celems, corders = {}, {}
     for cv in colim.vertices:
-        order = half_order(colim, cv)
+        order = colim.halves_at(cv)
         corders[cv] = order
         if cv in tail.deleted:
             if colim.valency(cv) == 0:
@@ -1150,12 +1150,12 @@ def brute_restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
         else:
             tv = tail.vertex_image(cv)
             telem = dec.vertex_elems[tv]
-            torder = dec.half_orders[tv]
+            torder = kl.target.halves_at(tv)
             sigma = tuple(torder.index(tail.half_image(h)) for h in order)
             celems[cv] = S.act(telem, sigma)
     # evaluate pieces
     ecol = {e: ccol[kl._sub.edge_class[e]] for e in kl.source.edges}
-    velems, vorders = {}, {}
+    velems = {}
     for v in kl.source.vertices:
         piece, boundary = kl.refinement.pieces[v]
         pcol = {pe: ccol[kl._sub.piece_edge[(v, pe)]] for pe in piece.edges}
@@ -1164,12 +1164,11 @@ def brute_restrict_kleisli(A: CircuitAlgebraOps, kl: KleisliMorphism,
             cu = ("p", v, u)
             elem = celems[cu]
             order = [h[2] for h in corders[cu]]
-            want = half_order(piece, u)
+            want = piece.halves_at(u)
             sigma = tuple(order.index(h) for h in want)
             pelems[u] = S.act(elem, sigma)
         velems[v] = brute_algebra_evaluate(A, piece, boundary, pcol, pelems)
-        vorders[v] = half_order(kl.source, v)
-    return Decoration(ecol, velems, vorders, S)
+    return Decoration(ecol, velems, S)
 
 
 # -- algebra morphisms ---------------------------------------------------------------

@@ -106,6 +106,23 @@ def test_bad_matching_rejected():
         compose_brauer(cap(), cap())
 
 
+@pytest.mark.parametrize("data", [
+    {"m": 1, "n": 1, "loops": 0, "matching": [[["src", 1.9], ["tgt", 1]]]},
+    {"m": 1.7, "n": 1, "loops": 0, "matching": [[["src", 1], ["tgt", 1]]]},
+    {"m": 1, "n": 1, "loops": 0.5, "matching": [[["src", 1], ["tgt", 1]]]},
+    {"m": 1, "n": 1, "loops": "0", "matching": [[["src", 1], ["tgt", 1]]]}])
+def test_a_fractional_number_is_refused_not_truncated(data):
+    with pytest.raises(FormatError, match="not a whole number"):
+        BrauerDiagram.from_json(data)
+    for wd in ({"inner_arities": [1], "outer_arity": 1, "underlying": data},
+               {"inner_arities": [1.7], "outer_arity": 1,
+                "underlying": identity_brauer(1).to_json()},
+               {"inner_arities": [1], "outer_arity": 0.5,
+                "underlying": identity_brauer(1).to_json()}):
+        with pytest.raises(FormatError, match="not a whole number"):
+            WiringDiagram.from_json(wd)
+
+
 def test_json_roundtrip():
     for f in [cap(), cup(), identity_brauer(3), compose_brauer(cap(), cup())]:
         assert BrauerDiagram.from_json(f.to_json()) == f

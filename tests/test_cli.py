@@ -94,6 +94,28 @@ def test_a_negative_count_is_an_input_error(argv, capsys):
     assert captured.err.startswith("error: BadParameter: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["law", "dt", "--max-arity", "-1"],
+    ["law", "lt", "--max-vertices", "-1"],
+    ["yb-sweep", "--max-arity", "-3"],
+    ["enumerate", "--labels", "2", "--max-vertices", "-1",
+     "--max-valency", "3"],
+    ["enumerate", "--labels", "-2", "--max-vertices", "1",
+     "--max-valency", "3"],
+    ["free", "--level", "L", "--species", "terminal", "--arity", "1",
+     "--max-factors", "-2"],
+    ["check-ca", "ALGEBRA", "--max-arity", "-1"],
+    ["check-mo", "ALGEBRA", "--max-arity", "-5"]])
+def test_a_negative_bound_is_an_input_error(argv, algebra_file, capsys):
+    """A negative bound is refused, never swept as an empty (or partly
+    empty) range and reported as passing."""
+    code = main([algebra_file if a == "ALGEBRA" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: BadParameter: ")
+    assert ">= 0, not -" in captured.err
+
+
 def test_iso_exit_codes(capsys):
     code, out = run(capsys, "iso", "wheel:1", "wheel:1")
     assert code == 0 and "isomorphic true" in out
@@ -168,6 +190,16 @@ def test_brauer_to_graph(tmp_path, capsys):
     assert code == 0
     g = graph_from_json(json.loads(out.splitlines()[0]))
     assert len(g.vertices) == 1 and len(g.ports) == 2
+
+
+def test_brauer_fractional_numbers_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"m": 1.7, "n": 1, "loops": 0.5,
+                                "matching": [[["src", 1.9], ["tgt", 1]]]}))
+    code = main(["brauer", "compose", str(path), "id:1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: FormatError: bad Brauer diagram: ")
 
 
 def test_brauer_compose_needs_two_args(capsys):

@@ -108,7 +108,7 @@ class TestNeighbourhood:
         phi = vertex_elements(g)[("v", 1)]
         assert len(phi.source.ports) == 2
         assert len(set(phi.edge_map.values())) == len(phi.source.edges)
-        assert [phi.half_map[("h", i)] for i in range(2)] == \
+        assert tuple(phi.half_map[("h", i)] for i in range(2)) == \
             g.halves_at(("v", 1))
 
 

@@ -26,6 +26,7 @@ from feyngraph.errors import (
     TauNotInvolutive,
 )
 from feyngraph.etale import glue_ports
+from feyngraph.graphs import idkey
 from feyngraph.io import graph_from_json, graph_to_json
 from feyngraph.substitution import GraphOfGraphs, substitute
 
@@ -114,6 +115,13 @@ class TestQueries:
     def test_wheel_ports(self):
         w = wheel(1)
         assert not w.ports and len(w.inner_edges()) == 2
+
+    def test_halves_at_returns_the_graph_own_tuple(self):
+        for _, g in CORPUS:
+            for v in g.vertices:
+                hs = g.halves_at(v)
+                assert type(hs) is tuple and g.halves_at(v) is hs
+                assert list(hs) == sorted(hs, key=idkey)
 
     def test_corolla_inner(self):
         assert not corolla(["a", "b"]).inner_edges()

@@ -137,6 +137,22 @@ def test_one_union_find():
     assert not found, f"union-find outside graphs._UF: {found}"
 
 
+def test_one_half_order_per_vertex():
+    """A vertex's half order is the tuple its graph keeps, g.halves_at(v):
+    no library function is named half_order, and no dataclass keeps a
+    half_orders field beside the graph.  (graph_to_wiring's caller-given
+    half_orders parameter is an input, not a copy.)"""
+    found = [where for where, _, node in _scoped_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "half_order"]
+    for where, node in _nodes(ast.ClassDef):
+        found += [f"{where} {node.name}.half_orders" for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id == "half_orders"]
+    assert not found, f"copies of the graph's half order: {found}"
+
+
 def test_element_text_is_written_by_key_text():
     """A species element's key is written as text in one place, a
     key_text method: no other library function calls repr on the result

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feyngraph import monads
-from feyngraph.errors import ColourMismatch, NotDeletable, OutOfBounds
+from feyngraph.errors import (BadParameter, ColourMismatch, NotDeletable,
+                              OutOfBounds)
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union, idstr,
                               is_isomorphic, isolated_vertex, line, stick,
                               tagged_union, wheel)
@@ -31,6 +32,20 @@ from oracles import (brute_etale_homs, brute_hom_pointed,
 
 K = TerminalSpecies(n_max=4)
 S2 = tuple_algebra(TWO, 3).species
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TSpecies(K, max_vertices=-1),
+    lambda: TSpecies(K, max_valency=-1),
+    lambda: LSpecies(K, max_factors=-2),
+    lambda: check_beck("dt", K, max_arity=-1),
+    lambda: yang_baxter_sweep(K, max_arity=-3),
+    lambda: check_monad_laws(K, max_arity=-1),
+    lambda: check_circuit_axioms(tuple_algebra(TWO, 3), max_arity=-1),
+    lambda: check_modular_axioms(tuple_algebra(TWO, 3), max_arity=-5)])
+def test_a_negative_bound_raises_bad_parameter(build):
+    with pytest.raises(BadParameter, match=">= 0, not -"):
+        build()
 
 
 # -- vertex deletion ----------------------------------------------------------------

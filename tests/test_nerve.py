@@ -13,16 +13,17 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from feyngraph.errors import (BoundsTooLarge, ColourMismatch,
                               CorpusNotElementClosed, FormatError, Mismatch,
                               NotACorolla, NotDeletable, OutOfBounds,
                               ValencyOutOfRange)
-from feyngraph.etale import EtaleMorphism
+from feyngraph.etale import EtaleMorphism, glue_ports
 from feyngraph.graphs import (corolla, disjoint_union, isolated_vertex, line,
-                              sort_ids, stick, wheel)
+                              sort_ids, stick, tagged_union, wheel)
 from feyngraph.monads import (deletable_vertices, delete_vertices,
-                              half_order, hom_etale, hom_pointed)
+                              hom_etale, hom_pointed)
 from feyngraph.nerve import (FinitePresheaf, algebra_morphisms, check_segal,
                              corpus_morphisms, fullness_probe, graphs_equal,
                              kleisli_compose,
@@ -118,7 +119,7 @@ def test_stick_endomorphisms_after_an_isolated_deletion_give_it_back():
 
 def _line_refinement(g, v):
     """Refine a bivalent vertex v of g by a 2-line piece."""
-    h1, h2 = half_order(g, v)
+    h1, h2 = g.halves_at(v)
     pieces = dict(GraphOfGraphs.identity(g).pieces)
     pieces[v] = (line(1), {("l", 0): h1, ("l", 3): h2})
     return GraphOfGraphs(g, pieces)
@@ -157,7 +158,7 @@ def _kappa_presentations():
     w1, st = wheel(1), stick()
     pointed = [kleisli_from_pointed(pm) for pm in hom_pointed(w1, st)]
     v = next(iter(w1.vertices))
-    h1, h2 = half_order(w1, v)
+    h1, h2 = w1.halves_at(v)
     sub = substitute(GraphOfGraphs(w1, {v: (stick(), {"1": h1, "2": h2})}))
     colim = sub.colimit
     ce = sort_ids(colim.edges)
@@ -230,7 +231,7 @@ def test_non_isomorphic_colimits_unequal():
     g = line(2)
     a = kleisli_identity(g)
     v = sort_ids(g.vertices)[0]
-    h1, h2 = half_order(g, v)
+    h1, h2 = g.halves_at(v)
     pieces = dict(GraphOfGraphs.identity(g).pieces)
     pieces[v] = (line(1), {("l", 0): h1, ("l", 3): h2})
     b = kleisli_refinement(GraphOfGraphs(g, pieces))
@@ -276,7 +277,7 @@ def _corpus_kleisli_inputs(corpus):
     for name in sorted(corpus):
         g = corpus[name]
         for v in sort_ids(g.vertices):
-            halves = half_order(g, v)
+            halves = g.halves_at(v)
             k = len(halves)
             c = corollas.setdefault(k, corolla(list(range(k))))
             em = {}
@@ -745,7 +746,7 @@ def test_refinement_restriction_is_the_structure_map():
     S = A.species
     cor, H = corolla([0, 1]), line(2)
     v = next(iter(cor.vertices))
-    halves = half_order(cor, v)
+    halves = cor.halves_at(v)
     ports = sort_ids(H.ports)
     kl = refinement_of_corolla(cor, H, dict(zip(ports, halves)))
     boundary = dict(zip(ports, halves))
@@ -754,11 +755,8 @@ def test_refinement_restriction_is_the_structure_map():
         acc = A.unit0()
         slots = []
         for u in sort_ids(H.vertices):
-            order = dec.half_orders[u]
-            want = half_order(H, u)
-            sigma = tuple(order.index(h) for h in want)
-            acc = A.box(acc, S.act(dec.vertex_elems[u], sigma))
-            slots += list(want)
+            acc = A.box(acc, dec.vertex_elems[u])
+            slots += H.halves_at(u)
         hit = next((i, j) for i in range(len(slots))
                    for j in range(i + 1, len(slots))
                    if H.tau[H.s[slots[i]]] == H.s[slots[j]])
@@ -840,6 +838,61 @@ def test_restriction_plan_matches_the_brute_restriction(name):
     assert kinds["ok"] > 0
     if name in ("mono-3", "nonunital-parity-6"):
         assert kinds[OutOfBounds] > 0
+
+
+# corollas whose labels mix ints, strs and tuples, so that the idkey order
+# of the halves at the vertex is not their repr order (1 before "a" before
+# (2, "b") by idkey; "a", (2, "b"), 1 by repr)
+mixed_corollas = st.builds(corolla, st.lists(
+    st.one_of(st.integers(1, 12), st.sampled_from(["a", "B"]),
+              st.tuples(st.integers(1, 2), st.just("b"))),
+    min_size=2, max_size=3, unique=True))
+mixed_unions = st.lists(
+    st.tuples(st.one_of(st.integers(0, 12), st.sampled_from(["x", "Y"])),
+              st.one_of(mixed_corollas, st.builds(stick),
+                        st.builds(line, st.just(1)))),
+    min_size=1, max_size=2, unique_by=lambda p: p[0]).map(tagged_union)
+
+
+@st.composite
+def mixed_glued(draw):
+    """A mixed corolla or union with one drawn port pair glued: its edge
+    ids are frozensets."""
+    g = draw(st.one_of(mixed_corollas, mixed_unions))
+    ports = draw(st.permutations(sorted(g.ports, key=repr)))
+    assume(len(ports) >= 2)
+    return glue_ports(g, [(ports[0], ports[1])])[0]
+
+
+def _orders_disagree(g):
+    return any(list(g.halves_at(v)) != sorted(g.halves_at(v), key=repr)
+               for v in g.vertices)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    mixed_corollas, mixed_unions,
+    mixed_unions.map(lambda g: substitute(GraphOfGraphs.identity(g)).colimit),
+    mixed_glued()))
+def test_restriction_reads_each_vertex_in_its_graph_half_order(g):
+    """On the stick, the corollas 0..3 and a graph where idkey and repr
+    order the halves at some vertex differently, restrict_kleisli gives
+    the brute restriction on every morphism and decoration: a vertex
+    element is read in its graph's halves_at order, and a piece vertex
+    needs no realignment."""
+    assume(_orders_disagree(g))
+    A = tuple_algebra(TWO, 4)
+    corpus = {"stick": stick(), "g": g,
+              **{f"corolla{k}": corolla(range(k)) for k in range(4)}}
+    decs = {n: evaluate_species(A.species, h) for n, h in corpus.items()}
+    n = 0
+    for mname, _, kl, from_name, _, _ in corpus_morphisms(corpus):
+        for dec in decs[from_name]:
+            want = _restriction_outcome(brute_restrict_kleisli, A, kl, dec)
+            got = _restriction_outcome(restrict_kleisli, A, kl, dec)
+            assert got == want, mname
+            n += 1
+    assert n > 0
 
 
 def test_restriction_keeps_one_plan_per_morphism(monkeypatch):

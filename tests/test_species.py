@@ -10,7 +10,7 @@ from feyngraph.etale import glue_ports
 from feyngraph.species import (
     FiniteCircuitAlgebra, Palette, TableSpecies, TerminalSpecies,
     algebra_from_json, check_circuit_axioms, check_modular_axioms,
-    derive_multiplication, evaluate_species, half_order, species_from_json,
+    derive_multiplication, evaluate_species, species_from_json,
 )
 from helpers_species import MONO, TWO, algebra_to_json, tuple_algebra
 
@@ -26,7 +26,7 @@ def brute_decoration_count(S, g):
             continue
         total = 1
         for v in g.vertices:
-            want = tuple(kappa[g.tau[g.s[h]]] for h in half_order(g, v))
+            want = tuple(kappa[g.tau[g.s[h]]] for h in g.halves_at(v))
             total *= sum(1 for x in S.elements(len(want))
                          if S.colour_of(x) == want)
         count += total
@@ -69,8 +69,7 @@ def test_decoration_key_is_computed_once():
     assert len(keyed) == 2 * len(decs)
     # the kept key takes no part in equality
     d = decs[0]
-    assert d == type(d)(dict(d.edge_colours), dict(d.vertex_elems),
-                        dict(d.half_orders), S)
+    assert d == type(d)(dict(d.edge_colours), dict(d.vertex_elems), S)
 
 
 def test_counts_match_brute_oracle():

@@ -11,7 +11,6 @@ from feyngraph.graphs import (
     FeynmanGraph, corolla, disjoint_union, idstr, is_isomorphic, line, stick,
     wheel, canonical_form,
 )
-from feyngraph.monads import half_order
 from feyngraph.nerve import graphs_equal
 from feyngraph.etale import glue_ports
 from feyngraph.substitution import (
@@ -157,7 +156,7 @@ def _line_pieces(base):
     for v in base.vertices:
         if base.valency(v) == 2:
             pieces[v] = (piece, dict(zip(sorted(piece.ports, key=repr),
-                                         half_order(base, v))))
+                                         base.halves_at(v))))
     return pieces
 
 
@@ -230,6 +229,12 @@ def test_enumerate_respects_cap(monkeypatch):
     monkeypatch.setenv("FEYNGRAPH_MAX_SEARCH", "10")
     with pytest.raises(BoundsTooLarge):
         enumerate_x_graphs(["a", "b"], max_vertices=4, max_valency=4)
+
+
+@pytest.mark.parametrize("bounds", [(-1, 3), (2, -1)])
+def test_enumerate_refuses_a_negative_bound(bounds):
+    with pytest.raises(BadParameter, match=">= 0, not -1"):
+        enumerate_x_graphs(["a", "b"], *bounds)
 
 
 def test_search_budget_is_read_from_the_environment(monkeypatch):
