@@ -286,12 +286,12 @@ def wiring_to_graph(wd: WiringDiagram) -> FeynmanGraph:
 
 
 def graph_to_wiring(g: FeynmanGraph, vertex_order: Sequence,
-                    half_orders: Mapping[Any, Sequence],
                     port_order: Sequence) -> WiringDiagram:
     """Inverse of wiring_to_graph on admissible connected-or-not graphs.
 
-    Requires an ordering of the vertices, of the half-edges at each
-    vertex, and of the ports; returns a loop-free wiring diagram.
+    Requires an ordering of the vertices and of the ports; the inner
+    boundary of each vertex v lists its halves in the graph's order,
+    g.halves_at(v).  Returns a loop-free wiring diagram.
     """
     if g.stick_components():
         raise InvalidGraphOfGraphs("stick components have no wiring diagram")
@@ -303,9 +303,7 @@ def graph_to_wiring(g: FeynmanGraph, vertex_order: Sequence,
     idx = 0
     arities = []
     for v in vertex_order:
-        hs = list(half_orders[v])
-        if sorted(hs, key=repr) != sorted(g.halves_at(v), key=repr):
-            raise FormatError(f"half order at {v!r} must enumerate H_v")
+        hs = g.halves_at(v)
         arities.append(len(hs))
         for h in hs:
             idx += 1

@@ -14,7 +14,8 @@ import sys
 from .brauer import (BrauerDiagram, WiringDiagram, cap, compose_brauer, cup,
                      identity_brauer, is_downward, tensor_brauer,
                      wiring_to_graph)
-from .errors import FeynGraphError, require_nonnegative
+from .errors import (FeynGraphError, FormatError, GraphInvariantError,
+                     require_nonnegative)
 from .etale import glue_ports
 from .graphs import idstr, is_isomorphic
 from .io import graph_to_json, id_from_json, parse_graph_arg
@@ -419,15 +420,15 @@ def main(argv=None) -> int:
     except InputProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         schema = exc.schema or getattr(args, "schema", None)
-        if schema:
-            print(f"expected: {SCHEMAS.get(schema, schema)}", file=sys.stderr)
-        return 2
     except (FeynGraphError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        schema = getattr(args, "schema", None)
-        if schema:
-            print(f"expected: {SCHEMAS.get(schema, schema)}", file=sys.stderr)
-        return 2
+        # the schema only when the command's input could not be read (a
+        # ValueError is a shorthand count that int() cannot read)
+        schema = (getattr(args, "schema", None) if isinstance(
+            exc, (FormatError, GraphInvariantError, ValueError)) else None)
+    if schema:
+        print(f"expected: {SCHEMAS.get(schema, schema)}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

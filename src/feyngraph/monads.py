@@ -370,7 +370,8 @@ def _normalized_pointed(g, h, d: VertexDeletion, e: EtaleMorphism,
 @dataclass(frozen=True, eq=False)
 class TElem:
     """A connected admissible graph with ports in position order, an edge
-    colouring and a vertex decoration (element plus explicit half order).
+    colouring and a vertex decoration: at each vertex v an element whose
+    positions are the halves at v in the graph's order, g.halves_at(v).
 
     Immutable: colours and vdec are read-only, so a key computed once
     stays valid; telem_key keeps it on the element, TSpecies.key_text
@@ -380,7 +381,7 @@ class TElem:
     graph: FeynmanGraph
     ports: tuple                # position -> port edge
     colours: Mapping            # edge -> colour
-    vdec: Mapping               # vertex -> (element, half order tuple)
+    vdec: Mapping               # vertex -> element
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
     _str: Optional[tuple] = field(default=None, init=False, repr=False)
     _acted: Optional[dict] = field(default=None, init=False, repr=False)
@@ -409,10 +410,10 @@ def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     for eidx, vidx in labs:
         vser = []
         for v in t.graph.vertices:
-            elem, order = t.vdec[v]
+            order = t.graph.halves_at(v)
             new_order = sorted(order, key=lambda hh: eidx[t.graph.s[hh]])
             perm = tuple(order.index(hh) for hh in new_order)
-            vser.append((vidx[v], S.key_text(S.act(elem, perm))))
+            vser.append((vidx[v], S.key_text(S.act(t.vdec[v], perm))))
         cand = (text, tuple(sorted(vser)))
         if best is None or cand < best:
             best = cand
@@ -457,8 +458,7 @@ class TSpecies(SpeciesOps):
             ports = tuple(inv[i] for i in range(n))
             for dec in evaluate_species(self.inner, xg.graph):
                 t = TElem(xg.graph, ports, dec.edge_colours,
-                          {v: (dec.vertex_elems[v], xg.graph.halves_at(v))
-                           for v in xg.graph.vertices})
+                          dec.vertex_elems)
                 k = self.key(t)
                 if k not in seen:
                     seen.add(k)
@@ -661,7 +661,7 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     got = tuple(colours[g.tau[g.s[hh]]] for hh in order)
     if got != tuple(cols):
         raise FormatError("corolla half order does not match colour profile")
-    return TElem(g, tuple(range(n)), colours, {"*": (x, order)})
+    return TElem(g, tuple(range(n)), colours, {"*": x})
 
 
 def mu_T(TS: TSpecies, t: TElem) -> TElem:
@@ -670,9 +670,8 @@ def mu_T(TS: TSpecies, t: TElem) -> TElem:
     g = t.graph
     pieces = {}
     for v in g.vertices:
-        tv, order = t.vdec[v]
-        pieces[v] = (tv.graph, {tv.ports[i]: order[i]
-                                for i in range(len(order))})
+        tv = t.vdec[v]
+        pieces[v] = (tv.graph, dict(zip(tv.ports, g.halves_at(v))))
     sub = substitute(GraphOfGraphs(g, pieces))
     edge_class, piece_edge = sub.edge_class, sub.piece_edge
     colours = {}
@@ -686,12 +685,11 @@ def mu_T(TS: TSpecies, t: TElem) -> TElem:
         put(edge_class[e], c)
     vdec = {}
     for v in g.vertices:
-        tv, _ = t.vdec[v]
+        tv = t.vdec[v]
         for pe, c in tv.colours.items():
             put(piece_edge[(v, pe)], c)
         for wv in tv.graph.vertices:
-            elem, order = tv.vdec[wv]
-            vdec[("p", v, wv)] = (elem, tuple(("p", v, hh) for hh in order))
+            vdec[("p", v, wv)] = tv.vdec[wv]
     ports = tuple(edge_class[e] for e in t.ports)
     return TElem(sub.colimit, ports, colours, vdec)
 
@@ -725,7 +723,7 @@ def mu_L(LS: LSpecies, big):
 def _fmap_T(f, t: TElem) -> TElem:
     """T f: apply f to the element at every vertex."""
     return TElem(t.graph, t.ports, t.colours,
-                 {v: (f(x), o) for v, (x, o) in t.vdec.items()})
+                 {v: f(x) for v, x in t.vdec.items()})
 
 
 def _fmap_D(f, d):
@@ -743,7 +741,10 @@ def _monads(max_vertices: int, max_valency: int, max_factors: int) -> dict:
     """T, D and L within bounds, each as (species constructor, unit
     eta(X, x), multiplication mu(A X, x): A A X -> A X, functor map).
     Built on each call, so that the units and multiplications are looked
-    up when they are used."""
+    up when they are used.  Every bound is checked, also those of the
+    monads that the caller does not use."""
+    require_nonnegative("a monad", max_vertices=max_vertices,
+                        max_valency=max_valency, max_factors=max_factors)
     return {"T": (lambda X: TSpecies(X, max_vertices, max_valency),
                   eta_T, mu_T, _fmap_T),
             "D": (DSpecies, lambda X, x: eta_D(x), lambda AX, x: mu_D(x),
@@ -757,7 +758,7 @@ def law_DT(S: SpeciesOps, t: TElem):
     """lambda_DT: T(D S) -> D(T S).  Delete the unit-marked vertices; a
     fully marked line/wheel/point collapses to the formal summand."""
     marked = [v for v in sort_ids(t.graph.vertices)
-              if t.vdec[v][0][0] in ("eps", "o")]
+              if t.vdec[v][0] in ("eps", "o")]
     om = S.palette.omega
     if not marked:
         return ("b", _fmap_T(lambda x: x[1], t))
@@ -768,7 +769,7 @@ def law_DT(S: SpeciesOps, t: TElem):
             if t.graph.edges:
                 c = t.colours[min(t.graph.edges, key=idkey)]
                 return ("o", frozenset({c, om[c]}))
-            (elem, _), = t.vdec.values()
+            elem, = t.vdec.values()
             return ("o", elem[1])
         raise FormatError("fully marked graph with odd boundary")
     d = delete_vertices(t.graph, marked)
@@ -778,13 +779,8 @@ def law_DT(S: SpeciesOps, t: TElem):
         if e2 in colours and colours[e2] != c:
             raise ColourMismatch("unit marking with inconsistent colours")
         colours[e2] = c
-    vdec = {}
-    for v in t.graph.vertices:
-        if v in d.deleted:
-            continue
-        elem, order = t.vdec[v]
-        vdec[d.vertex_map[v]] = (elem[1],
-                                 tuple(d.half_map[hh] for hh in order))
+    vdec = {d.vertex_map[v]: t.vdec[v][1] for v in t.graph.vertices
+            if v not in d.deleted}
     ports = tuple(d.edge_correspondence[e] for e in t.ports)
     return ("b", TElem(d.target, ports, colours, vdec))
 
@@ -808,9 +804,9 @@ def law_LT(S: SpeciesOps, t: TElem):
     halves = {}             # factor vertex -> [(its half, base edge)]
     vdec = {}
     for v in g.vertices:
-        le, order = t.vdec[v]
+        le, order = t.vdec[v], g.halves_at(v)
         placed = [order[p] for block, _ in le for p in block]
-        if len(placed) != g.valency(v) or set(placed) != set(g.halves_at(v)):
+        if len(placed) != len(order) or set(placed) != set(order):
             raise InvalidGraphOfGraphs(
                 f"boundary at {v!r} must biject onto H_v")
         for fi, (block, elem) in enumerate(le):
@@ -823,13 +819,13 @@ def law_LT(S: SpeciesOps, t: TElem):
                 members[e].append(("p", v, (tag, ("in", fp))))
                 members[tau[e]].append(("p", v, (tag, fp)))
                 hs.append((("p", v, (tag, ("h", fp))), e))
-            vdec[fv] = (elem, tuple(hh for hh, _ in hs))
+            vdec[fv] = elem
     cls = {e: frozenset(m) for e, m in members.items()}
     ctau = {c: cls[tau[e]] for e, c in cls.items()}
     colours = {cls[e]: c for e, c in t.colours.items()}
     om = S.palette.omega
     for fv, hs in halves.items():
-        cols = S.colour_of(vdec[fv][0])
+        cols = S.colour_of(vdec[fv])
         for i, (_, e) in enumerate(hs):
             colours[ctau[cls[e]]] = cols[i]
             colours[cls[e]] = om[cols[i]]
@@ -1187,11 +1183,8 @@ class FreeCircuitAlgebra(CircuitAlgebraOps):
             colours[edge_of[("A", e)]] = c
         for e, c in tj.colours.items():
             colours[edge_of[("B", e)]] = c
-        vdec = {}
-        for v, (x, o) in ti.vdec.items():
-            vdec[("A", v)] = (x, tuple(("A", hh) for hh in o))
-        for v, (x, o) in tj.vdec.items():
-            vdec[("B", v)] = (x, tuple(("B", hh) for hh in o))
+        vdec = {(tag, v): x for tag, u in (("A", ti), ("B", tj))
+                for v, x in u.vdec.items()}
         merged_block = [p for p in sorted(set(bi) | set(bj)) if p not in (i, j)]
         ports = []
         for p in merged_block:

@@ -930,9 +930,8 @@ def brute_mu_T(TS, t):
 
     pieces = {}
     for v in t.graph.vertices:
-        tv, order = t.vdec[v]
-        pieces[v] = (tv.graph, {tv.ports[i]: order[i]
-                                for i in range(len(order))})
+        tv = t.vdec[v]
+        pieces[v] = (tv.graph, dict(zip(tv.ports, t.graph.halves_at(v))))
     sub = brute_substitute(GraphOfGraphs(t.graph, pieces))
     colours = {}
 
@@ -945,12 +944,11 @@ def brute_mu_T(TS, t):
         put(sub.edge_class[e], c)
     vdec = {}
     for v in t.graph.vertices:
-        tv, _ = t.vdec[v]
+        tv = t.vdec[v]
         for pe, c in tv.colours.items():
             put(sub.piece_edge[(v, pe)], c)
         for wv in tv.graph.vertices:
-            elem, order = tv.vdec[wv]
-            vdec[("p", v, wv)] = (elem, tuple(("p", v, hh) for hh in order))
+            vdec[("p", v, wv)] = tv.vdec[wv]
     ports = tuple(sub.edge_class[e] for e in t.ports)
     return TElem(sub.colimit, ports, colours, vdec), sub
 
@@ -1014,9 +1012,9 @@ def brute_law_LT(S, t):
 
     om = S.palette.omega
     pieces = {}
-    fdec = {}  # colimit vertex -> (element, explicit half order)
+    vdec = {}  # colimit vertex -> element
     for v in sort_ids(t.graph.vertices):
-        le, order = t.vdec[v]
+        le, order = t.vdec[v], t.graph.halves_at(v)
         graphs, boundary = [], {}
         for fi, (block, elem) in enumerate(le):
             tag = ("f", fi)
@@ -1025,11 +1023,9 @@ def brute_law_LT(S, t):
                 graphs.append((tag, corolla(labels)))
                 for p in block:
                     boundary[(tag, ("fp", p))] = order[p]
-                fdec[("p", v, (tag, "*"))] = (
-                    elem, tuple((tag, ("h", ("fp", p))) for p in block))
             else:
                 graphs.append((tag, isolated_vertex()))
-                fdec[("p", v, (tag, "*"))] = (elem, ())
+            vdec[("p", v, (tag, "*"))] = elem
         # the empty product deletes the (isolated) vertex outright
         pieces[v] = (tagged_union(graphs), boundary)
     sub = brute_substitute(GraphOfGraphs(t.graph, pieces))
@@ -1037,17 +1033,13 @@ def brute_law_LT(S, t):
     for e, c in t.colours.items():
         colours[sub.edge_class[e]] = c
     for v in t.graph.vertices:
-        le, order = t.vdec[v]
-        for fi, (block, elem) in enumerate(le):
+        for fi, (block, elem) in enumerate(t.vdec[v]):
             tag = ("f", fi)
             cols = S.colour_of(elem)
             for i, p in enumerate(block):
                 colours[sub.piece_edge[(v, (tag, ("fp", p)))]] = cols[i]
                 colours[sub.piece_edge[(v, (tag, ("in", ("fp", p))))]] = \
                     om[cols[i]]
-    vdec = {}
-    for cv, (elem, order) in fdec.items():
-        vdec[cv] = (elem, tuple(("p", cv[1], hh) for hh in order))
     port_class = [sub.edge_class[e] for e in t.ports]
     factors = []
     for comp in sub.colimit.connected_components():

@@ -196,9 +196,8 @@ def test_graph_to_wiring_roundtrip():
                ("src", 3): ("tgt", 1), ("tgt", 1): ("src", 3)}))
     g = wiring_to_graph(wd)
     vo = sorted(g.vertices, key=repr)
-    ho = {v: sorted(g.halves_at(v), key=repr) for v in vo}
     po = sorted(g.ports, key=repr)
-    back = graph_to_wiring(g, vo, ho, po)
+    back = graph_to_wiring(g, vo, po)
     assert back == wd
     assert is_isomorphic(wiring_to_graph(back), g)
 

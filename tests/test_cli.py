@@ -17,7 +17,8 @@ from feyngraph.cli import SCHEMAS, main
 from feyngraph.io import graph_from_json, graph_to_json, id_to_json
 from feyngraph.brauer import BrauerDiagram, identity_wiring
 from feyngraph.substitution import GraphOfGraphs
-from feyngraph import is_isomorphic, parse_graph_arg, wheel
+from feyngraph import (corolla, is_isomorphic, parse_graph_arg, tagged_union,
+                       wheel)
 
 from helpers_species import MONO, TWO, algebra_to_json, tuple_algebra
 
@@ -94,6 +95,19 @@ def test_a_negative_count_is_an_input_error(argv, capsys):
     assert captured.err.startswith("error: BadParameter: ")
 
 
+@pytest.mark.parametrize("argv, schema", [
+    (["validate", "corolla:two"], "graph"),
+    (["law", "dt", "--species", "terminal:two"], "species")])
+def test_a_shorthand_count_that_is_not_a_number_is_a_reading_error(
+        argv, schema, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: ValueError: invalid literal for int() with base 10: 'two'",
+        f"expected: {SCHEMAS[schema]}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["law", "dt", "--max-arity", "-1"],
     ["law", "lt", "--max-vertices", "-1"],
@@ -105,15 +119,21 @@ def test_a_negative_count_is_an_input_error(argv, capsys):
     ["free", "--level", "L", "--species", "terminal", "--arity", "1",
      "--max-factors", "-2"],
     ["check-ca", "ALGEBRA", "--max-arity", "-1"],
-    ["check-mo", "ALGEBRA", "--max-arity", "-5"]])
+    ["check-mo", "ALGEBRA", "--max-arity", "-5"],
+    ["law", "ld", "--max-vertices", "-1"],
+    ["law", "dt", "--max-factors", "-1"],
+    ["free", "--level", "D", "--species", "terminal", "--arity", "1",
+     "--max-vertices", "-1"]])
 def test_a_negative_bound_is_an_input_error(argv, algebra_file, capsys):
     """A negative bound is refused, never swept as an empty (or partly
-    empty) range and reported as passing."""
+    empty) range and reported as passing.  It is not a reading error, so
+    no file schema follows the one error line."""
     code = main([algebra_file if a == "ALGEBRA" else a for a in argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: BadParameter: ")
     assert ">= 0, not -" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_iso_exit_codes(capsys):
@@ -129,6 +149,24 @@ def test_glue_corolla_gives_wheel(capsys):
     assert code == 0
     glued = graph_from_json(json.loads(out.splitlines()[0]))
     assert is_isomorphic(glued, wheel(1))
+
+
+def test_glue_reads_a_composite_port_id_as_json(tmp_path, capsys):
+    """A port that no str or repr names is read by _parse_id: JSON ids,
+    {"t": [...]} a tuple; a token that names no port is refused."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(graph_to_json(
+        tagged_union([("x", corolla([0, 1]))]))))
+    code, out = run(capsys, "glue", str(path),
+                    "--pair", '{"t": ["x", 0]}', '{"t": ["x", 1]}')
+    assert code == 0
+    glued = graph_from_json(json.loads(out.splitlines()[0]))
+    assert is_isomorphic(glued, wheel(1))
+    code = main(["glue", str(path), "--pair", "nope", '{"t": ["x", 1]}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[0].startswith("error: NotAPort: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_substitute_identity_gog(tmp_path, capsys):

@@ -42,12 +42,8 @@ def graph_maps(g: FeynmanGraph) -> tuple:
 def pieces_of(t: TElem) -> dict:
     """mu_T's graph of graphs: each vertex's decoration with its ports
     sent to the vertex's halves in order."""
-    out = {}
-    for v in t.graph.vertices:
-        tv, order = t.vdec[v]
-        out[v] = (tv.graph, {tv.ports[i]: order[i]
-                             for i in range(len(order))})
-    return out
+    return {v: (tv.graph, dict(zip(tv.ports, t.graph.halves_at(v))))
+            for v, tv in t.vdec.items()}
 
 
 def same_substitution(got, want) -> None:
@@ -118,8 +114,7 @@ def test_mu_T_joins_classes_through_a_port_facing_a_port():
     K = TerminalSpecies(n_max=2)
     TS = TSpecies(K, 2, 2)
     for g in (line(1), line(2), wheel(1), wheel(2)):
-        vdec = {v: (stick_element(), tuple(g.halves_at(v)))
-                for v in g.vertices}
+        vdec = {v: stick_element() for v in g.vertices}
         t = TElem(g, tuple(sorted(g.ports, key=repr)),
                   {e: "*" for e in g.edges}, vdec)
         same_as_substitution(t, TS)
@@ -134,23 +129,20 @@ def outcome(fn, *args) -> str:
 
 
 def malformed() -> tuple:
-    """T K and the T(T K) elements whose pieces substitute rejects or
-    cannot read: a decoration of the wrong arity, a half order that
-    misses a half or repeats one, an empty piece at a vertex with halves,
-    and a vertex without decoration."""
+    """T K and the T(T K) elements whose pieces substitute rejects: at a
+    vertex with halves, a decoration with one port too few, one with one
+    port too many, and the empty piece; and a vertex without
+    decoration."""
     K = TerminalSpecies(n_max=6)
     TS = TSpecies(K, 2, 3)
     t = next(x for x in TSpecies(TS, 2, 3).elements(2)
              if len(x.graph.vertices) == 2)
     v, w = sorted(t.graph.vertices, key=repr)
-    tv, order = t.vdec[v]
-    other = next(x for n in range(4) for x in TS.elements(n)
-                 if len(x.ports) != len(order))
+    n = t.graph.valency(v)
+    assert n > 0
+    fewer, more = (TS.elements(k)[0] for k in (n - 1, n + 1))
     empty = TElem(FeynmanGraph((), {}), (), {}, {})
-    cases = [{v: (other, order)},
-             {v: (tv, order[:-1])},
-             {v: (tv, (order[0],) * len(order))},
-             {v: (empty, ())}]
+    cases = [{v: fewer}, {v: more}, {v: empty}]
     out = []
     for change in cases:
         vdec = dict(t.vdec)
@@ -164,13 +156,17 @@ def malformed() -> tuple:
 
 def test_malformed_pieces_raise_as_the_union_find_does():
     TS, cases = malformed()
-    seen = set()
+    seen = []
     for t in cases:
         want = outcome(brute_mu_T, TS, t)
         assert want != "ok"
         assert outcome(mu_T, TS, t) == want
-        seen.add(want.split(":")[0])
-    assert {"InvalidGraphOfGraphs", "KeyError"} <= seen
+        seen.append(want)
+    assert not any(s.startswith("IndexError") for s in seen)
+    assert [s.split(":")[0] for s in seen] == \
+        ["InvalidGraphOfGraphs"] * 3 + ["KeyError"]
+    assert "must biject onto H_v" in seen[0]
+    assert "must cover the piece ports" in seen[1]
 
 
 def test_deletions_equal_substitution():

@@ -139,12 +139,18 @@ def test_one_union_find():
 
 def test_one_half_order_per_vertex():
     """A vertex's half order is the tuple its graph keeps, g.halves_at(v):
-    no library function is named half_order, and no dataclass keeps a
-    half_orders field beside the graph.  (graph_to_wiring's caller-given
-    half_orders parameter is an input, not a copy.)"""
-    found = [where for where, _, node in _scoped_nodes()
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and node.name == "half_order"]
+    no library function is named half_order or takes a half_orders
+    parameter, and no dataclass keeps a half_orders field beside the
+    graph."""
+    found = []
+    for where, _, node in _scoped_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if node.name == "half_order":
+                found.append(where)
+            found += [f"{where} {node.name}(half_orders)" for a in params
+                      if a.arg == "half_orders"]
     for where, node in _nodes(ast.ClassDef):
         found += [f"{where} {node.name}.half_orders" for stmt in node.body
                   if isinstance(stmt, ast.AnnAssign)

@@ -168,7 +168,7 @@ def test_broken_law_is_reported(monkeypatch, mutant, species):
 def ports_swapped(S, t):
     """lambda_DT that reverses the two ports of a partial deletion."""
     d = LAW_DT(S, t)
-    marked = any(t.vdec[v][0][0] in ("eps", "o") for v in t.graph.vertices)
+    marked = any(t.vdec[v][0] in ("eps", "o") for v in t.graph.vertices)
     if d[0] == "b" and marked and len(d[1].ports) == 2:
         u = d[1]
         return ("b", TElem(u.graph, u.ports[::-1], u.colours, u.vdec))
@@ -305,11 +305,11 @@ def test_law_lt_colours_ill_coloured_input_as_the_oracle():
     TLS = TSpecies(LSpecies(S, 2), 2, 2)
     recoloured = 0
     for t in TLS.elements(0) + TLS.elements(1):
-        for v, (le, order) in t.vdec.items():
+        for v, le in t.vdec.items():
             for i, (block, _) in enumerate(le):
                 for x in S.elements(len(block)):
                     vdec = dict(t.vdec)
-                    vdec[v] = (le[:i] + ((block, x),) + le[i + 1:], order)
+                    vdec[v] = le[:i] + ((block, x),) + le[i + 1:]
                     u = TElem(t.graph, t.ports, t.colours, vdec)
                     assert [_factor(f) for f in LAW_LT(S, u)] == \
                         [_factor(f) for f in brute_law_LT(S, u)]
@@ -373,9 +373,9 @@ def _two_factor_element(blocks):
     given blocks, each decorated by the K element of its arity."""
     K = SPECIES["K"]
     t = TSpecies(LSpecies(K, 2), 1, 2).elements(2)[0]
-    (v, (_, order)), = t.vdec.items()
+    v, = t.vdec
     le = tuple((b, ("k", len(b))) for b in blocks)
-    return TElem(t.graph, t.ports, t.colours, {v: (le, order)})
+    return TElem(t.graph, t.ports, t.colours, {v: le})
 
 
 @pytest.mark.parametrize("blocks", [((0,), (0,)), ((0, 1), (1,)), ((0,),),

@@ -29,6 +29,7 @@ from helpers_nerve import corpus14
 from oracles import (brute_etale_homs, brute_hom_pointed,
                      brute_monad_laws, brute_t_associativity,
                      corolla_like_class_count)
+from test_laws import BOUNDS
 
 K = TerminalSpecies(n_max=4)
 S2 = tuple_algebra(TWO, 3).species
@@ -491,7 +492,7 @@ def test_law_DT_unmarked_is_inclusion():
     TS = TSpecies(DSpecies(K), max_vertices=1, max_valency=2)
     for t in TS.elements(2):
         d = law_DT(K, t)
-        if all(x[0] == "b" for x, _ in t.vdec.values()):
+        if all(x[0] == "b" for x in t.vdec.values()):
             assert d[0] == "b"
 
 
@@ -538,6 +539,37 @@ def test_beck_lt_two_colour_small():
     r = check_beck("lt", S2, max_arity=1, max_vertices=1, max_valency=2,
                    max_factors=2)
     assert r["ok"], r["violations"]
+
+
+def _reads_in_half_order(S, t) -> bool:
+    """Each vertex's element has, at position i, the colour of the edge
+    that arrives through the i-th half of g.halves_at(v)."""
+    g = t.graph
+    return all(S.colour_of(t.vdec[v]) ==
+               tuple(t.colours[g.tau[g.s[h]]] for h in g.halves_at(v))
+               for v in g.vertices)
+
+
+@pytest.mark.parametrize("S, count", [(K, 46), (S2, 201)], ids=["K", "S2"])
+def test_decorations_are_read_in_half_order(S, count):
+    """On every T S element, and on every mu_T, law_DT and law_LT result
+    over T(T S), T(D S) and T(L S) at the law sweeps' bounds (those of
+    test_laws.py), a vertex's element is read in its graph's half order."""
+    dt, lt = BOUNDS["dt"], BOUNDS["lt"]
+
+    def elements(inner, b):
+        A = TSpecies(inner, b["max_vertices"], b["max_valency"])
+        return [t for n in range(b["max_arity"] + 1) for t in A.elements(n)]
+
+    TS = TSpecies(S, dt["max_vertices"], dt["max_valency"])
+    results = [mu_T(TS, t) for t in elements(TS, dt)]
+    dt_results = [law_DT(S, t) for t in elements(DSpecies(S), dt)]
+    results += [d[1] for d in dt_results if d[0] == "b"]
+    results += [x for t in elements(LSpecies(S, lt["max_factors"]), lt)
+                for _, x in law_LT(S, t)]
+    assert len(results) == count
+    for t in elements(S, dt) + results:
+        assert _reads_in_half_order(S, t)
 
 
 # -- Yang-Baxter ---------------------------------------------------------------------
