@@ -291,7 +291,10 @@ def graph_to_wiring(g: FeynmanGraph, vertex_order: Sequence,
 
     Requires an ordering of the vertices and of the ports; the inner
     boundary of each vertex v lists its halves in the graph's order,
-    g.halves_at(v).  Returns a loop-free wiring diagram.
+    g.halves_at(v).  Returns a loop-free wiring diagram.  It inverts
+    wiring_to_graph only up to inner arity 9: that graph's half
+    ("h", i, 10) sorts before ("h", i, 2), as idkey keys an int by its
+    repr.
     """
     if g.stick_components():
         raise InvalidGraphOfGraphs("stick components have no wiring diagram")

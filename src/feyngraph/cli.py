@@ -7,6 +7,7 @@ given input.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -14,11 +15,10 @@ import sys
 from .brauer import (BrauerDiagram, WiringDiagram, cap, compose_brauer, cup,
                      identity_brauer, is_downward, tensor_brauer,
                      wiring_to_graph)
-from .errors import (FeynGraphError, FormatError, GraphInvariantError,
-                     require_nonnegative)
+from .errors import FeynGraphError, require_nonnegative
 from .etale import glue_ports
 from .graphs import idstr, is_isomorphic
-from .io import graph_to_json, id_from_json, parse_graph_arg
+from .io import graph_from_json, graph_to_json, id_from_json, parse_graph_arg
 from .monads import (check_beck, free_apply, hom_pointed, yang_baxter_sweep)
 from .nerve import FinitePresheaf, check_segal, nerve
 from .species import (TerminalSpecies, algebra_from_json,
@@ -66,13 +66,36 @@ def _load_json(path: str) -> dict:
 
 
 class InputProblem(Exception):
-    """Wraps any input error so main() can map it to exit code 2."""
+    """Wraps any input error so main() can map it to exit code 2 and
+    show the schema of what could not be read."""
 
     def __init__(self, message, schema=None):
         super().__init__(message)
         self.schema = schema
 
 
+def _reads(schema):
+    """Decorate a reader of the command's input: any error it raises
+    becomes an InputProblem that shows the schema of what it reads."""
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(*args):
+            try:
+                return read(*args)
+            except InputProblem as exc:
+                exc.schema = exc.schema or schema
+                raise
+            except (FeynGraphError, OSError, ValueError) as exc:
+                raise InputProblem(f"{type(exc).__name__}: {exc}",
+                                   schema) from exc
+        return reader
+    return wrap
+
+
+_graph_arg = _reads("graph")(parse_graph_arg)
+
+
+@_reads("species")
 def _species_arg(text):
     if text == "terminal":
         return TerminalSpecies()
@@ -81,10 +104,12 @@ def _species_arg(text):
     return species_from_json(_load_json(text))
 
 
+@_reads("algebra")
 def _algebra_arg(path):
     return algebra_from_json(_load_json(path))
 
 
+@_reads("brauer")
 def _brauer_arg(text):
     if text == "cap":
         return cap()
@@ -93,6 +118,32 @@ def _brauer_arg(text):
     if text.startswith("id:"):
         return identity_brauer(int(text.split(":", 1)[1]))
     return BrauerDiagram.from_json(_load_json(text))
+
+
+@_reads("wiring")
+def _wiring_arg(path):
+    return WiringDiagram.from_json(_load_json(path))
+
+
+@_reads("presheaf")
+def _presheaf_arg(path):
+    return FinitePresheaf.from_json(_load_json(path))
+
+
+@_reads("gog")
+def _gog_arg(path):
+    data = _load_json(path)
+    try:
+        base = graph_from_json(data["base"])
+        pieces = {}
+        for rec in data["pieces"]:
+            piece = graph_from_json(rec["piece"])
+            boundary = {id_from_json(p): id_from_json(h)
+                        for p, h in rec["boundary"]}
+            pieces[id_from_json(rec["vertex"])] = (piece, boundary)
+        return GraphOfGraphs(base, pieces)
+    except (KeyError, TypeError) as exc:
+        raise InputProblem(f"bad graph-of-graphs: {exc}", "gog")
 
 
 def _parse_id(token):
@@ -119,7 +170,7 @@ def _report_result(report: dict) -> int:
 
 
 def cmd_validate(args):
-    g = parse_graph_arg(args.graph)
+    g = _graph_arg(args.graph)
     print(f"graph edges={len(g.edges)} vertices={len(g.vertices)} "
           f"ports={len(g.ports)} inner_orbits="
           f"{sum(1 for o in g.orbits() if all(e not in g.ports for e in o))}")
@@ -127,14 +178,14 @@ def cmd_validate(args):
 
 
 def cmd_iso(args):
-    g, h = parse_graph_arg(args.g), parse_graph_arg(args.h)
+    g, h = _graph_arg(args.g), _graph_arg(args.h)
     ok = is_isomorphic(g, h)
     print(f"isomorphic {'true' if ok else 'false'}")
     return _result(ok, 1)
 
 
 def cmd_glue(args):
-    g = parse_graph_arg(args.graph)
+    g = _graph_arg(args.graph)
     def resolve(tok):
         # match a port by its str/repr first, so "0" finds an int or str port
         hits = [p for p in g.ports if tok in (str(p), repr(p))]
@@ -149,20 +200,7 @@ def cmd_glue(args):
 
 
 def cmd_substitute(args):
-    data = _load_json(args.file)
-    try:
-        from .io import graph_from_json
-        base = graph_from_json(data["base"])
-        pieces = {}
-        for rec in data["pieces"]:
-            piece = graph_from_json(rec["piece"])
-            boundary = {id_from_json(p): id_from_json(h)
-                        for p, h in rec["boundary"]}
-            pieces[id_from_json(rec["vertex"])] = (piece, boundary)
-        gog = GraphOfGraphs(base, pieces)
-    except (KeyError, TypeError) as exc:
-        raise InputProblem(f"bad graph-of-graphs: {exc}", SCHEMAS["gog"])
-    sub = substitute(gog)
+    sub = substitute(_gog_arg(args.file))
     print(_dumps(graph_to_json(sub.colimit)))
     return _result(True, 1)
 
@@ -192,7 +230,7 @@ def cmd_brauer(args):
         print(_dumps(d.to_json()))
         return _result(True, 1)
     if args.action == "to-graph":
-        wd = WiringDiagram.from_json(_load_json(args.a))
+        wd = _wiring_arg(args.a)
         print(_dumps(graph_to_json(wiring_to_graph(wd))))
         return _result(True, 1)
     if args.action == "downward":
@@ -204,7 +242,7 @@ def cmd_brauer(args):
 
 def cmd_eval(args):
     S = _species_arg(args.species)
-    g = parse_graph_arg(args.graph)
+    g = _graph_arg(args.graph)
     decs = evaluate_species(S, g)
     for k in sorted(repr(d.key()) for d in decs):
         print(f"decoration {k}")
@@ -254,7 +292,7 @@ def cmd_yb_sweep(args):
 
 
 def cmd_pointed_hom(args):
-    g, h = parse_graph_arg(args.g), parse_graph_arg(args.h)
+    g, h = _graph_arg(args.g), _graph_arg(args.h)
     homs = hom_pointed(g, h)
     lines = sorted(f"morphism deleted={sorted(map(idstr, pm.deleted))}"
                    for pm in homs)
@@ -271,12 +309,12 @@ def cmd_nerve(args):
         if os.path.isdir(item):
             for fn in sorted(os.listdir(item)):
                 if fn.endswith(".json"):
-                    corpus[fn[:-5]] = parse_graph_arg(os.path.join(item, fn))
+                    corpus[fn[:-5]] = _graph_arg(os.path.join(item, fn))
         else:
             name = os.path.basename(item)
             if name.endswith(".json"):
                 name = name[:-5]
-            corpus[name] = parse_graph_arg(item)
+            corpus[name] = _graph_arg(item)
     if not corpus:
         raise InputProblem("--corpus produced no graphs")
     P = nerve(A, corpus)
@@ -291,7 +329,7 @@ def cmd_nerve(args):
 
 
 def cmd_segal(args):
-    P = FinitePresheaf.from_json(_load_json(args.presheaf))
+    P = _presheaf_arg(args.presheaf)
     report = check_segal(P)
     checked = 0
     for name in sorted(report["per_graph"]):
@@ -420,14 +458,10 @@ def main(argv=None) -> int:
     except InputProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         schema = exc.schema or getattr(args, "schema", None)
+        if schema:
+            print(f"expected: {SCHEMAS.get(schema, schema)}", file=sys.stderr)
     except (FeynGraphError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        # the schema only when the command's input could not be read (a
-        # ValueError is a shorthand count that int() cannot read)
-        schema = (getattr(args, "schema", None) if isinstance(
-            exc, (FormatError, GraphInvariantError, ValueError)) else None)
-    if schema:
-        print(f"expected: {SCHEMAS.get(schema, schema)}", file=sys.stderr)
     return 2
 
 

@@ -395,6 +395,14 @@ class TElem:
                 f"arity={len(self.ports)})")
 
 
+def _reordered(S: SpeciesOps, x, src: tuple, dst: tuple):
+    """x, whose position i is the half src[i], moved so that its position
+    i is the half dst[i]; dst orders the same halves as src."""
+    if src == dst:
+        return x
+    return S.act(x, tuple(src.index(h) for h in dst))
+
+
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     """Canonical key of a decorated graph: minimum over all colour- and
     port-preserving canonical labelings of the transported decoration.
@@ -648,7 +656,7 @@ def _set_partitions(items):
 # -- units and multiplications ------------------------------------------------------
 
 def eta_T(S: SpeciesOps, x) -> TElem:
-    """The corolla on an S-element."""
+    """The corolla on an S-element: position i of x faces port i."""
     cols = S.colour_of(x)
     n = len(cols)
     g = corolla(list(range(n)))
@@ -657,10 +665,8 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     for i in range(n):
         colours[i] = cols[i]
         colours[("in", i)] = om[cols[i]]
-    order = g.halves_at("*")
-    got = tuple(colours[g.tau[g.s[hh]]] for hh in order)
-    if got != tuple(cols):
-        raise FormatError("corolla half order does not match colour profile")
+    x = _reordered(S, x, tuple(("h", i) for i in range(n)),
+                   g.halves_at("*"))
     return TElem(g, tuple(range(n)), colours, {"*": x})
 
 
@@ -779,8 +785,16 @@ def law_DT(S: SpeciesOps, t: TElem):
         if e2 in colours and colours[e2] != c:
             raise ColourMismatch("unit marking with inconsistent colours")
         colours[e2] = c
-    vdec = {d.vertex_map[v]: t.vdec[v][1] for v in t.graph.vertices
-            if v not in d.deleted}
+    # a kept half is renamed by its repr (identity_half), which can change
+    # the order of the halves at its vertex
+    vdec = {}
+    for v in t.graph.vertices:
+        if v not in d.deleted:
+            w = d.vertex_map[v]
+            vdec[w] = _reordered(
+                S, t.vdec[v][1],
+                tuple(d.half_map[h] for h in t.graph.halves_at(v)),
+                d.target.halves_at(w))
     ports = tuple(d.edge_correspondence[e] for e in t.ports)
     return ("b", TElem(d.target, ports, colours, vdec))
 
@@ -819,7 +833,13 @@ def law_LT(S: SpeciesOps, t: TElem):
                 members[e].append(("p", v, (tag, ("in", fp))))
                 members[tau[e]].append(("p", v, (tag, fp)))
                 hs.append((("p", v, (tag, ("h", fp))), e))
-            vdec[fv] = elem
+            # fv reads its halves in idkey order, not in block order when
+            # the block is unsorted or mixes 2..9 with 10 or more
+            names = tuple(hh for hh, _ in hs)
+            read = tuple(sort_ids(names))
+            if read != names:
+                hs.sort(key=lambda he: idkey(he[0]))
+            vdec[fv] = _reordered(S, elem, names, read)
     cls = {e: frozenset(m) for e, m in members.items()}
     ctau = {c: cls[tau[e]] for e, c in cls.items()}
     colours = {cls[e]: c for e, c in t.colours.items()}

@@ -1020,9 +1020,14 @@ def brute_law_LT(S, t):
             tag = ("f", fi)
             if block:
                 labels = [("fp", p) for p in block]
-                graphs.append((tag, corolla(labels)))
+                c = corolla(labels)
+                graphs.append((tag, c))
                 for p in block:
                     boundary[(tag, ("fp", p))] = order[p]
+                # elem follows the block; the corolla reads its own order
+                src = [("h", x) for x in labels]
+                elem = S.act(elem, tuple(src.index(h)
+                                         for h in c.halves_at("*")))
             else:
                 graphs.append((tag, isolated_vertex()))
             vdec[("p", v, (tag, "*"))] = elem

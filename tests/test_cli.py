@@ -108,6 +108,27 @@ def test_a_shorthand_count_that_is_not_a_number_is_a_reading_error(
         f"expected: {SCHEMAS[schema]}"]
 
 
+@pytest.mark.parametrize("argv, error, schema", [
+    (["validate", "corolla:-2"], "BadParameter", "graph"),
+    (["validate", "foo"], "BadParameter", "graph"),
+    (["validate", "MISSING"], "FileNotFoundError", "graph"),
+    (["eval", "terminal", "corolla:-1"], "BadParameter", "graph"),
+    (["law", "dt", "--species", "terminal:-1"], "BadParameter", "species"),
+    (["brauer", "downward", "id:-1"], "FormatError", "brauer"),
+    (["brauer", "to-graph", "MISSING"], "cannot read", "wiring")])
+def test_a_reading_error_shows_the_schema_of_what_was_read(
+        argv, error, schema, tmp_path, capsys):
+    """An error raised while an argument is read is followed by the
+    schema of that argument, whatever the error's type."""
+    missing = str(tmp_path / "missing.json")
+    code = main([missing if a == "MISSING" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    first, second = captured.err.splitlines()
+    assert first.startswith(f"error: {error}")
+    assert second == f"expected: {SCHEMAS[schema]}"
+
+
 @pytest.mark.parametrize("argv", [
     ["law", "dt", "--max-arity", "-1"],
     ["law", "lt", "--max-vertices", "-1"],

@@ -13,23 +13,23 @@ from feyngraph.errors import (BadParameter, ColourMismatch, NotDeletable,
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union, idstr,
                               is_isomorphic, isolated_vertex, line, stick,
                               tagged_union, wheel)
-from feyngraph.monads import (FreeCircuitAlgebra, TSpecies, DSpecies,
+from feyngraph.monads import (FreeCircuitAlgebra, TElem, TSpecies, DSpecies,
                               LSpecies, VertexDeletion, check_beck,
                               check_monad_laws, check_t_associativity,
                               check_yang_baxter, delete_vertices,
                               deletable_vertices, eta_T,
                               free_apply, hom_etale, hom_pointed, law_DT,
                               law_LT, law_LD, mu_T, similarity_terminal,
-                              yang_baxter_sweep)
+                              telem_key, yang_baxter_sweep)
 from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
                                check_modular_axioms, evaluate_species)
 
 from helpers_species import TWO, tuple_algebra
 from helpers_nerve import corpus14
-from oracles import (brute_etale_homs, brute_hom_pointed,
+from oracles import (brute_etale_homs, brute_hom_pointed, brute_law_LT,
                      brute_monad_laws, brute_t_associativity,
                      corolla_like_class_count)
-from test_laws import BOUNDS
+from test_laws import BOUNDS, _factor
 
 K = TerminalSpecies(n_max=4)
 S2 = tuple_algebra(TWO, 3).species
@@ -570,6 +570,61 @@ def test_decorations_are_read_in_half_order(S, count):
     assert len(results) == count
     for t in elements(S, dt) + results:
         assert _reads_in_half_order(S, t)
+
+
+def _s2_elem(cols):
+    """The S2 element with the colour profile cols."""
+    x, = [x for x in S2.elements(len(cols)) if S2.colour_of(x) == cols]
+    return x
+
+
+def test_a_vertex_past_ten_halves_is_read_in_half_order():
+    """idkey orders int ids by repr, so a vertex with eleven or more
+    halves does not read them in position order: the corolla halves
+    ("h", 10) and ("h", 2), and the factor halves of the block
+    (8, 9, 10), sort 10 first.  The unit and lambda_LT still put each
+    element in its vertex's half order, as the oracle does, and each
+    factor is the corolla on its element."""
+    cols = ("+", "-", "+", "+", "-", "-", "+", "-", "+", "+", "-")
+    blocks = ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9, 10))
+    elems = [_s2_elem(tuple(cols[p] for p in b)) for b in blocks]
+    LS = LSpecies(S2, len(blocks))
+    t = eta_T(LS, LS.norm(list(zip(blocks, elems))))
+    assert t.graph.halves_at("*")[:4] == tuple(
+        ("h", i) for i in (0, 1, 10, 2))
+    assert _reads_in_half_order(LS, t)
+    factors = law_LT(S2, t)
+    assert [_factor(f) for f in factors] == \
+        [_factor(f) for f in brute_law_LT(S2, t)]
+    assert [(b, telem_key(S2, x)) for b, x in factors] == \
+        [(b, telem_key(S2, eta_T(S2, e))) for b, e in zip(blocks, elems)]
+    for _, x in factors:
+        assert _reads_in_half_order(S2, x)
+
+
+def test_law_DT_reads_a_renamed_vertex_in_its_new_half_order():
+    """Deleting the marked vertex w renames the halves of the kept vertex
+    u by their repr, so u's halves 1 and "a" sort the other way round
+    after the deletion; u's element is read in the new order."""
+    x = _s2_elem(("+", "-"))
+    tau = {"ea": "pa", "eb": "ec", "ed": "pd"}
+    tau.update({b: a for a, b in tau.items()})
+    g = FeynmanGraph(tau.keys(), tau, [1, "a", "w1", "w2"],
+                     {1: "ea", "a": "eb", "w1": "ec", "w2": "ed"},
+                     {1: "u", "a": "u", "w1": "w", "w2": "w"}, ["u", "w"])
+    colours = {"pa": "+", "ea": "-", "ec": "-", "eb": "+",
+               "pd": "-", "ed": "+"}
+    t = TElem(g, ("pa", "pd"), colours, {"u": ("b", x), "w": ("eps", "+")})
+    assert _reads_in_half_order(DSpecies(S2), t)
+    kind, r = law_DT(S2, t)
+    assert kind == "b" and _reads_in_half_order(S2, r)
+    tau = {"ea": "pa", "eb": "q"}
+    tau.update({b: a for a, b in tau.items()})
+    u = FeynmanGraph(tau.keys(), tau, [1, "a"], {1: "ea", "a": "eb"},
+                     {1: "u", "a": "u"}, ["u"])
+    expected = TElem(u, ("pa", "q"),
+                     {"pa": "+", "ea": "-", "eb": "+", "q": "-"}, {"u": x})
+    assert telem_key(S2, r) == telem_key(S2, expected)
 
 
 # -- Yang-Baxter ---------------------------------------------------------------------
