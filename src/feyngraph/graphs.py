@@ -85,11 +85,12 @@ def _check_hashable(x: Id) -> None:
 def idkey(x: Id) -> tuple:
     """Deterministic sort key for ids, computed once for each id.
 
-    An atom is keyed by its type name and repr, a tuple by its members'
-    keys.  A frozenset (the edge ids of a colimit) is keyed by the sorted
-    keys of its members: its repr follows hash order, which changes from
-    one process to the next.  An atom that is not a str or an int raises
-    BadParameter.  A hit on the memo builds no repr."""
+    An int is keyed by its value, so ints sort as numbers; a str by its
+    repr; a tuple by its members' keys.  A frozenset (the edge ids of a
+    colimit) is keyed by the sorted keys of its members: its repr follows
+    hash order, which changes from one process to the next.  An atom
+    that is not a str or an int raises BadParameter.  A hit on the memo
+    builds no repr."""
     m = _memo_key(x)
     hit = _IDKEYS.get(m)
     if hit is not None:
@@ -100,8 +101,10 @@ def idkey(x: Id) -> tuple:
         key = (1, tuple([idkey(y) for y in x]))
     elif t is frozenset:
         key = (0, "frozenset", tuple(sorted([idkey(y) for y in x])))
-    elif t is str or t is int:
-        key = (0, t.__name__, repr(x))
+    elif t is int:
+        key = (0, "int", x)
+    elif t is str:
+        key = (0, "str", repr(x))
     else:
         raise _not_an_id(x)
     _IDKEYS[m] = key

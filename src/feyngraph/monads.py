@@ -395,14 +395,6 @@ class TElem:
                 f"arity={len(self.ports)})")
 
 
-def _reordered(S: SpeciesOps, x, src: tuple, dst: tuple):
-    """x, whose position i is the half src[i], moved so that its position
-    i is the half dst[i]; dst orders the same halves as src."""
-    if src == dst:
-        return x
-    return S.act(x, tuple(src.index(h) for h in dst))
-
-
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     """Canonical key of a decorated graph: minimum over all colour- and
     port-preserving canonical labelings of the transported decoration.
@@ -656,7 +648,9 @@ def _set_partitions(items):
 # -- units and multiplications ------------------------------------------------------
 
 def eta_T(S: SpeciesOps, x) -> TElem:
-    """The corolla on an S-element: position i of x faces port i."""
+    """The corolla on an S-element: position i of x is the half ("h", i),
+    which faces port i.  The corolla reads its halves in that order, so
+    it stores x as it is."""
     cols = S.colour_of(x)
     n = len(cols)
     g = corolla(list(range(n)))
@@ -665,8 +659,6 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     for i in range(n):
         colours[i] = cols[i]
         colours[("in", i)] = om[cols[i]]
-    x = _reordered(S, x, tuple(("h", i) for i in range(n)),
-                   g.halves_at("*"))
     return TElem(g, tuple(range(n)), colours, {"*": x})
 
 
@@ -785,16 +777,8 @@ def law_DT(S: SpeciesOps, t: TElem):
         if e2 in colours and colours[e2] != c:
             raise ColourMismatch("unit marking with inconsistent colours")
         colours[e2] = c
-    # a kept half is renamed by its repr (identity_half), which can change
-    # the order of the halves at its vertex
-    vdec = {}
-    for v in t.graph.vertices:
-        if v not in d.deleted:
-            w = d.vertex_map[v]
-            vdec[w] = _reordered(
-                S, t.vdec[v][1],
-                tuple(d.half_map[h] for h in t.graph.halves_at(v)),
-                d.target.halves_at(w))
+    vdec = {d.vertex_map[v]: x[1] for v, x in t.vdec.items()
+            if v not in d.deleted}
     ports = tuple(d.edge_correspondence[e] for e in t.ports)
     return ("b", TElem(d.target, ports, colours, vdec))
 
@@ -811,7 +795,12 @@ def law_LT(S: SpeciesOps, t: TElem):
     half lies on tau e.  Ids, colours and the order of the components are
     those of substituting the corollas and splitting the colimit; a
     vertex whose factor blocks do not partition its positions raises
-    InvalidGraphOfGraphs, as GraphOfGraphs does."""
+    InvalidGraphOfGraphs, as GraphOfGraphs does.
+
+    A factor's corolla reads its halves ("h", ("fp", p)) in the order of
+    the positions p, so it takes the factor's element as it is.  A block
+    not in increasing order, which no L element holds, would be read out
+    of place: it raises InvalidGraphOfGraphs too."""
     g = t.graph
     s, tau = g.s, g.tau
     members = {e: [("b", e)] for e in g.edges}   # base edge -> its class
@@ -823,6 +812,9 @@ def law_LT(S: SpeciesOps, t: TElem):
         if len(placed) != len(order) or set(placed) != set(order):
             raise InvalidGraphOfGraphs(
                 f"boundary at {v!r} must biject onto H_v")
+        if any(list(block) != sorted(block) for block, _ in le):
+            raise InvalidGraphOfGraphs(
+                f"blocks at {v!r} must list their positions in order")
         for fi, (block, elem) in enumerate(le):
             tag = ("f", fi)
             fv = ("p", v, (tag, "*"))
@@ -833,13 +825,7 @@ def law_LT(S: SpeciesOps, t: TElem):
                 members[e].append(("p", v, (tag, ("in", fp))))
                 members[tau[e]].append(("p", v, (tag, fp)))
                 hs.append((("p", v, (tag, ("h", fp))), e))
-            # fv reads its halves in idkey order, not in block order when
-            # the block is unsorted or mixes 2..9 with 10 or more
-            names = tuple(hh for hh, _ in hs)
-            read = tuple(sort_ids(names))
-            if read != names:
-                hs.sort(key=lambda he: idkey(he[0]))
-            vdec[fv] = _reordered(S, elem, names, read)
+            vdec[fv] = elem
     cls = {e: frozenset(m) for e, m in members.items()}
     ctau = {c: cls[tau[e]] for e, c in cls.items()}
     colours = {cls[e]: c for e, c in t.colours.items()}

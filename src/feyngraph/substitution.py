@@ -106,17 +106,18 @@ class GraphOfGraphs:
 
 def identity_piece(g: FeynmanGraph, v) -> tuple:
     """The piece of v in the identity refinement of g, with its boundary:
-    the corolla with one port ("p", repr(h)) for each half h at v, in
-    halves_at order, that goes to h."""
+    the corolla with one port ("p", h) for each half h at v, in
+    halves_at order, that goes to h.  Its halves ("h", ("p", h)) sort as
+    the halves h do, so the corolla reads its positions in g's order."""
     halves = g.halves_at(v)
-    labels = [("p", repr(h)) for h in halves]
+    labels = [("p", h) for h in halves]
     return corolla(labels), dict(zip(labels, halves))
 
 
 def identity_half(v, h):
     """The colimit id of the half of identity_piece(g, v) that goes to the
     half h of g at v."""
-    return ("p", v, ("h", ("p", repr(h))))
+    return ("p", v, ("h", ("p", h)))
 
 
 @dataclass

@@ -27,8 +27,10 @@ def brute_idkey(x) -> tuple:
         return (1, tuple(brute_idkey(y) for y in x))
     if type(x) is frozenset:
         return (0, "frozenset", tuple(sorted(brute_idkey(y) for y in x)))
-    if type(x) in (str, int):
-        return (0, type(x).__name__, repr(x))
+    if type(x) is int:
+        return (0, "int", x)
+    if type(x) is str:
+        return (0, "str", repr(x))
     raise _brute_not_an_id(x)
 
 
@@ -755,7 +757,7 @@ def _brute_identity_data(g):
     for v in g.vertices:
         vm[("p", v, "*")] = v
         for h in g.halves_at(v):
-            hm[("p", v, ("h", ("p", repr(h))))] = h
+            hm[("p", v, ("h", ("p", h)))] = h
     return sub, em, hm, vm
 
 

@@ -190,16 +190,27 @@ def test_wiring_graph_port_count():
         assert len(wiring_to_graph(wd).ports) == wd.outer_arity
 
 
+def _reversed_wiring(n: int) -> WiringDiagram:
+    """One inner boundary of arity n, with no outer one: point j is
+    matched to point n + 1 - j."""
+    m = {("src", j): ("src", n + 1 - j) for j in range(1, n + 1)}
+    return WiringDiagram((n,), 0, BrauerDiagram(n, 0, m))
+
+
 def test_graph_to_wiring_roundtrip():
-    wd = WiringDiagram((2, 1), 1, BrauerDiagram(
+    """graph_to_wiring gives back the wiring diagram at every inner arity:
+    the halves ("h", 0, j) sort as the numbers j, also from j = 10."""
+    cases = [WiringDiagram((2, 1), 1, BrauerDiagram(
         3, 1, {("src", 1): ("src", 2), ("src", 2): ("src", 1),
-               ("src", 3): ("tgt", 1), ("tgt", 1): ("src", 3)}))
-    g = wiring_to_graph(wd)
-    vo = sorted(g.vertices, key=repr)
-    po = sorted(g.ports, key=repr)
-    back = graph_to_wiring(g, vo, po)
-    assert back == wd
-    assert is_isomorphic(wiring_to_graph(back), g)
+               ("src", 3): ("tgt", 1), ("tgt", 1): ("src", 3)}))]
+    cases += [_reversed_wiring(n) for n in (10, 12)]
+    for wd in cases:
+        g = wiring_to_graph(wd)
+        vo = sorted(g.vertices, key=repr)
+        po = sorted(g.ports, key=repr)
+        back = graph_to_wiring(g, vo, po)
+        assert back == wd
+        assert is_isomorphic(wiring_to_graph(back), g)
 
 
 def test_wd_compose_coherence_with_substitution():

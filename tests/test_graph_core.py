@@ -26,7 +26,7 @@ from feyngraph.errors import (
     TauNotInvolutive,
 )
 from feyngraph.etale import glue_ports
-from feyngraph.graphs import idkey
+from feyngraph.graphs import idkey, sort_ids
 from feyngraph.io import graph_from_json, graph_to_json
 from feyngraph.substitution import GraphOfGraphs, substitute
 
@@ -122,6 +122,11 @@ class TestQueries:
                 hs = g.halves_at(v)
                 assert type(hs) is tuple and g.halves_at(v) is hs
                 assert list(hs) == sorted(hs, key=idkey)
+
+    def test_ints_sort_as_numbers_so_halves_come_in_position_order(self):
+        assert corolla(range(12)).halves_at("*") == \
+            tuple(("h", i) for i in range(12))
+        assert sort_ids([10, 2, -1, -10]) == [-10, -1, 2, 10]
 
     def test_corolla_inner(self):
         assert not corolla(["a", "b"]).inner_edges()

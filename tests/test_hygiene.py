@@ -138,16 +138,17 @@ def test_one_union_find():
 
 
 def test_one_half_order_per_vertex():
-    """A vertex's half order is the tuple its graph keeps, g.halves_at(v):
-    no library function is named half_order or takes a half_orders
-    parameter, and no dataclass keeps a half_orders field beside the
-    graph."""
+    """A vertex's half order is the tuple its graph keeps, g.halves_at(v),
+    and it is the order of the element's positions: no library function
+    is named half_order, moves an element between two orders of the same
+    halves (_reordered) or takes a half_orders parameter, and no
+    dataclass keeps a half_orders field beside the graph."""
     found = []
     for where, _, node in _scoped_nodes():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             params = args.posonlyargs + args.args + args.kwonlyargs
-            if node.name == "half_order":
+            if node.name in ("half_order", "_reordered"):
                 found.append(where)
             found += [f"{where} {node.name}(half_orders)" for a in params
                       if a.arg == "half_orders"]
