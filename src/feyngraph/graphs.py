@@ -24,9 +24,10 @@ deterministically.
 
 Three memos last for the whole process and grow with what it sees: the
 sort key and the key text of each distinct id (idkey, idstr), and the
-canonical labelings of each distinct shape, a graph with its ids
-replaced by their sorted positions (canonical_labelings).  A fourth, in
-the nerve module, does not grow: nerve._pass, an lru_cache of size one,
+labelling plan of each distinct shape, a graph with its ids replaced by
+their sorted positions (_plan, behind canonical_labelings,
+XGraph.canonical_key and monads.telem_key).  A fourth, in the nerve
+module, does not grow: nerve._pass, an lru_cache of size one,
 holds the Kleisli morphisms of the last corpus pass (see
 nerve._memo_morphisms); Kleisli frames live on the graph and
 substitution they come from, not in a process memo.
@@ -197,7 +198,7 @@ class FeynmanGraph:
     (FeynmanGraph._trusted, for builders that guarantee them, does not)."""
 
     __slots__ = ("edges", "half_edges", "vertices", "s", "t", "tau",
-                 "_s_inv", "_halves_at", "_ports",
+                 "_s_inv", "_halves_at", "_ports", "_shape",
                  "_sorted_edges", "_sorted_vertices", "_kleisli", "_deletions",
                  "_components")
 
@@ -216,25 +217,25 @@ class FeynmanGraph:
 
     @classmethod
     def _trusted(cls, edges: frozenset, tau: dict, half_edges: frozenset,
-                 s: dict, t: dict, vertices: frozenset) -> "FeynmanGraph":
+                 s: dict, t: dict, vertices: frozenset,
+                 halves_at: dict) -> "FeynmanGraph":
         """A graph whose builder guarantees every invariant, taken as
-        given: the frozensets and dicts are kept, not copied, and nothing
-        is validated.  Only for constructions that are valid by design;
-        the tests check each against the validating constructor.  A
-        builder that knows the idkey order of the edges sets
+        given: the frozensets and dicts are kept, not copied, nothing is
+        validated, and halves_at (vertex -> its halves in idkey order) is
+        not sorted again.  Only for constructions that are valid by
+        design; the tests check each against the validating constructor.
+        A builder that knows the idkey order of the edges sets
         _sorted_edges, which is then not sorted again."""
         g = cls.__new__(cls)
         g.edges, g.half_edges, g.vertices = edges, half_edges, vertices
         g._index(s, t, tau)
+        g._halves_at = halves_at
         return g
 
     def _index(self, s: dict, t: dict, tau: dict) -> None:
         """The derived lookups, then the maps as read-only views."""
         self._s_inv = {e: h for h, e in s.items()}
-        halves_at: dict = {v: [] for v in self.vertices}
-        for h in sort_ids(self.half_edges):
-            halves_at[t[h]].append(h)
-        self._halves_at = {v: tuple(hs) for v, hs in halves_at.items()}
+        self._halves_at = self._shape = None   # filled on first use
         self._ports = frozenset(self.edges - set(self._s_inv))
         self.s, self.t, self.tau = (MappingProxyType(s), MappingProxyType(t),
                                     MappingProxyType(tau))
@@ -265,6 +266,9 @@ class FeynmanGraph:
             seen[e] = h
             if self.t[h] not in self.vertices:
                 raise DanglingId(f"t({h!r}) = {self.t[h]!r} is not a vertex")
+        for ids in (self.edges, self.half_edges, self.vertices):
+            for x in ids:
+                idkey(x)   # raises BadParameter for what is not an id
 
     # -- structural queries -------------------------------------------------
 
@@ -305,9 +309,15 @@ class FeynmanGraph:
 
     def halves_at(self, v: Id) -> tuple:
         """The half-edges at v in idkey order: the one half order of v,
-        which the graph keeps (the same tuple on every call)."""
+        which the graph keeps (the same tuple on every call), sorted on
+        first use unless the builder handed it over (_trusted)."""
         if v not in self.vertices:
             raise UnknownVertex(repr(v))
+        if self._halves_at is None:
+            halves_at: dict = {w: [] for w in self.vertices}
+            for h in sort_ids(self.half_edges):
+                halves_at[self.t[h]].append(h)
+            self._halves_at = {w: tuple(hs) for w, hs in halves_at.items()}
         return self._halves_at[v]
 
     def edges_at(self, v: Id) -> list:
@@ -315,9 +325,7 @@ class FeynmanGraph:
         return [self.s[h] for h in self.halves_at(v)]
 
     def valency(self, v: Id) -> int:
-        if v not in self.vertices:
-            raise UnknownVertex(repr(v))
-        return len(self._halves_at[v])
+        return len(self.halves_at(v))
 
     def vertex_of_edge(self, e: Id) -> Optional[Id]:
         """The vertex an edge is attached to, or None for a port."""
@@ -393,19 +401,20 @@ def stick() -> FeynmanGraph:
 
 def corolla(labels: Sequence[Id]) -> FeynmanGraph:
     """X-corolla: ports are the labels, each paired with an inner copy at
-    the single vertex."""
-    labels = list(labels)
-    if len(set(labels)) != len(labels):
-        raise BadParameter("corolla labels must be distinct")
-    edges = list(labels) + [("in", x) for x in labels]
-    tau = {}
-    for x in labels:
-        tau[x] = ("in", x)
-        tau[("in", x)] = x
-    halves = [("h", x) for x in labels]
-    s = {("h", x): ("in", x) for x in labels}
-    t = {("h", x): "*" for x in labels}
-    return FeynmanGraph(edges, tau, halves, s, t, ["*"])
+    the single vertex.  Its halves ("h", x) sort as the labels x do, so
+    the corolla is built with that half order, unvalidated."""
+    labels = sort_ids(labels)   # raises BadParameter for what is not an id
+    inner = [("in", x) for x in labels]
+    edges = frozenset(labels + inner)
+    if len(edges) != 2 * len(labels):
+        raise BadParameter("corolla labels must be distinct, and none the "
+                           "inner copy of another")
+    halves = tuple(("h", x) for x in labels)
+    tau = dict(zip(labels + inner, inner + labels))
+    return FeynmanGraph._trusted(edges, tau, frozenset(halves),
+                                 dict(zip(halves, inner)),
+                                 dict.fromkeys(halves, "*"),
+                                 frozenset({"*"}), {"*": halves})
 
 
 def isolated_vertex() -> FeynmanGraph:
@@ -486,7 +495,7 @@ class CanonicalForm:
     vertex_index: Mapping[Id, int]
 
 
-_SHAPES: dict = {}   # shape -> (certificate, labelings by position)
+_SHAPES: dict = {}   # (tokens, shape) -> labelling plan, see _plan
 
 
 def _refine(edges, verts, tau, vert_of, edges_at, col):
@@ -513,22 +522,23 @@ def _refine(edges, verts, tau, vert_of, edges_at, col):
         col = nxt
 
 
-def _label_shape(e_tok: tuple, v_tok: tuple, links: tuple) -> tuple:
+def _label_shape(e_vals: Optional[tuple], taus: tuple,
+                 vhalves: tuple) -> tuple:
     """The search behind canonical_labelings, on a graph given by shape.
 
-    Edge i has token e_tok[i] and links[i] = (position of tau(i),
-    position of its vertex or -1); vertex j has token v_tok[j] and is
-    item len(e_tok) + j of the colourings.  Returns the minimal
-    certificate and the labelings that achieve it, each a pair of tuples
-    (label of edge i, label of vertex j)."""
-    ne = len(e_tok)
+    Edge i has the token e_vals[i] and tau(i) = taus[i]; vertex j is
+    item len(taus) + j of the colourings, and vhalves[j] lists its edges.
+    Returns the minimal certificate and the labelings that achieve it,
+    each a pair of tuples (label of edge i, label of vertex j)."""
+    ne = len(taus)
     edges = tuple(range(ne))
-    verts = tuple(range(ne, ne + len(v_tok)))
-    tau = {e: f for e, (f, _) in enumerate(links)}
-    vert_of = {e: ne + w for e, (_, w) in enumerate(links) if w >= 0}
-    edges_at: dict = {v: [] for v in verts}
-    for e, v in vert_of.items():
-        edges_at[v].append(e)
+    verts = tuple(range(ne, ne + len(vhalves)))
+    tau = dict(enumerate(taus))
+    edges_at = {ne + j: hp for j, hp in enumerate(vhalves)}
+    vert_of = {e: v for v, hp in edges_at.items() for e in hp}
+    e_tok = tuple(repr(("e", e not in vert_of, t))
+                  for e, t in zip(edges, e_vals or (None,) * ne))
+    v_tok = tuple(repr(("v", len(hp), None)) for hp in vhalves)
     tok_rank = {t: i for i, t in enumerate(sorted(set(e_tok) | set(v_tok)))}
     base = {x: tok_rank[t] for x, t in zip(edges + verts, e_tok + v_tok)}
 
@@ -574,6 +584,38 @@ def _label_shape(e_tok: tuple, v_tok: tuple, links: tuple) -> tuple:
     return best[0], tuple(best[1])
 
 
+def _plan(g: FeynmanGraph, e_vals: Optional[tuple]) -> tuple:
+    """(certificate, labelings by position, the certificate's repr, vertex
+    plans) of g with the edge tokens e_vals (in sorted_edges order, or
+    None), once per shape: the tokens in marshal form, where 1 and True
+    differ (their reprs if marshal cannot write them), and, kept on g, tau
+    of each edge and the edges of each vertex's halves in halves_at order,
+    by position.  A labelling's vertex plan lists by vertex label each
+    vertex's (label, position, permutation that reads its halves in the
+    order of their edges' labels)."""
+    try:
+        # version 2 writes no back-references, so equal tokens of equal
+        # types give equal bytes
+        token_key = marshal.dumps(e_vals, 2)
+    except ValueError:
+        token_key = tuple(map(repr, e_vals))
+    shape = g._shape
+    if shape is None:
+        epos = {e: i for i, e in enumerate(g.sorted_edges)}
+        shape = g._shape = (
+            tuple([epos[g.tau[e]] for e in g.sorted_edges]),
+            tuple([tuple([epos[g.s[h]] for h in g.halves_at(v)])
+                   for v in g.sorted_vertices]))
+    plan = _SHAPES.get((token_key, shape))
+    if plan is None:
+        cert, labs = _label_shape(e_vals, *shape)
+        vplans = tuple(tuple(sorted(
+            (vi[j], j, tuple(sorted(range(len(hp)), key=lambda k: ei[hp[k]])))
+            for j, hp in enumerate(shape[1]))) for ei, vi in labs)
+        plan = _SHAPES[(token_key, shape)] = (cert, labs, repr(cert), vplans)
+    return plan
+
+
 def canonical_labelings(g: FeynmanGraph,
                         edge_tokens: Optional[Mapping[Id, Any]] = None):
     """Individualisation-refinement canonical labeling.
@@ -587,35 +629,12 @@ def canonical_labelings(g: FeynmanGraph,
     maps, with each id replaced by its position in sorted_edges or
     sorted_vertices.  Graphs of one shape share the certificate and,
     position for position, the labelings, so the search runs once for
-    each shape in the process.  The memo keys the tokens in marshal form,
-    which is cheap to build and tells equal tokens of different types
-    apart (1 and True, 0 and 0.0); tokens marshal cannot write are keyed
-    by their reprs.
+    each shape in the process (see _plan).
     """
     edges = g.sorted_edges
-    verts = g.sorted_vertices
     e_vals = tuple(map(edge_tokens.get, edges)) if edge_tokens else None
-    try:
-        # version 2 writes no back-references, so equal tokens of equal
-        # types give equal bytes
-        token_key = marshal.dumps(e_vals, 2)
-    except ValueError:
-        token_key = tuple(map(repr, e_vals))
-    epos = {e: i for i, e in enumerate(edges)}
-    vpos = {v: i for i, v in enumerate(verts)}
-    tau = g.tau
-    links = tuple((epos[tau[e]], -1 if (w := g.vertex_of_edge(e)) is None
-                   else vpos[w]) for e in edges)
-    # the links fix which edges are ports and the valency of each vertex
-    shape = (token_key, len(verts), links)
-    shared = _SHAPES.get(shape)
-    if shared is None:
-        ports = g.ports
-        e_tok = tuple(repr(("e", e in ports, t))
-                      for e, t in zip(edges, e_vals or (None,) * len(edges)))
-        v_tok = tuple(repr(("v", g.valency(v), None)) for v in verts)
-        shared = _SHAPES[shape] = _label_shape(e_tok, v_tok, links)
-    cert, labs = shared
+    cert, labs, _, _ = _plan(g, e_vals)
+    verts = g.sorted_vertices
     return cert, tuple((MappingProxyType(dict(zip(edges, ei))),
                         MappingProxyType(dict(zip(verts, vi))))
                        for ei, vi in labs)

@@ -22,15 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import (ColourMismatch, FormatError, InvalidGraphOfGraphs,
                      Mismatch, NotCommuting, NotDeletable,
                      NotLocallyBijective, OutOfBounds, require_nonnegative)
 from .etale import EtaleMorphism, glue_ports
-from .graphs import (FeynmanGraph, _UF, canonical_labelings, corolla,
-                     idkey, idstr, pairs_text, read_only, sort_ids,
-                     tagged_union)
+from .graphs import (FeynmanGraph, _UF, _plan, corolla, idkey, idstr,
+                     pairs_text, read_only, sort_ids, tagged_union)
 from .species import CircuitAlgebraOps, SpeciesOps, _sweep, evaluate_species
 from .substitution import (GraphOfGraphs, SearchBudget, enumerate_x_graphs,
                            identity_half, identity_piece, substitute)
@@ -390,6 +391,18 @@ class TElem:
         object.__setattr__(self, "colours", read_only(self.colours))
         object.__setattr__(self, "vdec", read_only(self.vdec))
 
+    @classmethod
+    def _trusted(cls, graph: FeynmanGraph, ports: tuple, colours: Mapping,
+                 vdec: Mapping) -> "TElem":
+        """An element whose builder made colours and vdec for it alone, or
+        took them read-only from another element: a dict is wrapped, not
+        copied, and a read-only view is kept as it is."""
+        t = cls.__new__(cls)
+        t.__dict__.update(graph=graph, ports=ports, **{
+            name: m if type(m) is MappingProxyType else MappingProxyType(m)
+            for name, m in (("colours", colours), ("vdec", vdec))})
+        return t
+
     def __repr__(self):
         return (f"TElem(|V|={len(self.graph.vertices)}, "
                 f"arity={len(self.ports)})")
@@ -398,25 +411,19 @@ class TElem:
 def telem_key(S: SpeciesOps, t: TElem) -> tuple:
     """Canonical key of a decorated graph: minimum over all colour- and
     port-preserving canonical labelings of the transported decoration.
-    Kept on t, for the species S it was computed with."""
+    The labelings, and the permutation that moves each vertex's element
+    along each of them, are read from the plan of t.graph's shape
+    (graphs._plan).  Kept on t, for the species S it was computed with."""
     if t._key is not None and t._key[0] is S:
         return t._key[1]
+    g, colours = t.graph, t.colours
     port_pos = {e: i for i, e in enumerate(t.ports)}
-    tokens = {e: (repr(t.colours[e]), port_pos.get(e, -1))
-              for e in t.graph.edges}
-    cert, labs = canonical_labelings(t.graph, edge_tokens=tokens)
-    text = repr(cert)   # once, not once per labelling
-    best = None
-    for eidx, vidx in labs:
-        vser = []
-        for v in t.graph.vertices:
-            order = t.graph.halves_at(v)
-            new_order = sorted(order, key=lambda hh: eidx[t.graph.s[hh]])
-            perm = tuple(order.index(hh) for hh in new_order)
-            vser.append((vidx[v], S.key_text(S.act(t.vdec[v], perm))))
-        cand = (text, tuple(sorted(vser)))
-        if best is None or cand < best:
-            best = cand
+    _, _, text, vplans = _plan(g, tuple(
+        [(repr(colours[e]), port_pos.get(e, -1)) for e in g.sorted_edges]))
+    verts, vdec = g.sorted_vertices, t.vdec
+    best = (text, min(tuple([(label, S.key_text(S.act(vdec[verts[j]], perm)))
+                             for label, j, perm in vplan])
+                      for vplan in vplans))
     object.__setattr__(t, "_key", (S, best))
     return best
 
@@ -478,23 +485,26 @@ class TSpecies(SpeciesOps):
             object.__setattr__(t, "_acted", acted)
         u = acted.get(sigma)
         if u is None:
-            u = acted[sigma] = TElem(t.graph, tuple(t.ports[i] for i in sigma),
-                                     t.colours, t.vdec)
+            u = acted[sigma] = TElem._trusted(
+                t.graph, tuple(t.ports[i] for i in sigma), t.colours, t.vdec)
         return u
 
     def key(self, t: TElem):
         return ("T",) + telem_key(self.inner, t)
 
     def key_text(self, t: TElem) -> str:
-        """The text of key(t), kept on t beside its key for the inner
-        species it was computed with: the key of a T S element depends
-        on S alone."""
-        memo = t._str
-        if memo is not None and memo[0] is self.inner:
-            return memo[1]
-        text = repr(self.key(t))
-        object.__setattr__(t, "_str", (self.inner, text))
-        return text
+        return _t_key_text(self.inner, t)
+
+
+def _t_key_text(S: SpeciesOps, t: TElem) -> str:
+    """The text of TSpecies(S).key(t), kept on t beside its key for S: the
+    key of a T S element depends on S alone."""
+    memo = t._str
+    if memo is not None and memo[0] is S:
+        return memo[1]
+    text = repr(("T",) + telem_key(S, t))
+    object.__setattr__(t, "_str", (S, text))
+    return text
 
 
 class DSpecies(SpeciesOps):
@@ -564,21 +574,7 @@ class LSpecies(SpeciesOps):
         self._built: dict = {}   # arity -> elements
 
     def norm(self, factors):
-        """The factors sorted by (block, key string of the element).  The
-        blocks of a well-formed element are disjoint, so only arity-0
-        factors share one: key strings are computed only inside a run of
-        equal blocks.  Both sorts are stable, so the order is that of one
-        sort by (block, key string), for any input."""
-        out = []
-        for _, run in itertools.groupby(
-                sorted(((tuple(b), x) for b, x in factors),
-                       key=lambda f: f[0]),
-                key=lambda f: f[0]):
-            run = list(run)
-            if len(run) > 1:
-                run.sort(key=lambda f: self.inner.key_text(f[1]))
-            out += run
-        return tuple(out)
+        return _l_norm(factors, self.inner.key_text)
 
     def elements(self, n):
         return _built_once(self, n, self._build)
@@ -634,6 +630,23 @@ class LSpecies(SpeciesOps):
                                      for b, x in le))
 
 
+def _l_norm(factors, key_text) -> tuple:
+    """The factors sorted by (block, key_text of the element).  The
+    blocks of a well-formed element are disjoint, so only arity-0 factors
+    share one: key strings are computed only inside a run of equal
+    blocks.  Both sorts are stable, so the order is that of one sort by
+    (block, key string), for any input."""
+    out = []
+    for _, run in itertools.groupby(
+            sorted(((tuple(b), x) for b, x in factors), key=lambda f: f[0]),
+            key=lambda f: f[0]):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda f: key_text(f[1]))
+        out += run
+    return tuple(out)
+
+
 def _set_partitions(items):
     if not items:
         yield []
@@ -659,7 +672,7 @@ def eta_T(S: SpeciesOps, x) -> TElem:
     for i in range(n):
         colours[i] = cols[i]
         colours[("in", i)] = om[cols[i]]
-    return TElem(g, tuple(range(n)), colours, {"*": x})
+    return TElem._trusted(g, tuple(range(n)), colours, {"*": x})
 
 
 def mu_T(TS: TSpecies, t: TElem) -> TElem:
@@ -689,7 +702,7 @@ def mu_T(TS: TSpecies, t: TElem) -> TElem:
         for wv in tv.graph.vertices:
             vdec[("p", v, wv)] = tv.vdec[wv]
     ports = tuple(edge_class[e] for e in t.ports)
-    return TElem(sub.colimit, ports, colours, vdec)
+    return TElem._trusted(sub.colimit, ports, colours, vdec)
 
 
 def eta_D(x):
@@ -720,8 +733,8 @@ def mu_L(LS: LSpecies, big):
 
 def _fmap_T(f, t: TElem) -> TElem:
     """T f: apply f to the element at every vertex."""
-    return TElem(t.graph, t.ports, t.colours,
-                 {v: f(x) for v, x in t.vdec.items()})
+    return TElem._trusted(t.graph, t.ports, t.colours,
+                          {v: f(x) for v, x in t.vdec.items()})
 
 
 def _fmap_D(f, d):
@@ -780,7 +793,7 @@ def law_DT(S: SpeciesOps, t: TElem):
     vdec = {d.vertex_map[v]: x[1] for v, x in t.vdec.items()
             if v not in d.deleted}
     ports = tuple(d.edge_correspondence[e] for e in t.ports)
-    return ("b", TElem(d.target, ports, colours, vdec))
+    return ("b", TElem._trusted(d.target, ports, colours, vdec))
 
 
 def law_LT(S: SpeciesOps, t: TElem):
@@ -860,16 +873,18 @@ def law_LT(S: SpeciesOps, t: TElem):
         fvs = part[len(cs):]
         hs = [(hh, cls[e], fv) for fv in fvs for hh, e in halves[fv]]
         edges = frozenset(cs)
+        # a factor vertex reads its halves in block order, the idkey order
         comp = FeynmanGraph._trusted(
             edges, {c: ctau[c] for c in cs},
             frozenset(hh for hh, _, _ in hs), {hh: c for hh, c, _ in hs},
-            {hh: fv for hh, _, fv in hs}, frozenset(fvs))
+            {hh: fv for hh, _, fv in hs}, frozenset(fvs),
+            {fv: tuple(hh for hh, _ in halves[fv]) for fv in fvs})
         comp._sorted_edges = tuple(cs)   # in idkey order, as said above
         block = tuple(i for i, c in enumerate(port_class) if c in edges)
-        factors.append((block, TElem(
+        factors.append((block, TElem._trusted(
             comp, tuple(port_class[i] for i in block),
             {c: colours[c] for c in cs}, {fv: vdec[fv] for fv in fvs})))
-    return LSpecies(TSpecies(S)).norm(factors)
+    return _l_norm(factors, partial(_t_key_text, S))
 
 
 def law_LD(S: SpeciesOps, d):
@@ -1001,31 +1016,39 @@ def check_beck(which: str, S: SpeciesOps, max_arity: int = 2,
 
 # -- Yang-Baxter ---------------------------------------------------------------------
 
+def _hexagon(S: SpeciesOps, instance: TElem) -> tuple:
+    """(ok, paths): whether both hexagon paths end on one key, and the
+    values that check_yang_baxter writes."""
+    TS = TSpecies(S)
+    # top: lambda_DT at inner L, then D lambda_LT, then lambda_LD at T
+    top1 = law_DT(LSpecies(S), instance)                     # D(T(L S))
+    top3 = law_LD(TS, _fmap_D(lambda t: law_LT(S, t), top1))  # L(D(T S))
+    # bottom: T lambda_LD, then lambda_LT at inner D, then L lambda_DT
+    bot2 = law_LT(DSpecies(S), _fmap_T(lambda x: law_LD(S, x),
+                                       instance))            # L(T(D S))
+    bot3 = _fmap_L(lambda t: law_DT(S, t), bot2)            # L(D(T S))
+    LDTS = LSpecies(DSpecies(TS))
+    return LDTS.key(top3) == LDTS.key(bot3), (top1, top3, bot2, bot3)
+
+
+def _transcript(S: SpeciesOps, ok: bool, paths: tuple) -> dict:
+    top1, top3, bot2, bot3 = paths
+    LDTS = LSpecies(DSpecies(TSpecies(S)))
+    return {"top": [DSpecies(TSpecies(LSpecies(S))).key_text(top1),
+                    LDTS.key_text(top3)],
+            "bottom": [LSpecies(TSpecies(DSpecies(S))).key_text(bot2),
+                       LDTS.key_text(bot3)],
+            "ok": ok}
+
+
 def check_yang_baxter(S: SpeciesOps, instance: TElem) -> tuple:
     """Both hexagon paths T(D(L S)) -> L(D(T S)) on one instance.
 
     Returns (ok, transcript) with the intermediate keys of the top path
     (lambda_DT, D lambda_LT, lambda_LD) and the bottom path (T lambda_LD,
     lambda_LT, L lambda_DT)."""
-    LS = LSpecies(S)
-    DS = DSpecies(S)
-    TS = TSpecies(S)
-    LDTS = LSpecies(DSpecies(TS))
-    # top: lambda_DT at inner L, then D lambda_LT, then lambda_LD at T
-    top1 = law_DT(LS, instance)                             # D(T(L S))
-    top3 = law_LD(TS, _fmap_D(lambda t: law_LT(S, t), top1))  # L(D(T S))
-    # bottom: T lambda_LD, then lambda_LT at inner D, then L lambda_DT
-    bot2 = law_LT(DS, _fmap_T(lambda x: law_LD(S, x), instance))  # L(T(D S))
-    bot3 = _fmap_L(lambda t: law_DT(S, t), bot2)            # L(D(T S))
-    ok = LDTS.key(top3) == LDTS.key(bot3)
-    transcript = {
-        "top": [DSpecies(TSpecies(LS)).key_text(top1),
-                LDTS.key_text(top3)],
-        "bottom": [LSpecies(TSpecies(DS)).key_text(bot2),
-                   LDTS.key_text(bot3)],
-        "ok": ok,
-    }
-    return ok, transcript
+    ok, paths = _hexagon(S, instance)
+    return ok, _transcript(S, ok, paths)
 
 
 def yang_baxter_sweep(S: SpeciesOps, max_arity: int = 2,
@@ -1033,15 +1056,15 @@ def yang_baxter_sweep(S: SpeciesOps, max_arity: int = 2,
                       max_factors: int = 2) -> dict:
     """The Yang-Baxter hexagon on every instance of T(D(L S)) within
     the bounds.  A failing instance is noted with its arity and the
-    transcript of check_yang_baxter; an instance whose laws give
-    ill-formed output is noted with its arity and the error, and the
-    sweep goes on."""
+    transcript of check_yang_baxter, which is written for failing
+    instances only; an instance whose laws give ill-formed output is
+    noted with its arity and the error, and the sweep goes on."""
     domain = TSpecies(DSpecies(LSpecies(S, max_factors)),
                       max_vertices, max_valency)
 
     def hexagon(n, x):
-        ok, transcript = check_yang_baxter(S, x)
-        return ok or (n, transcript)
+        ok, paths = _hexagon(S, x)
+        return ok or (n, _transcript(S, ok, paths))
 
     return _graded(max_arity, [("yang-baxter", domain, hexagon)])
 

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from .errors import (BadParameter, BoundsTooLarge, InvalidGraphOfGraphs,
                      require_nonnegative)
-from .graphs import FeynmanGraph, _UF, canonical_labelings, corolla, idkey
+from .graphs import FeynmanGraph, _UF, _plan, corolla, idkey
 
 DEFAULT_MAX_SEARCH = 10 ** 7
 
@@ -68,8 +68,9 @@ class XGraph:
         return not self.graph.stick_components()
 
     def canonical_key(self) -> str:
-        return repr(canonical_labelings(self.graph,
-                                        edge_tokens=dict(self.labeling))[0])
+        """The certificate text of the graph with its labels as tokens."""
+        g = self.graph
+        return _plan(g, tuple(map(self.labeling.get, g.sorted_edges)))[2]
 
 
 class GraphOfGraphs:
@@ -145,7 +146,7 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
     port of its piece joins two such classes; every other piece edge is a
     class of its own.  The pieces passed GraphOfGraphs, so the classes
     are closed under tau and the graph is built with
-    FeynmanGraph._trusted.
+    FeynmanGraph._trusted, with the half order of each piece.
     """
     base, pieces = gog.base, gog.pieces
     s, tau = base.s, base.tau
@@ -163,7 +164,7 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
                     members[f].append(x)
     edge_class = _edge_classes(members, ties)
     ctau = {c: edge_class[tau[e]] for e, c in edge_class.items()}
-    piece_edge, alone, halves, hs, ht, verts = {}, [], [], {}, {}, []
+    piece_edge, alone, halves, hs, ht, order = {}, [], [], {}, {}, {}
     for v, (piece, _) in pieces.items():
         for pe in piece.edges:
             f = home.get(("p", v, pe))
@@ -181,9 +182,12 @@ def substitute(gog: GraphOfGraphs) -> Substitution:
             halves.append(hh)
             hs[hh] = piece_edge[(v, piece.s[h])]
             ht[hh] = ("p", v, piece.t[h])
-        verts += [("p", v, w) for w in piece.vertices]
+        # ("p", v, h) sort as the halves h of the piece do
+        for w in piece.vertices:
+            order[("p", v, w)] = tuple([("p", v, h)
+                                        for h in piece.halves_at(w)])
     colimit = FeynmanGraph._trusted(frozenset(ctau), ctau, frozenset(halves),
-                                    hs, ht, frozenset(verts))
+                                    hs, ht, frozenset(order), order)
     # a class of one piece edge sorts after every class with a base edge
     alone.sort(key=lambda xc: idkey(xc[0]))
     colimit._sorted_edges = tuple(dict.fromkeys(

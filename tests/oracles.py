@@ -1059,6 +1059,30 @@ def brute_law_LT(S, t):
     return LSpecies(TSpecies(S)).norm(factors)
 
 
+def brute_telem_key(S, t) -> tuple:
+    """telem_key as a loop over the labelings of canonical_labelings: for
+    each, every vertex's element moved into the order of its edges'
+    labels, listed by vertex label; the least of these."""
+    from feyngraph.graphs import canonical_labelings
+
+    g = t.graph
+    port_pos = {e: i for i, e in enumerate(t.ports)}
+    tokens = {e: (repr(t.colours[e]), port_pos.get(e, -1)) for e in g.edges}
+    cert, labs = canonical_labelings(g, edge_tokens=tokens)
+    best = None
+    for eidx, vidx in labs:
+        vser = []
+        for v in g.vertices:
+            order = g.halves_at(v)
+            new_order = sorted(order, key=lambda hh: eidx[g.s[hh]])
+            perm = tuple(order.index(hh) for hh in new_order)
+            vser.append((vidx[v], S.key_text(S.act(t.vdec[v], perm))))
+        cand = (repr(cert), tuple(sorted(vser)))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 # -- restriction along a Kleisli morphism --------------------------------------------
 #
 # restrict_kleisli and algebra_evaluate as they were before restriction

@@ -87,6 +87,25 @@ class TestValidation:
         for _, g in CORPUS:
             assert len(g.edges) % 2 == 0
 
+    @pytest.mark.parametrize("build", [
+        lambda: FeynmanGraph(["a", 2.5], {"a": 2.5, 2.5: "a"},
+                             vertices=[3.5]),
+        lambda: FeynmanGraph(["a", "b"], {"a": "b", "b": "a"},
+                             vertices=[None]),
+        lambda: corolla([1.5]),
+        lambda: corolla([None])],
+        ids=["float-edge-and-vertex", "none-vertex", "float-label",
+             "none-label"])
+    def test_ids_where_no_half_sits_are_refused_at_construction(self, build):
+        # no half sits on these ids, and no half order is sorted when a
+        # graph is built, so only the id check refuses them
+        with pytest.raises(BadParameter):
+            build()
+
+    def test_a_label_that_is_the_inner_copy_of_another_is_refused(self):
+        with pytest.raises(BadParameter):
+            corolla(["a", ("in", "a")])
+
 
 class TestNamed:
     def test_wheel1_counts(self):

@@ -11,7 +11,10 @@ not depend on the order of its factors, and L's norm orders factors as
 one sort by block and key does.  lambda_LT, built
 directly, equals the substitution colimit it replaces
 (oracles.brute_law_LT) on every input of the sweeps, with the same
-errors, and never falls back on that colimit.
+errors, and never falls back on that colimit.  The graphs that
+lambda_LT, mu_T, lambda_DT and corolla build with a handed-over half
+order equal the validated ones.  The Yang-Baxter sweep writes the
+transcript of check_yang_baxter for a failing instance only.
 """
 
 import functools
@@ -217,17 +220,17 @@ def test_a_failed_hexagon_and_an_ill_formed_instance_are_reported_together(
     # the first instance raises and the second fails the hexagon: both
     # are noted, each with its arity written as text, and every instance
     # is checked
-    check = monads.check_yang_baxter
+    hexagon = monads._hexagon
     calls = []
 
     def flaky(S, instance):
         calls.append(instance)
         if len(calls) == 1:
             raise ColourMismatch("no colour for a formal unit")
-        ok, transcript = check(S, instance)
-        return (len(calls) > 2 and ok), transcript
+        ok, paths = hexagon(S, instance)
+        return (len(calls) > 2 and ok), paths
 
-    monkeypatch.setattr(monads, "check_yang_baxter", flaky)
+    monkeypatch.setattr(monads, "_hexagon", flaky)
     r = yang_baxter_sweep(SPECIES["K"], **YB_BOUNDS)
     assert not r["ok"] and r["checked"] == 10 == len(calls)
     assert len(r["violations"]) == 2
@@ -235,6 +238,37 @@ def test_a_failed_hexagon_and_an_ill_formed_instance_are_reported_together(
                for v in r["violations"])
     assert sum(v[-1] == repr("ColourMismatch: no colour for a formal unit")
                for v in r["violations"]) == 1
+
+
+def test_a_passing_yang_baxter_sweep_writes_no_transcript(monkeypatch):
+    written = []
+    transcript = monads._transcript
+    monkeypatch.setattr(monads, "_transcript",
+                        lambda *args: written.append(args) or
+                        transcript(*args))
+    r = yang_baxter_sweep(SPECIES["K"], **YB_BOUNDS)
+    assert r["ok"] and r["checked"] == 10 and not written
+
+
+@pytest.mark.parametrize("species", sorted(SPECIES))
+def test_a_failing_hexagon_is_noted_with_the_checkers_transcript(
+        monkeypatch, species):
+    S = SPECIES[species]
+    monkeypatch.setattr(monads, "law_LD", MUTANTS[
+        "zero_factors_of_plain_dropped"][1])
+    seen = []
+    hexagon = monads._hexagon
+    monkeypatch.setattr(monads, "_hexagon",
+                        lambda S, x: seen.append(x) or hexagon(S, x))
+    r = yang_baxter_sweep(S, **YB_BOUNDS)
+    expected = set()
+    for x in list(seen):
+        ok, transcript = monads.check_yang_baxter(S, x)
+        if not ok:
+            expected.add(("yang-baxter", repr(len(x.ports)),
+                          repr(transcript)))
+    assert not r["ok"] and r["violations"] == sorted(expected)
+
 
 def test_reports_do_not_depend_on_what_the_process_memoised():
     """Sort keys and labelings are memoised for the whole process: a
@@ -317,21 +351,59 @@ def test_law_lt_colours_ill_coloured_input_as_the_oracle():
     assert recoloured > 100
 
 
+def _assert_equals_validated(g):
+    """g, built unvalidated with a handed-over half order, equals the
+    graph that the validating constructor builds from its maps, half
+    orders included."""
+    h = FeynmanGraph(g.edges, g.tau, g.half_edges, g.s, g.t, g.vertices)
+    assert (g.edges, g.half_edges, g.vertices, g.ports) == \
+        (h.edges, h.half_edges, h.vertices, h.ports)
+    assert (dict(g.tau), dict(g.s), dict(g.t)) == \
+        (dict(h.tau), dict(h.s), dict(h.t))
+    assert g.sorted_edges == h.sorted_edges
+    assert all(g.halves_at(v) == h.halves_at(v) for v in g.vertices)
+    assert all(g.half_of_edge(e) == h.half_of_edge(e) for e in g.edges)
+
+
 @pytest.mark.parametrize("species", sorted(SPECIES))
 def test_law_lt_components_equal_validated_graphs(species):
     for S, t in _recorded_lt_inputs(SPECIES[species]):
         for _, x in LAW_LT(S, t):
-            g = x.graph
-            h = FeynmanGraph(g.edges, g.tau, g.half_edges, g.s, g.t,
-                             g.vertices)
-            assert (g.edges, g.half_edges, g.vertices, g.ports) == \
-                (h.edges, h.half_edges, h.vertices, h.ports)
-            assert (dict(g.tau), dict(g.s), dict(g.t)) == \
-                (dict(h.tau), dict(h.s), dict(h.t))
-            assert g.sorted_edges == h.sorted_edges
-            assert all(g.halves_at(v) == h.halves_at(v) for v in g.vertices)
-            assert all(g.half_of_edge(e) == h.half_of_edge(e)
-                       for e in g.edges)
+            # the factor vertices' half order is handed over, not sorted
+            assert x.graph._halves_at is not None
+            _assert_equals_validated(x.graph)
+
+
+GRAPHS_BUILT = {"mu_T": lambda r: [r.graph],
+                "law_DT": lambda r: [r[1].graph] if r[0] == "b" else [],
+                "corolla": lambda r: [r]}
+
+
+@pytest.mark.parametrize("species", sorted(SPECIES))
+def test_handed_over_half_orders_equal_validated_graphs(monkeypatch,
+                                                        species):
+    """The graphs of mu_T (a substitution colimit), law_DT (a deletion's
+    colimit) and corolla in the dt, lt and Yang-Baxter sweeps."""
+    built = {name: [] for name in GRAPHS_BUILT}
+    for module in (monads, substitution):
+        for name, graphs_of in GRAPHS_BUILT.items():
+            inner = getattr(module, name, None)
+            if inner is None:
+                continue
+
+            def recording(*args, inner=inner, name=name, graphs_of=graphs_of):
+                r = inner(*args)
+                built[name] += graphs_of(r)
+                return r
+            monkeypatch.setattr(module, name, recording)
+    S = SPECIES[species]
+    for law in ("dt", "lt"):
+        check_beck(law, S, **BOUNDS[law])
+    yang_baxter_sweep(S, **YB_BOUNDS)
+    for name, graphs in built.items():
+        assert len(graphs) > 20, name
+        for g in graphs:
+            _assert_equals_validated(g)
 
 
 def test_law_lt_builds_no_colimit_and_validates_no_component(monkeypatch):

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feyngraph import monads
+from feyngraph import graphs, monads
 from feyngraph.errors import (BadParameter, ColourMismatch,
                               InvalidGraphOfGraphs, NotDeletable, OutOfBounds)
 from feyngraph.graphs import (FeynmanGraph, corolla, disjoint_union, idstr,
@@ -27,7 +27,7 @@ from feyngraph.species import (TerminalSpecies, check_circuit_axioms,
 from helpers_species import TWO, tuple_algebra
 from helpers_nerve import corpus14
 from oracles import (brute_etale_homs, brute_hom_pointed, brute_law_LT,
-                     brute_monad_laws, brute_t_associativity,
+                     brute_monad_laws, brute_t_associativity, brute_telem_key,
                      corolla_like_class_count)
 from test_laws import BOUNDS, _factor
 
@@ -639,6 +639,69 @@ def test_law_DT_reads_a_renamed_vertex_in_its_new_half_order():
     expected = TElem(u, ("pa", "q"),
                      {"pa": "+", "ea": "-", "eb": "+", "q": "-"}, {"u": x})
     assert telem_key(S2, r) == telem_key(S2, expected)
+
+
+# -- telem_key against its per-labelling oracle ---------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _keyed_elements():
+    """(inner species, elements) of T S, T(L S) and T(D S) for K and S2
+    at the bounds of the dt and lt sweeps."""
+    dt, lt = BOUNDS["dt"], BOUNDS["lt"]
+    out = []
+    for S in (K, S2):
+        for inner, b in ((S, dt), (LSpecies(S, lt["max_factors"]), lt),
+                         (DSpecies(S), dt)):
+            TS = TSpecies(inner, b["max_vertices"], b["max_valency"])
+            out.append((inner, [t for n in range(b["max_arity"] + 1)
+                                for t in TS.elements(n)]))
+    return out
+
+
+IDS = st.recursive(st.integers(-20, 20) | st.text("ab*", max_size=2),
+                   lambda ids: st.tuples(ids, ids)
+                   | st.frozensets(ids, min_size=1, max_size=2),
+                   max_leaves=4)
+
+
+def _renamed(S, t, data):
+    """t with its edges, halves and vertices renamed by random injective
+    maps onto ids of every kind; each vertex's element is moved into the
+    vertex's new half order."""
+    g = t.graph
+    em, hm, vm = (dict(zip(ids, data.draw(st.lists(
+        IDS, min_size=len(ids), max_size=len(ids), unique=True))))
+        for ids in (g.edges, g.half_edges, g.vertices))
+    h = g.relabel(em, hm, vm)
+    back = {y: x for x, y in hm.items()}
+    vdec = {}
+    for v in g.vertices:
+        old = g.halves_at(v)
+        vdec[vm[v]] = S.act(t.vdec[v], tuple(old.index(back[y])
+                                             for y in h.halves_at(vm[v])))
+    return TElem(h, tuple(em[e] for e in t.ports),
+                 {em[e]: c for e, c in t.colours.items()}, vdec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_telem_key_equals_the_oracle_under_any_renaming(data):
+    """telem_key reads each labelling from the plan of the graph's shape;
+    the oracle loops over canonical_labelings.  They agree, on the
+    element and on a renamed copy, with the plans cold and warm."""
+    S, elems = data.draw(st.sampled_from(_keyed_elements()))
+    t = data.draw(st.sampled_from(elems))
+    key = brute_telem_key(S, t)
+    shapes = graphs._SHAPES
+    graphs._SHAPES = cold_plans = {}
+    try:
+        cold = telem_key(S, _renamed(S, t, data))
+    finally:
+        graphs._SHAPES = shapes
+    u = _renamed(S, t, data)
+    assert cold_plans
+    assert telem_key(S, t) == key == cold == telem_key(S, u) \
+        == brute_telem_key(S, u)
 
 
 # -- Yang-Baxter ---------------------------------------------------------------------
